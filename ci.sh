@@ -38,6 +38,9 @@ cargo test -q -p relpat-sparql --test explain
 echo "=== join equivalence gate (merge/gallop vs nested oracle) ==="
 cargo test -q -p relpat-sparql --test join_equivalence
 
+echo "=== result-path allocation gate (FILTER/ORDER BY/materialize/clone flat in rows) ==="
+cargo test -q -p relpat-sparql --test result_alloc
+
 echo "=== prometheus exposition audit gate (incl. slo_* / prof_* families) ==="
 cargo test -q -p relpat-obs every_exposition_family_has_help_and_type
 cargo test -q -p relpat-obs slo_and_prof_families_render_with_metadata
@@ -77,5 +80,8 @@ cargo bench -p relpat-bench --bench store_scaling -- --smoke
 
 echo "=== bench-diff regression sentinel self-test ==="
 cargo run --release -q -p relpat-bench --bin bench-diff -- --smoke BENCH_store_scaling.json
+
+echo "=== benchmark build (perfbench/ is its own workspace) ==="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

@@ -61,6 +61,8 @@ impl Interner {
         let id = TermId(
             u32::try_from(self.terms.len()).expect("interner capacity exceeded (2^32 terms)"),
         );
+        // Term payloads are `Arc<str>`: both clones share the caller's
+        // string allocations.
         self.terms.push(term.clone());
         self.ids.insert(term.clone(), id);
         id

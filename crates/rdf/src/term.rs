@@ -9,24 +9,28 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::vocab::xsd;
 
 /// An IRI (we do not distinguish IRI from URI; DBpedia identifiers are ASCII).
 ///
-/// Stored as a single owned string. Equality and ordering are plain string
-/// comparisons, which matches RDF semantics (IRIs are compared codepoint-wise).
+/// Stored as a shared `Arc<str>`: a clone is a refcount bump, so the
+/// interner's two copies of a term and every query result cell that names it
+/// share one allocation. Equality, ordering and hashing are those of the
+/// string, which matches RDF semantics (IRIs are compared codepoint-wise).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Iri(String);
+pub struct Iri(Arc<str>);
 
 impl Iri {
-    /// Creates an IRI from any string-like value. No validation beyond
-    /// non-emptiness is performed: knowledge-base generation controls its own
-    /// identifier space, and the Turtle parser validates syntax separately.
-    pub fn new(value: impl Into<String>) -> Self {
-        let s = value.into();
+    /// Creates an IRI from any string-like value, copying it once into the
+    /// shared payload. No validation beyond non-emptiness is performed:
+    /// knowledge-base generation controls its own identifier space, and the
+    /// Turtle parser validates syntax separately.
+    pub fn new(value: impl AsRef<str>) -> Self {
+        let s = value.as_ref();
         debug_assert!(!s.is_empty(), "IRI must not be empty");
-        Iri(s)
+        Iri(Arc::from(s))
     }
 
     /// The full IRI string.
@@ -73,38 +77,40 @@ impl From<String> for Iri {
 /// An RDF literal: a lexical form plus either a datatype IRI or a language tag.
 ///
 /// Plain literals are represented with datatype `xsd:string` and no language
-/// tag, per RDF 1.1.
+/// tag, per RDF 1.1. Like [`Iri`], the strings are shared `Arc<str>`
+/// payloads, so cloning a literal never copies text.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Literal {
-    lexical: String,
+    lexical: Arc<str>,
     /// `None` means `xsd:string` (the overwhelmingly common case, so we avoid
     /// storing the datatype IRI for it).
     datatype: Option<Iri>,
-    language: Option<String>,
+    language: Option<Arc<str>>,
 }
 
 impl Literal {
     /// A plain (`xsd:string`) literal.
-    pub fn plain(lexical: impl Into<String>) -> Self {
-        Literal { lexical: lexical.into(), datatype: None, language: None }
+    pub fn plain(lexical: impl AsRef<str>) -> Self {
+        Literal { lexical: Arc::from(lexical.as_ref()), datatype: None, language: None }
     }
 
     /// A language-tagged literal (`"Ankara"@en`). Tags are lower-cased.
-    pub fn lang(lexical: impl Into<String>, tag: impl Into<String>) -> Self {
-        Literal {
-            lexical: lexical.into(),
-            datatype: None,
-            language: Some(tag.into().to_ascii_lowercase()),
-        }
+    pub fn lang(lexical: impl AsRef<str>, tag: impl AsRef<str>) -> Self {
+        let tag = tag.as_ref();
+        let language = if tag.bytes().any(|b| b.is_ascii_uppercase()) {
+            Arc::from(tag.to_ascii_lowercase())
+        } else {
+            Arc::from(tag)
+        };
+        Literal { lexical: Arc::from(lexical.as_ref()), datatype: None, language: Some(language) }
     }
 
     /// A typed literal with an explicit datatype IRI.
-    pub fn typed(lexical: impl Into<String>, datatype: Iri) -> Self {
-        let lexical = lexical.into();
+    pub fn typed(lexical: impl AsRef<str>, datatype: Iri) -> Self {
         if datatype.as_str() == xsd::STRING {
             return Literal::plain(lexical);
         }
-        Literal { lexical, datatype: Some(datatype), language: None }
+        Literal { lexical: Arc::from(lexical.as_ref()), datatype: Some(datatype), language: None }
     }
 
     /// An `xsd:integer` literal.
@@ -235,12 +241,12 @@ pub enum Term {
 
 impl Term {
     /// Convenience constructor for an IRI term.
-    pub fn iri(value: impl Into<String>) -> Self {
+    pub fn iri(value: impl AsRef<str>) -> Self {
         Term::Iri(Iri::new(value))
     }
 
     /// Convenience constructor for a plain literal term.
-    pub fn literal(value: impl Into<String>) -> Self {
+    pub fn literal(value: impl AsRef<str>) -> Self {
         Term::Literal(Literal::plain(value))
     }
 

@@ -9,7 +9,8 @@
 //! single execution. A side table maps each raw text spelling to its
 //! canonical key, so repeat lookups of a known spelling skip the parser
 //! entirely. A hit returns a clone of the stored [`QueryResult`] without
-//! touching the executor; a miss parses, executes, and (on success only)
+//! touching the executor — O(1), since result rows share one immutable cell
+//! table; a miss parses, executes, and (on success only)
 //! stores the parsed [`Query`] AST alongside the result. Failures are never
 //! cached — a malformed query re-reports its error on every attempt.
 //!

@@ -7,10 +7,15 @@
 //! the planner chose — sort-merge intersection when the binding stream is
 //! sorted on the join variable, batched galloping probes otherwise, the
 //! row-at-a-time nested loop as fallback — stopping mid-join for
-//! bare-LIMIT/ASK queries → apply filters → project → DISTINCT (hash dedup)
-//! → ORDER BY → OFFSET/LIMIT.
+//! bare-LIMIT/ASK queries → apply filters → ORDER BY (a sorted row-index
+//! permutation) → project → DISTINCT (hash dedup) → OFFSET/LIMIT → one
+//! materialization into shared [`Rows`]. Everything before the last step
+//! runs in id space; FILTER and ORDER BY read terms through borrowed
+//! [`Value`]s and never clone one.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::time::Instant;
 
 use relpat_rdf::{Graph, IdPattern, Term, TermId};
@@ -22,7 +27,7 @@ use crate::ast::{
     ArithOp, CmpOp, Expr, GraphPattern, Projection, Query, SelectQuery, TriplePattern,
 };
 use crate::error::SparqlError;
-use crate::results::Solutions;
+use crate::results::{Rows, Solutions};
 
 /// Result of executing a [`Query`].
 #[derive(Debug, Clone, PartialEq)]
@@ -173,14 +178,13 @@ fn execute_select(
     } else {
         None
     };
-    let evaluated = evaluate_pattern(graph, &sel.pattern, early_stop, trace, opts)?;
+    let Evaluated { variables: pattern_vars, table } =
+        evaluate_pattern(graph, &sel.pattern, early_stop, trace, opts)?;
 
-    let pattern_vars = evaluated.variables;
-    let table = evaluated.table;
-
-    // Aggregate projection: COUNT collapses the solution sequence to one row.
-    // Runs entirely in id space — interning is injective, so distinctness of
-    // ids is distinctness of terms.
+    // Aggregate projection: COUNT collapses the solution sequence to one row,
+    // which then passes through the same OFFSET/LIMIT window as any other
+    // result. Runs entirely in id space — interning is injective, so
+    // distinctness of ids is distinctness of terms.
     if let Projection::Count { var, distinct, alias } = &sel.projection {
         let n = match var {
             None => table.len(),
@@ -196,13 +200,14 @@ fn execute_select(
                 bound.len()
             }
         };
+        let kept = window(sel, 1).len();
+        let count = Term::Literal(relpat_rdf::Literal::integer(n as i64));
         return Ok(Solutions {
             variables: vec![alias.clone()],
-            rows: vec![vec![Some(Term::Literal(relpat_rdf::Literal::integer(n as i64)))]],
+            rows: Rows::new(1, kept, std::iter::repeat_n(Some(count), kept).collect()),
         });
     }
 
-    // Projection.
     let out_vars: Vec<String> = match &sel.projection {
         Projection::All => pattern_vars.clone(),
         Projection::Vars(vars) => vars.clone(),
@@ -214,29 +219,21 @@ fn execute_select(
         .map(|v| pattern_vars.iter().position(|pv| pv == v))
         .collect();
 
-    // ORDER BY keys may be arbitrary expressions over unprojected variables,
-    // so that path materializes every column up front and sorts term rows.
-    // The common unordered path stays in id space until the very end.
-    if !sel.order_by.is_empty() {
+    // ORDER BY sorts a permutation of row indices, not rows: every key is
+    // evaluated once per row into one flat buffer of borrowed values, and
+    // the stable sort keeps equal keys in solution order.
+    let order: Option<Vec<usize>> = (!sel.order_by.is_empty()).then(|| {
         let index: FxHashMap<&str, usize> =
             pattern_vars.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
-        type Decorated = (Vec<Option<Value>>, Vec<Option<Term>>);
-        let mut decorated: Vec<Decorated> = table
-            .iter()
-            .map(|binding| {
-                let row: Vec<Option<Term>> =
-                    binding.iter().map(|id| id.map(|i| graph.term(i).clone())).collect();
-                let keys = sel
-                    .order_by
-                    .iter()
-                    .map(|k| eval_expr(&k.expr, &row, &index).ok())
-                    .collect();
-                (keys, row)
-            })
-            .collect();
-        decorated.sort_by(|(ka, _), (kb, _)| {
+        let width = sel.order_by.len();
+        let mut keys: Vec<Option<Value<'_>>> = Vec::with_capacity(table.len() * width);
+        for row in table.iter() {
+            keys.extend(sel.order_by.iter().map(|k| eval_expr(&k.expr, row, graph, &index)));
+        }
+        let mut order: Vec<usize> = (0..table.len()).collect();
+        order.sort_by(|&a, &b| {
             for (i, key) in sel.order_by.iter().enumerate() {
-                let ord = compare_values(&ka[i], &kb[i]);
+                let ord = compare_values(&keys[a * width + i], &keys[b * width + i]);
                 let ord = if key.descending { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
                     return ord;
@@ -244,59 +241,51 @@ fn execute_select(
             }
             Ordering::Equal
         });
-        let mut projected: Vec<Vec<Option<Term>>> = decorated
-            .into_iter()
-            .map(|(_, row)| {
-                positions.iter().map(|p| p.and_then(|i| row[i].clone())).collect()
-            })
-            .collect();
+        order
+    });
 
-        if sel.distinct {
-            // Hash-based stable dedup: first occurrence wins, preserving
-            // ORDER BY output order at O(1) per row instead of a linear
-            // rescan.
-            let mut seen: FxHashSet<Vec<Option<Term>>> = FxHashSet::default();
-            seen.reserve(projected.len());
-            projected.retain(|row| seen.insert(row.clone()));
-        }
-
-        let offset = sel.offset.unwrap_or(0);
-        if offset > 0 {
-            projected.drain(..offset.min(projected.len()));
-        }
-        if let Some(limit) = sel.limit {
-            projected.truncate(limit);
-        }
-        return Ok(Solutions { variables: out_vars, rows: projected });
-    }
-
-    // Id-space projection: copying column ids, never cloning terms.
-    let mut projected = IdTable::new(out_vars.len());
-    for row in table.iter() {
-        for p in &positions {
-            projected.data.push(p.and_then(|i| row[i]));
-        }
+    // Id-space projection in output order: copying column ids, never terms.
+    let width = out_vars.len();
+    let mut projected = IdTable::new(width);
+    projected.data.reserve(table.len() * width);
+    for i in 0..table.len() {
+        let row = table.row(order.as_ref().map_or(i, |o| o[i]));
+        projected.data.extend(positions.iter().map(|p| p.and_then(|c| row[c])));
         projected.rows += 1;
     }
 
     if sel.distinct {
-        // Stable dedup on id rows: hashing a few u32s per row, not strings.
-        let mut seen: FxHashSet<Vec<Option<TermId>>> = FxHashSet::default();
-        seen.reserve(projected.len());
-        projected.retain(|row| seen.insert(row.to_vec()));
+        // Stable dedup on id rows, first occurrence wins: hashing borrowed
+        // slices of a few u32s.
+        projected = {
+            let mut seen: FxHashSet<&[Option<TermId>]> = FxHashSet::default();
+            seen.reserve(projected.len());
+            let mut unique = IdTable::new(width);
+            for row in projected.iter() {
+                if seen.insert(row) {
+                    unique.push(row);
+                }
+            }
+            unique
+        };
     }
 
-    // OFFSET/LIMIT pick the output window before any term is materialized;
-    // each surviving cell then pays for exactly one term clone.
-    let lo = sel.offset.unwrap_or(0).min(projected.len());
-    let hi = sel.limit.map_or(projected.len(), |l| lo.saturating_add(l).min(projected.len()));
-    let rows: Vec<Vec<Option<Term>>> = (lo..hi)
-        .map(|i| {
-            projected.row(i).iter().map(|id| id.map(|t| graph.term(t).clone())).collect()
-        })
+    // The single materialization point: OFFSET/LIMIT pick the output window
+    // in id space, then each surviving cell costs one refcount bump into
+    // one shared allocation for the whole table.
+    let kept = window(sel, projected.len());
+    let cells = projected.data[kept.start * width..kept.end * width]
+        .iter()
+        .map(|id| id.map(|t| graph.term(t).clone()))
         .collect();
+    Ok(Solutions { variables: out_vars, rows: Rows::new(width, kept.len(), cells) })
+}
 
-    Ok(Solutions { variables: out_vars, rows })
+/// The rows OFFSET/LIMIT keep out of `len`.
+fn window(sel: &SelectQuery, len: usize) -> Range<usize> {
+    let lo = sel.offset.unwrap_or(0).min(len);
+    let hi = sel.limit.map_or(len, |l| lo.saturating_add(l).min(len));
+    lo..hi
 }
 
 /// Row-major table of variable bindings in id space: `width` columns per
@@ -385,7 +374,7 @@ impl IdTable {
 
 /// Id-level bindings produced by BGP + filter evaluation. Terms are only
 /// materialized after projection and slicing, so each emitted cell pays for
-/// exactly one term clone and dropped columns pay nothing.
+/// exactly one refcount bump and dropped columns pay nothing.
 struct Evaluated {
     variables: Vec<String>,
     table: IdTable,
@@ -483,12 +472,10 @@ fn eval_algebra(
         // error semantics).
         Algebra::Filter { input, exprs } => {
             let mut bindings = eval_algebra(graph, input, var_index, bindings, trace);
-            bindings.retain(|binding| {
-                let row: Vec<Option<Term>> =
-                    binding.iter().map(|id| id.map(|i| graph.term(i).clone())).collect();
+            bindings.retain(|row| {
                 exprs
                     .iter()
-                    .all(|f| eval_expr(f, &row, var_index).map(|v| v.truthy()).unwrap_or(false))
+                    .all(|f| eval_expr(f, row, graph, var_index).is_some_and(|v| v.truthy()))
             });
             bindings
         }
@@ -877,16 +864,19 @@ fn try_push_extended(
     true
 }
 
-/// Runtime value for filter evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Value {
+/// Runtime value for FILTER and ORDER BY evaluation. Terms are borrowed
+/// from the graph or the query and strings from those terms, so evaluating
+/// an expression over an id row allocates only where SPARQL formats a
+/// number or boolean as a string.
+#[derive(Debug, Clone)]
+enum Value<'a> {
     Bool(bool),
     Num(f64),
-    Str(String),
-    Term(Term),
+    Str(Cow<'a, str>),
+    Term(&'a Term),
 }
 
-impl Value {
+impl<'a> Value<'a> {
     fn truthy(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
@@ -896,106 +886,83 @@ impl Value {
         }
     }
 
+    /// Numeric literals already evaluate to [`Value::Num`] (see
+    /// [`term_value`]), so only that variant is numeric.
     fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
-            Value::Term(Term::Literal(l)) => l.as_f64(),
             _ => None,
         }
     }
 
     /// String coercion mirroring SPARQL `str()`.
-    fn as_str_lossy(&self) -> String {
+    fn into_str(self) -> Cow<'a, str> {
         match self {
-            Value::Bool(b) => b.to_string(),
-            Value::Num(n) => n.to_string(),
-            Value::Str(s) => s.clone(),
-            Value::Term(Term::Literal(l)) => l.lexical_form().to_string(),
-            Value::Term(Term::Iri(iri)) => iri.as_str().to_string(),
-            Value::Term(t) => t.to_string(),
+            Value::Bool(b) => Cow::Owned(b.to_string()),
+            Value::Num(n) => Cow::Owned(n.to_string()),
+            Value::Str(s) => s,
+            Value::Term(Term::Literal(l)) => Cow::Borrowed(l.lexical_form()),
+            Value::Term(Term::Iri(iri)) => Cow::Borrowed(iri.as_str()),
+            Value::Term(t) => Cow::Owned(t.to_string()),
+        }
+    }
+
+    /// [`Value::into_str`] without giving up the value.
+    fn as_str(&self) -> Cow<'_, str> {
+        match self {
+            Value::Str(s) => Cow::Borrowed(s),
+            other => other.clone().into_str(),
         }
     }
 }
 
-fn eval_expr(
-    expr: &Expr,
-    row: &[Option<Term>],
+/// Evaluates `expr` over one id row. `None` is a SPARQL evaluation error
+/// (unbound or unknown variable, type error, division by zero): a FILTER
+/// drops the row and an ORDER BY key sorts as unbound.
+fn eval_expr<'a>(
+    expr: &'a Expr,
+    row: &[Option<TermId>],
+    graph: &'a Graph,
     var_index: &FxHashMap<&str, usize>,
-) -> Result<Value, SparqlError> {
+) -> Option<Value<'a>> {
+    let eval = |e: &'a Expr| eval_expr(e, row, graph, var_index);
     match expr {
-        Expr::Var(v) => {
-            let idx = var_index
-                .get(v.as_str())
-                .ok_or_else(|| SparqlError::eval(format!("unknown variable ?{v}")))?;
-            match &row[*idx] {
-                Some(term) => Ok(term_value(term)),
-                None => Err(SparqlError::eval(format!("unbound variable ?{v}"))),
-            }
-        }
-        Expr::Const(term) => Ok(term_value(term)),
-        Expr::Cmp(lhs, op, rhs) => {
-            let l = eval_expr(lhs, row, var_index)?;
-            let r = eval_expr(rhs, row, var_index)?;
-            Ok(Value::Bool(apply_cmp(&l, *op, &r)))
-        }
-        Expr::And(lhs, rhs) => Ok(Value::Bool(
-            eval_expr(lhs, row, var_index)?.truthy() && eval_expr(rhs, row, var_index)?.truthy(),
-        )),
-        Expr::Or(lhs, rhs) => Ok(Value::Bool(
-            eval_expr(lhs, row, var_index)?.truthy() || eval_expr(rhs, row, var_index)?.truthy(),
-        )),
-        Expr::Not(inner) => Ok(Value::Bool(!eval_expr(inner, row, var_index)?.truthy())),
+        Expr::Var(v) => Some(term_value(graph.term(row[*var_index.get(v.as_str())?]?))),
+        Expr::Const(term) => Some(term_value(term)),
+        Expr::Cmp(lhs, op, rhs) => Some(Value::Bool(apply_cmp(&eval(lhs)?, *op, &eval(rhs)?))),
+        Expr::And(lhs, rhs) => Some(Value::Bool(eval(lhs)?.truthy() && eval(rhs)?.truthy())),
+        Expr::Or(lhs, rhs) => Some(Value::Bool(eval(lhs)?.truthy() || eval(rhs)?.truthy())),
+        Expr::Not(inner) => Some(Value::Bool(!eval(inner)?.truthy())),
         Expr::Arith(lhs, op, rhs) => {
-            let l = eval_expr(lhs, row, var_index)?
-                .as_num()
-                .ok_or_else(|| SparqlError::eval("non-numeric operand"))?;
-            let r = eval_expr(rhs, row, var_index)?
-                .as_num()
-                .ok_or_else(|| SparqlError::eval("non-numeric operand"))?;
-            let v = match op {
+            let l = eval(lhs)?.as_num()?;
+            let r = eval(rhs)?.as_num()?;
+            Some(Value::Num(match op {
                 ArithOp::Add => l + r,
                 ArithOp::Sub => l - r,
                 ArithOp::Mul => l * r,
-                ArithOp::Div => {
-                    if r == 0.0 {
-                        return Err(SparqlError::eval("division by zero"));
-                    }
-                    l / r
-                }
-            };
-            Ok(Value::Num(v))
+                ArithOp::Div if r == 0.0 => return None,
+                ArithOp::Div => l / r,
+            }))
         }
-        Expr::Regex { value, pattern, case_insensitive } => {
-            let text = eval_expr(value, row, var_index)?.as_str_lossy();
-            Ok(Value::Bool(simple_regex_match(&text, pattern, *case_insensitive)))
-        }
-        Expr::Lang(inner) => {
-            let v = eval_expr(inner, row, var_index)?;
-            match v {
-                Value::Term(Term::Literal(l)) => {
-                    Ok(Value::Str(l.language().unwrap_or("").to_string()))
-                }
-                _ => Err(SparqlError::eval("lang() of non-literal")),
+        Expr::Regex { value, pattern, case_insensitive } => Some(Value::Bool(
+            simple_regex_match(&eval(value)?.into_str(), pattern, *case_insensitive),
+        )),
+        Expr::Lang(inner) => match eval(inner)? {
+            Value::Term(Term::Literal(l)) => {
+                Some(Value::Str(Cow::Borrowed(l.language().unwrap_or(""))))
             }
-        }
-        Expr::Datatype(inner) => {
-            let v = eval_expr(inner, row, var_index)?;
-            match v {
-                Value::Term(Term::Literal(l)) => Ok(Value::Str(l.datatype_str().to_string())),
-                _ => Err(SparqlError::eval("datatype() of non-literal")),
-            }
-        }
-        Expr::Str(inner) => Ok(Value::Str(eval_expr(inner, row, var_index)?.as_str_lossy())),
-        Expr::Bound(v) => {
-            let idx = var_index
-                .get(v.as_str())
-                .ok_or_else(|| SparqlError::eval(format!("unknown variable ?{v}")))?;
-            Ok(Value::Bool(row[*idx].is_some()))
-        }
+            _ => None,
+        },
+        Expr::Datatype(inner) => match eval(inner)? {
+            Value::Term(Term::Literal(l)) => Some(Value::Str(Cow::Borrowed(l.datatype_str()))),
+            _ => None,
+        },
+        Expr::Str(inner) => Some(Value::Str(eval(inner)?.into_str())),
+        Expr::Bound(v) => Some(Value::Bool(row[*var_index.get(v.as_str())?].is_some())),
     }
 }
 
-fn term_value(term: &Term) -> Value {
+fn term_value(term: &Term) -> Value<'_> {
     if let Term::Literal(l) = term {
         if let Some(n) = l.as_f64() {
             return Value::Num(n);
@@ -1004,10 +971,10 @@ fn term_value(term: &Term) -> Value {
             return Value::Bool(l.lexical_form() == "true");
         }
     }
-    Value::Term(term.clone())
+    Value::Term(term)
 }
 
-fn apply_cmp(l: &Value, op: CmpOp, r: &Value) -> bool {
+fn apply_cmp(l: &Value<'_>, op: CmpOp, r: &Value<'_>) -> bool {
     let ord = compare_raw(l, r);
     match op {
         CmpOp::Eq => ord == Ordering::Equal,
@@ -1022,18 +989,18 @@ fn apply_cmp(l: &Value, op: CmpOp, r: &Value) -> bool {
 /// Three-way comparison across value kinds: numeric when both sides are
 /// numeric, term identity for IRIs, otherwise lexical-form string comparison
 /// (which orders ISO dates correctly).
-fn compare_raw(l: &Value, r: &Value) -> Ordering {
+fn compare_raw(l: &Value<'_>, r: &Value<'_>) -> Ordering {
     if let (Some(a), Some(b)) = (l.as_num(), r.as_num()) {
         return a.partial_cmp(&b).unwrap_or(Ordering::Equal);
     }
     if let (Value::Term(Term::Iri(a)), Value::Term(Term::Iri(b))) = (l, r) {
         return a.cmp(b);
     }
-    l.as_str_lossy().cmp(&r.as_str_lossy())
+    l.as_str().cmp(&r.as_str())
 }
 
 /// Comparison for ORDER BY keys: unbound (None) sorts first, per SPARQL.
-fn compare_values(l: &Option<Value>, r: &Option<Value>) -> Ordering {
+fn compare_values(l: &Option<Value<'_>>, r: &Option<Value<'_>>) -> Ordering {
     match (l, r) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
@@ -1047,10 +1014,10 @@ fn compare_values(l: &Option<Value>, r: &Option<Value>) -> Ordering {
 /// `FILTER regex` the pipeline and benchmark emit (label containment checks);
 /// a full regex engine would be an unjustified dependency.
 fn simple_regex_match(text: &str, pattern: &str, case_insensitive: bool) -> bool {
-    let (text, pattern) = if case_insensitive {
-        (text.to_lowercase(), pattern.to_lowercase())
+    let (text, pattern): (Cow<str>, Cow<str>) = if case_insensitive {
+        (text.to_lowercase().into(), pattern.to_lowercase().into())
     } else {
-        (text.to_string(), pattern.to_string())
+        (text.into(), pattern.into())
     };
     let starts = pattern.starts_with('^');
     let ends = pattern.ends_with('$') && !pattern.ends_with("\\$");
@@ -1388,6 +1355,22 @@ mod tests {
         let g = library();
         let sols = select(&g, "SELECT (COUNT(?x) AS ?n) { ?x dbont:writer res:Nobody }");
         assert_eq!(sols.first().unwrap().as_literal().unwrap().as_i64(), Some(0));
+    }
+
+    #[test]
+    fn count_row_passes_through_offset_and_limit() {
+        let g = library();
+        for q in [
+            "SELECT (COUNT(?x) AS ?n) { ?x rdf:type dbont:Book } LIMIT 0",
+            "SELECT (COUNT(?x) AS ?n) { ?x rdf:type dbont:Book } OFFSET 1",
+        ] {
+            let sols = select(&g, q);
+            assert_eq!(sols.variables, vec!["n".to_string()], "{q}");
+            assert!(sols.rows.is_empty(), "{q}");
+        }
+        let sols =
+            select(&g, "SELECT (COUNT(?x) AS ?n) { ?x rdf:type dbont:Book } OFFSET 0 LIMIT 1");
+        assert_eq!(sols.first().unwrap().as_literal().unwrap().as_i64(), Some(3));
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use parser::parse_query;
 // Plan-trace types are defined in `relpat-obs` (so traces can embed them)
 // but this crate is their only writer — re-export them as part of our API.
 pub use relpat_obs::{JoinAlgo, PlanStep, PlanTrace, QueryPlan};
-pub use results::Solutions;
+pub use results::{RowIter, Rows, Solutions};
