@@ -84,4 +84,10 @@ cargo run --release -q -p relpat-bench --bin bench-diff -- --smoke BENCH_store_s
 echo "=== benchmark build (perfbench/ is its own workspace) ==="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "=== qald_http smoke (serve stand-up/drain x16, Table 2 over HTTP) ==="
+# Exits non-zero on a wrong answer, a failed request or a load generator
+# that fell behind.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload qald_http --seed 1 --seconds 1 --trace 0
+
 echo "CI OK"

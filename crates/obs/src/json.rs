@@ -175,7 +175,7 @@ impl Json {
 
     /// Parses one JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -287,9 +287,15 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest in a parsed document. Request
+/// bodies are parsed with [`Json::parse`], so a megabyte of `[` must be an
+/// error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -331,8 +337,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -429,13 +442,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always well-formed).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape. The
+                    // input is a &str and the run ends at an ASCII byte or
+                    // the end, so it is well-formed UTF-8; validating it once
+                    // keeps a long string linear.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -475,6 +492,24 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(Json::parse(&"[{\"a\":".repeat(1 << 19)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // A megabyte-long string, as a request body may carry, must parse
+        // in one pass over the input.
+        let (braces, umlauts) = ("{".repeat(1 << 20), "ü".repeat(1 << 18));
+        let parsed = Json::parse(&format!("\"{braces}é\\n{umlauts}\"")).unwrap();
+        assert_eq!(parsed.as_str(), Some(format!("{braces}é\n{umlauts}").as_str()));
+    }
 
     #[test]
     fn round_trips_compact_and_pretty() {

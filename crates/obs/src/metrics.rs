@@ -1107,9 +1107,14 @@ mod tests {
     fn every_exposition_family_has_help_and_type() {
         let r = MetricsRegistry::new();
         r.counter("qa.questions").add(2);
+        // Registered at zero by the serve pool, scraped before any error.
+        r.counter("serve.http.accept_errors");
         r.gauge("store.held").set(5);
         r.histogram("qa.total").record(100);
-        audit_exposition_metadata(&render_prometheus(&r.snapshot()));
+        let text = render_prometheus(&r.snapshot());
+        audit_exposition_metadata(&text);
+        assert!(text.contains("# TYPE serve_http_accept_errors_total counter"), "{text}");
+        assert!(text.contains("\nserve_http_accept_errors_total 0\n"), "{text}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! QA [`Pipeline`] (installed after the KB and pattern store finish
 //! loading, which is what flips `/readyz`), the tail-sampled
 //! [`TraceStore`], and the shared shutdown flag that `POST /shutdown`
-//! raises for the accept loop.
+//! raises for the worker pool.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -48,7 +48,7 @@ impl App {
         })
     }
 
-    /// The flag the accept loop polls; `POST /shutdown` sets it.
+    /// The flag the workers check around `accept`; `POST /shutdown` sets it.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }

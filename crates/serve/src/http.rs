@@ -156,16 +156,19 @@ impl Response {
         }
     }
 
+    /// Writes head and body with one `write_all`: one `send` on a socket.
     pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
+        let mut out = Vec::with_capacity(128 + self.body.len());
         write!(
-            writer,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status,
             reason_phrase(self.status),
             self.content_type,
             self.body.len(),
         )?;
-        writer.write_all(&self.body)?;
+        out.extend_from_slice(&self.body);
+        writer.write_all(&out)?;
         writer.flush()
     }
 }
@@ -226,5 +229,39 @@ mod tests {
         assert!(text.contains("Content-Length: 3\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\nok\n"));
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_written_with_one_write_call() {
+        let json = Json::obj().set("answers", Json::Arr(vec![Json::from("Snow")]));
+        for response in
+            [Response::text(200, "ok\n"), Response::json(200, &json), Response::error(404, "nope")]
+        {
+            let mut writer = CountingWriter::default();
+            response.write_to(&mut writer).unwrap();
+            assert_eq!(writer.writes, 1, "{response:?}");
+            let status_line = format!("HTTP/1.1 {} ", response.status);
+            assert!(writer.bytes.starts_with(status_line.as_bytes()), "{response:?}");
+            assert!(writer.bytes.ends_with(&response.body), "{response:?}");
+        }
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! The server binds **before** the knowledge base loads, so orchestration
 //! can health-check immediately; `/readyz` flips only after
-//! [`App::install_pipeline`]. Shutdown stops the accept loop, finishes
-//! every accepted request, then flushes the event journal.
+//! [`App::install_pipeline`]. Workers block in `accept`; shutdown wakes
+//! them, finishes every request being handled, then flushes the journal.
 //!
 //! [`Pipeline`]: relpat_qa::Pipeline
 

@@ -1,30 +1,30 @@
-//! Accept loop, bounded worker pool, graceful drain.
+//! Worker pool blocking in `accept`, graceful drain.
 //!
-//! The listener runs non-blocking and is polled against the shared
-//! shutdown flag. Accepted connections go through an mpsc channel to a
-//! fixed pool of worker threads (the same bounded-fan-out discipline as
-//! `Pipeline::answer_batch`, but long-lived since connections arrive
-//! forever). On shutdown the accept loop stops taking connections, drops
-//! the channel sender, and the workers drain whatever was already
-//! accepted before exiting — in-flight requests always complete. The
-//! journal is flushed last so the drain itself is on the flight record.
+//! Every worker blocks in `accept()` on one shared listener and serves the
+//! connection it gets; the kernel wakes one waiting acceptor per
+//! connection, and connections no worker has taken yet wait in its listen
+//! backlog. Shutdown raises the shared flag and opens a loopback *wake
+//! connection*: a worker that finds the flag up drops what it accepted
+//! uncounted, exits, and opens one more, so the wake passes through the
+//! whole pool. Connections whose handling started before the flag still
+//! finish; the journal is flushed last so the drain is on the record.
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::BufReader;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use relpat_obs::{counter, global_journal, jevent, Level};
+use relpat_obs::{counter, global, global_journal, jevent, Level};
 
 use crate::app::App;
 use crate::http::{read_request, ReadError, Response};
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How long a worker pauses after a failed `accept` (e.g. `EMFILE`), so a
+/// persistent error cannot spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -45,7 +45,7 @@ impl Default for ServerConfig {
 /// A running server; join it to wait for drain.
 pub struct Server {
     addr: SocketAddr,
-    accept: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -55,80 +55,76 @@ impl Server {
         self.addr
     }
 
-    /// Raises the shutdown flag without waiting.
+    /// Raises the shutdown flag and wakes the pool, without waiting.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        wake(self.addr);
     }
 
-    /// Blocks until the accept loop has exited and every worker has
-    /// drained its queue.
+    /// Blocks until every worker has finished its connection and exited,
+    /// which closes the listener.
     pub fn join(self) {
-        let _ = self.accept.join();
+        for worker in self.workers {
+            let _ = worker.join();
+        }
+        jevent!(Level::Info, "serve.drained");
+        global_journal().flush();
     }
 }
 
-/// Spawns the accept loop and worker pool on an already-bound listener.
+/// Spawns the worker pool on an already-bound listener.
 pub fn spawn(listener: TcpListener, app: Arc<App>, config: ServerConfig) -> std::io::Result<Server> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let listener = Arc::new(listener);
     let shutdown = app.shutdown_flag();
+    // Registered up front so scrapes see the family at zero.
+    global().counter("serve.http.accept_errors");
 
-    let (tx, rx) = channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
+    let workers = (0..config.workers.max(1))
         .map(|i| {
-            let rx = Arc::clone(&rx);
-            let app = Arc::clone(&app);
+            let (listener, app) = (Arc::clone(&listener), Arc::clone(&app));
             let timeout = config.read_timeout;
             thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &app, timeout))
+                .spawn(move || worker(&listener, addr, &app, timeout))
                 .expect("spawn worker")
         })
         .collect();
 
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept = thread::Builder::new()
-        .name("serve-accept".to_string())
-        .spawn(move || {
-            while !accept_shutdown.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        counter!("serve.http.accepted");
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => thread::sleep(ACCEPT_POLL),
-                }
-            }
-            // Stop feeding the pool; workers exit once the queue is dry.
-            drop(tx);
-            for worker in workers {
-                let _ = worker.join();
-            }
-            jevent!(Level::Info, "serve.drained");
-            global_journal().flush();
-        })
-        .expect("spawn accept loop");
-
-    Ok(Server { addr, accept, shutdown })
+    Ok(Server { addr, workers, shutdown })
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, app: &App, timeout: Duration) {
-    loop {
-        let stream = {
-            let guard = rx.lock().expect("connection queue lock");
-            guard.recv()
-        };
-        match stream {
-            Ok(stream) => handle_connection(stream, app, timeout),
-            Err(_) => break, // sender dropped: drain complete
+fn worker(listener: &TcpListener, addr: SocketAddr, app: &App, timeout: Duration) {
+    let shutdown = app.shutdown_flag();
+    while !shutdown.load(Ordering::Acquire) {
+        match listener.accept() {
+            // A wake connection, or a client that arrived after shutdown.
+            Ok(_) if shutdown.load(Ordering::Acquire) => break,
+            Ok((stream, _peer)) => {
+                counter!("serve.http.accepted");
+                handle_connection(stream, app, timeout);
+            }
+            Err(e) => {
+                counter!("serve.http.accept_errors");
+                jevent!(Level::Warn, "serve.accept_error", "kind" => format!("{:?}", e.kind()));
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
+            }
         }
     }
+    // Pass the wake on to a peer still blocked in `accept`.
+    wake(addr);
+}
+
+/// Opens and drops a connection to the listener (over loopback if it is
+/// bound to an unspecified address), returning one worker from `accept`.
+fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
 }
 
 fn handle_connection(stream: TcpStream, app: &App, timeout: Duration) {
@@ -144,14 +140,11 @@ fn handle_connection(stream: TcpStream, app: &App, timeout: Duration) {
                 Response::error(500, "internal error")
             }
         },
-        Err(ReadError::Eof) => return,
-        Err(ReadError::Io(_)) => return,
+        Err(ReadError::Eof | ReadError::Io(_)) => return,
         Err(ReadError::Bad(msg)) => {
             counter!("serve.http.errors");
             Response::error(400, msg)
         }
     };
-    let mut stream = reader.into_inner();
-    let _ = response.write_to(&mut stream);
-    let _ = stream.flush();
+    let _ = response.write_to(reader.get_mut());
 }

@@ -1,22 +1,30 @@
-//! Loopback integration test: the full telemetry plane over 127.0.0.1.
+//! Loopback integration tests: the full telemetry plane over 127.0.0.1.
 //!
 //! One test function drives the whole lifecycle in order — readiness flip,
 //! three Table-2 questions through `POST /answer`, metrics advancement,
 //! trace retrieval by id, journal tailing, and a graceful drain that
-//! completes an in-flight request — because the server, the global metrics
-//! registry and the journal are process-wide singletons.
+//! completes an in-flight request — because the global metrics registry
+//! and the journal are process-wide singletons. The drain tests beside it
+//! stand up their own servers; every test holds [`serial`] so no test's
+//! connections move another's counters.
 //!
 //! Everything runs against the tiny in-tree KB and never leaves loopback.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use relpat_kb::{generate, KbConfig};
-use relpat_obs::{Json, TraceStoreConfig};
+use relpat_obs::{global, Json, TraceStoreConfig};
 use relpat_qa::Pipeline;
-use relpat_serve::{spawn, App, ServerConfig};
+use relpat_serve::{spawn, App, Server, ServerConfig};
+
+/// Runs the tests of this file one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const TABLE2_QUESTIONS: [&str; 3] = [
     "Which book is written by Orhan Pamuk?",
@@ -66,6 +74,7 @@ fn metric_value(exposition: &str, name: &str) -> Option<f64> {
 
 #[test]
 fn full_telemetry_plane_over_loopback() {
+    let _serial = serial();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
     let app = App::new(TraceStoreConfig::default());
     let config = ServerConfig { workers: 2, read_timeout: Duration::from_secs(10) };
@@ -83,6 +92,9 @@ fn full_telemetry_plane_over_loopback() {
     let (status, before) = get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(before.contains("# TYPE serve_http_requests_total counter"), "{before}");
+    // Registered when the pool spawns, so it scrapes before any error.
+    assert!(before.contains("# HELP serve_http_accept_errors_total "), "{before}");
+    assert!(before.contains("# TYPE serve_http_accept_errors_total counter"), "{before}");
     let requests_before = metric_value(&before, "serve_http_requests_total").unwrap();
     let answers_before = metric_value(&before, "serve_answers_total").unwrap_or(0.0);
 
@@ -359,4 +371,84 @@ fn full_telemetry_plane_over_loopback() {
         TcpStream::connect(addr).is_err(),
         "listener must be closed after drain"
     );
+}
+
+/// A body-sized query of nothing but `{` is refused as too deeply nested,
+/// and the worker that parsed it keeps serving. It gets its own app so
+/// its slow debug-build lexing burns no other test's SLO.
+#[test]
+fn megabyte_of_braces_is_a_400_and_the_server_survives() {
+    let _serial = serial();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+    let app = App::new(TraceStoreConfig::default());
+    let config = ServerConfig { workers: 2, read_timeout: Duration::from_secs(30) };
+    let server = spawn(listener, Arc::clone(&app), config).expect("spawn server");
+    let addr = server.addr();
+    let kb = Box::leak(Box::new(generate(&KbConfig::tiny())));
+    app.install_pipeline(Pipeline::new(kb));
+
+    let braces = "{".repeat(1024 * 1024 - 64);
+    let (status, body) = post(addr, "/sparql", &format!(r#"{{"query": "ASK {braces}"}}"#));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nest deeper than"), "{body}");
+    assert_eq!(get(addr, "/healthz").0, 200, "the server must survive the deep query");
+    server.shutdown();
+    join_within(server, Duration::from_secs(20));
+}
+
+/// Joins `server` on a helper thread and fails if that takes longer than
+/// `bound`: a worker left blocked in `accept` would hang `join` forever.
+fn join_within(server: Server, bound: Duration) {
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = done.send(());
+    });
+    joined.recv_timeout(bound).expect("join() hung: a worker never left accept");
+}
+
+/// Serves one request on an idle four-worker pool, lets `stop` raise
+/// shutdown (returning how many connections it opened), and checks the
+/// drain: `join` returns, the listener is closed, the workers released the
+/// app, and the wake connections were never counted.
+fn drains_idle_pool(stop: impl FnOnce(&Server) -> u64) {
+    let _serial = serial();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+    let app = App::new(TraceStoreConfig::default());
+    let config = ServerConfig { workers: 4, read_timeout: Duration::from_secs(10) };
+    let server = spawn(listener, Arc::clone(&app), config).expect("spawn server");
+    let addr = server.addr();
+    let accepted = || global().counter_value("serve.http.accepted");
+    let accept_errors = || global().counter_value("serve.http.accept_errors");
+    let (accepted_before, errors_before) = (accepted(), accept_errors());
+
+    assert_eq!(get(addr, "/healthz").0, 200);
+    let stop_connections = stop(&server);
+    join_within(server, Duration::from_secs(20));
+
+    assert!(TcpStream::connect(addr).is_err(), "listener must be closed after drain");
+    assert_eq!(Arc::strong_count(&app), 1, "a worker still holds the app after join");
+    assert_eq!(
+        accepted(),
+        accepted_before + 1 + stop_connections,
+        "wake connections must not count as accepted"
+    );
+    assert_eq!(accept_errors(), errors_before);
+}
+
+#[test]
+fn shutdown_wakes_an_idle_pool() {
+    drains_idle_pool(|server| {
+        server.shutdown();
+        0
+    });
+}
+
+#[test]
+fn post_shutdown_in_one_worker_wakes_its_idle_peers() {
+    drains_idle_pool(|server| {
+        let (status, body) = post(server.addr(), "/shutdown", "");
+        assert_eq!((status, body.as_str()), (200, "draining\n"));
+        1
+    });
 }

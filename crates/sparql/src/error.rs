@@ -15,6 +15,10 @@ pub enum SparqlError {
     /// — an `ASK` result read as solutions, or a `SELECT` result read as a
     /// boolean.
     ResultKind { expected: &'static str, got: &'static str },
+    /// The query nests groups and expressions deeper than `limit` levels.
+    /// The parser refuses it rather than recurse without bound: one
+    /// request of a megabyte of `{` must not overflow the stack.
+    NestingTooDeep { limit: usize },
 }
 
 impl SparqlError {
@@ -34,6 +38,9 @@ impl fmt::Display for SparqlError {
             SparqlError::Eval(m) => write!(f, "SPARQL evaluation error: {m}"),
             SparqlError::ResultKind { expected, got } => {
                 write!(f, "SPARQL result kind mismatch: expected {expected}, got {got}")
+            }
+            SparqlError::NestingTooDeep { limit } => {
+                write!(f, "SPARQL parse error: groups and expressions nest deeper than {limit}")
             }
         }
     }

@@ -10,10 +10,16 @@ use crate::ast::{
 };
 use crate::error::SparqlError;
 
+/// How deep groups and expressions may nest. Every `{`, every
+/// parenthesised or function-call expression, every `!` and every binary
+/// operator in a chain counts one level, so this also bounds the height of
+/// the expression tree the evaluator recurses over.
+pub(crate) const MAX_NESTING: usize = 128;
+
 /// Parses a SPARQL query string.
 pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
     let tokens = lex(input)?;
-    let mut parser = Parser { tokens, pos: 0, prefixes: default_prefix_map() };
+    let mut parser = Parser { tokens, pos: 0, depth: 0, prefixes: default_prefix_map() };
     let query = parser.parse_query()?;
     parser.expect_eof()?;
     Ok(query)
@@ -388,10 +394,22 @@ fn lex_number(bytes: &[u8], start: usize) -> Result<(Token, usize), SparqlError>
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level, checked against [`MAX_NESTING`].
+    depth: usize,
     prefixes: HashMap<String, String>,
 }
 
 impl Parser {
+    /// Enters one nesting level and returns the level to restore on the
+    /// way out.
+    fn enter(&mut self) -> Result<usize, SparqlError> {
+        if self.depth == MAX_NESTING {
+            return Err(SparqlError::NestingTooDeep { limit: MAX_NESTING });
+        }
+        self.depth += 1;
+        Ok(self.depth - 1)
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -594,11 +612,13 @@ impl Parser {
 
     fn parse_group(&mut self) -> Result<GraphPattern, SparqlError> {
         self.expect(Token::LBrace)?;
+        let outer = self.enter()?;
         let mut pattern = GraphPattern::default();
         loop {
             match self.peek() {
                 Some(Token::RBrace) => {
                     self.bump();
+                    self.depth = outer;
                     return Ok(pattern);
                 }
                 Some(Token::Keyword(k)) if k == "FILTER" => {
@@ -740,23 +760,32 @@ impl Parser {
     }
 
     // Expression grammar: or > and > cmp > add > mul > unary > primary.
+    // Every nested expression starts here, so this is where parentheses
+    // and function arguments count a level; each operator of a chain
+    // (`||`, `&&`, `+ -`, `* /`) counts one more until the chain ends.
     fn parse_expr(&mut self) -> Result<Expr, SparqlError> {
+        let outer = self.enter()?;
         let mut lhs = self.parse_and()?;
         while self.peek() == Some(&Token::OrOr) {
             self.bump();
+            self.enter()?;
             let rhs = self.parse_and()?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> Result<Expr, SparqlError> {
+        let outer = self.depth;
         let mut lhs = self.parse_cmp()?;
         while self.peek() == Some(&Token::AndAnd) {
             self.bump();
+            self.enter()?;
             let rhs = self.parse_cmp()?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -777,37 +806,47 @@ impl Parser {
     }
 
     fn parse_add(&mut self) -> Result<Expr, SparqlError> {
+        let outer = self.depth;
         let mut lhs = self.parse_mul()?;
         loop {
             let op = match self.peek() {
                 Some(Token::Plus) => ArithOp::Add,
                 Some(Token::Minus) => ArithOp::Sub,
-                _ => return Ok(lhs),
+                _ => break,
             };
             self.bump();
+            self.enter()?;
             let rhs = self.parse_mul()?;
             lhs = Expr::Arith(Box::new(lhs), op, Box::new(rhs));
         }
+        self.depth = outer;
+        Ok(lhs)
     }
 
     fn parse_mul(&mut self) -> Result<Expr, SparqlError> {
+        let outer = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
                 Some(Token::Star) => ArithOp::Mul,
                 Some(Token::Slash) => ArithOp::Div,
-                _ => return Ok(lhs),
+                _ => break,
             };
             self.bump();
+            self.enter()?;
             let rhs = self.parse_unary()?;
             lhs = Expr::Arith(Box::new(lhs), op, Box::new(rhs));
         }
+        self.depth = outer;
+        Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, SparqlError> {
         if self.peek() == Some(&Token::Bang) {
             self.bump();
+            let outer = self.enter()?;
             let inner = self.parse_unary()?;
+            self.depth = outer;
             return Ok(Expr::Not(Box::new(inner)));
         }
         self.parse_primary()
@@ -1037,5 +1076,60 @@ mod tests {
         let q = parse_query("SELECT ?x { ?x <http://e/p> ?h FILTER(?h < 5) }").unwrap();
         assert_eq!(q.pattern().triples[0].predicate, Term::iri("http://e/p"));
         assert_eq!(q.pattern().filters.len(), 1);
+    }
+
+    fn nested_groups(levels: usize) -> String {
+        format!("ASK {}{}", "{".repeat(levels), "}".repeat(levels))
+    }
+
+    /// The group and the `FILTER(...)` take two levels; `parens` more
+    /// follow.
+    fn nested_parens(parens: usize) -> String {
+        format!("ASK {{ FILTER({}1{}) }}", "(".repeat(parens), ")".repeat(parens))
+    }
+
+    const TOO_DEEP: Result<(), SparqlError> =
+        Err(SparqlError::NestingTooDeep { limit: MAX_NESTING });
+
+    fn outcome(query: &str) -> Result<(), SparqlError> {
+        parse_query(query).map(drop)
+    }
+
+    #[test]
+    fn group_nesting_is_capped() {
+        assert_eq!(outcome(&nested_groups(MAX_NESTING)), Ok(()));
+        assert_eq!(outcome(&nested_groups(MAX_NESTING + 1)), TOO_DEEP);
+    }
+
+    #[test]
+    fn expression_nesting_is_capped() {
+        assert_eq!(outcome(&nested_parens(MAX_NESTING - 2)), Ok(()));
+        assert_eq!(outcome(&nested_parens(MAX_NESTING - 1)), TOO_DEEP);
+        let nots = |n: usize| format!("ASK {{ FILTER({}true) }}", "!".repeat(n));
+        assert_eq!(outcome(&nots(MAX_NESTING - 2)), Ok(()));
+        assert_eq!(outcome(&nots(MAX_NESTING - 1)), TOO_DEEP);
+    }
+
+    #[test]
+    fn operator_chains_count_toward_the_cap() {
+        // `1 + 1 + ... + 1` builds a left-deep tree without parser
+        // recursion; each operator is one level of that tree.
+        let sum = |ops: usize| format!("ASK {{ FILTER(1{} = 0) }}", " + 1".repeat(ops));
+        assert_eq!(outcome(&sum(MAX_NESTING - 2)), Ok(()));
+        assert_eq!(outcome(&sum(MAX_NESTING - 1)), TOO_DEEP);
+        // Sibling groups and a closed chain give their levels back.
+        let groups = "{ } ".repeat(4 * MAX_NESTING);
+        let siblings = format!("ASK {{ {groups} FILTER(1{} = 2) }}", " + 1".repeat(8));
+        assert_eq!(outcome(&siblings), Ok(()));
+    }
+
+    #[test]
+    fn a_megabyte_of_nesting_is_an_error_not_a_stack_overflow() {
+        let braces = format!("ASK {}", "{".repeat(1 << 20));
+        assert_eq!(outcome(&braces), TOO_DEEP);
+        let parens = format!("ASK {{ FILTER({}", "(".repeat(1 << 20));
+        assert_eq!(outcome(&parens), TOO_DEEP);
+        let err = parse_query(&braces).unwrap_err().to_string();
+        assert!(err.contains(&MAX_NESTING.to_string()), "{err}");
     }
 }
