@@ -12,56 +12,14 @@ echo "=== cargo build --release --workspace ==="
 cargo build --release --workspace
 
 echo "=== cargo test -q (workspace) ==="
+# Runs every unit, integration and doc test in the workspace, including all
+# the differential/equivalence gates (index, join, planning, lexical,
+# streaming, explain, profiler, exposition, loopback ...); under `set -e` a
+# failure in any of them stops the gate here.
 cargo test -q --workspace
 
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets --workspace -- -D warnings
-
-echo "=== parallel-eval determinism gate ==="
-cargo test -q -p relpat-eval parallel_report_matches_sequential
-
-echo "=== lexical index equivalence gate ==="
-cargo test -q -p relpat-qa --test lexical_equivalence
-
-echo "=== frozen-index equivalence gate ==="
-cargo test -q -p relpat-rdf --test index_equivalence
-
-echo "=== planning equivalence gate (beam == exact top-k, Table-2 budget) ==="
-cargo test -q -p relpat-eval --test planning_equivalence
-
-echo "=== streaming LIMIT pushdown gate ==="
-cargo test -q -p relpat-sparql --test streaming
-
-echo "=== explain-plan golden + allocation overhead gate ==="
-cargo test -q -p relpat-sparql --test explain
-
-echo "=== join equivalence gate (merge/gallop vs nested oracle) ==="
-cargo test -q -p relpat-sparql --test join_equivalence
-
-echo "=== result-path allocation gate (FILTER/ORDER BY/materialize/clone flat in rows) ==="
-cargo test -q -p relpat-sparql --test result_alloc
-
-echo "=== prometheus exposition audit gate (incl. slo_* / prof_* families) ==="
-cargo test -q -p relpat-obs every_exposition_family_has_help_and_type
-cargo test -q -p relpat-obs slo_and_prof_families_render_with_metadata
-
-echo "=== profiler equivalence gate (Table-2 bit-identical, sampler on vs off) ==="
-cargo test -q -p relpat-eval --test profiler_equivalence
-
-echo "=== profiler span-scope audit gate (push/pop order == trace stages) ==="
-cargo test -q -p relpat-qa --test span_scopes
-
-echo "=== profiler hot-path allocation gate ==="
-cargo test -q -p relpat-obs --test prof_alloc
-
-echo "=== SLO burn-rate unit sweep ==="
-cargo test -q -p relpat-obs slo::
-
-echo "=== flight-recorder concurrency hammer gate ==="
-cargo test -q -p relpat-obs --test concurrency
-
-echo "=== serve loopback smoke gate ==="
-cargo test -q -p relpat-serve --test loopback
 
 echo "=== batch throughput smoke ==="
 cargo bench -p relpat-bench --bench qa_batch_throughput -- --smoke

@@ -206,8 +206,8 @@ fn main() {
 /// the two-pattern bench join does real scan work per execution.
 fn plan_bench_graph() -> relpat_rdf::Graph {
     use relpat_rdf::vocab::{dbont, rdf, res};
-    use relpat_rdf::{Graph, Term};
-    let mut g = Graph::new();
+    use relpat_rdf::{GraphBuilder, Term};
+    let mut g = GraphBuilder::new();
     for i in 0..32 {
         let book = Term::iri(res::iri(&format!("Book_{i}")));
         let author = Term::iri(res::iri(&format!("Author_{}", i % 8)));
@@ -215,6 +215,5 @@ fn plan_bench_graph() -> relpat_rdf::Graph {
         g.add(book.clone(), Term::iri(dbont::iri("author")), author.clone());
         g.add(book, Term::iri(relpat_rdf::vocab::WIKI_PAGE_LINK), author);
     }
-    g.freeze();
-    g
+    g.build()
 }

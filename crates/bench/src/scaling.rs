@@ -103,8 +103,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Builds the KB at `factor` and measures every query `samples` times.
-/// `build_ms` covers generation plus index freezing — the full cost of
-/// standing up a servable store at that scale.
+/// `build_ms` covers generation plus the one-time index build — the full
+/// cost of standing up a servable store at that scale.
 pub fn measure_tier(factor: usize, samples: usize) -> TierReport {
     let start = Instant::now();
     let kb = generate(&KbConfig::scaled(factor));

@@ -710,7 +710,7 @@ mod tests {
         let r = report();
         // Every BGP step bumps exactly one of the three operators; the run
         // executes plenty of queries, and its two-pattern joins (type +
-        // property) ride the sorted-merge path on the frozen KB.
+        // property) ride the sorted-merge path.
         let (merge, gallop, nested) = (
             r.stats.counter("sparql.join.merge"),
             r.stats.counter("sparql.join.gallop"),

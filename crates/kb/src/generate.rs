@@ -9,8 +9,8 @@
 
 use relpat_obs::Rng;
 use relpat_rdf::vocab::{self, dbont, rdf, rdfs, res};
-use relpat_rdf::{Graph, Iri, Literal, Term};
-use relpat_obs::fx::FxHashSet;
+use relpat_rdf::{GraphBuilder, Iri, Literal, Term};
+use relpat_obs::fx::{FxHashMap, FxHashSet};
 
 use crate::kb::KnowledgeBase;
 use crate::names;
@@ -126,14 +126,20 @@ pub fn generate(config: &KbConfig) -> KnowledgeBase {
     gen.bulk_entities();
     gen.page_links();
     let ontology = Ontology::dbpedia();
-    KnowledgeBase::from_graph(gen.graph, ontology)
+    KnowledgeBase::from_graph(gen.graph.build(), ontology)
 }
 
 struct Generator {
     config: KbConfig,
     rng: Rng,
-    graph: Graph,
+    graph: GraphBuilder,
     used_iris: FxHashSet<String>,
+    /// Every minted entity's `rdfs:label` (exactly one each), so generation
+    /// never has to read back the graph it is still building.
+    labels: FxHashMap<Iri, Literal>,
+    /// Every object-property fact `(s, o)` in push order, the source of the
+    /// derived page links.
+    facts: Vec<(Iri, Iri)>,
     // Entity registries used for cross-links while generating.
     countries: Vec<Iri>,
     cities: Vec<Iri>,
@@ -155,13 +161,15 @@ struct Generator {
 
 impl Generator {
     fn new(config: KbConfig) -> Self {
-        let mut graph = Graph::new();
+        let mut graph = GraphBuilder::new();
         Ontology::dbpedia().materialize(&mut graph);
         Generator {
             rng: Rng::seed_from_u64(config.seed),
             config,
             graph,
             used_iris: FxHashSet::default(),
+            labels: FxHashMap::default(),
+            facts: Vec::new(),
             countries: Vec::new(),
             cities: Vec::new(),
             persons: Vec::new(),
@@ -196,11 +204,9 @@ impl Generator {
         let iri = Iri::new(iri_str);
         let term = Term::Iri(iri.clone());
         self.graph.add(term.clone(), Term::iri(rdf::TYPE), Term::iri(dbont::iri(class)));
-        self.graph.add(
-            term,
-            Term::iri(rdfs::LABEL),
-            Term::Literal(Literal::lang(label, "en")),
-        );
+        let label = Literal::lang(label, "en");
+        self.graph.add(term, Term::iri(rdfs::LABEL), Term::Literal(label.clone()));
+        self.labels.insert(iri.clone(), label);
         iri
     }
 
@@ -210,6 +216,7 @@ impl Generator {
             Term::iri(dbont::iri(prop)),
             Term::Iri(o.clone()),
         );
+        self.facts.push((s.clone(), o.clone()));
     }
 
     fn data(&mut self, s: &Iri, prop: &str, value: Literal) {
@@ -394,7 +401,7 @@ impl Generator {
         let existing: FxHashSet<String> = self
             .countries
             .iter()
-            .filter_map(|c| self.graph_label(c))
+            .filter_map(|c| self.label(c))
             .collect();
         let pool: Vec<&str> = names::COUNTRY_NAMES
             .iter()
@@ -467,7 +474,7 @@ impl Generator {
         }
         for i in 0..self.config.universities {
             let city = pick_from(&mut self.rng, &self.cities);
-            let city_label = self.graph_label(&city).unwrap_or_else(|| format!("City{i}"));
+            let city_label = self.label(&city).unwrap_or_else(|| format!("City{i}"));
             let form = names::UNIVERSITY_CITY_FORMS[i % names::UNIVERSITY_CITY_FORMS.len()];
             let label = form.replace("{}", &city_label);
             let uni = self.entity(&label, "University");
@@ -747,23 +754,11 @@ impl Generator {
     /// basketball player links to him), and random noise links.
     fn page_links(&mut self) {
         let link = Term::iri(vocab::WIKI_PAGE_LINK);
-        let mut pairs: Vec<(Iri, Iri)> = Vec::new();
-        for t in self.graph.iter() {
-            let (Term::Iri(s), Term::Iri(p), Term::Iri(o)) =
-                (&t.subject, &t.predicate, &t.object)
-            else {
-                continue;
-            };
-            if p.as_str().starts_with(dbont::NS)
-                && s.as_str().starts_with(res::NS)
-                && o.as_str().starts_with(res::NS)
-            {
-                pairs.push((s.clone(), o.clone()));
+        for (s, o) in std::mem::take(&mut self.facts) {
+            if s.as_str().starts_with(res::NS) && o.as_str().starts_with(res::NS) {
+                self.graph.add(Term::Iri(s.clone()), link.clone(), Term::Iri(o.clone()));
+                self.graph.add(Term::Iri(o), link.clone(), Term::Iri(s));
             }
-        }
-        for (s, o) in pairs {
-            self.graph.add(Term::Iri(s.clone()), link.clone(), Term::Iri(o.clone()));
-            self.graph.add(Term::Iri(o), link.clone(), Term::Iri(s));
         }
 
         if let Some(mj) = self.famous_athlete.clone() {
@@ -782,11 +777,8 @@ impl Generator {
         }
     }
 
-    fn graph_label(&self, iri: &Iri) -> Option<String> {
-        self.graph
-            .objects_of(&Term::Iri(iri.clone()), &Term::iri(rdfs::LABEL))
-            .into_iter()
-            .find_map(|t| t.as_literal().map(|l| l.lexical_form().to_string()))
+    fn label(&self, iri: &Iri) -> Option<String> {
+        self.labels.get(iri).map(|l| l.lexical_form().to_string())
     }
 }
 

@@ -31,9 +31,8 @@ pub struct KnowledgeBase {
     labels: FxHashMap<Iri, String>,
     class_by_label: FxHashMap<String, &'static str>,
     page_links: FxHashMap<Iri, FxHashSet<Iri>>,
-    /// Shared result cache for [`query`](Self::query). The graph is treated
-    /// as immutable once wrapped; code that mutates `graph` afterwards must
-    /// call [`invalidate_query_cache`](Self::invalidate_query_cache).
+    /// Shared result cache for [`query`](Self::query). The graph is
+    /// immutable, so cached results never go stale.
     query_cache: QueryCache,
     /// Sublinear candidate index over entity labels and ontology
     /// properties, built once here (see [`crate::lexical`]).
@@ -41,14 +40,9 @@ pub struct KnowledgeBase {
 }
 
 impl KnowledgeBase {
-    /// Wraps a populated graph, building all indexes. The ontology must
+    /// Wraps a built graph, building all indexes. The ontology must
     /// already be materialized into the graph (labels, class tree).
-    ///
-    /// The graph is compacted ([`Graph::freeze`]) on entry: the serving path
-    /// treats it as read-only, so every scan should be a flat slice walk and
-    /// every planner estimate a pure O(log n) binary search.
-    pub fn from_graph(mut graph: Graph, ontology: Ontology) -> Self {
-        graph.freeze();
+    pub fn from_graph(graph: Graph, ontology: Ontology) -> Self {
         let mut label_index: FxHashMap<String, Vec<Iri>> = FxHashMap::default();
         let mut labels: FxHashMap<Iri, String> = FxHashMap::default();
         let mut page_links: FxHashMap<Iri, FxHashSet<Iri>> = FxHashMap::default();
@@ -188,8 +182,8 @@ impl KnowledgeBase {
         (self.query_cache.len(), self.query_cache.capacity())
     }
 
-    /// Drops every cached query result. Must be called after mutating
-    /// `graph` directly.
+    /// Drops every cached query result. The graph never changes, so this
+    /// exists only to give profiling and benchmark runs a cold cache.
     pub fn invalidate_query_cache(&self) {
         self.query_cache.clear();
     }
@@ -209,7 +203,7 @@ impl KnowledgeBase {
     }
 
     /// Order-sensitive FNV-1a hash over every triple's rendered form. The
-    /// frozen graph iterates in a deterministic (SPO-sorted) order, so two
+    /// graph iterates in a deterministic (SPO-sorted) order, so two
     /// byte-identical knowledge bases — same triples, same interning — hash
     /// equal. Guards generator refactors: the default-scale KB's fingerprint
     /// is pinned in `relpat_kb::generate` and checked by the scaling smoke
@@ -249,11 +243,11 @@ impl KnowledgeBase {
 mod tests {
     use super::*;
     use relpat_rdf::vocab::dbont;
-    use relpat_rdf::Literal;
+    use relpat_rdf::{GraphBuilder, Literal};
 
     fn mini_kb() -> KnowledgeBase {
         let ontology = Ontology::dbpedia();
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         ontology.materialize(&mut g);
         let pamuk = Term::iri(res::iri("Orhan Pamuk"));
         let snow = Term::iri(res::iri("Snow"));
@@ -267,7 +261,7 @@ mod tests {
         g.add(snow.clone(), Term::iri(rdfs::LABEL), Term::Literal(Literal::lang("Snow", "en")));
         g.add(snow.clone(), Term::iri(dbont::iri("author")), pamuk.clone());
         g.add(snow, Term::iri(vocab::WIKI_PAGE_LINK), pamuk);
-        KnowledgeBase::from_graph(g, ontology)
+        KnowledgeBase::from_graph(g.build(), ontology)
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! class queries and property enumeration all go through the same store.
 
 use relpat_rdf::vocab::{dbont, owl, rdfs, xsd};
-use relpat_rdf::{Graph, Iri, Literal, Term};
+use relpat_rdf::{GraphBuilder, Iri, Literal, Term};
 
 /// Range of a data property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,8 +118,8 @@ impl Ontology {
     }
 
     /// Materializes the ontology as RDF triples (class tree, property
-    /// declarations, labels) into a graph.
-    pub fn materialize(&self, graph: &mut Graph) {
+    /// declarations, labels) into a graph builder.
+    pub fn materialize(&self, graph: &mut GraphBuilder) {
         let label = Term::iri(rdfs::LABEL);
         let ty = Term::iri(relpat_rdf::vocab::rdf::TYPE);
         for c in &self.classes {
@@ -348,8 +348,9 @@ mod tests {
     #[test]
     fn materialize_produces_labels_and_tree() {
         let o = Ontology::dbpedia();
-        let mut g = Graph::new();
-        o.materialize(&mut g);
+        let mut b = GraphBuilder::new();
+        o.materialize(&mut b);
+        let g = b.build();
         let book = Term::Iri(Ontology::class_iri("Book"));
         let labels = g.objects_of(&book, &Term::iri(rdfs::LABEL));
         assert_eq!(labels.len(), 1);

@@ -200,7 +200,7 @@ impl Counter {
 }
 
 /// Cheap cloneable handle to a registered gauge: a point-in-time value
-/// (occupancy, capacity, overlay size) rather than a monotone count.
+/// (occupancy, capacity, store size) rather than a monotone count.
 ///
 /// Unlike counters, gauge writes are **not** gated by the registry's
 /// enabled flag: a gauge states current system health, and a health
@@ -665,7 +665,7 @@ macro_rules! counter {
 }
 
 /// Sets a named gauge on the global registry to an absolute value, caching
-/// the handle at the call site: `gauge!("store.overlay_len", len)`.
+/// the handle at the call site: `gauge!("store.triples", len)`.
 #[macro_export]
 macro_rules! gauge {
     ($name:expr, $value:expr) => {{
@@ -1017,7 +1017,7 @@ mod tests {
     #[test]
     fn gauge_set_add_sub_and_snapshot() {
         let r = MetricsRegistry::new();
-        let g = r.gauge("store.overlay_len");
+        let g = r.gauge("sparql.cache.len");
         g.set(100);
         g.add(20);
         g.sub(50);
@@ -1025,15 +1025,15 @@ mod tests {
         g.sub(1_000); // saturates at zero rather than wrapping
         assert_eq!(g.value(), 0);
         g.set(42);
-        assert_eq!(r.gauge_value("store.overlay_len"), 42);
+        assert_eq!(r.gauge_value("sparql.cache.len"), 42);
         assert_eq!(r.gauge_value("never.registered"), 0);
         let snap = r.snapshot();
-        assert_eq!(snap.gauge("store.overlay_len"), 42);
+        assert_eq!(snap.gauge("sparql.cache.len"), 42);
         let json = snap.to_json().to_string();
         assert!(json.contains("\"gauges\""), "{json}");
-        assert!(json.contains("\"store.overlay_len\":42"), "{json}");
+        assert!(json.contains("\"sparql.cache.len\":42"), "{json}");
         // Same-name handles share the cell; reset zeroes but keeps them.
-        r.gauge("store.overlay_len").set(7);
+        r.gauge("sparql.cache.len").set(7);
         assert_eq!(g.value(), 7);
         r.reset();
         assert_eq!(g.value(), 0);
@@ -1068,13 +1068,13 @@ mod tests {
     #[test]
     fn gauges_render_as_prometheus_gauge_family() {
         let r = MetricsRegistry::new();
-        r.gauge("store.frozen_triples").set(9641);
+        r.gauge("store.triples").set(9641);
         let text = render_prometheus(&r.snapshot());
-        assert!(text.contains("# HELP store_frozen_triples relpat gauge store.frozen_triples"), "{text}");
-        assert!(text.contains("# TYPE store_frozen_triples gauge"), "{text}");
-        assert!(text.contains("\nstore_frozen_triples 9641\n"), "{text}");
+        assert!(text.contains("# HELP store_triples relpat gauge store.triples"), "{text}");
+        assert!(text.contains("# TYPE store_triples gauge"), "{text}");
+        assert!(text.contains("\nstore_triples 9641\n"), "{text}");
         // No `_total` suffix on gauges.
-        assert!(!text.contains("store_frozen_triples_total"), "{text}");
+        assert!(!text.contains("store_triples_total"), "{text}");
     }
 
     /// Asserts every sample family in a rendered exposition carries both

@@ -18,13 +18,14 @@ use crate::json::Json;
 ///
 /// `Nested` is the always-correct fallback (bindings × scan, one slice
 /// relocation per probe row). `Merge` exploits bindings sorted on the join
-/// variable: one forward cursor walks the frozen slice in step with the
+/// variable: one forward cursor walks the sorted slice in step with the
 /// binding stream, locating each distinct key's range once. `Gallop` covers
 /// unsorted bindings: probe keys are deduplicated and sorted, then each
 /// distinct key's range is located once by `partition_point` searches over a
 /// strictly shrinking tail. The planner picks per step; the executor may
-/// downgrade to `Nested` at run time (live overlay, LIMIT pushdown) and the
-/// recorded value is always the operator that actually ran.
+/// downgrade to `Nested` at run time (non-uniform probe rows, LIMIT
+/// pushdown) and the recorded value is always the operator that actually
+/// ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JoinAlgo {
     #[default]

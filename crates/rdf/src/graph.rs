@@ -1,25 +1,15 @@
-//! In-memory indexed triple store.
+//! In-memory indexed triple store, built once.
 //!
-//! The store keeps three **frozen flat permutation indexes** — sorted
-//! `Vec<[u32; 3]>` arrays in SPO, POS and OSP order over interned term ids —
-//! so that any triple pattern with a bound prefix resolves to one contiguous
-//! slice located by two `partition_point` binary searches (Hexastore-lite:
-//! three of the six permutations suffice when we do not need ordered results
-//! on the unbound positions). Flat arrays replace the previous per-node
-//! `BTreeSet` permutations: range scans become pointer-bump slice iteration
-//! instead of tree walks, and cardinality estimates become exact O(log n)
-//! instead of O(range length).
-//!
-//! Mutation goes through a small **delta overlay**: freshly inserted triples
-//! land in mutable `BTreeSet` permutations, removals of frozen triples become
-//! tombstones, and [`Graph::freeze`] (or automatic compaction once the
-//! overlay outgrows a threshold) merges everything back into the flat arrays
-//! with one linear pass. Readers see the union `frozen − dead ∪ delta`
-//! through a zero-allocation merge iterator ([`ScanIter`]), so the
-//! insert/remove API is unchanged while the hot read path stays flat.
-
-use std::collections::btree_set;
-use std::collections::BTreeSet;
+//! A [`GraphBuilder`] interns terms and collects id triples as they are
+//! pushed; [`GraphBuilder::build`] then sorts and deduplicates them once and
+//! derives the three **flat permutation indexes** — sorted `Vec<[u32; 3]>`
+//! arrays in SPO, POS and OSP order over interned term ids — of the
+//! immutable [`Graph`]. Any triple pattern with a bound prefix resolves to
+//! one contiguous slice located by two `partition_point` binary searches
+//! (Hexastore-lite: three of the six permutations suffice when we do not
+//! need ordered results on the unbound positions), so scans are
+//! pointer-bump slice iteration and cardinality estimates are exact in
+//! O(log n).
 
 use crate::interner::{Interner, TermId};
 use crate::term::Term;
@@ -73,7 +63,7 @@ impl IdPattern {
     }
 }
 
-// Permutation indexes into the `frozen`/`delta`/`dead` arrays.
+// Positions of the permutations in `Graph::index`.
 const SPO: usize = 0;
 const POS: usize = 1;
 const OSP: usize = 2;
@@ -146,73 +136,73 @@ fn prefix_bounds(index: &[[u32; 3]], key: [u32; 3], len: usize) -> (usize, usize
     (lo, hi)
 }
 
-/// The overlay entries matching a prefix, as a sorted `BTreeSet` range.
-#[inline]
-fn overlay_range(set: &BTreeSet<[u32; 3]>, key: [u32; 3], len: usize) -> btree_set::Range<'_, [u32; 3]> {
-    let mut lo = [0u32; 3];
-    let mut hi = [u32::MAX; 3];
-    lo[..len].copy_from_slice(&key[..len]);
-    hi[..len].copy_from_slice(&key[..len]);
-    set.range(lo..=hi)
-}
-
+/// Collects triples for one [`Graph`]. Terms are interned as they are
+/// pushed, in push order, so a graph's term ids depend only on the order of
+/// first occurrence; duplicates are allowed and collapse in
+/// [`build`](Self::build).
 #[derive(Debug, Default)]
-pub struct Graph {
+pub struct GraphBuilder {
     interner: Interner,
-    /// Flat sorted permutation indexes (SPO/POS/OSP), rebuilt on compaction.
-    frozen: [Vec<[u32; 3]>; 3],
-    /// Inserted triples not yet merged into `frozen` (disjoint from it).
-    delta: [BTreeSet<[u32; 3]>; 3],
-    /// Tombstones for removed frozen triples (always a subset of `frozen`).
-    dead: [BTreeSet<[u32; 3]>; 3],
-    /// Completed overlay merges (explicit `freeze()` calls that did work
-    /// plus automatic compactions).
-    compactions: u64,
-    /// Wall-clock cost of the most recent merge, in nanoseconds.
-    last_freeze_nanos: u64,
+    triples: Vec<[u32; 3]>,
 }
 
-/// Point-in-time store health, the payload behind the `store.*` gauges and
-/// `GET /debug/store`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Entries in the frozen SPO index (including tombstoned ones).
-    pub frozen_triples: usize,
-    /// Live triple count (`frozen − dead ∪ delta`).
-    pub triples: usize,
-    /// Pending overlay entries (inserts + tombstones) awaiting a merge.
-    pub overlay_len: usize,
-    /// Tombstoned frozen triples awaiting compaction.
-    pub tombstones: usize,
-    /// Completed overlay merges since construction.
-    pub compactions: u64,
-    /// Duration of the most recent merge in nanoseconds (0 if never frozen).
-    pub last_freeze_nanos: u64,
-}
-
-impl Graph {
-    /// Overlay size floor below which compaction never triggers; above it the
-    /// threshold grows with the frozen index so bulk loads amortize to O(n)
-    /// total merge work (each compaction grows the index geometrically).
-    const MIN_COMPACT_OVERLAY: usize = 4096;
-
+impl GraphBuilder {
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Pushes a triple.
+    pub fn insert(&mut self, triple: &Triple) {
+        let s = self.interner.intern(&triple.subject).0;
+        let p = self.interner.intern(&triple.predicate).0;
+        let o = self.interner.intern(&triple.object).0;
+        self.triples.push([s, p, o]);
+    }
+
+    /// Convenience: push from raw terms.
+    pub fn add(
+        &mut self,
+        subject: impl Into<Term>,
+        predicate: impl Into<Term>,
+        object: impl Into<Term>,
+    ) {
+        self.insert(&Triple::new(subject, predicate, object));
+    }
+
+    /// Sorts and deduplicates the pushed triples once (SPO), then derives
+    /// and sorts the POS and OSP permutations.
+    pub fn build(self) -> Graph {
+        let GraphBuilder { interner, triples: mut spo } = self;
+        spo.sort_unstable();
+        spo.dedup();
+        let derive = |perm: usize| {
+            let mut index: Vec<[u32; 3]> =
+                spo.iter().map(|&[s, p, o]| permute(perm, s, p, o)).collect();
+            index.sort_unstable();
+            index
+        };
+        let (pos, osp) = (derive(POS), derive(OSP));
+        Graph { interner, index: [spo, pos, osp] }
+    }
+}
+
+/// An immutable triple set with SPO/POS/OSP flat indexes, produced by
+/// [`GraphBuilder::build`]. `Graph::default()` is the empty graph.
+#[derive(Debug, Default)]
+pub struct Graph {
+    interner: Interner,
+    /// Flat sorted permutation indexes, addressed by `SPO`/`POS`/`OSP`.
+    index: [Vec<[u32; 3]>; 3],
+}
+
+impl Graph {
     /// Number of triples stored.
     pub fn len(&self) -> usize {
-        self.frozen[SPO].len() + self.delta[SPO].len() - self.dead[SPO].len()
+        self.index[SPO].len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of overlay entries (pending inserts + tombstones) not yet
-    /// merged into the frozen flat indexes. Zero after [`Graph::freeze`].
-    pub fn overlay_len(&self) -> usize {
-        self.delta[SPO].len() + self.dead[SPO].len()
     }
 
     /// Access to the interner for id↔term translation.
@@ -220,19 +210,8 @@ impl Graph {
         &self.interner
     }
 
-    /// Interns a term (for building id-level patterns ahead of a scan).
-    pub fn intern(&mut self, term: &Term) -> TermId {
-        self.interner.intern(term)
-    }
-
-    /// Pre-sizes the interner for an expected number of distinct terms
-    /// (bulk-load hint; see [`Interner::reserve`]).
-    pub fn reserve_terms(&mut self, additional: usize) {
-        self.interner.reserve(additional);
-    }
-
-    /// Looks up a term's id without interning. A miss means the term occurs
-    /// nowhere in the graph, so any pattern binding it matches nothing.
+    /// Looks up a term's id. A miss means the term occurs nowhere in the
+    /// graph, so any pattern binding it matches nothing.
     pub fn term_id(&self, term: &Term) -> Option<TermId> {
         self.interner.get(term)
     }
@@ -242,69 +221,6 @@ impl Graph {
         self.interner.resolve(id)
     }
 
-    /// Inserts a triple. Returns `true` if it was not already present.
-    pub fn insert(&mut self, triple: &Triple) -> bool {
-        let s = self.interner.intern(&triple.subject).0;
-        let p = self.interner.intern(&triple.predicate).0;
-        let o = self.interner.intern(&triple.object).0;
-        self.insert_ids(s, p, o)
-    }
-
-    fn insert_ids(&mut self, s: u32, p: u32, o: u32) -> bool {
-        let key = [s, p, o];
-        if self.frozen[SPO].binary_search(&key).is_ok() {
-            // Already frozen: present unless tombstoned; re-insert resurrects.
-            if self.dead[SPO].remove(&key) {
-                self.dead[POS].remove(&permute(POS, s, p, o));
-                self.dead[OSP].remove(&permute(OSP, s, p, o));
-                return true;
-            }
-            return false;
-        }
-        let fresh = self.delta[SPO].insert(key);
-        if fresh {
-            self.delta[POS].insert(permute(POS, s, p, o));
-            self.delta[OSP].insert(permute(OSP, s, p, o));
-            self.maybe_compact();
-        }
-        fresh
-    }
-
-    /// Convenience: insert from raw terms.
-    pub fn add(
-        &mut self,
-        subject: impl Into<Term>,
-        predicate: impl Into<Term>,
-        object: impl Into<Term>,
-    ) -> bool {
-        self.insert(&Triple::new(subject, predicate, object))
-    }
-
-    /// Removes a triple. Returns `true` if it was present.
-    pub fn remove(&mut self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.interner.get(&triple.subject),
-            self.interner.get(&triple.predicate),
-            self.interner.get(&triple.object),
-        ) else {
-            return false;
-        };
-        let (s, p, o) = (s.0, p.0, o.0);
-        let key = [s, p, o];
-        if self.delta[SPO].remove(&key) {
-            self.delta[POS].remove(&permute(POS, s, p, o));
-            self.delta[OSP].remove(&permute(OSP, s, p, o));
-            return true;
-        }
-        if self.frozen[SPO].binary_search(&key).is_ok() && self.dead[SPO].insert(key) {
-            self.dead[POS].insert(permute(POS, s, p, o));
-            self.dead[OSP].insert(permute(OSP, s, p, o));
-            self.maybe_compact();
-            return true;
-        }
-        false
-    }
-
     /// Membership test at the term level.
     pub fn contains(&self, triple: &Triple) -> bool {
         match (
@@ -312,102 +228,17 @@ impl Graph {
             self.interner.get(&triple.predicate),
             self.interner.get(&triple.object),
         ) {
-            (Some(s), Some(p), Some(o)) => {
-                let key = [s.0, p.0, o.0];
-                self.delta[SPO].contains(&key)
-                    || (self.frozen[SPO].binary_search(&key).is_ok()
-                        && !self.dead[SPO].contains(&key))
-            }
+            (Some(s), Some(p), Some(o)) => self.index[SPO].binary_search(&[s.0, p.0, o.0]).is_ok(),
             _ => false,
         }
     }
 
-    /// Merges the delta overlay and tombstones into the frozen flat indexes
-    /// (one linear three-way merge per permutation). Idempotent; afterwards
-    /// every scan is pure slice iteration and every estimate is two binary
-    /// searches. Called automatically once the overlay outgrows
-    /// `max(4096, frozen/4)` entries, and by bulk-build paths.
-    pub fn freeze(&mut self) {
-        if self.delta[SPO].is_empty() && self.dead[SPO].is_empty() {
-            return;
-        }
-        let started = std::time::Instant::now();
-        let frozen_before = self.frozen[SPO].len();
-        let (delta_len, dead_len) = (self.delta[SPO].len(), self.dead[SPO].len());
-        for perm in [SPO, POS, OSP] {
-            let delta = std::mem::take(&mut self.delta[perm]);
-            let dead = std::mem::take(&mut self.dead[perm]);
-            let frozen = std::mem::take(&mut self.frozen[perm]);
-            let mut merged = Vec::with_capacity(frozen.len() + delta.len() - dead.len());
-            let mut delta_it = delta.iter().peekable();
-            let mut dead_it = dead.iter().peekable();
-            for key in frozen {
-                while delta_it.peek().is_some_and(|&&d| d < key) {
-                    merged.push(*delta_it.next().expect("peeked"));
-                }
-                if dead_it.peek() == Some(&&key) {
-                    dead_it.next();
-                    continue;
-                }
-                merged.push(key);
-            }
-            merged.extend(delta_it.copied());
-            self.frozen[perm] = merged;
-        }
-        let nanos = started.elapsed().as_nanos() as u64;
-        self.compactions += 1;
-        self.last_freeze_nanos = nanos;
-        relpat_obs::counter!("store.compactions");
-        relpat_obs::jevent!(
-            relpat_obs::Level::Info,
-            "store.compact",
-            "frozen_before" => frozen_before,
-            "frozen_after" => self.frozen[SPO].len(),
-            "delta" => delta_len,
-            "tombstones" => dead_len,
-            "nanos" => nanos,
-        );
-    }
-
-    /// Point-in-time store health (frozen/overlay/tombstone sizes, merge
-    /// count and cost) — the source for the `store.*` gauges.
-    pub fn stats(&self) -> GraphStats {
-        GraphStats {
-            frozen_triples: self.frozen[SPO].len(),
-            triples: self.len(),
-            overlay_len: self.overlay_len(),
-            tombstones: self.dead[SPO].len(),
-            compactions: self.compactions,
-            last_freeze_nanos: self.last_freeze_nanos,
-        }
-    }
-
-    fn maybe_compact(&mut self) {
-        let threshold = Self::MIN_COMPACT_OVERLAY.max(self.frozen[SPO].len() / 4);
-        if self.overlay_len() > threshold {
-            self.freeze();
-        }
-    }
-
-    /// Id-level pattern scan as a zero-allocation streaming iterator: the
-    /// frozen slice addressed by two `partition_point` searches, merged with
-    /// the (usually empty) delta range, minus tombstones. Yields `(s, p, o)`
-    /// ids in the canonical order of the chosen permutation.
+    /// Id-level pattern scan as a zero-allocation streaming iterator over
+    /// the slice addressed by two `partition_point` searches. Yields
+    /// `(s, p, o)` ids in the canonical order of the chosen permutation.
     pub fn scan_iter(&self, pattern: IdPattern) -> ScanIter<'_> {
-        let (perm, key, len) = route(pattern);
-        let (lo, hi) = prefix_bounds(&self.frozen[perm], key, len);
-        let mut delta = overlay_range(&self.delta[perm], key, len);
-        let mut dead = overlay_range(&self.dead[perm], key, len);
-        let delta_next = delta.next();
-        let dead_next = dead.next();
-        ScanIter {
-            perm,
-            frozen: self.frozen[perm][lo..hi].iter(),
-            delta,
-            delta_next,
-            dead,
-            dead_next,
-        }
+        let (perm, slice) = self.matches(pattern);
+        ScanIter { perm, slice: slice.iter() }
     }
 
     /// Id-level pattern scan, materialized. Prefer [`Graph::scan_iter`] in
@@ -417,38 +248,27 @@ impl Graph {
     }
 
     /// Routes a pattern *shape* (only the `Some`/`None` skeleton matters) to
-    /// its frozen permutation index for batched prefix probes: callers build
-    /// a permuted key per concrete pattern via [`FrozenProbe::key`] and
-    /// locate each key's slice with [`FrozenProbe::bounds_from`], reusing
+    /// its permutation index for batched prefix probes: callers build a
+    /// permuted key per concrete pattern via [`FrozenProbe::key`] and locate
+    /// each key's slice with [`FrozenProbe::bounds_from`], reusing
     /// sorted-key monotonicity to shrink every search tail.
-    ///
-    /// Returns `None` while the overlay holds pending inserts or tombstones:
-    /// raw slice access cannot see them, so callers must fall back to the
-    /// merging [`Graph::scan_iter`].
-    pub fn frozen_probe(&self, shape: IdPattern) -> Option<FrozenProbe<'_>> {
-        if self.overlay_len() != 0 {
-            return None;
-        }
+    pub fn probe(&self, shape: IdPattern) -> FrozenProbe<'_> {
         let (perm, _, prefix_len) = route(shape);
-        Some(FrozenProbe { index: &self.frozen[perm], perm, prefix_len })
+        FrozenProbe { index: &self.index[perm], perm, prefix_len }
     }
 
-    /// Exact number of matches for a pattern, used by the query planner.
-    /// On a frozen graph this is two `partition_point` binary searches —
-    /// O(log n) with no range walking. With a live overlay it additionally
-    /// counts the (threshold-bounded) delta/tombstone entries in the range,
-    /// staying exact across insert/remove/freeze interleavings.
+    /// Exact number of matches for a pattern, used by the query planner:
+    /// two `partition_point` binary searches, O(log n) with no range walking.
     pub fn estimate(&self, pattern: IdPattern) -> usize {
+        self.matches(pattern).1.len()
+    }
+
+    /// The routed permutation and its slice of entries matching `pattern`.
+    fn matches(&self, pattern: IdPattern) -> (usize, &[[u32; 3]]) {
         let (perm, key, len) = route(pattern);
-        let (lo, hi) = prefix_bounds(&self.frozen[perm], key, len);
-        let mut n = hi - lo;
-        if !self.delta[perm].is_empty() {
-            n += overlay_range(&self.delta[perm], key, len).count();
-        }
-        if !self.dead[perm].is_empty() {
-            n -= overlay_range(&self.dead[perm], key, len).count();
-        }
-        n
+        let index = &self.index[perm];
+        let (lo, hi) = prefix_bounds(index, key, len);
+        (perm, &index[lo..hi])
     }
 
     /// Term-level pattern scan: `None` positions are wildcards. Converts ids
@@ -498,35 +318,18 @@ impl Graph {
 
     /// The set of distinct predicates in the graph, in id order. Skips from
     /// one distinct predicate to the next with a `partition_point` gallop
-    /// over the frozen POS index — O(#predicates · log n), never a full
+    /// over the POS index — O(#predicates · log n), never a full
     /// index walk.
     pub fn predicates(&self) -> Vec<Term> {
-        let pos = &self.frozen[POS];
-        let mut ids: Vec<u32> = Vec::new();
+        let pos = &self.index[POS];
+        let mut out = Vec::new();
         let mut i = 0;
         while i < pos.len() {
             let p = pos[i][0];
-            ids.push(p);
+            out.push(self.interner.resolve(TermId(p)).clone());
             i += pos[i..].partition_point(|t| t[0] == p);
         }
-        // Overlay inserts may introduce predicates the frozen index lacks
-        // (`ids` stays sorted, so binary insertion preserves id order).
-        for t in &self.delta[POS] {
-            if let Err(at) = ids.binary_search(&t[0]) {
-                ids.insert(at, t[0]);
-            }
-        }
-        // Tombstones may have emptied a predicate entirely.
-        if !self.dead[POS].is_empty() {
-            ids.retain(|&p| {
-                self.estimate(IdPattern {
-                    subject: None,
-                    predicate: Some(TermId(p)),
-                    object: None,
-                }) > 0
-            });
-        }
-        ids.into_iter().map(|p| self.interner.resolve(TermId(p)).clone()).collect()
+        out
     }
 
     /// Iterates over all triples at the term level (SPO order).
@@ -541,64 +344,29 @@ impl Graph {
     }
 }
 
-/// Zero-allocation streaming scan over one permutation index: a sorted
-/// frozen slice merged with the sorted delta range, minus tombstones.
+/// Zero-allocation streaming scan over one sorted permutation slice.
 /// Yields `(s, p, o)` ids in the permutation's canonical order.
 pub struct ScanIter<'a> {
     perm: usize,
-    frozen: std::slice::Iter<'a, [u32; 3]>,
-    delta: btree_set::Range<'a, [u32; 3]>,
-    delta_next: Option<&'a [u32; 3]>,
-    dead: btree_set::Range<'a, [u32; 3]>,
-    dead_next: Option<&'a [u32; 3]>,
+    slice: std::slice::Iter<'a, [u32; 3]>,
 }
 
 impl Iterator for ScanIter<'_> {
     type Item = IdTriple;
 
+    #[inline]
     fn next(&mut self) -> Option<IdTriple> {
-        loop {
-            // Take the smaller head of the two sorted streams (they are
-            // disjoint by construction: delta never duplicates frozen).
-            let take_frozen = match (self.frozen.as_slice().first(), self.delta_next) {
-                (None, None) => return None,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(f), Some(d)) => f < d,
-            };
-            let key = if take_frozen {
-                let key = *self.frozen.next().expect("peeked frozen head");
-                // Tombstones are a sorted subset of the frozen stream, so one
-                // forward pointer suffices to filter them out.
-                while self.dead_next.is_some_and(|d| *d < key) {
-                    self.dead_next = self.dead.next();
-                }
-                if self.dead_next.is_some_and(|d| *d == key) {
-                    self.dead_next = self.dead.next();
-                    continue;
-                }
-                key
-            } else {
-                let key = *self.delta_next.expect("checked above");
-                self.delta_next = self.delta.next();
-                key
-            };
-            return Some(unpermute(self.perm, key));
-        }
+        self.slice.next().map(|&key| unpermute(self.perm, key))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let frozen = self.frozen.as_slice().len();
-        let delta = self.delta_next.is_some() as usize;
-        // Tombstones can only shrink the frozen stream.
-        (delta, Some(frozen + delta + self.delta.size_hint().1.unwrap_or(0)))
+        self.slice.size_hint()
     }
 }
 
-/// A read-only handle on one frozen permutation index, routed for a fixed
-/// pattern shape. Obtained from [`Graph::frozen_probe`], which refuses to
-/// hand one out while the delta/tombstone overlay is non-empty — the whole
-/// point of the type is raw sorted-slice access without overlay merging.
+/// A read-only handle on one permutation index, routed for a fixed pattern
+/// shape: raw sorted-slice access for batched probes. Obtained from
+/// [`Graph::probe`].
 #[derive(Debug, Clone, Copy)]
 pub struct FrozenProbe<'a> {
     index: &'a [[u32; 3]],
@@ -648,46 +416,70 @@ impl FrozenProbe<'_> {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vocab::{dbont, rdf, res};
 
-    fn sample_graph() -> Graph {
-        let mut g = Graph::new();
+    fn sample_builder() -> GraphBuilder {
+        let mut b = GraphBuilder::new();
         let pamuk = Term::iri(res::iri("Orhan Pamuk"));
         let snow = Term::iri(res::iri("Snow"));
         let museum = Term::iri(res::iri("The Museum of Innocence"));
         let writer = Term::iri(dbont::iri("writer"));
         let book = Term::iri(dbont::iri("Book"));
         let ty = Term::iri(rdf::TYPE);
-        g.add(snow.clone(), ty.clone(), book.clone());
-        g.add(museum.clone(), ty.clone(), book.clone());
-        g.add(snow.clone(), writer.clone(), pamuk.clone());
-        g.add(museum, writer, pamuk);
-        g
+        b.add(snow.clone(), ty.clone(), book.clone());
+        b.add(museum.clone(), ty.clone(), book.clone());
+        b.add(snow.clone(), writer.clone(), pamuk.clone());
+        b.add(museum, writer, pamuk);
+        b
+    }
+
+    fn sample_graph() -> Graph {
+        sample_builder().build()
+    }
+
+    /// The sample's (Snow, writer, Orhan Pamuk) ids, for building patterns.
+    fn sample_ids(g: &Graph) -> (TermId, TermId, TermId) {
+        (
+            g.term_id(&Term::iri(res::iri("Snow"))).unwrap(),
+            g.term_id(&Term::iri(dbont::iri("writer"))).unwrap(),
+            g.term_id(&Term::iri(res::iri("Orhan Pamuk"))).unwrap(),
+        )
+    }
+
+    /// Every pattern shape over (subject, predicate, object) id options.
+    fn all_shapes(s: TermId, p: TermId, o: TermId) -> [IdPattern; 8] {
+        std::array::from_fn(|i| IdPattern {
+            subject: (i & 1 != 0).then_some(s),
+            predicate: (i & 2 != 0).then_some(p),
+            object: (i & 4 != 0).then_some(o),
+        })
     }
 
     #[test]
-    fn insert_is_set_semantics() {
-        let mut g = Graph::new();
+    fn build_is_set_semantics() {
+        let mut b = GraphBuilder::new();
         let t = Triple::new(Term::iri("s"), Term::iri("p"), Term::iri("o"));
-        assert!(g.insert(&t));
-        assert!(!g.insert(&t));
+        b.insert(&t);
+        b.insert(&t);
+        let g = b.build();
         assert_eq!(g.len(), 1);
+        assert!(g.contains(&t));
+        assert!(!g.contains(&Triple::new(Term::iri("s"), Term::iri("p"), Term::iri("x"))));
     }
 
     #[test]
-    fn contains_and_remove() {
-        let mut g = Graph::new();
-        let t = Triple::new(Term::iri("s"), Term::iri("p"), Term::iri("o"));
-        assert!(!g.contains(&t));
-        g.insert(&t);
-        assert!(g.contains(&t));
-        assert!(g.remove(&t));
-        assert!(!g.contains(&t));
-        assert!(!g.remove(&t));
-        assert!(g.is_empty());
+    fn terms_are_interned_in_push_order() {
+        let mut b = GraphBuilder::new();
+        b.add(Term::iri("z"), Term::iri("p"), Term::iri("a"));
+        b.add(Term::iri("a"), Term::iri("p"), Term::iri("y"));
+        let g = b.build();
+        let ids: Vec<u32> =
+            ["z", "p", "a", "y"].iter().map(|t| g.term_id(&Term::iri(*t)).unwrap().0).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -740,15 +532,9 @@ mod tests {
     #[test]
     fn estimate_matches_scan_cardinality() {
         let g = sample_graph();
-        let writer = g.term_id(&Term::iri(dbont::iri("writer"))).unwrap();
-        let snow = g.term_id(&Term::iri(res::iri("Snow"))).unwrap();
-        for pat in [
-            IdPattern { subject: None, predicate: None, object: None },
-            IdPattern { subject: Some(snow), predicate: None, object: None },
-            IdPattern { subject: None, predicate: Some(writer), object: None },
-            IdPattern { subject: Some(snow), predicate: Some(writer), object: None },
-        ] {
-            assert_eq!(g.estimate(pat), g.scan(pat).len());
+        let (snow, writer, pamuk) = sample_ids(&g);
+        for &pat in &all_shapes(snow, writer, pamuk) {
+            assert_eq!(g.estimate(pat), g.scan(pat).len(), "pattern {pat:?}");
         }
     }
 
@@ -765,10 +551,15 @@ mod tests {
     }
 
     #[test]
-    fn predicates_are_deduplicated() {
+    fn predicates_are_deduplicated_in_id_order() {
         let g = sample_graph();
-        let preds = g.predicates();
-        assert_eq!(preds.len(), 2);
+        assert_eq!(g.predicates().len(), 2);
+        let mut b = sample_builder();
+        b.add(Term::iri("a"), Term::iri("newpred"), Term::iri("b"));
+        let g = b.build();
+        let ids: Vec<u32> = g.predicates().iter().map(|p| g.term_id(p).unwrap().0).collect();
+        assert_eq!(ids.len(), 3);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     }
 
     #[test]
@@ -782,9 +573,10 @@ mod tests {
 
     #[test]
     fn literals_and_iris_do_not_collide_in_indexes() {
-        let mut g = Graph::new();
-        g.add(Term::iri("s"), Term::iri("p"), Term::literal("o"));
-        g.add(Term::iri("s"), Term::iri("p"), Term::iri("o"));
+        let mut b = GraphBuilder::new();
+        b.add(Term::iri("s"), Term::iri("p"), Term::literal("o"));
+        b.add(Term::iri("s"), Term::iri("p"), Term::iri("o"));
+        let g = b.build();
         assert_eq!(g.len(), 2);
         assert_eq!(
             g.triples_matching(None, None, Some(&Term::literal("o"))).len(),
@@ -792,211 +584,19 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------- frozen/overlay layer
-
-    /// Every pattern shape over (subject, predicate, object) id options.
-    fn all_shapes(s: TermId, p: TermId, o: TermId) -> [IdPattern; 8] {
-        let some = [Some(s), Some(p), Some(o)];
-        let mut shapes = [IdPattern { subject: None, predicate: None, object: None }; 8];
-        for (i, shape) in shapes.iter_mut().enumerate() {
-            *shape = IdPattern {
-                subject: (i & 1 != 0).then_some(some[0].unwrap()),
-                predicate: (i & 2 != 0).then_some(some[1].unwrap()),
-                object: (i & 4 != 0).then_some(some[2].unwrap()),
-            };
-        }
-        shapes
-    }
-
-    #[test]
-    fn freeze_is_idempotent_and_preserves_scans() {
-        let mut g = sample_graph();
-        let writer = g.term_id(&Term::iri(dbont::iri("writer"))).unwrap();
-        let snow = g.term_id(&Term::iri(res::iri("Snow"))).unwrap();
-        let pamuk = g.term_id(&Term::iri(res::iri("Orhan Pamuk"))).unwrap();
-        let before: Vec<Vec<IdTriple>> =
-            all_shapes(snow, writer, pamuk).iter().map(|&pat| g.scan(pat)).collect();
-        assert!(g.overlay_len() > 0);
-        g.freeze();
-        assert_eq!(g.overlay_len(), 0);
-        g.freeze(); // idempotent
-        let after: Vec<Vec<IdTriple>> =
-            all_shapes(snow, writer, pamuk).iter().map(|&pat| g.scan(pat)).collect();
-        assert_eq!(before, after);
-        for &pat in &all_shapes(snow, writer, pamuk) {
-            assert_eq!(g.estimate(pat), g.scan(pat).len());
-        }
-    }
-
-    #[test]
-    fn tombstone_then_resurrect_round_trips() {
-        let mut g = sample_graph();
-        g.freeze();
-        let t = Triple::new(
-            Term::iri(res::iri("Snow")),
-            Term::iri(dbont::iri("writer")),
-            Term::iri(res::iri("Orhan Pamuk")),
-        );
-        let len = g.len();
-        assert!(g.remove(&t)); // tombstones a frozen triple
-        assert!(!g.contains(&t));
-        assert_eq!(g.len(), len - 1);
-        assert!(g.insert(&t)); // resurrect clears the tombstone
-        assert!(g.contains(&t));
-        assert_eq!(g.len(), len);
-        assert_eq!(g.overlay_len(), 0, "resurrection must not leave overlay residue");
-    }
-
-    #[test]
-    fn overlay_scan_merges_in_sorted_order() {
-        let mut g = Graph::new();
-        // Interleave so ids do not arrive pre-sorted, then freeze half.
-        for i in [5u32, 1, 9, 3] {
-            g.add(Term::iri(format!("s{i}")), Term::iri("p"), Term::iri(format!("o{i}")));
-        }
-        g.freeze();
-        for i in [4u32, 0, 7] {
-            g.add(Term::iri(format!("s{i}")), Term::iri("p"), Term::iri(format!("o{i}")));
-        }
-        let p = g.term_id(&Term::iri("p")).unwrap();
-        let scan = g.scan(IdPattern { subject: None, predicate: Some(p), object: None });
-        assert_eq!(scan.len(), 7);
-        // POS order: sorted by (p, o, s) — objects ascending by id.
-        let objects: Vec<u32> = scan.iter().map(|&(_, _, o)| o.0).collect();
-        let mut sorted = objects.clone();
-        sorted.sort_unstable();
-        assert_eq!(objects, sorted, "merged scan must keep permutation order");
-    }
-
-    #[test]
-    fn estimate_is_exact_across_overlay_states() {
-        let mut g = sample_graph();
-        let writer = g.term_id(&Term::iri(dbont::iri("writer"))).unwrap();
-        let snow = g.term_id(&Term::iri(res::iri("Snow"))).unwrap();
-        let pamuk = g.term_id(&Term::iri(res::iri("Orhan Pamuk"))).unwrap();
-        let check = |g: &Graph| {
-            for &pat in &all_shapes(snow, writer, pamuk) {
-                assert_eq!(g.estimate(pat), g.scan(pat).len(), "pattern {pat:?}");
-            }
-        };
-        check(&g); // pure delta
-        g.freeze();
-        check(&g); // pure frozen
-        let t = Triple::new(
-            Term::iri(res::iri("Snow")),
-            Term::iri(dbont::iri("writer")),
-            Term::iri(res::iri("Orhan Pamuk")),
-        );
-        g.remove(&t);
-        check(&g); // frozen + tombstone
-        g.add(
-            Term::iri(res::iri("Snow")),
-            Term::iri(dbont::iri("writer")),
-            Term::iri(res::iri("Stanislaw Lem")),
-        );
-        check(&g); // frozen + tombstone + delta
-    }
-
-    #[test]
-    fn auto_compaction_triggers_on_bulk_load() {
-        let mut g = Graph::new();
-        let n = Graph::MIN_COMPACT_OVERLAY + 10;
-        for i in 0..n {
-            g.add(Term::iri(format!("s{i}")), Term::iri("p"), Term::iri(format!("o{i}")));
-        }
-        assert!(
-            g.overlay_len() < n,
-            "bulk load must compact: overlay still holds {}",
-            g.overlay_len()
-        );
-        assert_eq!(g.len(), n);
-        let p = g.term_id(&Term::iri("p")).unwrap();
-        assert_eq!(
-            g.estimate(IdPattern { subject: None, predicate: Some(p), object: None }),
-            n
-        );
-    }
-
-    #[test]
-    fn predicates_skip_works_on_frozen_and_overlay() {
-        let mut g = sample_graph();
-        g.freeze();
-        assert_eq!(g.predicates().len(), 2);
-        // A predicate that only exists in the overlay.
-        g.add(Term::iri("a"), Term::iri("newpred"), Term::iri("b"));
-        assert_eq!(g.predicates().len(), 3);
-        // Tombstoning every triple of a predicate removes it from the list.
-        let writer = Term::iri(dbont::iri("writer"));
-        for t in g.triples_matching(None, Some(&writer), None) {
-            g.remove(&t);
-        }
-        assert_eq!(g.predicates().len(), 2);
-    }
-
-    #[test]
-    fn stats_track_freeze_and_compaction_lifecycle() {
-        let mut g = sample_graph();
-        let s = g.stats();
-        assert_eq!((s.frozen_triples, s.overlay_len, s.tombstones, s.compactions), (0, 4, 0, 0));
-        assert_eq!(s.triples, 4);
-        assert_eq!(s.last_freeze_nanos, 0);
-        g.freeze();
-        let s = g.stats();
-        assert_eq!((s.frozen_triples, s.overlay_len, s.compactions), (4, 0, 1));
-        assert!(s.last_freeze_nanos > 0, "freeze must record its cost");
-        g.freeze(); // idempotent no-op: no merge happened, count unchanged
-        assert_eq!(g.stats().compactions, 1);
-        let t = Triple::new(
-            Term::iri(res::iri("Snow")),
-            Term::iri(dbont::iri("writer")),
-            Term::iri(res::iri("Orhan Pamuk")),
-        );
-        g.remove(&t);
-        let s = g.stats();
-        assert_eq!((s.tombstones, s.overlay_len), (1, 1));
-        assert_eq!(s.triples, 3);
-        assert_eq!(s.frozen_triples, 4, "tombstoned entries stay frozen until merged");
-        g.freeze();
-        let s = g.stats();
-        assert_eq!((s.frozen_triples, s.tombstones, s.compactions), (3, 0, 2));
-    }
-
-    #[test]
-    fn freeze_emits_a_compaction_journal_event() {
-        let journal = relpat_obs::global_journal();
-        let before = journal.emitted();
-        let mut g = sample_graph();
-        g.freeze();
-        assert!(journal.emitted() > before, "freeze must journal the merge");
-        let event = journal
-            .tail(64)
-            .into_iter()
-            .rev()
-            .find(|e| e.stage == "store.compact")
-            .expect("store.compact event");
-        let field = |k: &str| {
-            event.fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone()).unwrap_or_default()
-        };
-        assert_eq!(field("frozen_before"), "0");
-        assert_eq!(field("frozen_after"), "4");
-        assert_eq!(field("delta"), "4");
-        assert_eq!(field("tombstones"), "0");
-        assert!(field("nanos").parse::<u64>().unwrap() > 0);
-    }
-
     #[test]
     fn sort_major_position_matches_scan_order() {
-        let mut g = Graph::new();
+        let mut b = GraphBuilder::new();
         for i in [4u32, 1, 7, 2] {
             for j in [3u32, 0, 5] {
-                g.add(
+                b.add(
                     Term::iri(format!("s{i}")),
                     Term::iri(format!("p{j}")),
                     Term::iri(format!("o{}", (i + j) % 4)),
                 );
             }
         }
-        g.freeze();
+        let g = b.build();
         let s = g.term_id(&Term::iri("s4")).unwrap();
         let p = g.term_id(&Term::iri("p3")).unwrap();
         let o = g.term_id(&Term::iri("o3")).unwrap();
@@ -1023,18 +623,11 @@ mod tests {
     }
 
     #[test]
-    fn frozen_probe_bounds_match_scan() {
-        let mut g = sample_graph();
-        let writer = g.term_id(&Term::iri(dbont::iri("writer"))).unwrap();
-        let snow = g.term_id(&Term::iri(res::iri("Snow"))).unwrap();
-        let pamuk = g.term_id(&Term::iri(res::iri("Orhan Pamuk"))).unwrap();
-        assert!(
-            g.frozen_probe(IdPattern { subject: None, predicate: None, object: None }).is_none(),
-            "a live overlay must refuse raw probes"
-        );
-        g.freeze();
+    fn probe_bounds_match_scan() {
+        let g = sample_graph();
+        let (snow, writer, pamuk) = sample_ids(&g);
         for &pat in &all_shapes(snow, writer, pamuk) {
-            let probe = g.frozen_probe(pat).expect("frozen graph probes");
+            let probe = g.probe(pat);
             let key = probe.key(pat);
             let (lo, hi) = probe.bounds_from(0, key);
             let via_probe: Vec<IdTriple> = (lo..hi).map(|i| probe.triple(i)).collect();
@@ -1047,12 +640,10 @@ mod tests {
 
     #[test]
     fn scan_iter_matches_scan_everywhere() {
-        let mut g = sample_graph();
-        let writer = g.term_id(&Term::iri(dbont::iri("writer"))).unwrap();
-        let snow = g.term_id(&Term::iri(res::iri("Snow"))).unwrap();
-        let pamuk = g.term_id(&Term::iri(res::iri("Orhan Pamuk"))).unwrap();
-        g.freeze();
-        g.add(Term::iri(res::iri("Snow")), Term::iri(dbont::iri("writer")), Term::iri("x"));
+        let mut b = sample_builder();
+        b.add(Term::iri(res::iri("Snow")), Term::iri(dbont::iri("writer")), Term::iri("x"));
+        let g = b.build();
+        let (snow, writer, pamuk) = sample_ids(&g);
         for &pat in &all_shapes(snow, writer, pamuk) {
             let streamed: Vec<IdTriple> = g.scan_iter(pat).collect();
             assert_eq!(streamed, g.scan(pat));

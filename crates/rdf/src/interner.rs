@@ -45,14 +45,6 @@ impl Interner {
         self.terms.is_empty()
     }
 
-    /// Pre-sizes both sides of the map for `additional` more distinct terms.
-    /// Bulk loaders call this to avoid rehash/regrow churn while interning
-    /// millions of terms.
-    pub fn reserve(&mut self, additional: usize) {
-        self.terms.reserve(additional);
-        self.ids.reserve(additional);
-    }
-
     /// Interns a term, returning its id. Idempotent.
     pub fn intern(&mut self, term: &Term) -> TermId {
         if let Some(&id) = self.ids.get(term) {

@@ -9,7 +9,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use crate::error::RdfError;
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphBuilder};
 use crate::ntriples::{parse_ntriples, to_ntriples};
 use crate::turtle::{parse_turtle, to_turtle};
 
@@ -36,11 +36,11 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<Graph, RdfError> {
     } else {
         parse_turtle(&text)?
     };
-    let mut graph = Graph::new();
+    let mut builder = GraphBuilder::new();
     for t in &triples {
-        graph.insert(t);
+        builder.insert(t);
     }
-    Ok(graph)
+    Ok(builder.build())
 }
 
 #[cfg(test)]
@@ -49,10 +49,10 @@ mod tests {
     use crate::term::Term;
 
     fn sample() -> Graph {
-        let mut g = Graph::new();
-        g.add(Term::iri("http://e/s"), Term::iri("http://e/p"), Term::literal("v"));
-        g.add(Term::iri("http://e/s"), Term::iri("http://e/q"), Term::iri("http://e/o"));
-        g
+        let mut b = GraphBuilder::new();
+        b.add(Term::iri("http://e/s"), Term::iri("http://e/p"), Term::literal("v"));
+        b.add(Term::iri("http://e/s"), Term::iri("http://e/q"), Term::iri("http://e/o"));
+        b.build()
     }
 
     #[test]

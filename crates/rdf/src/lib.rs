@@ -5,22 +5,24 @@
 //!
 //! - an RDF 1.1-style term model ([`Iri`], [`Literal`], [`Term`]);
 //! - a term [`Interner`] mapping terms to dense `u32` ids;
-//! - an indexed, in-memory [`Graph`] with frozen flat SPO/POS/OSP permutation
-//!   indexes (plus a mutable delta overlay) so that any partially bound
-//!   triple pattern is a contiguous slice scan located in O(log n);
+//! - an indexed, immutable in-memory [`Graph`], built once by a
+//!   [`GraphBuilder`], whose flat SPO/POS/OSP permutation indexes make any
+//!   partially bound triple pattern a contiguous slice scan located in
+//!   O(log n);
 //! - Turtle and N-Triples parsing/serialization for fixtures and interchange;
 //! - the vocabulary constants (`rdf:`, `rdfs:`, `xsd:`, `dbont:`, `res:`) that
 //!   the paper's examples use.
 //!
 //! ```
-//! use relpat_rdf::{Graph, Term, vocab::{dbont, res}};
+//! use relpat_rdf::{GraphBuilder, Term, vocab::{dbont, res}};
 //!
-//! let mut g = Graph::new();
-//! g.add(
+//! let mut b = GraphBuilder::new();
+//! b.add(
 //!     Term::iri(res::iri("Snow")),
 //!     Term::iri(dbont::iri("writer")),
 //!     Term::iri(res::iri("Orhan Pamuk")),
 //! );
+//! let g = b.build();
 //! let hits = g.subjects_with(
 //!     &Term::iri(dbont::iri("writer")),
 //!     &Term::iri(res::iri("Orhan Pamuk")),
@@ -40,7 +42,7 @@ pub mod vocab;
 
 pub use error::RdfError;
 pub use graph::{
-    sort_major_position, FrozenProbe, Graph, GraphStats, IdPattern, IdTriple, ScanIter, Triple,
+    sort_major_position, FrozenProbe, Graph, GraphBuilder, IdPattern, IdTriple, ScanIter, Triple,
 };
 pub use interner::{Interner, TermId};
 pub use io::{load_path, save_ntriples, save_turtle};

@@ -50,6 +50,7 @@ pub fn to_ntriples(graph: &Graph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
     use crate::term::Term;
 
     #[test]
@@ -76,9 +77,10 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let mut g = Graph::new();
-        g.add(Term::iri("http://e/s"), Term::iri("http://e/p"), Term::literal("hello\nworld"));
-        g.add(Term::iri("http://e/s"), Term::iri("http://e/q"), Term::iri("http://e/o"));
+        let mut b = GraphBuilder::new();
+        b.add(Term::iri("http://e/s"), Term::iri("http://e/p"), Term::literal("hello\nworld"));
+        b.add(Term::iri("http://e/s"), Term::iri("http://e/q"), Term::iri("http://e/o"));
+        let g = b.build();
         let nt = to_ntriples(&g);
         let parsed = parse_ntriples(&nt).unwrap();
         assert_eq!(parsed.len(), 2);

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::error::RdfError;
-use crate::graph::{Graph, Triple};
+use crate::graph::{Graph, GraphBuilder, Triple};
 use crate::term::{BlankNode, Iri, Literal, Term};
 use crate::vocab::{self, rdf, xsd};
 
@@ -20,17 +20,14 @@ pub fn parse_turtle(input: &str) -> Result<Vec<Triple>, RdfError> {
     Parser::new(input).parse_document()
 }
 
-/// Parses a Turtle document directly into a graph, returning the number of
-/// triples inserted (duplicates collapse).
-pub fn load_turtle(graph: &mut Graph, input: &str) -> Result<usize, RdfError> {
+/// Parses a Turtle document and pushes its triples into a builder,
+/// returning the number of triples parsed (duplicates collapse on build).
+pub fn load_turtle(builder: &mut GraphBuilder, input: &str) -> Result<usize, RdfError> {
     let triples = parse_turtle(input)?;
-    let mut added = 0;
     for t in &triples {
-        if graph.insert(t) {
-            added += 1;
-        }
+        builder.insert(t);
     }
-    Ok(added)
+    Ok(triples.len())
 }
 
 /// Serializes a graph to Turtle using the default prefix table, grouping
@@ -563,11 +560,13 @@ mod tests {
                 rdfs:label "Snow"@en ;
                 dbont:pages 432 .
         "#;
-        let mut g = Graph::new();
-        load_turtle(&mut g, doc).unwrap();
+        let mut b = GraphBuilder::new();
+        load_turtle(&mut b, doc).unwrap();
+        let g = b.build();
         let serialized = to_turtle(&g);
-        let mut g2 = Graph::new();
-        load_turtle(&mut g2, &serialized).unwrap();
+        let mut b2 = GraphBuilder::new();
+        load_turtle(&mut b2, &serialized).unwrap();
+        let g2 = b2.build();
         assert_eq!(g.len(), g2.len());
         for t in g.iter() {
             assert!(g2.contains(&t), "missing {t}");
@@ -581,11 +580,12 @@ mod tests {
     }
 
     #[test]
-    fn load_counts_only_fresh_triples() {
-        let mut g = Graph::new();
+    fn reloading_a_document_collapses_on_build() {
+        let mut b = GraphBuilder::new();
         let doc = "res:X a dbont:Book .";
-        assert_eq!(load_turtle(&mut g, doc).unwrap(), 1);
-        assert_eq!(load_turtle(&mut g, doc).unwrap(), 0);
+        assert_eq!(load_turtle(&mut b, doc).unwrap(), 1);
+        assert_eq!(load_turtle(&mut b, doc).unwrap(), 1);
+        assert_eq!(b.build().len(), 1);
     }
 
     #[test]

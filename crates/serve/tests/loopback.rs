@@ -184,12 +184,7 @@ fn full_telemetry_plane_over_loopback() {
     assert!(debug.get("traces").and_then(|t| t.get("held")).and_then(Json::as_u64).unwrap() >= 3);
     let (_, exposition) = get(addr, "/metrics");
     for name in [
-        "store_frozen_triples",
         "store_triples",
-        "store_overlay_len",
-        "store_tombstones",
-        "store_compactions",
-        "store_last_freeze_nanos",
         "sparql_cache_len",
         "sparql_cache_capacity",
         "traces_held",
@@ -236,7 +231,7 @@ fn full_telemetry_plane_over_loopback() {
     );
     // The join-operator split reaches the exposition: every executed BGP
     // step bumps exactly one of the three, first steps are always nested
-    // scans, and the Table-2 joins (type + property on a frozen store) ride
+    // scans, and the Table-2 joins (type + property) ride
     // the sort-merge path.
     for name in ["sparql_join_merge_total", "sparql_join_nested_total"] {
         assert!(after.contains(&format!("# TYPE {name} counter")), "missing counter {name}");

@@ -19,8 +19,9 @@
 //!   ([`relpat_rdf::sort_major_position`]); every operator preserves input
 //!   row order, so that sortedness survives the whole join pipeline. With
 //!   one varying component, consecutive permuted probe keys are
-//!   monotonically non-decreasing, and one forward cursor over the frozen
-//!   slice finds every key's range without restarting the binary search.
+//!   monotonically non-decreasing, and one forward cursor over the sorted
+//!   permutation slice finds every key's range without restarting the
+//!   binary search.
 //! - **Gallop** — chosen for any other step with at least one bound
 //!   variable (and for bound-variable-free cartesian steps, which collapse
 //!   to a single probe key): probe keys are deduplicated + sorted, then
@@ -30,9 +31,8 @@
 //!   dead patterns (a concrete term missing from the graph), any BGP below
 //!   a UNION/OPTIONAL (whose runtime bindings may bind variables this
 //!   lowering did not model, or bind them non-uniformly after a left join),
-//!   any plan built over a graph with a live overlay, and — downgraded at
-//!   run time — the final step of a LIMIT/ASK pushdown, which must stop
-//!   mid-slice.
+//!   and — downgraded at run time — the final step of a LIMIT/ASK pushdown,
+//!   which must stop mid-slice.
 //!
 //! Merge and gallop both count each distinct key's range once toward
 //! `sparql.rows_scanned`, which is exactly the probe work they do — and
@@ -140,7 +140,7 @@ fn lower_group(
     // (UNION alternatives, OPTIONAL bodies) receive correlated bindings the
     // lowering does not model — possibly non-uniform after a left join —
     // and stay on the nested fallback.
-    let sorted_aware = top_level && !opts.force_nested && graph.overlay_len() == 0;
+    let sorted_aware = top_level && !opts.force_nested;
     let mut node = Algebra::Bgp(plan_bgp(graph, &gp.triples, var_index, sorted_aware));
     for alternatives in &gp.unions {
         node = Algebra::Union {
@@ -297,10 +297,10 @@ fn score_pattern(
 mod tests {
     use super::*;
     use relpat_rdf::vocab::{dbont, rdf, res};
-    use relpat_rdf::Term;
+    use relpat_rdf::{GraphBuilder, Term};
 
     fn library() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let ty = Term::iri(rdf::TYPE);
         let book = Term::iri(dbont::iri("Book"));
         let writer = Term::iri(dbont::iri("writer"));
@@ -310,8 +310,7 @@ mod tests {
             g.add(b.clone(), ty.clone(), book.clone());
             g.add(b, writer.clone(), pamuk.clone());
         }
-        g.freeze();
-        g
+        g.build()
     }
 
     fn vi(vars: &[(&'static str, usize)]) -> FxHashMap<&'static str, usize> {
@@ -387,29 +386,6 @@ mod tests {
         let last = order.last().unwrap();
         assert_eq!(last.pattern_index, 2, "least selective pattern runs last");
         assert_eq!(last.algo, JoinAlgo::Gallop, "two bound variables cannot merge");
-    }
-
-    #[test]
-    fn live_overlay_disables_sorted_operators() {
-        let mut g = library();
-        g.add(Term::iri("extra"), Term::iri("p"), Term::iri("o")); // overlay entry
-        assert!(g.overlay_len() > 0);
-        let tps = vec![
-            TriplePattern::new(Term::var("x"), Term::iri(rdf::TYPE), Term::iri(dbont::iri("Book"))),
-            TriplePattern::new(
-                Term::var("x"),
-                Term::iri(dbont::iri("writer")),
-                Term::iri(res::iri("Orhan Pamuk")),
-            ),
-        ];
-        let planned = lower_pattern(
-            &g,
-            &GraphPattern { triples: tps, ..GraphPattern::default() },
-            None,
-            LowerOpts::default(),
-        );
-        let Algebra::Bgp(steps) = &planned.root else { panic!("flat BGP lowers to Bgp") };
-        assert!(steps.iter().all(|s| s.algo == JoinAlgo::Nested));
     }
 
     #[test]

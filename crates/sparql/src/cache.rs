@@ -300,10 +300,10 @@ enum Lookup {
 mod tests {
     use super::*;
     use relpat_rdf::vocab::{dbont, rdf, res};
-    use relpat_rdf::Term;
+    use relpat_rdf::{GraphBuilder, Term};
 
     fn graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.add(
             Term::iri(res::iri("Snow")),
             Term::iri(rdf::TYPE),
@@ -314,7 +314,7 @@ mod tests {
             Term::iri(dbont::iri("author")),
             Term::iri(res::iri("Orhan Pamuk")),
         );
-        g
+        g.build()
     }
 
     #[test]

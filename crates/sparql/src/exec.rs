@@ -535,8 +535,8 @@ fn join_steps(
         if algo != JoinAlgo::Nested
             && !join_batched(graph, tp, var_index, &bindings, algo, &mut next, &mut scanned)
         {
-            // The frozen index vanished under us (overlay write since
-            // planning) or the batch precondition failed: fall back.
+            // The batch precondition (uniformly bound probe rows) failed:
+            // fall back.
             algo = JoinAlgo::Nested;
             next = IdTable::new(bindings.width);
             scanned = scanned_before;
@@ -640,7 +640,7 @@ enum ProbePos {
 /// Batched sorted operators — merge and gallop. Both resolve the pattern's
 /// shape once from the first probe row (top-level BGP rows are uniform: every
 /// row binds exactly the variables earlier steps bound), route it to one
-/// frozen permutation slice, and locate each **distinct** probe key's range
+/// permutation slice, and locate each **distinct** probe key's range
 /// exactly once — merge with a forward cursor over non-decreasing keys,
 /// gallop by sorting + deduplicating the keys and `partition_point`-searching
 /// a strictly shrinking tail. `scanned` counts each distinct range once,
@@ -651,9 +651,8 @@ enum ProbePos {
 /// preservation is what keeps the binding stream sorted for downstream merge
 /// steps and the solution sequence bit-identical to the nested loop's.
 ///
-/// Returns `false` when the batch cannot run (the graph has grown an overlay
-/// since planning, or a supposedly bound variable is unbound in some row);
-/// the caller falls back to [`join_nested`].
+/// Returns `false` when the batch cannot run (a supposedly bound variable is
+/// unbound in some row); the caller falls back to [`join_nested`].
 fn join_batched(
     graph: &Graph,
     tp: &TriplePattern,
@@ -705,9 +704,7 @@ fn join_batched(
         })
     };
     let Some(rep) = representative(first) else { return false };
-    // `None` means the overlay is non-empty: the frozen slices alone no
-    // longer tell the whole truth and only the nested loop is correct.
-    let Some(probe) = graph.frozen_probe(rep) else { return false };
+    let probe = graph.probe(rep);
 
     // Every row's permuted probe key. All rows share the pattern's
     // Some/None structure, so they all route to `probe`'s permutation.
@@ -1034,10 +1031,10 @@ fn simple_regex_match(text: &str, pattern: &str, case_insensitive: bool) -> bool
 mod tests {
     use super::*;
     use relpat_rdf::vocab::{dbont, rdf, res};
-    use relpat_rdf::Literal;
+    use relpat_rdf::{GraphBuilder, Literal};
 
-    fn library() -> Graph {
-        let mut g = Graph::new();
+    fn library_builder() -> GraphBuilder {
+        let mut g = GraphBuilder::new();
         let ty = Term::iri(rdf::TYPE);
         let book = Term::iri(dbont::iri("Book"));
         let writer = Term::iri(dbont::iri("writer"));
@@ -1060,6 +1057,10 @@ mod tests {
             );
         }
         g
+    }
+
+    fn library() -> Graph {
+        library_builder().build()
     }
 
     fn select(g: &Graph, q: &str) -> Solutions {
@@ -1159,9 +1160,10 @@ mod tests {
 
     #[test]
     fn repeated_variable_consistency() {
-        let mut g = Graph::new();
-        g.add(Term::iri("a"), Term::iri("p"), Term::iri("a"));
-        g.add(Term::iri("a"), Term::iri("p"), Term::iri("b"));
+        let mut b = GraphBuilder::new();
+        b.add(Term::iri("a"), Term::iri("p"), Term::iri("a"));
+        b.add(Term::iri("a"), Term::iri("p"), Term::iri("b"));
+        let g = b.build();
         let sols = select(&g, "SELECT ?x { ?x <p> ?x }");
         assert_eq!(sols.rows.len(), 1);
     }
@@ -1222,13 +1224,14 @@ mod tests {
 
     #[test]
     fn optional_left_join_keeps_unmatched_rows() {
-        let mut g = library();
+        let mut b = library_builder();
         // Only Pamuk gets a birth place.
-        g.add(
+        b.add(
             Term::iri(res::iri("Orhan Pamuk")),
             Term::iri(dbont::iri("birthPlace")),
             Term::iri(res::iri("Istanbul")),
         );
+        let g = b.build();
         let sols = select(
             &g,
             "SELECT ?w ?p { ?x dbont:writer ?w OPTIONAL { ?w dbont:birthPlace ?p } }",
@@ -1252,12 +1255,13 @@ mod tests {
 
     #[test]
     fn union_concatenates_alternatives() {
-        let mut g = library();
-        g.add(
+        let mut b = library_builder();
+        b.add(
             Term::iri(res::iri("Snow")),
             Term::iri(dbont::iri("author")),
             Term::iri(res::iri("Orhan Pamuk")),
         );
+        let g = b.build();
         let sols = select(
             &g,
             "SELECT ?x { { ?x dbont:writer res:Orhan_Pamuk } UNION { ?x dbont:author res:Orhan_Pamuk } }",
@@ -1381,12 +1385,13 @@ mod tests {
 
     #[test]
     fn cross_pattern_join_on_shared_variable() {
-        let mut g = library();
-        g.add(
+        let mut b = library_builder();
+        b.add(
             Term::iri(res::iri("Orhan Pamuk")),
             Term::iri(dbont::iri("birthPlace")),
             Term::iri(res::iri("Istanbul")),
         );
+        let g = b.build();
         let sols = select(
             &g,
             "SELECT ?b ?c { ?b dbont:writer ?w . ?w dbont:birthPlace ?c }",

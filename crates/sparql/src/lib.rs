@@ -7,13 +7,14 @@
 //! `ORDER BY`, `LIMIT` and `OFFSET`.
 //!
 //! ```
-//! use relpat_rdf::{Graph, Term, vocab::{dbont, res, rdf}};
+//! use relpat_rdf::{GraphBuilder, Term, vocab::{dbont, res, rdf}};
 //! use relpat_sparql::query;
 //!
-//! let mut g = Graph::new();
-//! g.add(Term::iri(res::iri("Snow")), Term::iri(rdf::TYPE), Term::iri(dbont::iri("Book")));
-//! g.add(Term::iri(res::iri("Snow")), Term::iri(dbont::iri("writer")),
+//! let mut b = GraphBuilder::new();
+//! b.add(Term::iri(res::iri("Snow")), Term::iri(rdf::TYPE), Term::iri(dbont::iri("Book")));
+//! b.add(Term::iri(res::iri("Snow")), Term::iri(dbont::iri("writer")),
 //!       Term::iri(res::iri("Orhan Pamuk")));
+//! let g = b.build();
 //!
 //! let result = query(&g, "SELECT ?x WHERE { ?x rdf:type dbont:Book . \
 //!                         ?x dbont:writer res:Orhan_Pamuk . }").unwrap();

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use relpat_rdf::vocab::{dbont, rdf, res};
-use relpat_rdf::{Graph, IdPattern, Term};
+use relpat_rdf::{Graph, GraphBuilder, IdPattern, Term};
 use relpat_sparql::{execute, execute_traced, parse_query, query_traced, QueryCache};
 
 struct CountingAllocator;
@@ -54,9 +54,9 @@ fn exec_lock() -> MutexGuard<'static, ()> {
 }
 
 /// A fixed library graph: 3 typed books by one author, plus unrelated
-/// noise, frozen so planner estimates are exact index counts.
+/// noise.
 fn library() -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     let pamuk = Term::iri(res::iri("Orhan Pamuk"));
     for title in ["Snow", "My Name Is Red", "The White Castle"] {
         let book = Term::iri(res::iri(title));
@@ -68,8 +68,7 @@ fn library() -> Graph {
         Term::iri(rdf::TYPE),
         Term::iri(dbont::iri("City")),
     );
-    g.freeze();
-    g
+    g.build()
 }
 
 const QUERY: &str = "SELECT ?x { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk }";
@@ -207,14 +206,13 @@ fn nested_join_clones_only_surviving_rows() {
     // cloning the probe binding, so doubling the rejected rows must not
     // change the allocation count — only emitted rows pay for a clone.
     let graph_with_noise = |noise: usize| {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let p = Term::iri("p");
         g.add(Term::iri("loop"), p.clone(), Term::iri("loop"));
         for i in 0..noise {
             g.add(Term::iri(format!("s{i}")), p.clone(), Term::iri(format!("o{i}")));
         }
-        g.freeze();
-        g
+        g.build()
     };
     let small = graph_with_noise(64);
     let large = graph_with_noise(128);

@@ -19,16 +19,15 @@
 //! a seeded random-query fuzz over a seeded random graph.
 
 use relpat_obs::Rng;
-use relpat_rdf::{Graph, Term};
+use relpat_rdf::{Graph, GraphBuilder, Term};
 use relpat_sparql::{execute_nested_traced, execute_traced, parse_query, JoinAlgo};
 
 /// Seeded random graph: `entities` node IRIs `<e0>..`, `preds` predicate
 /// IRIs `<p0>..`, `triples` random edges plus a handful of guaranteed
-/// self-loops (repeated-variable fodder), frozen so the sorted operators
-/// are actually eligible.
+/// self-loops (repeated-variable fodder).
 fn random_graph(seed: u64, entities: usize, preds: usize, triples: usize) -> Graph {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     for _ in 0..triples {
         let s = rng.gen_range(0..entities);
         let p = rng.gen_range(0..preds);
@@ -42,8 +41,7 @@ fn random_graph(seed: u64, entities: usize, preds: usize, triples: usize) -> Gra
     for i in 0..entities.min(4) {
         g.add(Term::iri(format!("e{i}")), Term::iri("p0"), Term::iri(format!("e{i}")));
     }
-    g.freeze();
-    g
+    g.build()
 }
 
 /// Runs `q` through both executors; asserts identical solution sequences
@@ -158,10 +156,10 @@ fn repeated_variables_within_a_pattern() {
 
 #[test]
 fn empty_and_singleton_slices() {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     g.add(Term::iri("only-s"), Term::iri("only-p"), Term::iri("only-o"));
     g.add(Term::iri("a"), Term::iri("q"), Term::iri("b"));
-    g.freeze();
+    let g = g.build();
     for q in [
         // Dead concrete term (never interned): everything downstream empty.
         "SELECT ?x { ?x <only-p> <missing> . ?x <q> ?y }",

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use relpat_rdf::vocab::{dbont, rdf, rdfs, res};
-use relpat_rdf::{Graph, Literal, Term};
+use relpat_rdf::{Graph, GraphBuilder, Literal, Term};
 use relpat_sparql::{execute, parse_query, QueryCache, QueryResult};
 
 struct CountingAllocator;
@@ -54,10 +54,9 @@ fn exec_lock() -> MutexGuard<'static, ()> {
 /// Row counts every gate compares: N and 4N.
 const SIZES: [usize; 2] = [100, 400];
 
-/// `n` books, each with a page count, an English label and a release date,
-/// frozen so joins run over sorted slices.
+/// `n` books, each with a page count, an English label and a release date.
 fn books(n: usize) -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     for i in 0..n {
         let book = Term::iri(res::iri(&format!("Book {i}")));
         g.add(book.clone(), Term::iri(rdf::TYPE), Term::iri(dbont::iri("Book")));
@@ -74,8 +73,7 @@ fn books(n: usize) -> Graph {
         let (y, m, d) = (1900 + (i % 100) as i32, 1 + (i % 12) as u32, 1 + (i % 28) as u32);
         g.add(book, Term::iri(dbont::iri("releaseDate")), Term::Literal(Literal::date(y, m, d)));
     }
-    g.freeze();
-    g
+    g.build()
 }
 
 const PATTERN: &str = "?b rdf:type dbont:Book . ?b dbont:numberOfPages ?p . \

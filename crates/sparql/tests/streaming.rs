@@ -5,7 +5,7 @@
 //! function in their own integration-test binary, where no concurrent query
 //! can perturb the deltas.
 
-use relpat_rdf::{Graph, Term};
+use relpat_rdf::{Graph, GraphBuilder, Term};
 use relpat_rdf::vocab::{dbont, rdf, res};
 use relpat_sparql::query;
 
@@ -22,7 +22,7 @@ fn run(g: &Graph, q: &str) -> (usize, u64) {
 
 #[test]
 fn bare_limit_stops_the_scan_early() {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     let ty = Term::iri(rdf::TYPE);
     let book = Term::iri(dbont::iri("Book"));
     let writer = Term::iri(dbont::iri("writer"));
@@ -33,7 +33,7 @@ fn bare_limit_stops_the_scan_early() {
         g.add(b.clone(), ty.clone(), book.clone());
         g.add(b, writer.clone(), pamuk.clone());
     }
-    g.freeze();
+    let g = g.build();
 
     // Unlimited: the single-pattern scan must walk every matching triple.
     let (rows_all, scanned_all) = run(&g, "SELECT ?x { ?x rdf:type dbont:Book }");

@@ -6,7 +6,7 @@
 //! ```
 
 use relpat::kb::{generate, KbConfig};
-use relpat::rdf::{to_turtle, Graph, Term};
+use relpat::rdf::{to_turtle, GraphBuilder, Term};
 use relpat::sparql::QueryResult;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
 
     println!("\nEverything about Orhan Pamuk (Turtle):");
     let pamuk = Term::iri(relpat::rdf::vocab::res::iri("Orhan Pamuk"));
-    let mut subgraph = Graph::new();
+    let mut subgraph = GraphBuilder::new();
     for t in kb.graph.triples_matching(Some(&pamuk), None, None) {
         subgraph.insert(&t);
     }
@@ -48,7 +48,7 @@ fn main() {
             subgraph.insert(&t);
         }
     }
-    println!("{}", to_turtle(&subgraph));
+    println!("{}", to_turtle(&subgraph.build()));
 
     println!("Sample SPARQL — the paper's Query2:");
     let sols = kb

@@ -11,7 +11,7 @@
 use relpat::nlp::{lemmatize, tokenize, PosTag};
 use relpat::obs::Rng;
 use relpat::qa::{lcs_len, lcs_score};
-use relpat::rdf::{load_turtle, to_turtle, Graph, Literal, Term, Triple};
+use relpat::rdf::{load_turtle, to_turtle, Graph, GraphBuilder, Literal, Term, Triple};
 use relpat::sparql::query;
 use relpat::wordnet::{embedded, WnPos};
 
@@ -60,6 +60,14 @@ fn arb_triples(rng: &mut Rng, min: usize, max: usize) -> Vec<Triple> {
     (0..n).map(|_| arb_triple(rng)).collect()
 }
 
+fn build(triples: &[Triple]) -> Graph {
+    let mut b = GraphBuilder::new();
+    for t in triples {
+        b.insert(t);
+    }
+    b.build()
+}
+
 /// Runs `body` for `CASES` seeded cases, each with its own derived generator.
 fn sweep(test_tag: u64, body: impl Fn(&mut Rng)) {
     for case in 0..CASES {
@@ -74,10 +82,7 @@ fn sweep(test_tag: u64, body: impl Fn(&mut Rng)) {
 fn store_membership_matches_inserted_set() {
     sweep(1, |rng| {
         let triples = arb_triples(rng, 0, 40);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g = build(&triples);
         // Set semantics: length equals the number of distinct triples.
         let mut distinct = triples.clone();
         distinct.sort();
@@ -98,10 +103,7 @@ fn store_pattern_scans_agree_with_naive_filter() {
     sweep(2, |rng| {
         let triples = arb_triples(rng, 1, 30);
         let probe_idx = rng.gen_range(0usize..triples.len());
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g = build(&triples);
         let probe = &triples[probe_idx];
         let all: Vec<Triple> = g.iter().collect();
 
@@ -127,32 +129,13 @@ fn store_pattern_scans_agree_with_naive_filter() {
     });
 }
 
-#[test]
-fn store_remove_is_inverse_of_insert() {
-    sweep(3, |rng| {
-        let triples = arb_triples(rng, 1, 25);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
-        for t in &triples {
-            g.remove(t);
-        }
-        assert!(g.is_empty());
-        assert!(g.triples_matching(None, None, None).is_empty());
-    });
-}
-
 // ------------------------------------------------------------------ sparql
 
 #[test]
 fn sparql_spo_query_agrees_with_store() {
     sweep(4, |rng| {
         let triples = arb_triples(rng, 1, 25);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g = build(&triples);
         let sols = query(&g, "SELECT ?s ?p ?o { ?s ?p ?o }").unwrap().into_solutions().unwrap();
         assert_eq!(sols.len(), g.len());
         // A bound-subject query returns exactly that subject's triples.
@@ -168,10 +151,7 @@ fn sparql_limit_caps_results() {
     sweep(5, |rng| {
         let triples = arb_triples(rng, 1, 25);
         let limit = rng.gen_range(0usize..10);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g = build(&triples);
         let sols = query(&g, &format!("SELECT ?s {{ ?s ?p ?o }} LIMIT {limit}"))
             .unwrap()
             .into_solutions().unwrap();
@@ -186,13 +166,11 @@ fn sparql_limit_caps_results() {
 fn turtle_round_trip_preserves_graph() {
     sweep(6, |rng| {
         let triples = arb_triples(rng, 0, 25);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g = build(&triples);
         let ttl = to_turtle(&g);
-        let mut g2 = Graph::new();
-        load_turtle(&mut g2, &ttl).unwrap();
+        let mut b2 = GraphBuilder::new();
+        load_turtle(&mut b2, &ttl).unwrap();
+        let g2 = b2.build();
         assert_eq!(g.len(), g2.len());
         for t in g.iter() {
             assert!(g2.contains(&t), "lost {t}");

@@ -2,7 +2,7 @@
 
 use relpat::kb::{generate, normalize_label, KbConfig, Ontology};
 use relpat::patterns::{mine, CorpusConfig};
-use relpat::rdf::{load_turtle, parse_ntriples, to_ntriples, to_turtle, Graph, Term};
+use relpat::rdf::{load_turtle, parse_ntriples, to_ntriples, to_turtle, GraphBuilder, Term};
 use relpat::sparql::{query, QueryResult};
 
 #[test]
@@ -15,8 +15,9 @@ fn turtle_to_sparql_round_trip() {
         res:Orhan_Pamuk a dbont:Writer ;
             rdfs:label "Orhan Pamuk"@en .
     "#;
-    let mut g = Graph::new();
-    assert_eq!(load_turtle(&mut g, doc).unwrap(), 6);
+    let mut b = GraphBuilder::new();
+    assert_eq!(load_turtle(&mut b, doc).unwrap(), 6);
+    let g = b.build();
 
     let result = query(&g, "SELECT ?x { ?x dbont:author res:Orhan_Pamuk }").unwrap();
     let sols = result.into_solutions().unwrap();
@@ -24,8 +25,9 @@ fn turtle_to_sparql_round_trip() {
 
     // Serialize → reparse → same answers.
     let ttl = to_turtle(&g);
-    let mut g2 = Graph::new();
-    load_turtle(&mut g2, &ttl).unwrap();
+    let mut b2 = GraphBuilder::new();
+    load_turtle(&mut b2, &ttl).unwrap();
+    let g2 = b2.build();
     let sols2 = query(&g2, "SELECT ?x { ?x dbont:author res:Orhan_Pamuk }")
         .unwrap()
         .into_solutions().unwrap();
@@ -38,10 +40,11 @@ fn ntriples_preserves_generated_kb() {
     let nt = to_ntriples(&kb.graph);
     let triples = parse_ntriples(&nt).unwrap();
     assert_eq!(triples.len(), kb.len());
-    let mut g2 = Graph::new();
+    let mut b2 = GraphBuilder::new();
     for t in &triples {
-        g2.insert(t);
+        b2.insert(t);
     }
+    let g2 = b2.build();
     // The reloaded graph answers the paper query identically.
     let q = "SELECT ?x { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk }";
     let a = kb.query(q).unwrap().into_solutions().unwrap();
