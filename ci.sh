@@ -36,6 +36,9 @@ cargo bench -p relpat-bench --bench obs_overhead -- --smoke
 echo "=== store scaling smoke (paper + 100k tiers) ==="
 cargo bench -p relpat-bench --bench store_scaling -- --smoke
 
+echo "=== pattern mining smoke (x1 + x12, pinned mined-pattern fingerprints) ==="
+cargo bench -p relpat-bench --bench pattern_mining -- --smoke
+
 echo "=== bench-diff regression sentinel self-test ==="
 cargo run --release -q -p relpat-bench --bin bench-diff -- --smoke BENCH_store_scaling.json
 

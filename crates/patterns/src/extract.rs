@@ -6,86 +6,215 @@
 //! between the pair in the KB (distant supervision). Ambiguous mentions
 //! contribute through every reading that matches a fact, which is exactly
 //! how noisy patterns (and PATTY's `born in` / `deathPlace` artifact) arise.
+//!
+//! Everything after tokenization runs in id space: mentions resolve to graph
+//! [`TermId`]s once, through a trie of label words; each candidate pair costs
+//! one `(e1, ?, e2)` and one `(e2, ?, e1)` probe; occurrences name their
+//! pattern by an interned id and their property by the ontology's
+//! `&'static str`.
 
-use relpat_kb::{normalize_label, KnowledgeBase};
+use std::rc::Rc;
+
+use relpat_kb::KnowledgeBase;
 use relpat_nlp::{tag, tokenize, PosTag};
-use relpat_rdf::vocab::dbont;
-use relpat_rdf::{Iri, Term};
 use relpat_obs::fx::FxHashMap;
+use relpat_rdf::vocab::dbont;
+use relpat_rdf::{Graph, IdPattern, Term, TermId};
 
 use crate::corpus::Sentence;
 
 /// One supervised pattern occurrence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occurrence {
-    /// Normalized pattern text, e.g. `"bear in"`, `"capital of"`; data
-    /// patterns mark the literal position with `$v` (`"$v meter tall"`).
-    pub pattern: String,
+    /// Id of the normalized pattern text in the owning [`Occurrences`]
+    /// (`"bear in"`, `"capital of"`; data patterns mark the literal
+    /// position with `$v`, as in `"$v meter tall"`).
+    pub pattern: u32,
     /// Property local name the pair supports (`birthPlace`).
-    pub property: String,
+    pub property: &'static str,
     /// True when the textual order is object-then-subject relative to the
     /// RDF fact (`{O} wrote {S}` → the `author` fact runs S→O in RDF).
     pub inverse: bool,
     /// True for data-property patterns (entity–literal, not entity–entity).
     pub is_data: bool,
-    /// The supporting entity pair, in textual order (for data patterns the
-    /// second element is the subject again; support sets still distinguish
-    /// facts).
-    pub pair: (Iri, Iri),
+    /// The supporting entity pair as graph term ids, in textual order (for
+    /// data patterns the second element is the subject again; support sets
+    /// still distinguish facts).
+    pub pair: (TermId, TermId),
 }
 
-/// An entity mention in a token stream.
-#[derive(Debug, Clone)]
-struct Mention {
-    start: usize,
-    end: usize, // exclusive
-    entities: Vec<Iri>,
+/// Extraction output: occurrences in corpus order, plus the distinct
+/// pattern texts they name. Pattern ids are handed out by [`push`], so they
+/// number patterns in order of first occurrence.
+///
+/// [`push`]: Occurrences::push
+#[derive(Debug, Default, Clone)]
+pub struct Occurrences {
+    patterns: Vec<String>,
+    ids: FxHashMap<String, u32>,
+    list: Vec<Occurrence>,
 }
 
-/// Detects KB-entity mentions by longest-match label lookup.
-pub struct MentionDetector<'kb> {
-    kb: &'kb KnowledgeBase,
+impl Occurrences {
+    /// Appends an occurrence of `pattern`, interning the text.
+    pub fn push(
+        &mut self,
+        pattern: &str,
+        property: &'static str,
+        inverse: bool,
+        is_data: bool,
+        pair: (TermId, TermId),
+    ) {
+        let pattern = match self.ids.get(pattern) {
+            Some(&id) => id,
+            None => {
+                let id = self.patterns.len() as u32;
+                self.patterns.push(pattern.to_string());
+                self.ids.insert(pattern.to_string(), id);
+                id
+            }
+        };
+        self.list.push(Occurrence { pattern, property, inverse, is_data, pair });
+    }
+
+    /// The text of pattern `id`.
+    pub fn pattern(&self, id: u32) -> &str {
+        &self.patterns[id as usize]
+    }
+
+    /// Distinct pattern texts, indexed by [`Occurrence::pattern`].
+    pub fn patterns(&self) -> &[String] {
+        &self.patterns
+    }
+
+    /// Occurrences in extraction order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Occurrence> {
+        self.list.iter()
+    }
+
+    pub fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.list.is_empty()
+    }
+}
+
+/// An entity mention in a token stream: tokens `start..end` name every
+/// entity in `entities` (all readings of an ambiguous label).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Mention<'d> {
+    pub start: usize,
+    /// Exclusive.
+    pub end: usize,
+    pub entities: &'d [TermId],
+}
+
+/// Node 0 is the root.
+const ROOT: u32 = 0;
+
+/// Detects KB-entity mentions by longest-match label lookup, walking a trie
+/// of lowercased label words built once from the label index.
+///
+/// A span matches the label key its words normalize to. Looking a span up
+/// normalizes it twice (once by the caller, once by
+/// [`KnowledgeBase::entities_with_label`]), so up to two leading articles
+/// (`the`/`a`/`an`) are dropped, each only while a word follows it. The walk
+/// reproduces that: it starts past the leading articles, and a span made
+/// only of articles looks up its last one.
+pub struct MentionDetector {
+    /// Lowercased label word → word id.
+    words: FxHashMap<String, u32>,
+    /// `(node, word id)` → child node.
+    edges: FxHashMap<(u32, u32), u32>,
+    /// Per node: the entities whose label key ends there.
+    labels: Vec<Option<Box<[TermId]>>>,
+    /// Longest label in words, plus one for a leading article.
     max_label_tokens: usize,
 }
 
-impl<'kb> MentionDetector<'kb> {
-    pub fn new(kb: &'kb KnowledgeBase) -> Self {
-        let max_label_tokens = kb
-            .labels_iter()
-            .map(|(l, _)| l.split_whitespace().count() + 1) // +1 for articles
-            .max()
-            .unwrap_or(1);
-        MentionDetector { kb, max_label_tokens }
+impl MentionDetector {
+    pub fn new(kb: &KnowledgeBase) -> Self {
+        let mut detector = MentionDetector {
+            words: FxHashMap::default(),
+            edges: FxHashMap::default(),
+            labels: vec![None],
+            max_label_tokens: 1,
+        };
+        for (key, iris) in kb.labels_iter() {
+            let mut node = ROOT;
+            let mut len = 0;
+            for word in key.split_whitespace() {
+                len += 1;
+                let next_word = detector.words.len() as u32;
+                let w = *detector.words.entry(word.to_string()).or_insert(next_word);
+                let next_node = detector.labels.len() as u32;
+                node = *detector.edges.entry((node, w)).or_insert(next_node);
+                if node == next_node {
+                    detector.labels.push(None);
+                }
+            }
+            detector.max_label_tokens = detector.max_label_tokens.max(len + 1);
+            if node == ROOT {
+                continue; // an empty key is never looked up
+            }
+            let entities = iris
+                .iter()
+                .filter_map(|iri| kb.graph.term_id(&Term::Iri(iri.clone())))
+                .collect();
+            detector.labels[node as usize] = Some(entities);
+        }
+        detector
     }
 
     /// Finds non-overlapping mentions, longest-first greedy left-to-right.
-    fn detect(&self, tokens: &[String]) -> Vec<Mention> {
+    pub fn detect(&self, tokens: &[String]) -> Vec<Mention<'_>> {
+        // Per token: its label-word id (if any label uses it) and whether it
+        // is an article.
+        let words: Vec<(Option<u32>, bool)> = tokens
+            .iter()
+            .map(|t| {
+                let lower = t.to_lowercase();
+                let article = matches!(lower.as_str(), "the" | "a" | "an");
+                (self.words.get(&lower).copied(), article)
+            })
+            .collect();
         let mut mentions = Vec::new();
         let mut i = 0;
-        while i < tokens.len() {
-            let mut found = None;
-            let max_j = (i + self.max_label_tokens).min(tokens.len());
-            for j in (i + 1..=max_j).rev() {
-                let span = tokens[i..j].join(" ");
-                let normalized = normalize_label(&span);
-                if normalized.is_empty() {
-                    continue;
-                }
-                let hits = self.kb.entities_with_label(&normalized);
-                if !hits.is_empty() {
-                    found = Some(Mention { start: i, end: j, entities: hits.to_vec() });
-                    break;
-                }
-            }
-            match found {
-                Some(m) => {
-                    i = m.end;
-                    mentions.push(m);
+        while i < words.len() {
+            match self.longest_at(&words, i) {
+                Some((end, entities)) => {
+                    mentions.push(Mention { start: i, end, entities });
+                    i = end;
                 }
                 None => i += 1,
             }
         }
         mentions
+    }
+
+    /// The longest labelled span starting at token `i`: its end and entities.
+    fn longest_at(&self, words: &[(Option<u32>, bool)], i: usize) -> Option<(usize, &[TermId])> {
+        let max_j = (i + self.max_label_tokens).min(words.len());
+        let articles = words[i..max_j].iter().take(2).take_while(|w| w.1).count();
+        let mut best = None;
+        let mut node = ROOT;
+        for (j, &(word, _)) in words.iter().enumerate().take(max_j).skip(i + articles) {
+            let Some(&next) = word.and_then(|w| self.edges.get(&(node, w))) else { break };
+            node = next;
+            if let Some(entities) = &self.labels[node as usize] {
+                best = Some((j + 1, &entities[..]));
+            }
+        }
+        if best.is_some() {
+            return best;
+        }
+        // Only articles: "the a" is looked up as "a", "the" as "the".
+        (0..articles).rev().find_map(|k| {
+            let node = words[i + k].0.and_then(|w| self.edges.get(&(ROOT, w)))?;
+            Some((i + k + 1, self.labels[*node as usize].as_deref()?))
+        })
     }
 }
 
@@ -116,24 +245,110 @@ pub fn normalize_pattern(words: &[String]) -> String {
     kept.join(" ")
 }
 
-/// Extracts supervised pattern occurrences from a corpus.
-pub fn extract_occurrences(kb: &KnowledgeBase, corpus: &[Sentence]) -> Vec<Occurrence> {
-    let detector = MentionDetector::new(kb);
-    let mut out = Vec::new();
-    // Cache predicate terms to avoid re-making them per sentence.
-    let props: Vec<(String, Term)> = kb
-        .ontology
-        .object_properties
-        .iter()
-        .map(|p| (p.name.to_string(), Term::iri(dbont::iri(p.name))))
-        .collect();
+/// [`normalize_pattern`] memoized per distinct token slice: a corpus repeats
+/// a few hundred connecting phrases across tens of thousands of sentences.
+#[derive(Default)]
+struct PatternMemo(FxHashMap<Vec<String>, Rc<str>>);
 
-    let data_props: Vec<(String, Term)> = kb
-        .ontology
-        .data_properties
-        .iter()
-        .map(|p| (p.name.to_string(), Term::iri(dbont::iri(p.name))))
-        .collect();
+impl PatternMemo {
+    fn get(&mut self, words: &[String]) -> Rc<str> {
+        if let Some(pattern) = self.0.get(words) {
+            return pattern.clone();
+        }
+        let pattern: Rc<str> = normalize_pattern(words).into();
+        self.0.insert(words.to_vec(), pattern.clone());
+        pattern
+    }
+}
+
+/// Distant supervision over graph ids: which ontology properties hold
+/// between two entities, or between an entity and a literal.
+struct Supervisor<'kb> {
+    graph: &'kb Graph,
+    /// Object properties in ontology order, with their predicate ids (`None`
+    /// when the graph has no such fact at all).
+    object_props: Vec<(&'static str, Option<TermId>)>,
+    data_props: Vec<(&'static str, Option<TermId>)>,
+    /// Predicates found by the current probes, reused across calls
+    /// (`forward` also collects a data probe's matches).
+    forward: Vec<TermId>,
+    inverse: Vec<TermId>,
+}
+
+impl<'kb> Supervisor<'kb> {
+    fn new(kb: &'kb KnowledgeBase) -> Self {
+        let id = |name: &str| kb.graph.term_id(&Term::iri(dbont::iri(name)));
+        Supervisor {
+            graph: &kb.graph,
+            object_props: kb
+                .ontology
+                .object_properties
+                .iter()
+                .map(|p| (p.name, id(p.name)))
+                .collect(),
+            data_props: kb.ontology.data_properties.iter().map(|p| (p.name, id(p.name))).collect(),
+            forward: Vec::new(),
+            inverse: Vec::new(),
+        }
+    }
+
+    /// Predicates linking `s` to `o`: one OSP-routed probe.
+    fn predicates(graph: &Graph, s: TermId, o: TermId, out: &mut Vec<TermId>) {
+        out.clear();
+        let pattern = IdPattern { subject: Some(s), predicate: None, object: Some(o) };
+        out.extend(graph.scan_iter(pattern).map(|(_, p, _)| p));
+    }
+
+    /// Calls `emit(property, inverse)` for each object property holding
+    /// between textual pair `(e1, e2)`: forward (`e1 p e2`) then inverse
+    /// (`e2 p e1`) per property, in ontology order.
+    fn object_facts(
+        &mut self,
+        (e1, e2): (TermId, TermId),
+        mut emit: impl FnMut(&'static str, bool),
+    ) {
+        Self::predicates(self.graph, e1, e2, &mut self.forward);
+        Self::predicates(self.graph, e2, e1, &mut self.inverse);
+        if self.forward.is_empty() && self.inverse.is_empty() {
+            return;
+        }
+        for &(name, id) in &self.object_props {
+            let Some(id) = id else { continue };
+            if self.forward.contains(&id) {
+                emit(name, false);
+            }
+            if self.inverse.contains(&id) {
+                emit(name, true);
+            }
+        }
+    }
+
+    /// Calls `emit(property)` for each data property of `entity` with a
+    /// literal whose lexical form is `token`, in ontology order.
+    fn data_facts(&mut self, entity: TermId, token: &str, mut emit: impl FnMut(&'static str)) {
+        self.forward.clear();
+        let pattern = IdPattern { subject: Some(entity), predicate: None, object: None };
+        for (_, p, o) in self.graph.scan_iter(pattern) {
+            if self.data_props.iter().any(|&(_, id)| id == Some(p))
+                && self.graph.term(o).as_literal().is_some_and(|l| l.lexical_form() == token)
+            {
+                self.forward.push(p);
+            }
+        }
+        for &(name, id) in &self.data_props {
+            if id.is_some_and(|id| self.forward.contains(&id)) {
+                emit(name);
+            }
+        }
+    }
+}
+
+/// Extracts supervised pattern occurrences from a corpus.
+pub fn extract_occurrences(kb: &KnowledgeBase, corpus: &[Sentence]) -> Occurrences {
+    let detector = MentionDetector::new(kb);
+    let mut supervisor = Supervisor::new(kb);
+    let mut memo = PatternMemo::default();
+    let mut out = Occurrences::default();
 
     for sentence in corpus {
         let tokens = tokenize(&sentence.text);
@@ -149,51 +364,40 @@ pub fn extract_occurrences(kb: &KnowledgeBase, corpus: &[Sentence]) -> Vec<Occur
             if between.is_empty() || between.len() > 6 {
                 continue;
             }
-            let pattern = normalize_pattern(between);
+            let pattern = memo.get(between);
             if pattern.is_empty() {
                 continue;
             }
-            for e1 in &m1.entities {
-                for e2 in &m2.entities {
-                    let t1 = Term::Iri(e1.clone());
-                    let t2 = Term::Iri(e2.clone());
-                    for (name, pred) in &props {
-                        // Forward: textual (e1, e2) matches RDF (e1 p e2).
-                        if !kb.graph.triples_matching(Some(&t1), Some(pred), Some(&t2)).is_empty()
-                        {
-                            out.push(Occurrence {
-                                pattern: pattern.clone(),
-                                property: name.clone(),
-                                inverse: false,
-                                is_data: false,
-                                pair: (e1.clone(), e2.clone()),
-                            });
-                        }
-                        if !kb.graph.triples_matching(Some(&t2), Some(pred), Some(&t1)).is_empty()
-                        {
-                            out.push(Occurrence {
-                                pattern: pattern.clone(),
-                                property: name.clone(),
-                                inverse: true,
-                                is_data: false,
-                                pair: (e1.clone(), e2.clone()),
-                            });
-                        }
-                    }
+            for &e1 in m1.entities {
+                for &e2 in m2.entities {
+                    supervisor.object_facts((e1, e2), |property, inverse| {
+                        out.push(&pattern, property, inverse, false, (e1, e2));
+                    });
                 }
             }
         }
 
         // Data patterns: one entity mention + one literal-looking token.
-        extract_data_occurrences(kb, &tokens, &mentions, &data_props, &mut out);
+        extract_data_occurrences(&mut supervisor, &tokens, &mentions, &mut memo, &mut out);
     }
     out
 }
 
-/// A token that could be a literal value: number or ISO date.
+/// A token that could be a literal value: a decimal number (`42`, `-3`,
+/// `1.98`) or an ISO `YYYY-MM-DD` date.
 fn is_literal_token(token: &str) -> bool {
-    token.parse::<f64>().is_ok()
-        || (token.len() == 10 && token.as_bytes()[4] == b'-' && token.as_bytes()[7] == b'-')
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = token.strip_prefix('-').unwrap_or(token);
+    let decimal = match unsigned.split_once('.') {
+        Some((int, frac)) => digits(int) && digits(frac),
+        None => digits(unsigned),
+    };
+    let date = token.len() == 10
+        && token.bytes().enumerate().all(|(i, b)| match i {
+            4 | 7 => b == b'-',
+            _ => b.is_ascii_digit(),
+        });
+    decimal || date
 }
 
 /// Lifts entity–literal patterns: the connecting text plus up to three
@@ -201,11 +405,11 @@ fn is_literal_token(token: &str) -> bool {
 /// `$v` (`"X is 1.98 meters tall"` → `"$v meter tall"`). Supervised against
 /// data-property facts whose lexical form equals the token.
 fn extract_data_occurrences(
-    kb: &KnowledgeBase,
+    supervisor: &mut Supervisor<'_>,
     tokens: &[String],
-    mentions: &[Mention],
-    data_props: &[(String, Term)],
-    out: &mut Vec<Occurrence>,
+    mentions: &[Mention<'_>],
+    memo: &mut PatternMemo,
+    out: &mut Occurrences,
 ) {
     for m in mentions {
         for (li, token) in tokens.iter().enumerate() {
@@ -216,15 +420,15 @@ fn extract_data_occurrences(
                 if li - m.end > 6 {
                     continue;
                 }
-                let prefix = normalize_pattern(&tokens[m.end..li]);
+                let prefix = memo.get(&tokens[m.end..li]);
                 let tail_end = (li + 4).min(tokens.len());
-                let suffix = normalize_pattern(&tokens[li + 1..tail_end]);
+                let suffix = memo.get(&tokens[li + 1..tail_end]);
                 join_data_pattern(&prefix, &suffix)
             } else {
                 if m.start - li > 6 {
                     continue;
                 }
-                let between = normalize_pattern(&tokens[li + 1..m.start]);
+                let between = memo.get(&tokens[li + 1..m.start]);
                 if between.is_empty() {
                     continue;
                 }
@@ -233,28 +437,10 @@ fn extract_data_occurrences(
             if pattern == "$v" {
                 continue;
             }
-            for entity in &m.entities {
-                let subject = Term::Iri(entity.clone());
-                for (name, pred) in data_props {
-                    let matches = kb
-                        .graph
-                        .triples_matching(Some(&subject), Some(pred), None)
-                        .into_iter()
-                        .any(|t| {
-                            t.object
-                                .as_literal()
-                                .is_some_and(|l| l.lexical_form() == token)
-                        });
-                    if matches {
-                        out.push(Occurrence {
-                            pattern: pattern.clone(),
-                            property: name.clone(),
-                            inverse: false,
-                            is_data: true,
-                            pair: (entity.clone(), entity.clone()),
-                        });
-                    }
-                }
+            for &entity in m.entities {
+                supervisor.data_facts(entity, token, |property| {
+                    out.push(&pattern, property, false, true, (entity, entity));
+                });
             }
         }
     }
@@ -269,25 +455,35 @@ fn join_data_pattern(prefix: &str, suffix: &str) -> String {
     }
 }
 
-/// Convenience: dense ids for entity pairs (used by the support-set
-/// prefix tree).
+/// Dense ids for entity pairs, in first-interned order (used by the
+/// support-set prefix tree).
 #[derive(Debug, Default)]
 pub struct PairInterner {
-    ids: FxHashMap<(Iri, Iri), u32>,
+    ids: FxHashMap<(TermId, TermId), u32>,
+    pairs: Vec<(TermId, TermId)>,
 }
 
 impl PairInterner {
-    pub fn intern(&mut self, pair: &(Iri, Iri)) -> u32 {
-        let next = self.ids.len() as u32;
-        *self.ids.entry(pair.clone()).or_insert(next)
+    pub fn intern(&mut self, pair: (TermId, TermId)) -> u32 {
+        let next = self.pairs.len() as u32;
+        let id = *self.ids.entry(pair).or_insert(next);
+        if id == next {
+            self.pairs.push(pair);
+        }
+        id
+    }
+
+    /// Interned pairs, indexed by id.
+    pub fn pairs(&self) -> &[(TermId, TermId)] {
+        &self.pairs
     }
 
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.pairs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.pairs.is_empty()
     }
 }
 
@@ -299,6 +495,10 @@ mod tests {
 
     fn kb() -> KnowledgeBase {
         generate(&KbConfig::tiny())
+    }
+
+    fn iri(kb: &KnowledgeBase, id: TermId) -> &str {
+        kb.graph.term(id).as_iri().unwrap().as_str()
     }
 
     #[test]
@@ -314,6 +514,16 @@ mod tests {
     }
 
     #[test]
+    fn pattern_memo_agrees_with_normalize_pattern() {
+        let mut memo = PatternMemo::default();
+        for s in ["was born in", "is the capital of", "was born in", "wrote"] {
+            let words = tokenize(s);
+            assert_eq!(&*memo.get(&words), normalize_pattern(&words));
+        }
+        assert_eq!(memo.0.len(), 3);
+    }
+
+    #[test]
     fn mention_detection_finds_paper_entities() {
         let kb = kb();
         let detector = MentionDetector::new(&kb);
@@ -321,7 +531,7 @@ mod tests {
         let mentions = detector.detect(&tokens);
         assert_eq!(mentions.len(), 2);
         assert_eq!(mentions[0].entities.len(), 1);
-        assert!(mentions[1].entities[0].as_str().ends_with("Orhan_Pamuk"));
+        assert!(iri(&kb, mentions[1].entities[0]).ends_with("Orhan_Pamuk"));
     }
 
     #[test]
@@ -349,7 +559,9 @@ mod tests {
         let corpus = vec![Sentence { text: "Snow was written by Orhan Pamuk.".into() }];
         let occ = extract_occurrences(&kb, &corpus);
         assert!(
-            occ.iter().any(|o| o.property == "author" && o.pattern == "write by" && !o.inverse),
+            occ.iter().any(|o| o.property == "author"
+                && occ.pattern(o.pattern) == "write by"
+                && !o.inverse),
             "got {occ:?}"
         );
     }
@@ -370,23 +582,53 @@ mod tests {
         let occ = extract_occurrences(&kb, &corpus);
         assert!(occ.len() > 200, "only {} occurrences", occ.len());
         // Core paper pattern: "die in" supports deathPlace.
-        assert!(occ.iter().any(|o| o.pattern == "die in" && o.property == "deathPlace"));
+        assert!(occ
+            .iter()
+            .any(|o| occ.pattern(o.pattern) == "die in" && o.property == "deathPlace"));
         // And the noise: some "bear in/at" occurrence supports deathPlace
         // (possible because of injected confusions or co-located facts) —
         // at minimum birthPlace support must dominate.
-        let bear_birth =
-            occ.iter().filter(|o| o.pattern.starts_with("bear") && o.property == "birthPlace").count();
+        let bear_birth = occ
+            .iter()
+            .filter(|o| occ.pattern(o.pattern).starts_with("bear") && o.property == "birthPlace")
+            .count();
         assert!(bear_birth > 0);
+    }
+
+    #[test]
+    fn pattern_ids_follow_first_occurrence() {
+        let mut occ = Occurrences::default();
+        let pair = (TermId(1), TermId(2));
+        occ.push("die in", "deathPlace", false, false, pair);
+        occ.push("bear in", "birthPlace", false, false, pair);
+        occ.push("die in", "deathPlace", false, false, pair);
+        let ids: Vec<u32> = occ.iter().map(|o| o.pattern).collect();
+        assert_eq!(ids, [0, 1, 0]);
+        assert_eq!(occ.patterns(), ["die in", "bear in"]);
+    }
+
+    #[test]
+    fn literal_tokens_are_decimals_or_iso_dates() {
+        for t in ["42", "-3", "1.98", "0.5", "1961-08-04"] {
+            assert!(is_literal_token(t), "{t}");
+        }
+        for t in [
+            "NaN", "nan", "inf", "-inf", "Infinity", "1e5", "+3", "1.", ".5", "1.2.3", "-",
+            "abcd-ef-gh", "1961-8-04x", "19610-8-04", "", "tall",
+        ] {
+            assert!(!is_literal_token(t), "{t}");
+        }
     }
 
     #[test]
     fn pair_interner_is_stable() {
         let mut pi = PairInterner::default();
-        let a = (Iri::new("http://e/a"), Iri::new("http://e/b"));
-        let b = (Iri::new("http://e/b"), Iri::new("http://e/a"));
-        assert_eq!(pi.intern(&a), 0);
-        assert_eq!(pi.intern(&b), 1);
-        assert_eq!(pi.intern(&a), 0);
+        let a = (TermId(7), TermId(9));
+        let b = (TermId(9), TermId(7));
+        assert_eq!(pi.intern(a), 0);
+        assert_eq!(pi.intern(b), 1);
+        assert_eq!(pi.intern(a), 0);
         assert_eq!(pi.len(), 2);
+        assert_eq!(pi.pairs(), [a, b]);
     }
 }

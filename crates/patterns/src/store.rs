@@ -14,7 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use relpat_obs::fx::FxHashMap;
 use relpat_obs::PatternLookupStats;
 
-use crate::extract::Occurrence;
+use crate::extract::Occurrences;
+
+/// `(property, inverse, is_data)`: what one candidate list entry counts.
+type PropKey = (&'static str, bool, bool);
 
 /// A property candidate with its evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,35 +52,47 @@ pub struct PatternStore {
 
 impl PatternStore {
     /// Aggregates occurrences into the store.
-    pub fn from_occurrences(occurrences: &[Occurrence]) -> Self {
-        let mut phrase: FxHashMap<String, FxHashMap<(String, bool, bool), u64>> =
-            FxHashMap::default();
-        for o in occurrences {
-            *phrase
-                .entry(o.pattern.clone())
-                .or_default()
-                .entry((o.property.clone(), o.inverse, o.is_data))
-                .or_insert(0) += 1;
+    pub fn from_occurrences(occurrences: &Occurrences) -> Self {
+        // Count in id space, keeping each pattern's keys in first-seen order.
+        let mut counts: Vec<Vec<(PropKey, u64)>> = vec![Vec::new(); occurrences.patterns().len()];
+        for o in occurrences.iter() {
+            let key = (o.property, o.inverse, o.is_data);
+            let keys = &mut counts[o.pattern as usize];
+            match keys.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, n)) => *n += 1,
+                None => keys.push((key, 1)),
+            }
         }
 
-        let mut word: FxHashMap<String, FxHashMap<(String, bool, bool), u64>> =
-            FxHashMap::default();
+        // Pattern ids and each key list follow first occurrence, so these
+        // inserts replay the order an occurrence-at-a-time count would make:
+        // the maps get the same layout, and `sorted` the same tie order.
+        let mut phrase: FxHashMap<&str, FxHashMap<PropKey, u64>> = FxHashMap::default();
+        for (pattern, keys) in occurrences.patterns().iter().zip(counts) {
+            let mut props = FxHashMap::default();
+            for (key, n) in keys {
+                props.insert(key, n);
+            }
+            phrase.insert(pattern, props);
+        }
+
+        let mut word: FxHashMap<&str, FxHashMap<PropKey, u64>> = FxHashMap::default();
         for (pattern, props) in &phrase {
             for token in pattern.split_whitespace() {
                 if is_function_word(token) || token == "$v" {
                     continue;
                 }
-                let entry = word.entry(token.to_string()).or_default();
-                for (key, freq) in props {
-                    *entry.entry(key.clone()).or_insert(0) += freq;
+                let entry = word.entry(token).or_default();
+                for (&key, freq) in props {
+                    *entry.entry(key).or_insert(0) += freq;
                 }
             }
         }
 
         let pattern_count = phrase.len();
         PatternStore {
-            phrase_index: phrase.into_iter().map(|(k, v)| (k, sorted(v))).collect(),
-            word_index: word.into_iter().map(|(k, v)| (k, sorted(v))).collect(),
+            phrase_index: phrase.into_iter().map(|(k, v)| (k.to_string(), sorted(v))).collect(),
+            word_index: word.into_iter().map(|(k, v)| (k.to_string(), sorted(v))).collect(),
             pattern_count,
             ..PatternStore::default()
         }
@@ -128,17 +143,23 @@ impl PatternStore {
         self.pattern_count
     }
 
+    /// All indexed words with their candidates (for reports and the mined
+    /// fingerprint).
+    pub fn words(&self) -> impl Iterator<Item = (&str, &[PropertyFreq])> {
+        self.word_index.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+    }
+
     /// All normalized patterns (for taxonomy construction and reports).
     pub fn patterns(&self) -> impl Iterator<Item = (&str, &[PropertyFreq])> {
         self.phrase_index.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 }
 
-fn sorted(map: FxHashMap<(String, bool, bool), u64>) -> Vec<PropertyFreq> {
+fn sorted(map: FxHashMap<PropKey, u64>) -> Vec<PropertyFreq> {
     let mut v: Vec<PropertyFreq> = map
         .into_iter()
         .map(|((property, inverse, is_data), freq)| PropertyFreq {
-            property,
+            property: property.to_string(),
             inverse,
             is_data,
             freq,
@@ -159,32 +180,26 @@ fn is_function_word(word: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relpat_rdf::Iri;
+    use relpat_rdf::TermId;
 
-    fn occ(pattern: &str, property: &str, inverse: bool, n: usize) -> Vec<Occurrence> {
-        (0..n)
-            .map(|i| Occurrence {
-                pattern: pattern.to_string(),
-                property: property.to_string(),
-                inverse,
-                is_data: false,
-                pair: (Iri::new(format!("http://e/{i}a")), Iri::new(format!("http://e/{i}b"))),
-            })
-            .collect()
+    fn occ(all: &mut Occurrences, pattern: &str, property: &'static str, inverse: bool, n: u32) {
+        for i in 0..n {
+            all.push(pattern, property, inverse, false, (TermId(2 * i), TermId(2 * i + 1)));
+        }
     }
 
     fn paper_store() -> PatternStore {
         // Paper §2.2.3: "die" maps to deathPlace (high), birthPlace and
         // residence (low) because of corpus noise.
-        let mut all = Vec::new();
-        all.extend(occ("die in", "deathPlace", false, 40));
-        all.extend(occ("die at", "deathPlace", false, 12));
-        all.extend(occ("die in", "birthPlace", false, 3));
-        all.extend(occ("die in", "residence", false, 2));
-        all.extend(occ("bear in", "birthPlace", false, 50));
-        all.extend(occ("bear in", "deathPlace", false, 4));
-        all.extend(occ("write by", "author", false, 30));
-        all.extend(occ("write", "author", true, 25));
+        let mut all = Occurrences::default();
+        occ(&mut all, "die in", "deathPlace", false, 40);
+        occ(&mut all, "die at", "deathPlace", false, 12);
+        occ(&mut all, "die in", "birthPlace", false, 3);
+        occ(&mut all, "die in", "residence", false, 2);
+        occ(&mut all, "bear in", "birthPlace", false, 50);
+        occ(&mut all, "bear in", "deathPlace", false, 4);
+        occ(&mut all, "write by", "author", false, 30);
+        occ(&mut all, "write", "author", true, 25);
         PatternStore::from_occurrences(&all)
     }
 

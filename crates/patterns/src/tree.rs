@@ -50,6 +50,11 @@ impl PatternTree {
 
     /// Inserts one observation of `pattern` supported by entity-pair `pair`.
     pub fn insert(&mut self, pattern: &str, pair: u32) {
+        self.insert_all(pattern, [pair]);
+    }
+
+    /// Inserts observations of `pattern`, one per supporting pair id.
+    pub fn insert_all(&mut self, pattern: &str, pairs: impl IntoIterator<Item = u32>) {
         let mut node = 0usize;
         for token in pattern.split_whitespace() {
             node = match self.nodes[node].children.get(token) {
@@ -62,7 +67,10 @@ impl PatternTree {
                 }
             };
         }
-        self.nodes[node].support.get_or_insert_with(FxHashSet::default).insert(pair);
+        let support = self.nodes[node].support.get_or_insert_with(FxHashSet::default);
+        for pair in pairs {
+            support.insert(pair);
+        }
         self.terminals.insert(pattern.to_string(), node);
     }
 

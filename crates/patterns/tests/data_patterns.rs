@@ -5,9 +5,10 @@
 use relpat_kb::{generate, KbConfig, KnowledgeBase};
 use relpat_obs::Rng;
 use relpat_patterns::{
-    extract_occurrences, generate_corpus, mine, CorpusConfig, Occurrence, PatternStore,
+    extract_occurrences, generate_corpus, mine, CorpusConfig, Occurrences, PatternStore,
     PatternTree, Sentence,
 };
+use relpat_rdf::TermId;
 use std::sync::OnceLock;
 
 fn kb() -> &'static KnowledgeBase {
@@ -98,20 +99,17 @@ fn handcrafted_sentence_with_matching_value_is_supervised() {
 // --------------------------------------------- randomized invariant sweeps
 // (Formerly proptest; now seeded deterministic cases via `relpat_obs::Rng`.)
 
-fn arb_occurrence(rng: &mut Rng) -> Occurrence {
+fn arb_occurrence(rng: &mut Rng, occs: &mut Occurrences) {
     let patterns = ["die in", "bear in", "write by", "$v meter tall"];
     let properties = ["deathPlace", "birthPlace", "author", "height"];
     let pair = rng.gen_range(0u32..50);
-    Occurrence {
-        pattern: patterns[rng.gen_range(0usize..patterns.len())].to_string(),
-        property: properties[rng.gen_range(0usize..properties.len())].to_string(),
-        inverse: rng.gen_bool(0.5),
-        is_data: rng.gen_bool(0.5),
-        pair: (
-            relpat_rdf::Iri::new(format!("http://e/{pair}a")),
-            relpat_rdf::Iri::new(format!("http://e/{pair}b")),
-        ),
-    }
+    occs.push(
+        patterns[rng.gen_range(0usize..patterns.len())],
+        properties[rng.gen_range(0usize..properties.len())],
+        rng.gen_bool(0.5),
+        rng.gen_bool(0.5),
+        (TermId(2 * pair), TermId(2 * pair + 1)),
+    );
 }
 
 /// Store invariant: word-index frequencies are sums over the phrase
@@ -121,7 +119,10 @@ fn store_frequencies_consistent() {
     for case in 0..48u64 {
         let mut rng = Rng::seed_from_u64(0x57_0e + case);
         let n = rng.gen_range(0usize..80);
-        let occs: Vec<Occurrence> = (0..n).map(|_| arb_occurrence(&mut rng)).collect();
+        let mut occs = Occurrences::default();
+        for _ in 0..n {
+            arb_occurrence(&mut rng, &mut occs);
+        }
         let store = PatternStore::from_occurrences(&occs);
         for (_, candidates) in store.patterns() {
             for w in candidates.windows(2) {
@@ -169,3 +170,4 @@ fn tree_support_and_subsumption() {
         }
     }
 }
+
