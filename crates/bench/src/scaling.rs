@@ -57,6 +57,14 @@ pub const QUERIES: &[(&str, &str)] = &[
         "agg_join",
         "SELECT (COUNT(?c) AS ?n) { ?b dbont:author ?a . ?a dbont:birthPlace ?c }",
     ),
+    (
+        // A date FILTER over a merge join: every joined row compares an
+        // `xsd:date` against a constant, the path `sparql_scan_1m`'s
+        // aggregate queries take.
+        "date_filtered",
+        "SELECT (COUNT(?c) AS ?n) { ?b dbont:author ?a . ?a dbont:birthDate ?c \
+         FILTER(?c > \"1900-01-01\"^^xsd:date) }",
+    ),
 ];
 
 /// Scale-factor ladder for the trajectory file: paper scale (~9.6k triples),

@@ -9,10 +9,12 @@
 //! (Hexastore-lite: three of the six permutations suffice when we do not
 //! need ordered results on the unbound positions), so scans are
 //! pointer-bump slice iteration and cardinality estimates are exact in
-//! O(log n).
+//! O(log n). Beside the interner, `build` also resolves every term's
+//! FILTER value once into a dense [`TermValue`] column.
 
 use crate::interner::{Interner, TermId};
 use crate::term::Term;
+use crate::value::TermValue;
 
 /// A concrete RDF triple (no variables).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -136,6 +138,26 @@ fn prefix_bounds(index: &[[u32; 3]], key: [u32; 3], len: usize) -> (usize, usize
     (lo, hi)
 }
 
+/// The first position at or after `from` whose entry fails `pred`, given
+/// that `pred` holds on a prefix of `index[from..]` and fails on the rest:
+/// an exponential search that doubles its step from `from` until it
+/// overshoots, then binary-searches the last window. Costs O(log d)
+/// comparisons for an answer `d` entries past `from`, all of them near
+/// `from`, where a `partition_point` over the whole tail costs O(log n)
+/// steps spread across it.
+#[inline]
+fn gallop(index: &[[u32; 3]], from: usize, pred: impl Fn(&[u32; 3]) -> bool) -> usize {
+    let mut base = from;
+    let mut step = 1;
+    // Invariant: `pred` holds on every entry of `index[from..base]`.
+    while base + step <= index.len() && pred(&index[base + step - 1]) {
+        base += step;
+        step *= 2;
+    }
+    let end = (base + step).min(index.len());
+    base + index[base..end].partition_point(pred)
+}
+
 /// Collects triples for one [`Graph`]. Terms are interned as they are
 /// pushed, in push order, so a graph's term ids depend only on the order of
 /// first occurrence; duplicates are allowed and collapse in
@@ -170,9 +192,11 @@ impl GraphBuilder {
     }
 
     /// Sorts and deduplicates the pushed triples once (SPO), then derives
-    /// and sorts the POS and OSP permutations.
+    /// and sorts the POS and OSP permutations. Also resolves each interned
+    /// term's [`TermValue`] into the value column, in id order.
     pub fn build(self) -> Graph {
         let GraphBuilder { interner, triples: mut spo } = self;
+        let values = interner.iter().map(|(_, term)| TermValue::of(term)).collect();
         spo.sort_unstable();
         spo.dedup();
         let derive = |perm: usize| {
@@ -182,7 +206,7 @@ impl GraphBuilder {
             index
         };
         let (pos, osp) = (derive(POS), derive(OSP));
-        Graph { interner, index: [spo, pos, osp] }
+        Graph { interner, values, index: [spo, pos, osp] }
     }
 }
 
@@ -191,6 +215,8 @@ impl GraphBuilder {
 #[derive(Debug, Default)]
 pub struct Graph {
     interner: Interner,
+    /// Each term's FILTER value, indexed by [`TermId`].
+    values: Vec<TermValue>,
     /// Flat sorted permutation indexes, addressed by `SPO`/`POS`/`OSP`.
     index: [Vec<[u32; 3]>; 3],
 }
@@ -219,6 +245,12 @@ impl Graph {
     /// Resolves an id back to its term.
     pub fn term(&self, id: TermId) -> &Term {
         self.interner.resolve(id)
+    }
+
+    /// An id's FILTER value, resolved once at build.
+    #[inline]
+    pub fn value(&self, id: TermId) -> TermValue {
+        self.values[id.index()]
     }
 
     /// Membership test at the term level.
@@ -250,8 +282,8 @@ impl Graph {
     /// Routes a pattern *shape* (only the `Some`/`None` skeleton matters) to
     /// its permutation index for batched prefix probes: callers build a
     /// permuted key per concrete pattern via [`FrozenProbe::key`] and locate
-    /// each key's slice with [`FrozenProbe::bounds_from`], reusing
-    /// sorted-key monotonicity to shrink every search tail.
+    /// each key's slice with [`FrozenProbe::bounds_from`], galloping forward
+    /// from the previous key's range.
     pub fn probe(&self, shape: IdPattern) -> FrozenProbe<'_> {
         let (perm, _, prefix_len) = route(shape);
         FrozenProbe { index: &self.index[perm], perm, prefix_len }
@@ -402,12 +434,28 @@ impl FrozenProbe<'_> {
     }
 
     /// `[lo, hi)` bounds of the entries whose first `prefix_len` components
-    /// equal `key`'s, searching only `[from..]`. Callers probing keys in
-    /// ascending order pass the previous range's end as `from`, so each
-    /// `partition_point` pair gallops over a strictly shrinking tail.
+    /// equal `key`'s — the same bounds a binary search over the whole index
+    /// finds — provided no entry before `from` sorts at or after `key`.
+    /// Callers probing keys in ascending order pass the previous range's end
+    /// as `from` (or 0). Both bounds are exponential searches: the lower one
+    /// doubles its step from `from`, the upper one from `lo`, so a key whose
+    /// range starts `d` entries on and spans `r` costs O(log d + log r)
+    /// comparisons, none of them far from `from`.
     pub fn bounds_from(&self, from: usize, key: [u32; 3]) -> (usize, usize) {
-        let (lo, hi) = prefix_bounds(&self.index[from..], key, self.prefix_len);
-        (from + lo, from + hi)
+        let len = self.prefix_len;
+        if len == 0 {
+            return (0, self.index.len());
+        }
+        // Entries compare as one masked integer each: the first `len`
+        // components in lexicographic order, the rest zeroed.
+        let mask = u128::MAX << (32 * (3 - len));
+        let packed = |t: &[u32; 3]| {
+            (u128::from(t[0]) << 64 | u128::from(t[1]) << 32 | u128::from(t[2])) & mask
+        };
+        let prefix = packed(&key);
+        let lo = gallop(self.index, from, |t| packed(t) < prefix);
+        let hi = gallop(self.index, lo, |t| packed(t) == prefix);
+        (lo, hi)
     }
 
     /// The SPO reading of index entry `i`.
@@ -622,20 +670,76 @@ mod tests {
         }
     }
 
+    /// A seeded ≥ 10k-triple graph with skew: one predicate holds most
+    /// triples and a few hub objects recur, so some ranges span thousands of
+    /// entries while most span a handful.
+    fn sweep_graph() -> Graph {
+        let mut rng = relpat_obs::Rng::seed_from_u64(17);
+        let mut b = GraphBuilder::new();
+        for _ in 0..12_000 {
+            let s = rng.gen_range(0..2_000u32);
+            let p = if rng.gen_bool(0.7) { 0 } else { rng.gen_range(1..8u32) };
+            let o = if rng.gen_bool(0.3) { rng.gen_range(0..4) } else { rng.gen_range(4..3_000u32) };
+            let [s, p, o] = [format!("s{s}"), format!("p{p}"), format!("o{o}")].map(Term::iri);
+            b.add(s, p, o);
+        }
+        b.build()
+    }
+
     #[test]
     fn probe_bounds_match_scan() {
-        let g = sample_graph();
-        let (snow, writer, pamuk) = sample_ids(&g);
-        for &pat in &all_shapes(snow, writer, pamuk) {
-            let probe = g.probe(pat);
-            let key = probe.key(pat);
-            let (lo, hi) = probe.bounds_from(0, key);
-            let via_probe: Vec<IdTriple> = (lo..hi).map(|i| probe.triple(i)).collect();
-            assert_eq!(via_probe, g.scan(pat), "probe slice must equal scan for {pat:?}");
-            // Restarting the search mid-index at the slice's own start
-            // finds the same bounds (the tail-shrinking contract).
-            assert_eq!(probe.bounds_from(lo, key), (lo, hi));
+        let g = sweep_graph();
+        assert!(g.len() >= 10_000, "{} triples", g.len());
+        let (mut absent, mut longest) = ([0usize; 3], 0);
+        for &shape in &all_shapes(TermId(0), TermId(0), TermId(0)) {
+            let probe = g.probe(shape);
+            let (index, len) = (probe.index, probe.prefix_len());
+            let n = index.len();
+            let truth = |key: [u32; 3]| prefix_bounds(index, key, len);
+            let padded = |t: &[u32; 3]| std::array::from_fn(|i| if i < len { t[i] } else { 0 });
+            // Every distinct key in ascending order, from the previous hi
+            // and from 0; the via-slice entries must match the key.
+            let mut keys: Vec<[u32; 3]> = index.iter().map(padded).collect();
+            keys.dedup();
+            let mut from = 0;
+            for &key in &keys {
+                let (lo, hi) = truth(key);
+                assert!(hi > lo, "{shape:?}: present key {key:?} has an empty range");
+                assert_eq!(probe.bounds_from(from, key), (lo, hi), "{shape:?} {key:?} from {from}");
+                assert_eq!(probe.bounds_from(0, key), (lo, hi), "{shape:?} {key:?} from 0");
+                assert_eq!(probe.bounds_from(lo, key), (lo, hi), "{shape:?} {key:?} from lo");
+                longest = longest.max(hi - lo);
+                from = hi;
+            }
+            assert_eq!(from, n, "{shape:?}: the distinct keys cover the index");
+            if len == 0 {
+                continue;
+            }
+            // Absent keys before, between and after the present ones: a
+            // neighbour of each present key that is itself not present.
+            let mut candidates = vec![[0; 3], [u32::MAX; 3]];
+            for key in &keys {
+                let last = key[len - 1];
+                for neighbour in [last.checked_sub(1), last.checked_add(1)].into_iter().flatten() {
+                    let mut k = *key;
+                    k[len - 1] = neighbour;
+                    candidates.push(k);
+                }
+            }
+            for key in candidates {
+                let (lo, hi) = truth(key);
+                if lo != hi {
+                    continue;
+                }
+                absent[if lo == 0 { 0 } else if lo == n { 2 } else { 1 }] += 1;
+                // From 0, and from the previous key's hi (the insertion
+                // point); after the last key that tail is empty.
+                assert_eq!(probe.bounds_from(0, key), (lo, lo), "{shape:?} absent {key:?}");
+                assert_eq!(probe.bounds_from(lo, key), (lo, lo), "{shape:?} absent {key:?}");
+            }
         }
+        assert!(absent.iter().all(|&k| k > 0), "absent keys before/between/after: {absent:?}");
+        assert!(longest > 1_000, "some range must span many gallop steps ({longest})");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! - an indexed, immutable in-memory [`Graph`], built once by a
 //!   [`GraphBuilder`], whose flat SPO/POS/OSP permutation indexes make any
 //!   partially bound triple pattern a contiguous slice scan located in
-//!   O(log n);
+//!   O(log n), and a typed value column resolving each term's FILTER value
+//!   ([`TermValue`]) once at build;
 //! - Turtle and N-Triples parsing/serialization for fixtures and interchange;
 //! - the vocabulary constants (`rdf:`, `rdfs:`, `xsd:`, `dbont:`, `res:`) that
 //!   the paper's examples use.
@@ -37,6 +38,7 @@ mod interner;
 mod ntriples;
 mod term;
 mod turtle;
+mod value;
 
 pub mod vocab;
 
@@ -49,3 +51,4 @@ pub use io::{load_path, save_ntriples, save_turtle};
 pub use ntriples::{parse_ntriples, to_ntriples};
 pub use term::{BlankNode, Iri, Literal, Term};
 pub use turtle::{load_turtle, parse_turtle, render_term, to_turtle};
+pub use value::TermValue;

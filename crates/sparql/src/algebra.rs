@@ -21,12 +21,12 @@
 //!   one varying component, consecutive permuted probe keys are
 //!   monotonically non-decreasing, and one forward cursor over the sorted
 //!   permutation slice finds every key's range without restarting the
-//!   binary search.
+//!   search.
 //! - **Gallop** — chosen for any other step with at least one bound
 //!   variable (and for bound-variable-free cartesian steps, which collapse
 //!   to a single probe key): probe keys are deduplicated + sorted, then
-//!   each distinct key's slice is located once by `partition_point`
-//!   searches over a strictly shrinking tail.
+//!   each distinct key's slice is located once by an exponential search
+//!   forward from the previous key's slice.
 //! - **Nested** — everything else, and the hard fallback: the first step,
 //!   dead patterns (a concrete term missing from the graph), any BGP below
 //!   a UNION/OPTIONAL (whose runtime bindings may bind variables this
@@ -37,14 +37,22 @@
 //! Merge and gallop both count each distinct key's range once toward
 //! `sparql.rows_scanned`, which is exactly the probe work they do — and
 //! never more than the nested loop's per-row rescans.
+//!
+//! ## Bound expressions
+//!
+//! Lowering also binds every FILTER expression to the binding-row layout
+//! ([`BoundExpr`]): a variable becomes its column, a variable the pattern
+//! never binds becomes a constant evaluation error, and a constant carries
+//! its [`TermValue`] resolved once. Rows then evaluate against column
+//! indexes and the graph's value column, never against variable names.
 
 use std::cmp::Ordering;
 
 use relpat_obs::fx::FxHashMap;
 use relpat_obs::JoinAlgo;
-use relpat_rdf::{sort_major_position, Graph, IdPattern, Term, TermId};
+use relpat_rdf::{sort_major_position, Graph, IdPattern, Term, TermId, TermValue};
 
-use crate::ast::{Expr, GraphPattern, Query, TriplePattern};
+use crate::ast::{ArithOp, CmpOp, Expr, GraphPattern, Query, TriplePattern};
 
 /// One planner-annotated join step of a BGP, in execution order.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,11 +86,61 @@ pub enum Algebra {
     LeftJoin { input: Box<Algebra>, right: Box<Algebra> },
     /// Group filters applied to `input`'s rows (erroring filters drop the
     /// row, per SPARQL error semantics).
-    Filter { input: Box<Algebra>, exprs: Vec<Expr> },
+    Filter { input: Box<Algebra>, exprs: Vec<BoundExpr> },
     /// Bare-LIMIT / ASK early-stop cap. Only ever wraps the root; the
     /// executor pushes the cap into the join loop when `input` is a bare
     /// [`Algebra::Bgp`] and truncates after evaluation otherwise.
     Slice { input: Box<Algebra>, limit: usize },
+}
+
+/// An [`Expr`] bound to one query's binding-row layout, once per query.
+/// Evaluating it over a row reads columns and the graph's value column; the
+/// operators mirror [`Expr`]'s.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundExpr {
+    /// A variable: the binding-row column it lives in.
+    Col(usize),
+    /// A constant term with its FILTER value resolved once.
+    Const(Term, TermValue),
+    /// A variable the pattern never binds: an evaluation error on every row.
+    Unbindable,
+    Cmp(Box<BoundExpr>, CmpOp, Box<BoundExpr>),
+    And(Box<BoundExpr>, Box<BoundExpr>),
+    Or(Box<BoundExpr>, Box<BoundExpr>),
+    Not(Box<BoundExpr>),
+    Arith(Box<BoundExpr>, ArithOp, Box<BoundExpr>),
+    Regex { value: Box<BoundExpr>, pattern: String, case_insensitive: bool },
+    Lang(Box<BoundExpr>),
+    Datatype(Box<BoundExpr>),
+    Str(Box<BoundExpr>),
+    /// `bound(?v)` over the variable's column.
+    Bound(usize),
+}
+
+impl BoundExpr {
+    /// Binds `expr` to the row layout `columns` (variable name → column).
+    pub fn bind(expr: &Expr, columns: &FxHashMap<&str, usize>) -> BoundExpr {
+        let bind = |e: &Expr| Box::new(BoundExpr::bind(e, columns));
+        let column = |v: &String| columns.get(v.as_str()).copied();
+        match expr {
+            Expr::Var(v) => column(v).map_or(BoundExpr::Unbindable, BoundExpr::Col),
+            Expr::Const(term) => BoundExpr::Const(term.clone(), TermValue::of(term)),
+            Expr::Cmp(l, op, r) => BoundExpr::Cmp(bind(l), *op, bind(r)),
+            Expr::And(l, r) => BoundExpr::And(bind(l), bind(r)),
+            Expr::Or(l, r) => BoundExpr::Or(bind(l), bind(r)),
+            Expr::Not(inner) => BoundExpr::Not(bind(inner)),
+            Expr::Arith(l, op, r) => BoundExpr::Arith(bind(l), *op, bind(r)),
+            Expr::Regex { value, pattern, case_insensitive } => BoundExpr::Regex {
+                value: bind(value),
+                pattern: pattern.clone(),
+                case_insensitive: *case_insensitive,
+            },
+            Expr::Lang(inner) => BoundExpr::Lang(bind(inner)),
+            Expr::Datatype(inner) => BoundExpr::Datatype(bind(inner)),
+            Expr::Str(inner) => BoundExpr::Str(bind(inner)),
+            Expr::Bound(v) => column(v).map_or(BoundExpr::Unbindable, BoundExpr::Bound),
+        }
+    }
 }
 
 /// Lowering options. `force_nested` pins every step to the nested-loop
@@ -158,7 +216,8 @@ fn lower_group(
         };
     }
     if !gp.filters.is_empty() {
-        node = Algebra::Filter { input: Box::new(node), exprs: gp.filters.clone() };
+        let exprs = gp.filters.iter().map(|f| BoundExpr::bind(f, var_index)).collect();
+        node = Algebra::Filter { input: Box::new(node), exprs };
     }
     node
 }

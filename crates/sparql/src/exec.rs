@@ -10,22 +10,21 @@
 //! bare-LIMIT/ASK queries → apply filters → ORDER BY (a sorted row-index
 //! permutation) → project → DISTINCT (hash dedup) → OFFSET/LIMIT → one
 //! materialization into shared [`Rows`]. Everything before the last step
-//! runs in id space; FILTER and ORDER BY read terms through borrowed
-//! [`Value`]s and never clone one.
+//! runs in id space; FILTER and ORDER BY expressions are bound once per
+//! query ([`BoundExpr`]), read each row's typed values from the graph's
+//! value column, and reach a term only through a borrowed [`Value`].
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::time::Instant;
 
-use relpat_rdf::{Graph, IdPattern, Term, TermId};
+use relpat_rdf::{Graph, IdPattern, Term, TermId, TermValue};
 use relpat_obs::fx::{FxHashMap, FxHashSet};
 use relpat_obs::{JoinAlgo, PlanStep, PlanTrace};
 
-use crate::algebra::{lower_pattern, Algebra, LowerOpts, PlannedStep};
-use crate::ast::{
-    ArithOp, CmpOp, Expr, GraphPattern, Projection, Query, SelectQuery, TriplePattern,
-};
+use crate::algebra::{lower_pattern, Algebra, BoundExpr, LowerOpts, PlannedStep};
+use crate::ast::{ArithOp, CmpOp, GraphPattern, Projection, Query, SelectQuery, TriplePattern};
 use crate::error::SparqlError;
 use crate::results::{Rows, Solutions};
 
@@ -220,15 +219,17 @@ fn execute_select(
         .collect();
 
     // ORDER BY sorts a permutation of row indices, not rows: every key is
-    // evaluated once per row into one flat buffer of borrowed values, and
-    // the stable sort keeps equal keys in solution order.
+    // bound once, evaluated once per row into one flat buffer of borrowed
+    // values, and the stable sort keeps equal keys in solution order.
     let order: Option<Vec<usize>> = (!sel.order_by.is_empty()).then(|| {
-        let index: FxHashMap<&str, usize> =
+        let columns: FxHashMap<&str, usize> =
             pattern_vars.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
+        let order_keys: Vec<BoundExpr> =
+            sel.order_by.iter().map(|k| BoundExpr::bind(&k.expr, &columns)).collect();
         let width = sel.order_by.len();
         let mut keys: Vec<Option<Value<'_>>> = Vec::with_capacity(table.len() * width);
         for row in table.iter() {
-            keys.extend(sel.order_by.iter().map(|k| eval_expr(&k.expr, row, graph, &index)));
+            keys.extend(order_keys.iter().map(|k| eval(k, row, graph)));
         }
         let mut order: Vec<usize> = (0..table.len()).collect();
         order.sort_by(|&a, &b| {
@@ -473,9 +474,7 @@ fn eval_algebra(
         Algebra::Filter { input, exprs } => {
             let mut bindings = eval_algebra(graph, input, var_index, bindings, trace);
             bindings.retain(|row| {
-                exprs
-                    .iter()
-                    .all(|f| eval_expr(f, row, graph, var_index).is_some_and(|v| v.truthy()))
+                exprs.iter().all(|f| eval(f, row, graph).is_some_and(|v| v.truthy()))
             });
             bindings
         }
@@ -642,8 +641,9 @@ enum ProbePos {
 /// row binds exactly the variables earlier steps bound), route it to one
 /// permutation slice, and locate each **distinct** probe key's range
 /// exactly once — merge with a forward cursor over non-decreasing keys,
-/// gallop by sorting + deduplicating the keys and `partition_point`-searching
-/// a strictly shrinking tail. `scanned` counts each distinct range once,
+/// gallop by sorting + deduplicating the keys; both search forward from the
+/// previous key's range with [`relpat_rdf::FrozenProbe::bounds_from`]'s
+/// exponential search. `scanned` counts each distinct range once,
 /// which is the probe work actually done and never exceeds the nested loop's
 /// per-row rescans.
 ///
@@ -749,8 +749,8 @@ fn join_batched(
         }
         _ => {
             // Gallop: sort + dedup the probe keys, locate each distinct
-            // key's range once over a strictly shrinking index tail, then
-            // emit per probe row in original row order.
+            // key's range once, galloping on from the previous key's range,
+            // then emit per probe row in original row order.
             let mut distinct = keys.clone();
             distinct.sort_unstable();
             distinct.dedup();
@@ -862,32 +862,58 @@ fn try_push_extended(
 }
 
 /// Runtime value for FILTER and ORDER BY evaluation. Terms are borrowed
-/// from the graph or the query and strings from those terms, so evaluating
-/// an expression over an id row allocates only where SPARQL formats a
-/// number or boolean as a string.
+/// from the graph or the bound expression and strings from those terms, so
+/// evaluating an expression over an id row allocates only where SPARQL
+/// formats a number or boolean as a string. A row's values come from the
+/// graph's value column; the term behind one is only read when a string
+/// form, language, datatype or a non-date lexical comparison needs it
+/// (holding a `&Term` costs its address, not a read).
 #[derive(Debug, Clone)]
 enum Value<'a> {
     Bool(bool),
     Num(f64),
+    /// An `xsd:date` of fixed-width form packed as `YYYYMMDD` (see
+    /// [`TermValue::Date`]), with its term for every other use.
+    Date(u32, &'a Term),
     Str(Cow<'a, str>),
     Term(&'a Term),
 }
 
 impl<'a> Value<'a> {
+    /// The value of a term whose [`TermValue`] is `value`. Numbers and
+    /// booleans drop their term, as SPARQL's typed values do.
+    #[inline]
+    fn of(value: TermValue, term: impl FnOnce() -> &'a Term) -> Value<'a> {
+        match value {
+            TermValue::Num(n) => Value::Num(n),
+            TermValue::Bool(b) => Value::Bool(b),
+            TermValue::Date(d) => Value::Date(d, term()),
+            TermValue::Other => Value::Term(term()),
+        }
+    }
+
     fn truthy(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
             Value::Num(n) => *n != 0.0,
             Value::Str(s) => !s.is_empty(),
-            Value::Term(_) => true,
+            Value::Date(..) | Value::Term(_) => true,
         }
     }
 
-    /// Numeric literals already evaluate to [`Value::Num`] (see
-    /// [`term_value`]), so only that variant is numeric.
+    /// Numeric literals already evaluate to [`Value::Num`], so only that
+    /// variant is numeric.
     fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The term a value still carries.
+    fn term(&self) -> Option<&'a Term> {
+        match self {
+            Value::Date(_, t) | Value::Term(t) => Some(t),
             _ => None,
         }
     }
@@ -898,9 +924,11 @@ impl<'a> Value<'a> {
             Value::Bool(b) => Cow::Owned(b.to_string()),
             Value::Num(n) => Cow::Owned(n.to_string()),
             Value::Str(s) => s,
-            Value::Term(Term::Literal(l)) => Cow::Borrowed(l.lexical_form()),
-            Value::Term(Term::Iri(iri)) => Cow::Borrowed(iri.as_str()),
-            Value::Term(t) => Cow::Owned(t.to_string()),
+            Value::Date(_, t) | Value::Term(t) => match t {
+                Term::Literal(l) => Cow::Borrowed(l.lexical_form()),
+                Term::Iri(iri) => Cow::Borrowed(iri.as_str()),
+                t => Cow::Owned(t.to_string()),
+            },
         }
     }
 
@@ -913,24 +941,23 @@ impl<'a> Value<'a> {
     }
 }
 
-/// Evaluates `expr` over one id row. `None` is a SPARQL evaluation error
-/// (unbound or unknown variable, type error, division by zero): a FILTER
-/// drops the row and an ORDER BY key sorts as unbound.
-fn eval_expr<'a>(
-    expr: &'a Expr,
-    row: &[Option<TermId>],
-    graph: &'a Graph,
-    var_index: &FxHashMap<&str, usize>,
-) -> Option<Value<'a>> {
-    let eval = |e: &'a Expr| eval_expr(e, row, graph, var_index);
+/// Evaluates a bound expression over one id row. `None` is a SPARQL
+/// evaluation error (unbound or unknown variable, type error, division by
+/// zero): a FILTER drops the row and an ORDER BY key sorts as unbound.
+fn eval<'a>(expr: &'a BoundExpr, row: &[Option<TermId>], graph: &'a Graph) -> Option<Value<'a>> {
+    let eval = |e: &'a BoundExpr| eval(e, row, graph);
     match expr {
-        Expr::Var(v) => Some(term_value(graph.term(row[*var_index.get(v.as_str())?]?))),
-        Expr::Const(term) => Some(term_value(term)),
-        Expr::Cmp(lhs, op, rhs) => Some(Value::Bool(apply_cmp(&eval(lhs)?, *op, &eval(rhs)?))),
-        Expr::And(lhs, rhs) => Some(Value::Bool(eval(lhs)?.truthy() && eval(rhs)?.truthy())),
-        Expr::Or(lhs, rhs) => Some(Value::Bool(eval(lhs)?.truthy() || eval(rhs)?.truthy())),
-        Expr::Not(inner) => Some(Value::Bool(!eval(inner)?.truthy())),
-        Expr::Arith(lhs, op, rhs) => {
+        BoundExpr::Col(c) => {
+            let id = row[*c]?;
+            Some(Value::of(graph.value(id), || graph.term(id)))
+        }
+        BoundExpr::Const(term, value) => Some(Value::of(*value, || term)),
+        BoundExpr::Unbindable => None,
+        BoundExpr::Cmp(lhs, op, rhs) => Some(Value::Bool(apply_cmp(&eval(lhs)?, *op, &eval(rhs)?))),
+        BoundExpr::And(lhs, rhs) => Some(Value::Bool(eval(lhs)?.truthy() && eval(rhs)?.truthy())),
+        BoundExpr::Or(lhs, rhs) => Some(Value::Bool(eval(lhs)?.truthy() || eval(rhs)?.truthy())),
+        BoundExpr::Not(inner) => Some(Value::Bool(!eval(inner)?.truthy())),
+        BoundExpr::Arith(lhs, op, rhs) => {
             let l = eval(lhs)?.as_num()?;
             let r = eval(rhs)?.as_num()?;
             Some(Value::Num(match op {
@@ -941,38 +968,26 @@ fn eval_expr<'a>(
                 ArithOp::Div => l / r,
             }))
         }
-        Expr::Regex { value, pattern, case_insensitive } => Some(Value::Bool(
+        BoundExpr::Regex { value, pattern, case_insensitive } => Some(Value::Bool(
             simple_regex_match(&eval(value)?.into_str(), pattern, *case_insensitive),
         )),
-        Expr::Lang(inner) => match eval(inner)? {
-            Value::Term(Term::Literal(l)) => {
-                Some(Value::Str(Cow::Borrowed(l.language().unwrap_or(""))))
-            }
+        BoundExpr::Lang(inner) => match eval(inner)?.term()? {
+            Term::Literal(l) => Some(Value::Str(Cow::Borrowed(l.language().unwrap_or("")))),
             _ => None,
         },
-        Expr::Datatype(inner) => match eval(inner)? {
-            Value::Term(Term::Literal(l)) => Some(Value::Str(Cow::Borrowed(l.datatype_str()))),
+        BoundExpr::Datatype(inner) => match eval(inner)?.term()? {
+            Term::Literal(l) => Some(Value::Str(Cow::Borrowed(l.datatype_str()))),
             _ => None,
         },
-        Expr::Str(inner) => Some(Value::Str(eval(inner)?.into_str())),
-        Expr::Bound(v) => Some(Value::Bool(row[*var_index.get(v.as_str())?].is_some())),
+        BoundExpr::Str(inner) => Some(Value::Str(eval(inner)?.into_str())),
+        BoundExpr::Bound(c) => Some(Value::Bool(row[*c].is_some())),
     }
 }
 
-fn term_value(term: &Term) -> Value<'_> {
-    if let Term::Literal(l) = term {
-        if let Some(n) = l.as_f64() {
-            return Value::Num(n);
-        }
-        if l.datatype_str() == relpat_rdf::vocab::xsd::BOOLEAN {
-            return Value::Bool(l.lexical_form() == "true");
-        }
-    }
-    Value::Term(term)
-}
-
+/// A FILTER comparison. A NaN operand makes every operator false except
+/// `!=`, which is true (`op:numeric-equal` / `op:numeric-less-than`).
 fn apply_cmp(l: &Value<'_>, op: CmpOp, r: &Value<'_>) -> bool {
-    let ord = compare_raw(l, r);
+    let Some(ord) = compare(l, r) else { return op == CmpOp::Ne };
     match op {
         CmpOp::Eq => ord == Ordering::Equal,
         CmpOp::Ne => ord != Ordering::Equal,
@@ -984,25 +999,37 @@ fn apply_cmp(l: &Value<'_>, op: CmpOp, r: &Value<'_>) -> bool {
 }
 
 /// Three-way comparison across value kinds: numeric when both sides are
-/// numeric, term identity for IRIs, otherwise lexical-form string comparison
+/// numeric (`None` when either is NaN), packed when both are fixed-width
+/// dates, term identity for IRIs, otherwise lexical-form string comparison
 /// (which orders ISO dates correctly).
-fn compare_raw(l: &Value<'_>, r: &Value<'_>) -> Ordering {
-    if let (Some(a), Some(b)) = (l.as_num(), r.as_num()) {
-        return a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+fn compare(l: &Value<'_>, r: &Value<'_>) -> Option<Ordering> {
+    match (l, r) {
+        (Value::Num(a), Value::Num(b)) => a.partial_cmp(b),
+        (Value::Date(a, _), Value::Date(b, _)) => Some(a.cmp(b)),
+        (Value::Term(Term::Iri(a)), Value::Term(Term::Iri(b))) => Some(a.cmp(b)),
+        _ => Some(l.as_str().cmp(&r.as_str())),
     }
-    if let (Value::Term(Term::Iri(a)), Value::Term(Term::Iri(b))) = (l, r) {
-        return a.cmp(b);
-    }
-    l.as_str().cmp(&r.as_str())
 }
 
-/// Comparison for ORDER BY keys: unbound (None) sorts first, per SPARQL.
+/// Comparison for ORDER BY keys, a total order (a sort must not be handed
+/// anything less): unbound (None) sorts first, per SPARQL, then numbers by
+/// value with NaN after them, then every other value by [`compare`] — the
+/// lexical order of its string form. Keys of one kind order exactly as
+/// [`compare`] orders them; only mixed numbers and strings, which
+/// [`compare`] orders intransitively (`9 < 10`, `"10" < "9"`), are ranked.
 fn compare_values(l: &Option<Value<'_>>, r: &Option<Value<'_>>) -> Ordering {
     match (l, r) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
         (Some(_), None) => Ordering::Greater,
-        (Some(a), Some(b)) => compare_raw(a, b),
+        (Some(a), Some(b)) => match (a.as_num(), b.as_num()) {
+            (Some(x), Some(y)) => {
+                x.is_nan().cmp(&y.is_nan()).then(x.partial_cmp(&y).unwrap_or(Ordering::Equal))
+            }
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => compare(a, b).unwrap_or(Ordering::Equal),
+        },
     }
 }
 
@@ -1100,6 +1127,36 @@ mod tests {
             sols.get(0, "x"),
             Some(&Term::iri(res::iri("Snow")))
         );
+    }
+
+    #[test]
+    fn nan_compares_unequal_and_unordered() {
+        let mut b = library_builder();
+        b.add(
+            Term::iri(res::iri("Snow")),
+            Term::iri(dbont::iri("weight")),
+            Term::Literal(Literal::double(f64::NAN)),
+        );
+        let g = b.build();
+        let nan = "\"NaN\"^^xsd:double";
+        let count = |filter: String| {
+            select(&g, &format!("SELECT ?x {{ ?x dbont:numberOfPages ?p FILTER({filter}) }}"))
+                .rows
+                .len()
+        };
+        // Only `!=` holds when either side is NaN.
+        assert_eq!(count(format!("?p != {nan}")), 3);
+        for op in ["=", "<", "<=", ">", ">="] {
+            assert_eq!(count(format!("?p {op} {nan}")), 0, "?p {op} NaN");
+            assert_eq!(count(format!("{nan} {op} ?p")), 0, "NaN {op} ?p");
+        }
+        assert_eq!(count(format!("{nan} = {nan}")), 0);
+        assert_eq!(count(format!("{nan} != {nan}")), 3);
+        // A NaN in the data is not equal to itself either.
+        let sols = select(&g, "SELECT ?x { ?x dbont:weight ?w FILTER(?w = ?w) }");
+        assert!(sols.rows.is_empty());
+        let sols = select(&g, "SELECT ?x { ?x dbont:weight ?w FILTER(?w != 1) }");
+        assert_eq!(sols.rows.len(), 1);
     }
 
     #[test]
