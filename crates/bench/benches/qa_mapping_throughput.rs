@@ -16,7 +16,7 @@ use relpat_obs::fx::FxHashMap;
 use relpat_obs::Rng;
 use relpat_patterns::{mine, CorpusConfig};
 use relpat_qa::{similar_property_pairs, Mapper, MappingConfig, PredKind, PropertyCandidate};
-use relpat_rdf::Iri;
+use relpat_rdf::TermId;
 use relpat_wordnet::embedded;
 use std::time::Instant;
 
@@ -79,7 +79,7 @@ fn run_workload(
     mapper: &Mapper<'_>,
     mentions: &[String],
     words: &[String],
-) -> (Vec<Vec<Iri>>, Vec<Vec<PropertyCandidate>>) {
+) -> (Vec<Vec<TermId>>, Vec<Vec<PropertyCandidate>>) {
     let pools = mentions.iter().map(|m| mapper.entity_pool(m)).collect();
     let cands = words
         .iter()

@@ -54,13 +54,11 @@ fn lattice(kb: &KnowledgeBase, entity: &ResolvedEntity, sets: usize, width: usiz
 }
 
 fn workload(kb: &KnowledgeBase, plans: usize, rng: &mut Rng) -> Vec<Job> {
-    // A deterministic anchor entity: the first labeled resource.
-    let (label, iris) = {
-        let mut labels: Vec<(&str, &[relpat_rdf::Iri])> = kb.labels_iter().collect();
-        labels.sort_unstable_by_key(|(l, _)| *l);
-        labels[0]
-    };
-    let entity = ResolvedEntity { iri: iris[0].clone(), label: label.to_string(), score: 1.0 };
+    // A deterministic anchor entity: the first labeled resource (rows come
+    // in label order).
+    let (label, ids) = kb.labels_iter().next().expect("a labeled entity");
+    let iri = kb.graph.term(ids[0]).as_iri().expect("entities are IRIs").clone();
+    let entity = ResolvedEntity { iri, label: label.to_string(), score: 1.0 };
     // Lattice shapes from narrow (typical QALD question) to wide (where the
     // cartesian product materializes hundreds of combinations).
     let shapes = [(1, 4), (2, 4), (2, 8), (3, 6), (3, 10)];

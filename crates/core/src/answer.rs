@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use relpat_kb::KnowledgeBase;
 use relpat_obs::fx::FxHashSet;
 use relpat_obs::QueryPlan;
-use relpat_rdf::Term;
+use relpat_rdf::{Term, TermId};
 
 use crate::queries::BuiltQuery;
 use crate::triples::ExpectedType;
@@ -40,22 +40,21 @@ pub struct Answer {
     pub score: f64,
 }
 
+/// An IRI answer term's graph id (resolved once per term).
+fn entity_id(kb: &KnowledgeBase, term: &Term) -> Option<TermId> {
+    matches!(term, Term::Iri(_)).then(|| kb.graph.term_id(term)).flatten()
+}
+
 /// Table 1 of the paper: does a term satisfy the expected answer type?
 pub fn type_check(kb: &KnowledgeBase, term: &Term, expected: ExpectedType) -> bool {
     match expected {
         ExpectedType::Unconstrained | ExpectedType::Boolean => true,
-        ExpectedType::PersonOrOrganization => match term {
-            Term::Iri(iri) => {
-                kb.is_instance_of(iri, "Person")
-                    || kb.is_instance_of(iri, "Organisation")
-                    || kb.is_instance_of(iri, "Company")
-            }
-            _ => false,
-        },
-        ExpectedType::Place => match term {
-            Term::Iri(iri) => kb.is_instance_of(iri, "Place"),
-            _ => false,
-        },
+        ExpectedType::PersonOrOrganization => entity_id(kb, term).is_some_and(|id| {
+            kb.is_instance_of(id, "Person")
+                || kb.is_instance_of(id, "Organisation")
+                || kb.is_instance_of(id, "Company")
+        }),
+        ExpectedType::Place => entity_id(kb, term).is_some_and(|id| kb.is_instance_of(id, "Place")),
         ExpectedType::Date => term.as_literal().is_some_and(|l| l.is_date()),
         ExpectedType::Numeric => term.as_literal().is_some_and(|l| l.is_numeric()),
     }

@@ -28,8 +28,8 @@ fn find_entity(kb: &KnowledgeBase, words: &[String]) -> Option<(Iri, usize, usiz
         for start in 0..=(n - len) {
             let span = words[start..start + len].join(" ");
             let hits = kb.entities_with_label(&normalize_label(&span));
-            if !hits.is_empty() {
-                return Some((hits[0].clone(), start, start + len));
+            if let Some(&first) = hits.first() {
+                return Some((kb.graph.term(first).as_iri()?.clone(), start, start + len));
             }
         }
     }

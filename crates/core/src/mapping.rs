@@ -15,7 +15,7 @@
 
 use relpat_kb::{normalize_label, KnowledgeBase};
 use relpat_patterns::PatternStore;
-use relpat_rdf::Iri;
+use relpat_rdf::{Iri, TermId};
 use relpat_wordnet::{derived_noun, WnPos, WordNet};
 use relpat_obs::fx::FxHashMap;
 
@@ -191,8 +191,9 @@ impl Mapper<'_> {
     /// Maps an analyzed question. `None` = some slot could not be resolved
     /// (the question is abandoned, paper §3's unprocessed bucket).
     pub fn map(&self, analysis: &QuestionAnalysis) -> Option<MappedQuestion> {
-        // Gather all mention texts for cross-mention centrality.
-        let mention_pools: Vec<Vec<Iri>> = analysis
+        // Each mention's candidate pool, computed once: it resolves the
+        // mention and, for the others, feeds cross-mention centrality.
+        let mention_pools: Vec<Vec<TermId>> = analysis
             .triples
             .iter()
             .flat_map(|t| [&t.subject, &t.object])
@@ -203,23 +204,31 @@ impl Mapper<'_> {
             .collect();
 
         let mut triples = Vec::with_capacity(analysis.triples.len());
+        let mut first_pool = 0;
         for t in &analysis.triples {
-            triples.push(self.map_triple(t, &mention_pools)?);
+            triples.push(self.map_triple(t, &mention_pools, first_pool)?);
+            first_pool += [&t.subject, &t.object]
+                .iter()
+                .filter(|s| matches!(s, SlotTerm::Mention { .. }))
+                .count();
         }
         Some(MappedQuestion { triples })
     }
 
+    /// Maps one triple; its mentions' pools start at `pools[first_pool]`.
     fn map_triple(
         &self,
         triple: &PatternTriple,
-        pools: &[Vec<Iri>],
+        pools: &[Vec<TermId>],
+        first_pool: usize,
     ) -> Option<MappedTriple> {
         if let Some(class_word) = triple.class_word() {
             let class = self.resolve_class(class_word)?;
             return Some(MappedTriple::Type { class: class.to_string() });
         }
-        let subject = self.map_slot(&triple.subject, pools)?;
-        let object = self.map_slot(&triple.object, pools)?;
+        let object_pool = first_pool + usize::from(matches!(triple.subject, SlotTerm::Mention { .. }));
+        let subject = self.map_slot(&triple.subject, pools, first_pool)?;
+        let object = self.map_slot(&triple.object, pools, object_pool)?;
         let candidates = match &triple.predicate {
             PredicateSlot::RdfType => return None, // class word was not a mention
             PredicateSlot::Word { text, lemma, kind } => {
@@ -232,11 +241,12 @@ impl Mapper<'_> {
         Some(MappedTriple::Relation { subject, object, candidates })
     }
 
-    fn map_slot(&self, slot: &SlotTerm, pools: &[Vec<Iri>]) -> Option<MappedSlot> {
+    /// Maps a slot; a mention resolves from its precomputed `pools[pool]`.
+    fn map_slot(&self, slot: &SlotTerm, pools: &[Vec<TermId>], pool: usize) -> Option<MappedSlot> {
         match slot {
             SlotTerm::Var => Some(MappedSlot::Var),
             SlotTerm::Mention { text } => {
-                self.resolve_entity(text, pools).map(MappedSlot::Entity)
+                self.resolve_from_pool(text, &pools[pool], pools).map(MappedSlot::Entity)
             }
         }
     }
@@ -264,7 +274,7 @@ impl Mapper<'_> {
     /// The fuzzy scan goes through the lexical index unless the escape-hatch
     /// flag is off; either way the query is normalized (hence lowercased)
     /// once and scored with a shared DP scratch.
-    pub fn entity_pool(&self, text: &str) -> Vec<Iri> {
+    pub fn entity_pool(&self, text: &str) -> Vec<TermId> {
         let exact = self.kb.entities_with_label(text);
         if !exact.is_empty() {
             return exact.to_vec();
@@ -272,37 +282,47 @@ impl Mapper<'_> {
         let norm = normalize_label(text);
         let threshold = self.config.entity_sim_threshold;
         let mut scratch = LcsScratch::default();
-        let mut scored: Vec<(f64, &Iri)> = Vec::new();
+        let mut scored: Vec<(f64, TermId)> = Vec::new();
+        let mut score = |label: &str, ids: &[TermId]| {
+            let s = lcs_score_pre(&norm, label, &mut scratch);
+            if s >= threshold {
+                scored.extend(ids.iter().map(|&id| (s, id)));
+            }
+        };
         if self.config.use_lexical_index {
-            for (label, iris) in self.kb.lexical().entity_candidates(&norm, threshold) {
-                let s = lcs_score_pre(&norm, label, &mut scratch);
-                if s >= threshold {
-                    for iri in iris {
-                        scored.push((s, iri));
-                    }
-                }
+            for row in self.kb.lexical().entity_rows(&norm, threshold) {
+                let (label, ids) = self.kb.labels().row(row as usize);
+                score(label, ids);
             }
         } else {
-            for (label, iris) in self.kb.labels_iter() {
-                let s = lcs_score_pre(&norm, label, &mut scratch);
-                if s >= threshold {
-                    for iri in iris {
-                        scored.push((s, iri));
-                    }
-                }
+            for (label, ids) in self.kb.labels_iter() {
+                score(label, ids);
             }
         }
         // Equal-score ties break on the IRI so the top-5 truncation is
         // stable regardless of label iteration order.
-        scored.sort_by(|(sa, ia), (sb, ib)| sb.total_cmp(sa).then_with(|| ia.cmp(ib)));
-        scored.into_iter().take(5).map(|(_, iri)| iri.clone()).collect()
+        let graph = &self.kb.graph;
+        scored.sort_by(|(sa, a), (sb, b)| {
+            sb.total_cmp(sa).then_with(|| graph.term(*a).cmp(graph.term(*b)))
+        });
+        scored.into_iter().take(5).map(|(_, id)| id).collect()
     }
 
     /// §2.2.5: disambiguation by string similarity + page-link centrality.
     /// The centrality terms are (a) links to candidates of the *other*
     /// mentions in the question and (b) a global page-degree prior.
-    pub fn resolve_entity(&self, text: &str, pools: &[Vec<Iri>]) -> Option<ResolvedEntity> {
-        let candidates = self.entity_pool(text);
+    pub fn resolve_entity(&self, text: &str, pools: &[Vec<TermId>]) -> Option<ResolvedEntity> {
+        self.resolve_from_pool(text, &self.entity_pool(text), pools)
+    }
+
+    /// [`resolve_entity`](Self::resolve_entity) over the mention's already
+    /// computed [`entity_pool`](Self::entity_pool).
+    fn resolve_from_pool(
+        &self,
+        text: &str,
+        candidates: &[TermId],
+        pools: &[Vec<TermId>],
+    ) -> Option<ResolvedEntity> {
         relpat_obs::counter!("qa.map.entity_lookups");
         relpat_obs::counter!("qa.map.entity_candidates", candidates.len() as u64);
         if candidates.is_empty() {
@@ -311,28 +331,30 @@ impl Mapper<'_> {
         let norm = normalize_label(text);
         let max_degree = candidates
             .iter()
-            .map(|c| self.kb.page_degree(c))
+            .map(|&c| self.kb.page_degree(c))
             .max()
             .unwrap_or(0)
             .max(1) as f64;
-        let mut best: Option<ResolvedEntity> = None;
-        for iri in &candidates {
-            let label = self.kb.label_of(iri).unwrap_or_default().to_string();
-            let sim = lcs_score(&norm, &normalize_label(&label));
+        let mut best: Option<(TermId, &str, f64)> = None;
+        for &id in candidates {
+            let label = self.kb.label_of(id).unwrap_or_default();
+            let sim = lcs_score(&norm, &normalize_label(label));
             let mut score = sim;
             if self.config.use_centrality {
-                let degree = self.kb.page_degree(iri) as f64 / max_degree;
+                let degree = self.kb.page_degree(id) as f64 / max_degree;
                 let linked = pools
                     .iter()
-                    .filter(|pool| !pool.iter().any(|p| p == iri)) // other mentions
-                    .any(|pool| pool.iter().any(|p| self.kb.are_linked(iri, p)));
+                    .filter(|pool| !pool.contains(&id)) // other mentions
+                    .any(|pool| pool.iter().any(|&p| self.kb.are_linked(id, p)));
                 score += 0.3 * degree + 0.5 * f64::from(linked);
             }
-            if best.as_ref().is_none_or(|b| score > b.score) {
-                best = Some(ResolvedEntity { iri: iri.clone(), label, score });
+            if best.is_none_or(|(_, _, b)| score > b) {
+                best = Some((id, label, score));
             }
         }
-        best
+        let (id, label, score) = best?;
+        let iri = self.kb.graph.term(id).as_iri()?.clone();
+        Some(ResolvedEntity { iri, label: label.to_string(), score })
     }
 
     // -------------------------------------------------------------- properties

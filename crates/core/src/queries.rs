@@ -441,22 +441,16 @@ fn slot_compatible(
     declared: &str,
     var_class: Option<&str>,
 ) -> bool {
-    let classes: Vec<String> = match slot {
-        MappedSlot::Var => match var_class {
-            Some(c) => vec![c.to_string()],
-            None => return true,
-        },
-        MappedSlot::Entity(e) => {
-            let cs = kb.classes_of(&e.iri);
-            if cs.is_empty() {
-                return true;
-            }
-            cs
-        }
-    };
-    classes.iter().any(|c| {
+    let related = |c: &str| {
         kb.ontology.is_subclass_of(c, declared) || kb.ontology.is_subclass_of(declared, c)
-    })
+    };
+    match slot {
+        MappedSlot::Var => var_class.is_none_or(related),
+        MappedSlot::Entity(e) => {
+            let mut classes = kb.classes_of(&e.iri).peekable();
+            classes.peek().is_none() || classes.any(related)
+        }
+    }
 }
 
 fn render_slot(slot: &MappedSlot) -> String {

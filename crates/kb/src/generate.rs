@@ -907,8 +907,8 @@ mod tests {
     fn famous_athlete_has_higher_degree_than_namesake() {
         let kb = generate(&KbConfig::default());
         let jordans = kb.entities_with_label("Michael Jordan");
-        let athlete = jordans.iter().find(|i| kb.is_instance_of(i, "Athlete")).unwrap();
-        let scientist = jordans.iter().find(|i| kb.is_instance_of(i, "Scientist")).unwrap();
+        let athlete = jordans.iter().find(|&&i| kb.is_instance_of(i, "Athlete")).copied().unwrap();
+        let scientist = jordans.iter().find(|&&i| kb.is_instance_of(i, "Scientist")).copied().unwrap();
         assert!(
             kb.page_degree(athlete) > kb.page_degree(scientist),
             "athlete {} vs scientist {}",
@@ -920,9 +920,9 @@ mod tests {
     #[test]
     fn every_entity_has_type_and_label() {
         let kb = generate(&KbConfig::tiny());
-        for (_, iris) in kb.labels_iter() {
-            for iri in iris {
-                assert!(!kb.classes_of(iri).is_empty(), "{iri:?} lacks a class");
+        for (_, ids) in kb.labels_iter() {
+            for &id in ids {
+                assert!(kb.classes_of(id).next().is_some(), "{:?} lacks a class", kb.graph.term(id));
             }
         }
     }
@@ -937,9 +937,9 @@ mod tests {
     #[test]
     fn page_links_exist_for_facts() {
         let kb = generate(&KbConfig::tiny());
-        let pamuk = Iri::new(res::iri("Orhan Pamuk"));
-        let snow = Iri::new(res::iri("Snow"));
-        assert!(kb.are_linked(&pamuk, &snow));
+        let pamuk = kb.entities_with_label("Orhan Pamuk")[0];
+        let snow = kb.entities_with_label("Snow")[0];
+        assert!(kb.are_linked(pamuk, snow));
     }
 }
 

@@ -1,10 +1,11 @@
-//! The knowledge base: graph + ontology + derived indexes.
+//! The knowledge base: graph + ontology + id-space views of the graph.
 
-use relpat_rdf::vocab::{self, rdf, rdfs, res};
-use relpat_rdf::{Graph, Iri, Term};
+use relpat_obs::fx::FxHashMap;
+use relpat_rdf::vocab::{self, dbont, rdf, rdfs, res};
+use relpat_rdf::{Graph, IdPattern, Iri, Term, TermId};
 use relpat_sparql::{query, CacheStats, PlanTrace, QueryCache, QueryResult, SparqlError};
-use relpat_obs::fx::{FxHashMap, FxHashSet};
 
+use crate::labels::LabelTable;
 use crate::lexical::LexicalIndex;
 use crate::ontology::Ontology;
 
@@ -20,70 +21,97 @@ pub fn normalize_label(label: &str) -> String {
     trimmed.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
+/// An entity the knowledge base can look up: a [`TermId`] as is, or an
+/// `&Iri` through one interner probe.
+pub trait EntityRef {
+    /// The entity's id in `graph`, if the graph holds it.
+    fn id_in(self, graph: &Graph) -> Option<TermId>;
+}
+
+impl EntityRef for TermId {
+    fn id_in(self, _: &Graph) -> Option<TermId> {
+        Some(self)
+    }
+}
+
+impl EntityRef for &Iri {
+    fn id_in(self, graph: &Graph) -> Option<TermId> {
+        graph.term_id(&Term::Iri(self.clone()))
+    }
+}
+
+/// Heap bytes of the knowledge base's derived structures (see
+/// [`KnowledgeBase::heap_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KbBytes {
+    pub label_table: usize,
+    pub degree_column: usize,
+    pub lexical_index: usize,
+}
+
 /// A DBpedia-style knowledge base with the lookup structures the QA pipeline
-/// needs: label → entity index, entity → class resolution with subclass
-/// reasoning, and the page-link graph for disambiguation.
+/// needs: label → entity table, entity → class resolution with subclass
+/// reasoning, and page-link centrality for disambiguation. Every structure
+/// is keyed by the graph's [`TermId`]s and built once from the immutable
+/// graph; facts the graph already answers by a probe (an entity's label,
+/// whether two pages link) are not copied.
 #[derive(Debug)]
 pub struct KnowledgeBase {
     pub graph: Graph,
     pub ontology: Ontology,
-    label_index: FxHashMap<String, Vec<Iri>>,
-    labels: FxHashMap<Iri, String>,
+    labels: LabelTable,
+    /// `|out ∪ in|` over page-link neighbours, indexed by term id.
+    page_degree: Vec<u32>,
+    /// Per ontology class: the ids of it and its subclasses, sorted.
+    class_ids: FxHashMap<&'static str, Box<[TermId]>>,
     class_by_label: FxHashMap<String, &'static str>,
-    page_links: FxHashMap<Iri, FxHashSet<Iri>>,
+    /// Predicate ids the probes bind (`None`: the graph has no such fact).
+    label_pred: Option<TermId>,
+    link_pred: Option<TermId>,
+    type_pred: Option<TermId>,
     /// Shared result cache for [`query`](Self::query). The graph is
     /// immutable, so cached results never go stale.
     query_cache: QueryCache,
-    /// Sublinear candidate index over entity labels and ontology
+    /// Sublinear candidate index over the label table's rows and ontology
     /// properties, built once here (see [`crate::lexical`]).
     lexical: LexicalIndex,
 }
 
 impl KnowledgeBase {
-    /// Wraps a built graph, building all indexes. The ontology must
-    /// already be materialized into the graph (labels, class tree).
+    /// Wraps a built graph, building all views. The ontology must already
+    /// be materialized into the graph (labels, class tree).
     pub fn from_graph(graph: Graph, ontology: Ontology) -> Self {
-        let mut label_index: FxHashMap<String, Vec<Iri>> = FxHashMap::default();
-        let mut labels: FxHashMap<Iri, String> = FxHashMap::default();
-        let mut page_links: FxHashMap<Iri, FxHashSet<Iri>> = FxHashMap::default();
-
-        let label_pred = Term::iri(rdfs::LABEL);
-        for t in graph.triples_matching(None, Some(&label_pred), None) {
-            let (Term::Iri(subject), Term::Literal(lit)) = (&t.subject, &t.object) else {
-                continue;
-            };
-            if !subject.as_str().starts_with(res::NS) {
-                continue; // class/property labels are indexed separately
-            }
-            let norm = normalize_label(lit.lexical_form());
-            let entry = label_index.entry(norm).or_default();
-            if !entry.contains(subject) {
-                entry.push(subject.clone());
-            }
-            labels.entry(subject.clone()).or_insert_with(|| lit.lexical_form().to_string());
-        }
-
-        let link_pred = Term::iri(vocab::WIKI_PAGE_LINK);
-        for t in graph.triples_matching(None, Some(&link_pred), None) {
-            if let (Term::Iri(s), Term::Iri(o)) = (&t.subject, &t.object) {
-                page_links.entry(s.clone()).or_default().insert(o.clone());
-                page_links.entry(o.clone()).or_default().insert(s.clone());
-            }
-        }
-
-        let mut class_by_label = FxHashMap::default();
-        for c in &ontology.classes {
-            class_by_label.insert(normalize_label(c.label), c.name);
-        }
-
-        let lexical = LexicalIndex::build(&label_index, &ontology);
+        let id = |iri: &str| graph.term_id(&Term::iri(iri));
+        let (label_pred, link_pred, type_pred) =
+            (id(rdfs::LABEL), id(vocab::WIKI_PAGE_LINK), id(rdf::TYPE));
+        let labels = LabelTable::from_graph(&graph);
+        let page_degree = link_pred.map_or_else(Vec::new, |link| page_degrees(&graph, link));
+        let class_ids = ontology
+            .classes
+            .iter()
+            .map(|c| {
+                let mut ids: Vec<TermId> = ontology
+                    .descendants(c.name)
+                    .into_iter()
+                    .filter_map(|d| id(&dbont::iri(d)))
+                    .collect();
+                ids.sort_unstable();
+                (c.name, ids.into_boxed_slice())
+            })
+            .collect();
+        let class_by_label =
+            ontology.classes.iter().map(|c| (normalize_label(c.label), c.name)).collect();
+        let lexical = LexicalIndex::build(&labels, &ontology);
         KnowledgeBase {
             graph,
             ontology,
-            label_index,
             labels,
+            page_degree,
+            class_ids,
             class_by_label,
-            page_links,
+            label_pred,
+            link_pred,
+            type_pred,
             query_cache: QueryCache::default(),
             lexical,
         }
@@ -95,23 +123,36 @@ impl KnowledgeBase {
         &self.lexical
     }
 
+    /// The entity label table the exact lookup, the lexical index and the
+    /// mention detector share.
+    pub fn labels(&self) -> &LabelTable {
+        &self.labels
+    }
+
     /// Entities whose label normalizes to exactly `text`.
-    pub fn entities_with_label(&self, text: &str) -> &[Iri] {
-        self.label_index
-            .get(&normalize_label(text))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn entities_with_label(&self, text: &str) -> &[TermId] {
+        self.labels.find(&normalize_label(text)).map_or(&[], |row| self.labels.entities(row))
     }
 
-    /// All `(normalized label, entities)` pairs — the mention detector's raw
-    /// material.
-    pub fn labels_iter(&self) -> impl Iterator<Item = (&str, &[Iri])> {
-        self.label_index.iter().map(|(l, v)| (l.as_str(), v.as_slice()))
+    /// All `(normalized label, entities)` rows in label order — the mention
+    /// detector's raw material.
+    pub fn labels_iter(&self) -> impl Iterator<Item = (&str, &[TermId])> {
+        self.labels.iter()
     }
 
-    /// The primary (first-seen) label of an entity.
-    pub fn label_of(&self, iri: &Iri) -> Option<&str> {
-        self.labels.get(iri).map(String::as_str)
+    /// The primary label of a `res:` entity: the first literal of its
+    /// `(entity, rdfs:label, ?)` slice, i.e. the one interned first.
+    pub fn label_of(&self, entity: impl EntityRef) -> Option<&str> {
+        let id = entity.id_in(&self.graph)?;
+        let Term::Iri(iri) = self.graph.term(id) else { return None };
+        if !iri.as_str().starts_with(res::NS) {
+            return None;
+        }
+        let pattern = IdPattern { subject: Some(id), predicate: Some(self.label_pred?), object: None };
+        self.graph.scan_iter(pattern).find_map(|(_, _, o)| match self.graph.term(o) {
+            Term::Literal(lit) => Some(lit.lexical_form()),
+            _ => None,
+        })
     }
 
     /// The ontology class whose label normalizes to `text`
@@ -120,36 +161,58 @@ impl KnowledgeBase {
         self.class_by_label.get(&normalize_label(text)).copied()
     }
 
-    /// Direct classes of an entity (local names).
-    pub fn classes_of(&self, iri: &Iri) -> Vec<String> {
-        self.graph
-            .objects_of(&Term::Iri(iri.clone()), &Term::iri(rdf::TYPE))
-            .into_iter()
-            .filter_map(|t| match t {
-                Term::Iri(c) if c.as_str().starts_with(vocab::dbont::NS) => {
-                    Some(c.local_name().to_string())
-                }
-                _ => None,
-            })
-            .collect()
+    /// The ids of an entity's direct `rdf:type` objects, in id order.
+    fn type_ids(&self, entity: Option<TermId>) -> impl Iterator<Item = TermId> + '_ {
+        let pattern = entity.zip(self.type_pred).map(|(s, ty)| IdPattern {
+            subject: Some(s),
+            predicate: Some(ty),
+            object: None,
+        });
+        pattern.into_iter().flat_map(|p| self.graph.scan_iter(p)).map(|(_, _, o)| o)
+    }
+
+    /// Direct ontology classes of an entity (local names).
+    pub fn classes_of(&self, entity: impl EntityRef) -> impl Iterator<Item = &str> {
+        self.type_ids(entity.id_in(&self.graph)).filter_map(|c| match self.graph.term(c) {
+            Term::Iri(c) if c.as_str().starts_with(dbont::NS) => Some(c.local_name()),
+            _ => None,
+        })
     }
 
     /// True if the entity is an instance of `class_name` directly or via the
-    /// subclass tree.
-    pub fn is_instance_of(&self, iri: &Iri, class_name: &str) -> bool {
-        self.classes_of(iri)
-            .iter()
-            .any(|c| self.ontology.is_subclass_of(c, class_name))
+    /// subclass tree: its `rdf:type` ids against the class's subtree ids.
+    pub fn is_instance_of(&self, entity: impl EntityRef, class_name: &str) -> bool {
+        let unknown;
+        let targets = match self.class_ids.get(class_name) {
+            Some(ids) => &ids[..],
+            None => {
+                unknown = self.graph.term_id(&Term::iri(dbont::iri(class_name)));
+                unknown.as_slice()
+            }
+        };
+        self.type_ids(entity.id_in(&self.graph)).any(|c| targets.binary_search(&c).is_ok())
     }
 
-    /// Number of page links touching an entity.
-    pub fn page_degree(&self, iri: &Iri) -> usize {
-        self.page_links.get(iri).map_or(0, FxHashSet::len)
+    /// Number of distinct pages linked to or from an entity.
+    pub fn page_degree(&self, entity: TermId) -> usize {
+        self.page_degree.get(entity.index()).map_or(0, |&d| d as usize)
     }
 
     /// True if two entities are connected by a page link (either direction).
-    pub fn are_linked(&self, a: &Iri, b: &Iri) -> bool {
-        self.page_links.get(a).is_some_and(|s| s.contains(b))
+    pub fn are_linked(&self, a: TermId, b: TermId) -> bool {
+        self.link_pred.is_some_and(|link| {
+            self.graph.contains_ids((a, link, b)) || self.graph.contains_ids((b, link, a))
+        })
+    }
+
+    /// Heap bytes of the derived structures (the graph reports its own via
+    /// [`Graph::heap_bytes`]).
+    pub fn heap_bytes(&self) -> KbBytes {
+        KbBytes {
+            label_table: self.labels.heap_bytes(),
+            degree_column: self.page_degree.capacity() * std::mem::size_of::<u32>(),
+            lexical_index: self.lexical.heap_bytes(),
+        }
     }
 
     /// Runs a SPARQL query against the store, serving repeated query texts
@@ -199,7 +262,7 @@ impl KnowledgeBase {
 
     /// Number of distinct labeled entities.
     pub fn entity_count(&self) -> usize {
-        self.labels.len()
+        self.labels.entity_count()
     }
 
     /// Order-sensitive FNV-1a hash over every triple's rendered form. The
@@ -239,10 +302,29 @@ impl KnowledgeBase {
     }
 }
 
+/// `|out ∪ in|` page-link neighbours per term id, from one pass over the
+/// link predicate's POS slice: each fact adds one to both ends, and a pair
+/// linked both ways (or a page linking itself) gives one back per end, found
+/// by a point probe for the reverse fact.
+fn page_degrees(graph: &Graph, link: TermId) -> Vec<u32> {
+    let mut degree = vec![0u32; graph.interner().len()];
+    let pattern = IdPattern { subject: None, predicate: Some(link), object: None };
+    for (s, _, o) in graph.scan_iter(pattern) {
+        degree[s.index()] += 1;
+        degree[o.index()] += 1;
+        if s == o {
+            degree[s.index()] -= 1;
+        } else if s < o && graph.contains_ids((o, link, s)) {
+            degree[s.index()] -= 1;
+            degree[o.index()] -= 1;
+        }
+    }
+    degree
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relpat_rdf::vocab::dbont;
     use relpat_rdf::{GraphBuilder, Literal};
 
     fn mini_kb() -> KnowledgeBase {
@@ -278,7 +360,9 @@ mod tests {
         let kb = mini_kb();
         let hits = kb.entities_with_label("orhan pamuk");
         assert_eq!(hits.len(), 1);
-        assert_eq!(kb.label_of(&hits[0]), Some("Orhan Pamuk"));
+        assert_eq!(kb.label_of(hits[0]), Some("Orhan Pamuk"));
+        // Only `res:` entities have labels here; class labels do not.
+        assert_eq!(kb.label_of(&Iri::new(dbont::iri("Book"))), None);
         assert!(kb.entities_with_label("nobody").is_empty());
     }
 
@@ -302,11 +386,13 @@ mod tests {
     #[test]
     fn page_links_are_symmetric() {
         let kb = mini_kb();
-        let pamuk = Iri::new(res::iri("Orhan Pamuk"));
-        let snow = Iri::new(res::iri("Snow"));
-        assert!(kb.are_linked(&pamuk, &snow));
-        assert!(kb.are_linked(&snow, &pamuk));
-        assert_eq!(kb.page_degree(&pamuk), 1);
+        let pamuk = kb.entities_with_label("Orhan Pamuk")[0];
+        let snow = kb.entities_with_label("Snow")[0];
+        assert!(kb.are_linked(pamuk, snow));
+        assert!(kb.are_linked(snow, pamuk));
+        assert!(!kb.are_linked(pamuk, pamuk));
+        assert_eq!(kb.page_degree(pamuk), 1);
+        assert_eq!(kb.page_degree(snow), 1);
     }
 
     #[test]
@@ -333,7 +419,9 @@ mod tests {
         );
         let pamuk = Iri::new(res::iri("Orhan Pamuk"));
         assert!(loaded.is_instance_of(&pamuk, "Person"));
-        assert!(loaded.are_linked(&pamuk, &Iri::new(res::iri("Snow"))));
+        let (pamuk, snow) =
+            (loaded.entities_with_label("Orhan Pamuk")[0], loaded.entities_with_label("Snow")[0]);
+        assert!(loaded.are_linked(pamuk, snow));
         let _ = std::fs::remove_file(path);
     }
 

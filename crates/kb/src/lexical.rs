@@ -50,11 +50,12 @@
 //! computed score — an entry is pruned only when its true score cannot
 //! reach the threshold. Exact-word hits skip the bounds entirely.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use relpat_obs::fx::{FxHashMap, FxHashSet};
-use relpat_rdf::Iri;
 
+use crate::labels::LabelTable;
 use crate::ontology::Ontology;
 
 /// Splits a camelCase property local name into lower-cased words
@@ -145,9 +146,9 @@ struct ScaleGroup {
 }
 
 /// Build-time description of one entry.
-struct EntrySpec {
+struct EntrySpec<'a> {
     /// `(lowercased text, scale)` LCS scoring units.
-    units: Vec<(String, f64)>,
+    units: Vec<(Cow<'a, str>, f64)>,
     /// Exact-match words for the 0.95 rule (camel constituents + label words).
     words: Vec<String>,
 }
@@ -169,12 +170,13 @@ struct SimIndex {
 }
 
 impl SimIndex {
-    fn build(specs: Vec<EntrySpec>) -> Self {
-        let entry_count = specs.len();
+    fn build<'a>(specs: impl Iterator<Item = EntrySpec<'a>>) -> Self {
+        let mut entry_count = 0;
         let mut units: Vec<Unit> = Vec::new();
         let mut bigrams: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
         let mut words: FxHashMap<String, Vec<u32>> = FxHashMap::default();
-        for (entry, spec) in specs.into_iter().enumerate() {
+        for (entry, spec) in specs.enumerate() {
+            entry_count += 1;
             for (text, scale) in spec.units {
                 let id = units.len() as u32;
                 let mut keys: Vec<u64> = text
@@ -338,6 +340,20 @@ impl SimIndex {
     fn posting_len(&self) -> usize {
         self.bigrams.values().map(Vec::len).sum()
     }
+
+    /// Heap bytes held, from lengths and capacities (hash tables count one
+    /// control byte per bucket).
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let postings = |v: &Vec<u32>| v.capacity() * 4;
+        self.units.capacity() * size_of::<Unit>()
+            + self.units.iter().map(|u| u.bag.other.capacity() * size_of::<(char, u16)>()).sum::<usize>()
+            + self.bigrams.capacity() * (size_of::<(u64, Vec<u32>)>() + 1)
+            + self.bigrams.values().map(postings).sum::<usize>()
+            + self.groups.iter().map(|g| postings(&g.by_len)).sum::<usize>()
+            + self.words.capacity() * (size_of::<(String, Vec<u32>)>() + 1)
+            + self.words.iter().map(|(w, p)| w.capacity() + postings(p)).sum::<usize>()
+    }
 }
 
 /// Cumulative lookup totals (snapshot of [`LexicalIndex::lookup_stats`]).
@@ -408,12 +424,12 @@ pub struct LexStats {
 
 /// The per-`KnowledgeBase` lexical candidate index: entity labels plus
 /// object/data property names and labels. Built once in
-/// [`KnowledgeBase::from_graph`](crate::KnowledgeBase::from_graph).
+/// [`KnowledgeBase::from_graph`](crate::KnowledgeBase::from_graph). Entity
+/// entries are the rows of the KB's [`LabelTable`]; the index keeps no copy
+/// of their text.
 #[derive(Debug)]
 pub struct LexicalIndex {
-    /// `(normalized label, entities)` sorted by label — the index's stable
-    /// view of the entity label table.
-    entity_labels: Vec<(String, Vec<Iri>)>,
+    /// Entry `i` is label-table row `i`.
     entities: SimIndex,
     object_props: SimIndex,
     data_props: SimIndex,
@@ -421,65 +437,41 @@ pub struct LexicalIndex {
 }
 
 impl LexicalIndex {
-    pub(crate) fn build(
-        label_index: &FxHashMap<String, Vec<Iri>>,
-        ontology: &Ontology,
-    ) -> Self {
-        let mut entity_labels: Vec<(String, Vec<Iri>)> =
-            label_index.iter().map(|(l, v)| (l.clone(), v.clone())).collect();
-        entity_labels.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let entity_specs = entity_labels
-            .iter()
-            .map(|(label, _)| EntrySpec {
-                units: vec![(label.clone(), 1.0)],
-                words: Vec::new(),
-            })
-            .collect();
-        let property_specs = |names: &mut dyn Iterator<Item = (&str, &str)>| -> Vec<EntrySpec> {
-            names
-                .map(|(name, label)| {
-                    let mut units = vec![(name.to_lowercase(), 1.0)];
-                    let mut words = split_camel_case(name);
-                    for w in label.to_lowercase().split_whitespace() {
-                        units.push((w.to_string(), 0.9));
-                        words.push(w.to_string());
-                    }
-                    words.sort_unstable();
-                    words.dedup();
-                    EntrySpec { units, words }
-                })
-                .collect()
+    pub(crate) fn build(labels: &LabelTable, ontology: &Ontology) -> Self {
+        let entity_specs = labels.iter().map(|(label, _)| EntrySpec {
+            units: vec![(Cow::Borrowed(label), 1.0)],
+            words: Vec::new(),
+        });
+        let property_specs = |name: &str, label: &str| {
+            let mut units = vec![(Cow::Owned(name.to_lowercase()), 1.0)];
+            let mut words = split_camel_case(name);
+            for w in label.to_lowercase().split_whitespace() {
+                units.push((Cow::Owned(w.to_string()), 0.9));
+                words.push(w.to_string());
+            }
+            words.sort_unstable();
+            words.dedup();
+            EntrySpec { units, words }
         };
-        let object_props = SimIndex::build(property_specs(
-            &mut ontology.object_properties.iter().map(|p| (p.name, p.label)),
-        ));
-        let data_props = SimIndex::build(property_specs(
-            &mut ontology.data_properties.iter().map(|p| (p.name, p.label)),
-        ));
+        let object_props = SimIndex::build(
+            ontology.object_properties.iter().map(|p| property_specs(p.name, p.label)),
+        );
+        let data_props = SimIndex::build(
+            ontology.data_properties.iter().map(|p| property_specs(p.name, p.label)),
+        );
         LexicalIndex {
             entities: SimIndex::build(entity_specs),
-            entity_labels,
             object_props,
             data_props,
             lookups: LookupCells::default(),
         }
     }
 
-    /// Entity-label entries that may score ≥ `threshold` against the
-    /// (already `normalize_label`ed) query. A superset of the true matches;
-    /// callers re-score with the exact LCS and filter.
-    pub fn entity_candidates(
-        &self,
-        norm_query: &str,
-        threshold: f64,
-    ) -> impl Iterator<Item = (&str, &[Iri])> {
-        self.entities
-            .candidates(norm_query, threshold, &self.lookups)
-            .into_iter()
-            .map(|e| {
-                let (label, iris) = &self.entity_labels[e as usize];
-                (label.as_str(), iris.as_slice())
-            })
+    /// Label-table rows (ascending) that may score ≥ `threshold` against
+    /// the (already `normalize_label`ed) query. A superset of the true
+    /// matches; callers re-score with the exact LCS and filter.
+    pub fn entity_rows(&self, norm_query: &str, threshold: f64) -> Vec<u32> {
+        self.entities.candidates(norm_query, threshold, &self.lookups)
     }
 
     /// Indices into `ontology.object_properties` (ascending) that may score
@@ -513,10 +505,15 @@ impl LexicalIndex {
         self.lookups.snapshot()
     }
 
+    /// Heap bytes held by the three entry families' indexes.
+    pub fn heap_bytes(&self) -> usize {
+        self.entities.heap_bytes() + self.object_props.heap_bytes() + self.data_props.heap_bytes()
+    }
+
     /// Build-time shape of the index.
     pub fn stats(&self) -> LexStats {
         LexStats {
-            entity_entries: self.entity_labels.len(),
+            entity_entries: self.entities.entry_count,
             property_entries: self.object_props.entry_count + self.data_props.entry_count,
             units: self.entities.units.len()
                 + self.object_props.units.len()
@@ -532,6 +529,8 @@ impl LexicalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relpat_rdf::vocab::{rdfs, res};
+    use relpat_rdf::{GraphBuilder, Term};
 
     /// Reference LCS (chars, two-row DP) for soundness checks.
     fn lcs_len(a: &str, b: &str) -> usize {
@@ -576,23 +575,20 @@ mod tests {
         best
     }
 
+    /// Toy entity labels (sorted, as table rows must be).
+    const TOY_LABELS: [&str; 6] =
+        ["a", "ankara", "michael jordan", "orhan pamuk", "orhan pamul", "é"];
+
     fn toy_index() -> LexicalIndex {
-        let mut labels: FxHashMap<String, Vec<Iri>> = FxHashMap::default();
-        for (label, iri) in [
-            ("orhan pamuk", "http://e/Orhan_Pamuk"),
-            ("orhan pamul", "http://e/Orhan_Pamul"),
-            ("michael jordan", "http://e/Michael_Jordan"),
-            ("ankara", "http://e/Ankara"),
-            ("a", "http://e/A"),
-            ("é", "http://e/Accent"),
-        ] {
-            labels.entry(label.to_string()).or_default().push(Iri::new(iri));
+        let mut g = GraphBuilder::new();
+        for label in TOY_LABELS {
+            g.add(Term::iri(res::iri(label)), Term::iri(rdfs::LABEL), Term::literal(label));
         }
-        LexicalIndex::build(&labels, &Ontology::dbpedia())
+        LexicalIndex::build(&LabelTable::from_graph(&g.build()), &Ontology::dbpedia())
     }
 
     fn entity_survivors(ix: &LexicalIndex, query: &str, t: f64) -> Vec<String> {
-        ix.entity_candidates(query, t).map(|(l, _)| l.to_string()).collect()
+        ix.entity_rows(query, t).into_iter().map(|row| TOY_LABELS[row as usize].to_string()).collect()
     }
 
     #[test]
@@ -607,9 +603,9 @@ mod tests {
         for t in [0.5, 0.7, 0.85, 0.95, 1.0] {
             for query in ["orhan pamuk", "orham pamuk", "ankaro", "a", "é", "", "jordan"] {
                 let got = entity_survivors(&ix, query, t);
-                for (label, _) in &ix.entity_labels {
+                for label in TOY_LABELS {
                     if lcs_score(query, label) >= t {
-                        assert!(got.contains(label), "missing {label:?} for {query:?} @ {t}");
+                        assert!(got.contains(&label.to_string()), "missing {label:?} for {query:?} @ {t}");
                     }
                 }
             }
@@ -678,9 +674,9 @@ mod tests {
                 (0..len).map(|_| alphabet[(rng.next_u64() as usize) % alphabet.len()]).collect();
             for t in [0.5, 0.7, 0.85, 0.9] {
                 let got = entity_survivors(&ix, &query, t);
-                for (label, _) in &ix.entity_labels {
+                for label in TOY_LABELS {
                     if lcs_score(&query, label) >= t {
-                        assert!(got.contains(label), "lost {label:?} for {query:?} @ {t}");
+                        assert!(got.contains(&label.to_string()), "lost {label:?} for {query:?} @ {t}");
                     }
                 }
                 let obj = ix.object_property_candidates(&[&query], t);

@@ -17,6 +17,7 @@
 
 mod generate;
 mod kb;
+mod labels;
 pub mod lexical;
 mod names;
 mod ontology;
@@ -24,7 +25,8 @@ mod qald;
 mod stats;
 
 pub use generate::{generate, KbConfig, DEFAULT_KB_FINGERPRINT};
-pub use kb::{normalize_label, KnowledgeBase};
+pub use kb::{normalize_label, EntityRef, KbBytes, KnowledgeBase};
+pub use labels::LabelTable;
 pub use lexical::{split_camel_case, IndexLookupStats, LexStats, LexicalIndex};
 pub use names::AMBIGUOUS_CITY;
 pub use ontology::{ClassDef, DataPropertyDef, DataRange, ObjectPropertyDef, Ontology};

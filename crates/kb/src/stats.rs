@@ -53,11 +53,11 @@ impl KbStats {
 
         let mut degrees: Vec<usize> = kb
             .labels_iter()
-            .flat_map(|(_, iris)| iris.iter().map(|i| kb.page_degree(i)))
+            .flat_map(|(_, ids)| ids.iter().map(|&id| kb.page_degree(id)))
             .collect();
         degrees.sort_unstable();
 
-        let ambiguous_labels = kb.labels_iter().filter(|(_, iris)| iris.len() > 1).count();
+        let ambiguous_labels = kb.labels_iter().filter(|(_, ids)| ids.len() > 1).count();
 
         KbStats {
             triples: kb.len(),
@@ -74,8 +74,8 @@ impl KbStats {
     /// Instances of a class, including subclasses (taxonomy-aware count).
     pub fn instances_under(kb: &KnowledgeBase, class: &str) -> usize {
         kb.labels_iter()
-            .flat_map(|(_, iris)| iris.iter())
-            .filter(|iri| kb.is_instance_of(iri, class))
+            .flat_map(|(_, ids)| ids.iter())
+            .filter(|&&id| kb.is_instance_of(id, class))
             .count()
     }
 

@@ -10,8 +10,8 @@
 
 use relpat_obs::Rng;
 use relpat_kb::KnowledgeBase;
-use relpat_rdf::vocab::{dbont, res};
-use relpat_rdf::Term;
+use relpat_rdf::vocab::dbont;
+use relpat_rdf::{IdPattern, IdTriple, Term};
 
 /// Configuration for corpus synthesis.
 #[derive(Debug, Clone)]
@@ -168,6 +168,14 @@ fn confusable(property: &str) -> &'static [&'static str] {
     }
 }
 
+/// The `(?, dbont:<property>, ?)` facts in POS order.
+fn facts_of<'kb>(kb: &'kb KnowledgeBase, property: &str) -> impl Iterator<Item = IdTriple> + 'kb {
+    let predicate = kb.graph.term_id(&Term::iri(dbont::iri(property)));
+    predicate.into_iter().flat_map(|p| {
+        kb.graph.scan_iter(IdPattern { subject: None, predicate: Some(p), object: None })
+    })
+}
+
 /// Synthesizes the corpus from every object-property fact in the KB.
 pub fn generate_corpus(kb: &KnowledgeBase, config: &CorpusConfig) -> Vec<Sentence> {
     let mut rng = Rng::seed_from_u64(config.seed);
@@ -177,14 +185,8 @@ pub fn generate_corpus(kb: &KnowledgeBase, config: &CorpusConfig) -> Vec<Sentenc
         if templates.is_empty() {
             continue;
         }
-        let pred = Term::iri(dbont::iri(prop_def.name));
-        for triple in kb.graph.triples_matching(None, Some(&pred), None) {
-            let (Term::Iri(s), Term::Iri(o)) = (&triple.subject, &triple.object) else {
-                continue;
-            };
-            if !s.as_str().starts_with(res::NS) || !o.as_str().starts_with(res::NS) {
-                continue;
-            }
+        for (s, _, o) in facts_of(kb, prop_def.name) {
+            // `label_of` answers only for `res:` entities.
             let (Some(s_label), Some(o_label)) = (kb.label_of(s), kb.label_of(o)) else {
                 continue;
             };
@@ -216,12 +218,8 @@ pub fn generate_corpus(kb: &KnowledgeBase, config: &CorpusConfig) -> Vec<Sentenc
             if templates.is_empty() {
                 continue;
             }
-            let pred = Term::iri(dbont::iri(prop_def.name));
-            for triple in kb.graph.triples_matching(None, Some(&pred), None) {
-                let (Term::Iri(s), Term::Literal(lit)) = (&triple.subject, &triple.object)
-                else {
-                    continue;
-                };
+            for (s, _, o) in facts_of(kb, prop_def.name) {
+                let Term::Literal(lit) = kb.graph.term(o) else { continue };
                 let Some(s_label) = kb.label_of(s) else { continue };
                 let n = rng.gen_range(1..=config.max_realizations);
                 for _ in 0..n {

@@ -15,7 +15,7 @@
 
 use std::rc::Rc;
 
-use relpat_kb::KnowledgeBase;
+use relpat_kb::{KnowledgeBase, LabelTable};
 use relpat_nlp::{tag, tokenize, PosTag};
 use relpat_obs::fx::FxHashMap;
 use relpat_rdf::vocab::dbont;
@@ -115,7 +115,8 @@ pub struct Mention<'d> {
 const ROOT: u32 = 0;
 
 /// Detects KB-entity mentions by longest-match label lookup, walking a trie
-/// of lowercased label words built once from the label index.
+/// of lowercased label words built once over the KB's label-table rows (a
+/// node keeps its row number; the entities stay in the table).
 ///
 /// A span matches the label key its words normalize to. Looking a span up
 /// normalizes it twice (once by the caller, once by
@@ -123,53 +124,60 @@ const ROOT: u32 = 0;
 /// (`the`/`a`/`an`) are dropped, each only while a word follows it. The walk
 /// reproduces that: it starts past the leading articles, and a span made
 /// only of articles looks up its last one.
-pub struct MentionDetector {
+pub struct MentionDetector<'kb> {
+    table: &'kb LabelTable,
     /// Lowercased label word → word id.
     words: FxHashMap<String, u32>,
     /// `(node, word id)` → child node.
     edges: FxHashMap<(u32, u32), u32>,
-    /// Per node: the entities whose label key ends there.
-    labels: Vec<Option<Box<[TermId]>>>,
+    /// Per node: the label-table row whose key ends there, or [`NO_ROW`].
+    rows: Vec<u32>,
     /// Longest label in words, plus one for a leading article.
     max_label_tokens: usize,
 }
 
-impl MentionDetector {
-    pub fn new(kb: &KnowledgeBase) -> Self {
+/// A trie node no label key ends at.
+const NO_ROW: u32 = u32::MAX;
+
+impl<'kb> MentionDetector<'kb> {
+    pub fn new(kb: &'kb KnowledgeBase) -> Self {
         let mut detector = MentionDetector {
+            table: kb.labels(),
             words: FxHashMap::default(),
             edges: FxHashMap::default(),
-            labels: vec![None],
+            rows: vec![NO_ROW],
             max_label_tokens: 1,
         };
-        for (key, iris) in kb.labels_iter() {
+        for (row, (key, _)) in kb.labels_iter().enumerate() {
             let mut node = ROOT;
             let mut len = 0;
             for word in key.split_whitespace() {
                 len += 1;
                 let next_word = detector.words.len() as u32;
                 let w = *detector.words.entry(word.to_string()).or_insert(next_word);
-                let next_node = detector.labels.len() as u32;
+                let next_node = detector.rows.len() as u32;
                 node = *detector.edges.entry((node, w)).or_insert(next_node);
                 if node == next_node {
-                    detector.labels.push(None);
+                    detector.rows.push(NO_ROW);
                 }
             }
             detector.max_label_tokens = detector.max_label_tokens.max(len + 1);
             if node == ROOT {
                 continue; // an empty key is never looked up
             }
-            let entities = iris
-                .iter()
-                .filter_map(|iri| kb.graph.term_id(&Term::Iri(iri.clone())))
-                .collect();
-            detector.labels[node as usize] = Some(entities);
+            detector.rows[node as usize] = row as u32;
         }
         detector
     }
 
+    /// The entities whose label key ends at `node`.
+    fn entities_at(&self, node: u32) -> Option<&'kb [TermId]> {
+        let row = self.rows[node as usize];
+        (row != NO_ROW).then(|| self.table.entities(row as usize))
+    }
+
     /// Finds non-overlapping mentions, longest-first greedy left-to-right.
-    pub fn detect(&self, tokens: &[String]) -> Vec<Mention<'_>> {
+    pub fn detect(&self, tokens: &[String]) -> Vec<Mention<'kb>> {
         // Per token: its label-word id (if any label uses it) and whether it
         // is an article.
         let words: Vec<(Option<u32>, bool)> = tokens
@@ -195,7 +203,7 @@ impl MentionDetector {
     }
 
     /// The longest labelled span starting at token `i`: its end and entities.
-    fn longest_at(&self, words: &[(Option<u32>, bool)], i: usize) -> Option<(usize, &[TermId])> {
+    fn longest_at(&self, words: &[(Option<u32>, bool)], i: usize) -> Option<(usize, &'kb [TermId])> {
         let max_j = (i + self.max_label_tokens).min(words.len());
         let articles = words[i..max_j].iter().take(2).take_while(|w| w.1).count();
         let mut best = None;
@@ -203,8 +211,8 @@ impl MentionDetector {
         for (j, &(word, _)) in words.iter().enumerate().take(max_j).skip(i + articles) {
             let Some(&next) = word.and_then(|w| self.edges.get(&(node, w))) else { break };
             node = next;
-            if let Some(entities) = &self.labels[node as usize] {
-                best = Some((j + 1, &entities[..]));
+            if let Some(entities) = self.entities_at(node) {
+                best = Some((j + 1, entities));
             }
         }
         if best.is_some() {
@@ -213,7 +221,7 @@ impl MentionDetector {
         // Only articles: "the a" is looked up as "a", "the" as "the".
         (0..articles).rev().find_map(|k| {
             let node = words[i + k].0.and_then(|w| self.edges.get(&(ROOT, w)))?;
-            Some((i + k + 1, self.labels[*node as usize].as_deref()?))
+            Some((i + k + 1, self.entities_at(*node)?))
         })
     }
 }

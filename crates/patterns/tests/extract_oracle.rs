@@ -47,7 +47,7 @@ mod reference {
                 }
                 let hits = kb.entities_with_label(&normalized);
                 if !hits.is_empty() {
-                    found = Some((i, j, hits.to_vec()));
+                    found = Some((i, j, hits.iter().map(|&e| super::iri(kb, e)).collect()));
                     break;
                 }
             }

@@ -192,8 +192,9 @@ impl GraphBuilder {
     }
 
     /// Sorts and deduplicates the pushed triples once (SPO), then derives
-    /// and sorts the POS and OSP permutations. Also resolves each interned
-    /// term's [`TermValue`] into the value column, in id order.
+    /// and sorts the POS and OSP permutations, and counts each subject's SPO
+    /// entries into offsets. Also resolves each interned term's
+    /// [`TermValue`] into the value column, in id order.
     pub fn build(self) -> Graph {
         let GraphBuilder { interner, triples: mut spo } = self;
         let values = interner.iter().map(|(_, term)| TermValue::of(term)).collect();
@@ -206,8 +207,26 @@ impl GraphBuilder {
             index
         };
         let (pos, osp) = (derive(POS), derive(OSP));
-        Graph { interner, values, index: [spo, pos, osp] }
+        let mut subject_at = vec![0u32; interner.len() + 1];
+        for &[s, _, _] in &spo {
+            subject_at[s as usize + 1] += 1;
+        }
+        for i in 1..subject_at.len() {
+            subject_at[i] += subject_at[i - 1];
+        }
+        Graph { interner, values, index: [spo, pos, osp], subject_at }
     }
+}
+
+/// Heap bytes of a [`Graph`]'s structures (see [`Graph::heap_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GraphBytes {
+    /// The SPO, POS and OSP arrays and the SPO subject offsets.
+    pub permutations: usize,
+    /// The [`TermValue`] column.
+    pub values: usize,
+    /// Interned terms, their string payloads and the term → id map.
+    pub interner: usize,
 }
 
 /// An immutable triple set with SPO/POS/OSP flat indexes, produced by
@@ -219,6 +238,9 @@ pub struct Graph {
     values: Vec<TermValue>,
     /// Flat sorted permutation indexes, addressed by `SPO`/`POS`/`OSP`.
     index: [Vec<[u32; 3]>; 3],
+    /// Subject `s`'s SPO entries are `index[SPO][subject_at[s]..subject_at[s + 1]]`,
+    /// so a probe with a bound subject searches only that slice.
+    subject_at: Vec<u32>,
 }
 
 impl Graph {
@@ -265,6 +287,30 @@ impl Graph {
         }
     }
 
+    /// Membership test at the id level: one binary search of the SPO index.
+    pub fn contains_ids(&self, (s, p, o): IdTriple) -> bool {
+        self.subject_slice(s).binary_search(&[s.0, p.0, o.0]).is_ok()
+    }
+
+    /// Subject `s`'s SPO entries (empty for an id the graph does not hold).
+    fn subject_slice(&self, s: TermId) -> &[[u32; 3]] {
+        match self.subject_at.get(s.index()..s.index() + 2) {
+            Some(&[lo, hi]) => &self.index[SPO][lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Heap bytes held by each structure, from lengths and capacities.
+    pub fn heap_bytes(&self) -> GraphBytes {
+        let entry = std::mem::size_of::<[u32; 3]>();
+        GraphBytes {
+            permutations: self.index.iter().map(|ix| ix.capacity() * entry).sum::<usize>()
+                + self.subject_at.capacity() * std::mem::size_of::<u32>(),
+            values: self.values.capacity() * std::mem::size_of::<TermValue>(),
+            interner: self.interner.heap_bytes(),
+        }
+    }
+
     /// Id-level pattern scan as a zero-allocation streaming iterator over
     /// the slice addressed by two `partition_point` searches. Yields
     /// `(s, p, o)` ids in the canonical order of the chosen permutation.
@@ -298,7 +344,10 @@ impl Graph {
     /// The routed permutation and its slice of entries matching `pattern`.
     fn matches(&self, pattern: IdPattern) -> (usize, &[[u32; 3]]) {
         let (perm, key, len) = route(pattern);
-        let index = &self.index[perm];
+        let index = match (perm, pattern.subject) {
+            (SPO, Some(s)) => self.subject_slice(s),
+            _ => &self.index[perm],
+        };
         let (lo, hi) = prefix_bounds(index, key, len);
         (perm, &index[lo..hi])
     }

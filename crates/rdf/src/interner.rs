@@ -76,6 +76,16 @@ impl Interner {
         self.terms.get(id.index())
     }
 
+    /// Heap bytes held: the term array, the term → id table (entries plus
+    /// one control byte each) and every term's string payloads, counted
+    /// once although both structures share them.
+    pub fn heap_bytes(&self) -> usize {
+        let term = std::mem::size_of::<Term>();
+        let table = self.ids.capacity() * (std::mem::size_of::<(Term, TermId)>() + 1);
+        let payloads: usize = self.terms.iter().map(Term::payload_bytes).sum();
+        self.terms.capacity() * term + table + payloads
+    }
+
     /// Iterates over `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
         self.terms

@@ -44,7 +44,8 @@ pub mod vocab;
 
 pub use error::RdfError;
 pub use graph::{
-    sort_major_position, FrozenProbe, Graph, GraphBuilder, IdPattern, IdTriple, ScanIter, Triple,
+    sort_major_position, FrozenProbe, Graph, GraphBuilder, GraphBytes, IdPattern, IdTriple,
+    ScanIter, Triple,
 };
 pub use interner::{Interner, TermId};
 pub use io::{load_path, save_ntriples, save_turtle};

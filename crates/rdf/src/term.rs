@@ -277,6 +277,23 @@ impl Term {
     pub fn is_concrete(&self) -> bool {
         !self.is_variable()
     }
+
+    /// Heap bytes of the term's string payloads: each `Arc<str>` is its
+    /// two reference counts plus the text. A payload shared with other
+    /// terms (a cloned datatype IRI) counts once per term.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        let arc = |s: &str| 2 * std::mem::size_of::<usize>() + s.len();
+        match self {
+            Term::Iri(iri) => arc(iri.as_str()),
+            Term::Literal(lit) => {
+                arc(&lit.lexical)
+                    + lit.datatype.as_ref().map_or(0, |d| arc(d.as_str()))
+                    + lit.language.as_deref().map_or(0, arc)
+            }
+            Term::Blank(b) => b.0.capacity(),
+            Term::Variable(v) => v.capacity(),
+        }
+    }
 }
 
 impl fmt::Display for Term {

@@ -337,8 +337,9 @@ impl App {
     }
 
     /// `GET /debug/store` — point-in-time health of the triple store, the
-    /// query cache and the trace store, as one JSON object. Also refreshes
-    /// the corresponding gauges so `/metrics` scraped right after agrees.
+    /// query cache and the trace store, as one JSON object, with the heap
+    /// bytes of each store structure. Also refreshes the corresponding
+    /// gauges so `/metrics` scraped right after agrees.
     fn handle_debug_store(&self) -> Response {
         let Some(pipeline) = self.pipeline.get() else {
             return Response::error(503, "pipeline still loading");
@@ -347,8 +348,29 @@ impl App {
         let kb = pipeline.kb();
         let (cache_len, cache_capacity) = kb.cache_occupancy();
         let cache = kb.cache_stats();
+        let graph_bytes = kb.graph.heap_bytes();
+        let kb_bytes = kb.heap_bytes();
         let body = Json::obj()
-            .set("graph", Json::obj().set("triples", kb.graph.len()))
+            .set(
+                "graph",
+                Json::obj().set("triples", kb.graph.len()).set(
+                    "bytes",
+                    Json::obj()
+                        .set("permutations", graph_bytes.permutations)
+                        .set("values", graph_bytes.values)
+                        .set("interner", graph_bytes.interner),
+                ),
+            )
+            .set(
+                "kb",
+                Json::obj().set("entities", kb.entity_count()).set(
+                    "bytes",
+                    Json::obj()
+                        .set("label_table", kb_bytes.label_table)
+                        .set("degree_column", kb_bytes.degree_column)
+                        .set("lexical_index", kb_bytes.lexical_index),
+                ),
+            )
             .set(
                 "query_cache",
                 Json::obj()

@@ -176,6 +176,22 @@ fn full_telemetry_plane_over_loopback() {
     let triples =
         debug.get("graph").and_then(|g| g.get("triples")).and_then(Json::as_u64).unwrap();
     assert!(triples > 0, "{body}");
+    // Memory: every store structure reports its heap bytes.
+    for (section, field) in [
+        ("graph", "permutations"),
+        ("graph", "values"),
+        ("graph", "interner"),
+        ("kb", "label_table"),
+        ("kb", "degree_column"),
+        ("kb", "lexical_index"),
+    ] {
+        let bytes = debug
+            .get(section)
+            .and_then(|s| s.get("bytes"))
+            .and_then(|b| b.get(field))
+            .and_then(Json::as_u64);
+        assert!(bytes.is_some_and(|b| b > 0), "{section}.bytes.{field} missing or zero: {body}");
+    }
     let cache_len =
         debug.get("query_cache").and_then(|c| c.get("len")).and_then(Json::as_u64).unwrap();
     let cache_capacity =

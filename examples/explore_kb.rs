@@ -61,12 +61,12 @@ fn main() {
     for label in ["Michael Jordan", "Springfield"] {
         let entities = kb.entities_with_label(label);
         println!("  \"{label}\" → {} readings:", entities.len());
-        for iri in entities {
+        for &id in entities {
             println!(
                 "     {} (classes: {}, page degree {})",
-                iri.as_str(),
-                kb.classes_of(iri).join(", "),
-                kb.page_degree(iri)
+                kb.graph.term(id),
+                kb.classes_of(id).collect::<Vec<_>>().join(", "),
+                kb.page_degree(id)
             );
         }
     }

@@ -65,11 +65,11 @@ fn existence_answers_are_consistent_with_kb_facts() {
         let expected = AnswerValue::Boolean(alive);
         assert_eq!(r.answer.as_ref().unwrap().value, expected, "{label}");
         // Cross-check against the raw fact.
-        let iri = &kb.entities_with_label(label)[0];
+        let entity = kb.graph.term(kb.entities_with_label(label)[0]);
         let has_death = !kb
             .graph
             .objects_of(
-                &relpat::rdf::Term::Iri(iri.clone()),
+                entity,
                 &relpat::rdf::Term::iri(relpat::rdf::vocab::dbont::iri("deathDate")),
             )
             .is_empty();

@@ -66,13 +66,13 @@ fn generated_kb_satisfies_ontology_domains() {
                 continue;
             };
             assert!(
-                kb.classes_of(s).iter().any(|c| onto.is_subclass_of(c, p.domain)),
+                kb.classes_of(s).any(|c| onto.is_subclass_of(c, p.domain)),
                 "{} violates domain of {}",
                 s.as_str(),
                 p.name
             );
             assert!(
-                kb.classes_of(o).iter().any(|c| onto.is_subclass_of(c, p.range)),
+                kb.classes_of(o).any(|c| onto.is_subclass_of(c, p.range)),
                 "{} violates range of {}",
                 o.as_str(),
                 p.name
