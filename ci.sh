@@ -51,4 +51,11 @@ echo "=== qald_http smoke (serve stand-up/drain x16, Table 2 over HTTP) ==="
 cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
     --workload qald_http --seed 1 --seconds 1 --trace 0
 
+echo "=== sparql_scan_1m smoke (every join shape at 1M triples vs an independent evaluator) ==="
+# Checks sampled results of every scan and merge shape over the x119 KB
+# against the benchmark's own `triples_matching` evaluation; exits non-zero
+# on a wrong answer or a failed query.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload sparql_scan_1m --seed 1 --seconds 1 --trace 0
+
 echo "CI OK"

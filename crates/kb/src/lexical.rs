@@ -11,8 +11,9 @@
 //!
 //! Every indexed string ("scoring unit") is stored lowercased with
 //! precomputed artifacts: character length, a character-frequency multiset
-//! and a score scale (1.0 for whole names and entity labels, 0.9 for label
-//! words, matching `property_name_score`). Units feed three retrieval
+//! (sparse `(char, count)` runs, all units' runs in one flat buffer) and a
+//! score scale (1.0 for whole names and entity labels, 0.9 for label words,
+//! matching `property_name_score`). Units feed three retrieval
 //! structures:
 //!
 //! - a character **bigram inverted index** (unit text → its adjacent
@@ -77,7 +78,8 @@ pub fn split_camel_case(name: &str) -> Vec<String> {
 }
 
 /// Character-frequency multiset of a (lowercased) string: ASCII counts in a
-/// dense array, anything else in a sorted spill vector.
+/// dense array, anything else in a sorted spill vector. Built once per
+/// lookup for the query; indexed units keep only their [`runs`](Self::runs).
 #[derive(Debug, Clone)]
 struct CharBag {
     ascii: [u16; 128],
@@ -102,39 +104,37 @@ impl CharBag {
         CharBag { ascii, other }
     }
 
-    /// Size of the multiset intersection — an upper bound on the LCS length
-    /// of the two strings.
-    fn intersection(&self, rhs: &CharBag) -> usize {
-        let mut n: usize = 0;
-        for i in 0..128 {
-            n += self.ascii[i].min(rhs.ascii[i]) as usize;
-        }
-        if !self.other.is_empty() && !rhs.other.is_empty() {
-            let (mut i, mut j) = (0, 0);
-            while i < self.other.len() && j < rhs.other.len() {
-                match self.other[i].0.cmp(&rhs.other[j].0) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        n += self.other[i].1.min(rhs.other[j].1) as usize;
-                        i += 1;
-                        j += 1;
-                    }
-                }
+    /// The multiset as `(char, count)` runs ascending by char, zero counts
+    /// left out: the sparse form a unit stores.
+    fn runs(&self) -> impl Iterator<Item = (char, u16)> + '_ {
+        let ascii = (0..128u8).filter(|&c| self.ascii[c as usize] > 0);
+        ascii.map(|c| (c as char, self.ascii[c as usize])).chain(self.other.iter().copied())
+    }
+
+    fn count(&self, c: char) -> u16 {
+        match self.ascii.get(c as usize) {
+            Some(&n) => n,
+            None => {
+                self.other.binary_search_by_key(&c, |&(x, _)| x).map_or(0, |i| self.other[i].1)
             }
         }
-        n
+    }
+
+    /// Size of the multiset intersection with a unit's runs — an upper
+    /// bound on the LCS length of the two strings.
+    fn intersection(&self, runs: &[(char, u16)]) -> usize {
+        runs.iter().map(|&(c, n)| n.min(self.count(c)) as usize).sum()
     }
 }
 
 /// One indexed scoring unit: a lowercased string that the exact scorer
-/// compares against via LCS, scaled by `scale` in the final score.
+/// compares against via LCS, scaled by `scale` in the final score. Its
+/// character bag lives in [`SimIndex::runs`].
 #[derive(Debug)]
 struct Unit {
     entry: u32,
     scale: f64,
     len: u32,
-    bag: CharBag,
 }
 
 /// Units of one scale, ordered by character length (short-bucket scans walk
@@ -163,6 +163,10 @@ fn bigram_key(a: char, b: char) -> u64 {
 #[derive(Debug)]
 struct SimIndex {
     units: Vec<Unit>,
+    /// Every unit's character bag as sparse runs, back to back: unit `u`'s
+    /// are `runs[runs_at[u]..runs_at[u + 1]]`.
+    runs: Vec<(char, u16)>,
+    runs_at: Vec<u32>,
     entry_count: usize,
     bigrams: FxHashMap<u64, Vec<u32>>,
     groups: Vec<ScaleGroup>,
@@ -173,6 +177,7 @@ impl SimIndex {
     fn build<'a>(specs: impl Iterator<Item = EntrySpec<'a>>) -> Self {
         let mut entry_count = 0;
         let mut units: Vec<Unit> = Vec::new();
+        let (mut runs, mut runs_at) = (Vec::new(), vec![0u32]);
         let mut bigrams: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
         let mut words: FxHashMap<String, Vec<u32>> = FxHashMap::default();
         for (entry, spec) in specs.enumerate() {
@@ -189,12 +194,9 @@ impl SimIndex {
                 for key in keys {
                     bigrams.entry(key).or_default().push(id);
                 }
-                units.push(Unit {
-                    entry: entry as u32,
-                    scale,
-                    len: text.chars().count() as u32,
-                    bag: CharBag::of(&text),
-                });
+                units.push(Unit { entry: entry as u32, scale, len: text.chars().count() as u32 });
+                runs.extend(CharBag::of(&text).runs());
+                runs_at.push(runs.len() as u32);
             }
             for word in spec.words {
                 let posting = words.entry(word).or_default();
@@ -216,7 +218,8 @@ impl SimIndex {
                 ScaleGroup { scale, by_len }
             })
             .collect();
-        SimIndex { units, entry_count, bigrams, groups, words }
+        runs.shrink_to_fit();
+        SimIndex { units, runs, runs_at, entry_count, bigrams, groups, words }
     }
 
     /// Entry ids (ascending) whose true score against `query` *may* reach
@@ -322,7 +325,7 @@ impl SimIndex {
                 pruned += 1;
                 continue;
             }
-            let ub = unit.scale * (qbag.intersection(&unit.bag) as f64 / max as f64);
+            let ub = unit.scale * (qbag.intersection(self.runs_of(u)) as f64 / max as f64);
             if ub < threshold {
                 pruned += 1;
                 continue;
@@ -337,6 +340,12 @@ impl SimIndex {
         out
     }
 
+    /// Unit `u`'s character bag.
+    fn runs_of(&self, u: u32) -> &[(char, u16)] {
+        let u = u as usize;
+        &self.runs[self.runs_at[u] as usize..self.runs_at[u + 1] as usize]
+    }
+
     fn posting_len(&self) -> usize {
         self.bigrams.values().map(Vec::len).sum()
     }
@@ -347,7 +356,8 @@ impl SimIndex {
         use std::mem::size_of;
         let postings = |v: &Vec<u32>| v.capacity() * 4;
         self.units.capacity() * size_of::<Unit>()
-            + self.units.iter().map(|u| u.bag.other.capacity() * size_of::<(char, u16)>()).sum::<usize>()
+            + self.runs.capacity() * size_of::<(char, u16)>()
+            + self.runs_at.capacity() * size_of::<u32>()
             + self.bigrams.capacity() * (size_of::<(u64, Vec<u32>)>() + 1)
             + self.bigrams.values().map(postings).sum::<usize>()
             + self.groups.iter().map(|g| postings(&g.by_len)).sum::<usize>()
@@ -731,7 +741,9 @@ mod tests {
                 (0..len).map(|_| alphabet[(rng.next_u64() as usize) % alphabet.len()]).collect()
             };
             let (a, b) = (mk(&mut rng), mk(&mut rng));
-            let inter = CharBag::of(&a).intersection(&CharBag::of(&b));
+            let runs = |s: &str| CharBag::of(s).runs().collect::<Vec<_>>();
+            let inter = CharBag::of(&a).intersection(&runs(&b));
+            assert_eq!(inter, CharBag::of(&b).intersection(&runs(&a)), "{a:?} vs {b:?}");
             assert!(inter >= lcs_len(&a, &b), "bag bound broken for {a:?} vs {b:?}");
             assert!(inter <= a.chars().count().min(b.chars().count()));
         }

@@ -15,10 +15,11 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use relpat_kb::{generate, KbConfig, KnowledgeBase, Ontology};
 
 /// Peak bytes `from_graph` may add above the built graph at ×12: the
-/// measured 6.51 MB (x86-64 Linux) plus 10%. Nearly all of it is retained:
+/// measured 2.99 MB (x86-64 Linux) plus 10%. Nearly all of it is retained:
 /// the lexical index, the label table and the degree column. Copying the
-/// label and link facts into IRI-keyed hash maps peaks near 12 MB here.
-const PEAK_CEILING: usize = 7_160_000;
+/// label and link facts into IRI-keyed hash maps peaks near 12 MB here, and
+/// a dense 256-byte character bag per lexical unit near 6.5 MB.
+const PEAK_CEILING: usize = 3_290_000;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);

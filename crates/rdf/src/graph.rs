@@ -2,12 +2,13 @@
 //!
 //! A [`GraphBuilder`] interns terms and collects id triples as they are
 //! pushed; [`GraphBuilder::build`] then sorts and deduplicates them once and
-//! derives the three **flat permutation indexes** — sorted `Vec<[u32; 3]>`
-//! arrays in SPO, POS and OSP order over interned term ids — of the
+//! derives the four **flat permutation indexes** — sorted `Vec<[u32; 3]>`
+//! arrays in SPO, POS, OSP and PSO order over interned term ids — of the
 //! immutable [`Graph`]. Any triple pattern with a bound prefix resolves to
 //! one contiguous slice located by two `partition_point` binary searches
-//! (Hexastore-lite: three of the six permutations suffice when we do not
-//! need ordered results on the unbound positions), so scans are
+//! (Hexastore-lite: SPO, POS and OSP give every shape a prefix; PSO serves
+//! batched `(s, p, ?)` probes, which then walk one predicate's dense slice
+//! in subject order instead of the whole SPO array), so scans are
 //! pointer-bump slice iteration and cardinality estimates are exact in
 //! O(log n). Beside the interner, `build` also resolves every term's
 //! FILTER value once into a dense [`TermValue`] column.
@@ -69,6 +70,7 @@ impl IdPattern {
 const SPO: usize = 0;
 const POS: usize = 1;
 const OSP: usize = 2;
+const PSO: usize = 3;
 
 /// Reorders an SPO triple into the key layout of one permutation.
 #[inline]
@@ -76,7 +78,8 @@ fn permute(perm: usize, s: u32, p: u32, o: u32) -> [u32; 3] {
     match perm {
         SPO => [s, p, o],
         POS => [p, o, s],
-        _ => [o, s, p],
+        OSP => [o, s, p],
+        _ => [p, s, o],
     }
 }
 
@@ -86,7 +89,8 @@ fn unpermute(perm: usize, k: [u32; 3]) -> IdTriple {
     let (s, p, o) = match perm {
         SPO => (k[0], k[1], k[2]),
         POS => (k[2], k[0], k[1]),
-        _ => (k[1], k[2], k[0]),
+        OSP => (k[1], k[2], k[0]),
+        _ => (k[1], k[0], k[2]),
     };
     (TermId(s), TermId(p), TermId(o))
 }
@@ -107,6 +111,22 @@ fn route(pattern: IdPattern) -> (usize, [u32; 3], usize) {
         (None, Some(p), None) => (POS, [p.0, 0, 0], 1),
         (None, None, Some(o)) => (OSP, [o.0, 0, 0], 1),
         (None, None, None) => (SPO, [0, 0, 0], 0),
+    }
+}
+
+/// [`route`] for batched probes ([`Graph::probe`]): the same, except that
+/// `sp?` goes to PSO with key `[p, s]`. Merge and gallop steps probe
+/// ascending subjects under one predicate; in PSO consecutive keys sit next
+/// to each other in that predicate's slice, where in SPO they are spread
+/// across every subject's triples. Within a `(p, s)` range PSO orders by
+/// object, as SPO does, so ranges and their order are the same.
+#[inline]
+fn probe_route(shape: IdPattern) -> (usize, [u32; 3], usize) {
+    match shape {
+        IdPattern { subject: Some(s), predicate: Some(p), object: None } => {
+            (PSO, [p.0, s.0, 0], 2)
+        }
+        _ => route(shape),
     }
 }
 
@@ -192,9 +212,11 @@ impl GraphBuilder {
     }
 
     /// Sorts and deduplicates the pushed triples once (SPO), then derives
-    /// and sorts the POS and OSP permutations, and counts each subject's SPO
-    /// entries into offsets. Also resolves each interned term's
-    /// [`TermValue`] into the value column, in id order.
+    /// and sorts the POS and OSP permutations, derives PSO from SPO by one
+    /// stable counting pass over predicates (SPO is already subject-major,
+    /// so each predicate's bucket comes out in `(s, o)` order), and counts
+    /// each subject's SPO entries into offsets. Also resolves each interned
+    /// term's [`TermValue`] into the value column, in id order.
     pub fn build(self) -> Graph {
         let GraphBuilder { interner, triples: mut spo } = self;
         let values = interner.iter().map(|(_, term)| TermValue::of(term)).collect();
@@ -207,21 +229,36 @@ impl GraphBuilder {
             index
         };
         let (pos, osp) = (derive(POS), derive(OSP));
-        let mut subject_at = vec![0u32; interner.len() + 1];
-        for &[s, _, _] in &spo {
-            subject_at[s as usize + 1] += 1;
+        let mut next = offsets(interner.len(), spo.iter().map(|t| t[1]));
+        let mut pso = vec![[0u32; 3]; spo.len()];
+        for &[s, p, o] in &spo {
+            let at = &mut next[p as usize];
+            pso[*at as usize] = permute(PSO, s, p, o);
+            *at += 1;
         }
-        for i in 1..subject_at.len() {
-            subject_at[i] += subject_at[i - 1];
-        }
-        Graph { interner, values, index: [spo, pos, osp], subject_at }
+        let subject_at = offsets(interner.len(), spo.iter().map(|t| t[0]));
+        Graph { interner, values, index: [spo, pos, osp, pso], subject_at }
     }
+}
+
+/// Counting-sort offsets over ids below `ids`: `at[k]` counts the keys
+/// below `k`, and `at[ids]` is the total. Sorted by that key, key `k`'s
+/// entries are `at[k]..at[k + 1]`.
+fn offsets(ids: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut at = vec![0u32; ids + 1];
+    for k in keys {
+        at[k as usize + 1] += 1;
+    }
+    for i in 1..at.len() {
+        at[i] += at[i - 1];
+    }
+    at
 }
 
 /// Heap bytes of a [`Graph`]'s structures (see [`Graph::heap_bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphBytes {
-    /// The SPO, POS and OSP arrays and the SPO subject offsets.
+    /// The SPO, POS, OSP and PSO arrays and the SPO subject offsets.
     pub permutations: usize,
     /// The [`TermValue`] column.
     pub values: usize,
@@ -229,15 +266,15 @@ pub struct GraphBytes {
     pub interner: usize,
 }
 
-/// An immutable triple set with SPO/POS/OSP flat indexes, produced by
+/// An immutable triple set with SPO/POS/OSP/PSO flat indexes, produced by
 /// [`GraphBuilder::build`]. `Graph::default()` is the empty graph.
 #[derive(Debug, Default)]
 pub struct Graph {
     interner: Interner,
     /// Each term's FILTER value, indexed by [`TermId`].
     values: Vec<TermValue>,
-    /// Flat sorted permutation indexes, addressed by `SPO`/`POS`/`OSP`.
-    index: [Vec<[u32; 3]>; 3],
+    /// Flat sorted permutation indexes, addressed by `SPO`/`POS`/`OSP`/`PSO`.
+    index: [Vec<[u32; 3]>; 4],
     /// Subject `s`'s SPO entries are `index[SPO][subject_at[s]..subject_at[s + 1]]`,
     /// so a probe with a bound subject searches only that slice.
     subject_at: Vec<u32>,
@@ -329,9 +366,11 @@ impl Graph {
     /// its permutation index for batched prefix probes: callers build a
     /// permuted key per concrete pattern via [`FrozenProbe::key`] and locate
     /// each key's slice with [`FrozenProbe::bounds_from`], galloping forward
-    /// from the previous key's range.
+    /// from the previous key's range. `sp?` routes to PSO, every other shape
+    /// as [`Graph::scan_iter`] does; either way a key's range holds the
+    /// pattern's matches in `scan_iter`'s order.
     pub fn probe(&self, shape: IdPattern) -> FrozenProbe<'_> {
-        let (perm, _, prefix_len) = route(shape);
+        let (perm, _, prefix_len) = probe_route(shape);
         FrozenProbe { index: &self.index[perm], perm, prefix_len }
     }
 
@@ -445,6 +484,8 @@ impl Iterator for ScanIter<'_> {
     }
 }
 
+impl ExactSizeIterator for ScanIter<'_> {}
+
 /// A read-only handle on one permutation index, routed for a fixed pattern
 /// shape: raw sorted-slice access for batched probes. Obtained from
 /// [`Graph::probe`].
@@ -472,8 +513,9 @@ impl FrozenProbe<'_> {
     }
 
     /// The permuted search key for a concrete pattern of this probe's shape.
+    #[inline]
     pub fn key(&self, pattern: IdPattern) -> [u32; 3] {
-        let (perm, key, len) = route(pattern);
+        let (perm, key, len) = probe_route(pattern);
         debug_assert_eq!(
             (perm, len),
             (self.perm, self.prefix_len),
@@ -490,6 +532,7 @@ impl FrozenProbe<'_> {
     /// doubles its step from `from`, the upper one from `lo`, so a key whose
     /// range starts `d` entries on and spans `r` costs O(log d + log r)
     /// comparisons, none of them far from `from`.
+    #[inline]
     pub fn bounds_from(&self, from: usize, key: [u32; 3]) -> (usize, usize) {
         let len = self.prefix_len;
         if len == 0 {
@@ -508,6 +551,7 @@ impl FrozenProbe<'_> {
     }
 
     /// The SPO reading of index entry `i`.
+    #[inline]
     pub fn triple(&self, i: usize) -> IdTriple {
         unpermute(self.perm, self.index[i])
     }
@@ -746,6 +790,18 @@ mod tests {
             let n = index.len();
             let truth = |key: [u32; 3]| prefix_bounds(index, key, len);
             let padded = |t: &[u32; 3]| std::array::from_fn(|i| if i < len { t[i] } else { 0 });
+            // The concrete pattern a key stands for, and its matches read
+            // through the probe: they must be `scan_iter`'s, in order.
+            let pattern = |key: [u32; 3]| {
+                let (s, p, o) = unpermute(probe.perm, key);
+                IdPattern {
+                    subject: shape.subject.and(Some(s)),
+                    predicate: shape.predicate.and(Some(p)),
+                    object: shape.object.and(Some(o)),
+                }
+            };
+            let via_probe =
+                |(lo, hi): (usize, usize)| (lo..hi).map(|i| probe.triple(i)).collect::<Vec<_>>();
             // Every distinct key in ascending order, from the previous hi
             // and from 0; the via-slice entries must match the key.
             let mut keys: Vec<[u32; 3]> = index.iter().map(padded).collect();
@@ -757,6 +813,9 @@ mod tests {
                 assert_eq!(probe.bounds_from(from, key), (lo, hi), "{shape:?} {key:?} from {from}");
                 assert_eq!(probe.bounds_from(0, key), (lo, hi), "{shape:?} {key:?} from 0");
                 assert_eq!(probe.bounds_from(lo, key), (lo, hi), "{shape:?} {key:?} from lo");
+                assert_eq!(probe.key(pattern(key)), key, "{shape:?}: key round trip");
+                let scanned: Vec<IdTriple> = g.scan_iter(pattern(key)).collect();
+                assert_eq!(via_probe((lo, hi)), scanned, "{shape:?} {key:?}: range vs scan_iter");
                 longest = longest.max(hi - lo);
                 from = hi;
             }
@@ -785,8 +844,12 @@ mod tests {
                 // point); after the last key that tail is empty.
                 assert_eq!(probe.bounds_from(0, key), (lo, lo), "{shape:?} absent {key:?}");
                 assert_eq!(probe.bounds_from(lo, key), (lo, lo), "{shape:?} absent {key:?}");
+                assert_eq!(g.scan_iter(pattern(key)).count(), 0, "{shape:?} absent {key:?} scan");
             }
         }
+        // Batched `sp?` probes walk PSO; point probes and scans stay on SPO.
+        let sp = IdPattern { subject: Some(TermId(0)), predicate: Some(TermId(0)), object: None };
+        assert_eq!((g.probe(sp).perm, route(sp).0), (PSO, SPO));
         assert!(absent.iter().all(|&k| k > 0), "absent keys before/between/after: {absent:?}");
         assert!(longest > 1_000, "some range must span many gallop steps ({longest})");
     }

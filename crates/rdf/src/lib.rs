@@ -6,7 +6,7 @@
 //! - an RDF 1.1-style term model ([`Iri`], [`Literal`], [`Term`]);
 //! - a term [`Interner`] mapping terms to dense `u32` ids;
 //! - an indexed, immutable in-memory [`Graph`], built once by a
-//!   [`GraphBuilder`], whose flat SPO/POS/OSP permutation indexes make any
+//!   [`GraphBuilder`], whose flat SPO/POS/OSP/PSO permutation indexes make any
 //!   partially bound triple pattern a contiguous slice scan located in
 //!   O(log n), and a typed value column resolving each term's FILTER value
 //!   ([`TermValue`]) once at build;

@@ -8,12 +8,13 @@
 //! must equal the exact scan cardinality, `scan_iter` must match the
 //! materialized scan, every scan must come back ascending by its
 //! [`sort_major_position`], and `len`, `contains` and `predicates` must match
-//! the model.
+//! the model. Batched `(s, p, ?)` probes, which the join operators run over
+//! their own permutation, must read back exactly `scan_iter`'s triples.
 
 use std::collections::BTreeSet;
 
 use relpat_obs::Rng;
-use relpat_rdf::{sort_major_position, Graph, GraphBuilder, IdPattern, Term, Triple};
+use relpat_rdf::{sort_major_position, Graph, GraphBuilder, IdPattern, Term, TermId, Triple};
 
 /// Shared entity universe: subjects and objects draw from the same pool so
 /// OSP ranges interleave IRIs that also occur as subjects.
@@ -127,6 +128,44 @@ fn check_probe(g: &Graph, model: &Model, s: u32, p: u32, o: u32) {
     }
 }
 
+/// Batched `(s, p, ?)` probes, as merge and gallop joins run them: every
+/// present key in ascending key order, located from the previous range's
+/// end, from 0 and from its own start, reads back through
+/// `FrozenProbe::triple` exactly the triples `scan_iter` yields for the same
+/// pattern, in the same order; every absent key has an empty range.
+fn check_subject_predicate_probes(g: &Graph, model: &Model) {
+    let shape = IdPattern { subject: Some(TermId(0)), predicate: Some(TermId(0)), object: None };
+    let probe = g.probe(shape);
+    let (mut present, mut absent) = (Vec::new(), Vec::new());
+    for s in 0..ENTITIES {
+        for p in 0..PREDICATES {
+            let (Some(si), Some(pi)) = (g.term_id(&entity(s)), g.term_id(&predicate(p))) else {
+                continue;
+            };
+            let pat = IdPattern { subject: Some(si), predicate: Some(pi), object: None };
+            let matches = model_matching(model, Some(s), Some(p), None).len();
+            if matches == 0 { absent.push(pat) } else { present.push((pat, matches)) }
+        }
+    }
+    present.sort_by_key(|&(pat, _)| probe.key(pat));
+    let read = |(lo, hi): (usize, usize)| (lo..hi).map(|i| probe.triple(i)).collect::<Vec<_>>();
+    let mut from = 0;
+    for (pat, matches) in present {
+        let key = probe.key(pat);
+        let range = probe.bounds_from(from, key);
+        let scanned: Vec<_> = g.scan_iter(pat).collect();
+        assert_eq!(scanned.len(), matches, "scan cardinality of {pat:?}");
+        assert_eq!(read(range), scanned, "probe range vs scan_iter for {pat:?} from {from}");
+        assert_eq!(probe.bounds_from(0, key), range, "{pat:?} from 0");
+        assert_eq!(probe.bounds_from(range.0, key), range, "{pat:?} from lo");
+        from = range.1;
+    }
+    for pat in absent {
+        let (lo, hi) = probe.bounds_from(0, probe.key(pat));
+        assert_eq!(lo, hi, "absent {pat:?} has an empty range");
+    }
+}
+
 /// Full comparison: cardinality, whole-graph scan, membership, predicates,
 /// and probe points drawn both from present triples and from the raw
 /// universe (absent positions).
@@ -148,6 +187,8 @@ fn check(g: &Graph, model: &Model, rng: &mut Rng) {
     assert_eq!(preds.iter().cloned().collect::<BTreeSet<_>>(), want, "predicate set");
     let pred_ids: Vec<u32> = preds.iter().map(|p| g.term_id(p).expect("interned").0).collect();
     assert!(pred_ids.windows(2).all(|w| w[0] < w[1]), "predicates in id order: {pred_ids:?}");
+
+    check_subject_predicate_probes(g, model);
 
     for _ in 0..6 {
         let (s, p, o) = if !model.is_empty() && rng.gen_bool(0.5) {

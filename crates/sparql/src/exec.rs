@@ -337,6 +337,12 @@ impl IdTable {
         (0..self.rows).map(move |i| &self.data[i * self.width..(i + 1) * self.width])
     }
 
+    /// Makes room for `rows` more rows, so a join step whose output size is
+    /// known before it writes allocates once instead of doubling from empty.
+    fn reserve(&mut self, rows: usize) {
+        self.data.reserve(rows * self.width);
+    }
+
     fn push(&mut self, row: &[Option<TermId>]) {
         debug_assert_eq!(row.len(), self.width);
         self.data.extend_from_slice(row);
@@ -597,7 +603,8 @@ fn join_steps(
 /// The always-correct fallback operator: for each probe row, substitute its
 /// bound variables into the pattern and stream the matching slice via
 /// [`Graph::scan_iter`], counting every visited row. The only operator that
-/// can honor a mid-scan `cap`.
+/// can honor a mid-scan `cap`. With a single probe row (a BGP's first step)
+/// the output is at most that row's slice, so it is reserved up front.
 fn join_nested(
     graph: &Graph,
     tp: &TriplePattern,
@@ -612,7 +619,11 @@ fn join_nested(
         match bind_pattern(graph, tp, binding, var_index) {
             BoundPattern::NoMatch => {}
             BoundPattern::Scan(id_pattern, slots) => {
-                for (s, p, o) in graph.scan_iter(id_pattern) {
+                let matches = graph.scan_iter(id_pattern);
+                if bindings.len() == 1 {
+                    next.reserve(matches.len().min(cap.unwrap_or(usize::MAX)));
+                }
+                for (s, p, o) in matches {
                     *scanned += 1;
                     if try_push_extended(next, binding, &slots, s, p, o)
                         && cap.is_some_and(|c| next.len() >= c)
@@ -645,7 +656,8 @@ enum ProbePos {
 /// previous key's range with [`relpat_rdf::FrozenProbe::bounds_from`]'s
 /// exponential search. `scanned` counts each distinct range once,
 /// which is the probe work actually done and never exceeds the nested loop's
-/// per-row rescans.
+/// per-row rescans. All ranges are found before any row is written, so the
+/// output is reserved once from their total.
 ///
 /// Extended rows are emitted in the probe rows' original order — order
 /// preservation is what keeps the binding stream sorted for downstream merge
@@ -666,9 +678,9 @@ fn join_batched(
         return true;
     }
     let first = bindings.row(0);
-    let mut shape: Vec<ProbePos> = Vec::with_capacity(3);
-    for term in [&tp.subject, &tp.predicate, &tp.object] {
-        shape.push(match term {
+    let mut shape = [ProbePos::Free(0); 3];
+    for (pos, term) in shape.iter_mut().zip([&tp.subject, &tp.predicate, &tp.object]) {
+        *pos = match term {
             Term::Variable(v) => {
                 let idx = var_index[v.as_str()];
                 if first[idx].is_some() { ProbePos::Bound(idx) } else { ProbePos::Free(idx) }
@@ -679,7 +691,7 @@ fn join_batched(
                 // the whole batch is trivially done.
                 None => return true,
             },
-        });
+        };
     }
     let free_slot = |pos: ProbePos| match pos {
         ProbePos::Free(idx) => Some(idx),
@@ -714,14 +726,16 @@ fn join_batched(
         keys.push(probe.key(pat));
     }
 
-    match algo {
+    // Each row's range, then the output sized once from their total (an
+    // upper bound: only a repeated variable rejects matches).
+    let ranges: Vec<(usize, usize)> = match algo {
         JoinAlgo::Merge => {
             // The binding stream is sorted by the single varying key
             // component, so keys are non-decreasing: one forward cursor
             // visits each distinct key's range once without restarting.
             let mut prev: Option<([u32; 3], (usize, usize))> = None;
-            for (row, key) in bindings.iter().zip(&keys) {
-                let (lo, hi) = match prev {
+            keys.iter()
+                .map(|key| match prev {
                     Some((k, range)) if k == *key => range,
                     earlier => {
                         debug_assert!(
@@ -740,36 +754,33 @@ fn join_batched(
                         prev = Some((*key, range));
                         range
                     }
-                };
-                for i in lo..hi {
-                    let (s, p, o) = probe.triple(i);
-                    try_push_extended(next, row, &slots, s, p, o);
-                }
-            }
+                })
+                .collect()
         }
         _ => {
             // Gallop: sort + dedup the probe keys, locate each distinct
             // key's range once, galloping on from the previous key's range,
-            // then emit per probe row in original row order.
+            // then look each probe row's range up in original row order.
             let mut distinct = keys.clone();
             distinct.sort_unstable();
             distinct.dedup();
-            let mut ranges: FxHashMap<[u32; 3], (usize, usize)> = FxHashMap::default();
-            ranges.reserve(distinct.len());
+            let mut found: FxHashMap<[u32; 3], (usize, usize)> = FxHashMap::default();
+            found.reserve(distinct.len());
             let mut from = 0;
             for key in &distinct {
                 let (lo, hi) = probe.bounds_from(from, *key);
                 *scanned += (hi - lo) as u64;
-                ranges.insert(*key, (lo, hi));
+                found.insert(*key, (lo, hi));
                 from = hi;
             }
-            for (row, key) in bindings.iter().zip(&keys) {
-                let (lo, hi) = ranges[key];
-                for i in lo..hi {
-                    let (s, p, o) = probe.triple(i);
-                    try_push_extended(next, row, &slots, s, p, o);
-                }
-            }
+            keys.iter().map(|key| found[key]).collect()
+        }
+    };
+    next.reserve(ranges.iter().map(|(lo, hi)| hi - lo).sum());
+    for (row, (lo, hi)) in bindings.iter().zip(ranges) {
+        for i in lo..hi {
+            let (s, p, o) = probe.triple(i);
+            try_push_extended(next, row, &slots, s, p, o);
         }
     }
     true

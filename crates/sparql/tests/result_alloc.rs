@@ -5,26 +5,45 @@
 //! Term payloads are `Arc<str>` and `Rows` is one shared cell table, so an
 //! emitted cell costs a refcount bump, a filtered or ordered row costs
 //! nothing, and cloning a result (as the query cache does on every hit) is
-//! O(1). The binary installs a counting global allocator and compares each
-//! operation's count at N and 4N rows; every test serializes on
-//! [`exec_lock`] because the counter is process-global.
+//! O(1). Join steps size their output before writing it, so a join's own
+//! allocations do not grow with rows either. The binary installs a global
+//! allocator that counts each thread's allocations in a thread-local cell
+//! and compares each operation's count on the measuring thread at N and 4N
+//! rows, so the test harness and other test threads allocating meanwhile
+//! do not leak into a count. Tests still serialize on [`exec_lock`], so no
+//! other test grows state they share (metric registries, the event
+//! journal) mid-measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use relpat_rdf::vocab::{dbont, rdf, rdfs, res};
 use relpat_rdf::{Graph, GraphBuilder, Literal, Term};
-use relpat_sparql::{execute, parse_query, QueryCache, QueryResult};
+use relpat_sparql::{execute, execute_traced, parse_query, JoinAlgo, QueryCache, QueryResult};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized with no destructor: reading it never allocates
+    // and never fails, even while the thread is being torn down.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter only
+// observes that a call was made.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,12 +52,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -84,9 +103,9 @@ fn allocations_of(warmup: usize, f: impl Fn()) -> u64 {
     for _ in 0..warmup {
         f();
     }
-    let before = ALLOCATIONS.load(Relaxed);
+    let before = allocations();
     f();
-    ALLOCATIONS.load(Relaxed) - before
+    allocations() - before
 }
 
 /// Allocations of one warm execution of `text` over `g`.
@@ -154,6 +173,26 @@ fn materialization_allocations_do_not_grow_with_rows() {
         &format!("SELECT (COUNT(*) AS ?n) {{ {PATTERN} }}"),
     );
     assert_flat("materialization", &counts);
+}
+
+#[test]
+fn merge_join_allocations_do_not_grow_with_rows() {
+    let _guard = exec_lock();
+    // The type scan sorts the stream by ?b, so the page-count step is a
+    // merge join; COUNT keeps materialization out of the count.
+    let text = "SELECT (COUNT(*) AS ?n) { ?b rdf:type dbont:Book . ?b dbont:numberOfPages ?p }";
+    let parsed = parse_query(text).unwrap();
+    let counts: Vec<u64> = SIZES
+        .iter()
+        .map(|&n| {
+            let g = books(n);
+            let (_, trace) = execute_traced(&g, &parsed).unwrap();
+            let algos: Vec<JoinAlgo> = trace.steps.iter().map(|s| s.join_algo).collect();
+            assert_eq!(algos, [JoinAlgo::Nested, JoinAlgo::Merge], "{n} books");
+            execution_allocs(&g, text)
+        })
+        .collect();
+    assert_flat("two-pattern merge join", &counts);
 }
 
 #[test]
