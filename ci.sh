@@ -58,4 +58,12 @@ echo "=== sparql_scan_1m smoke (every join shape at 1M triples vs an independent
 cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
     --workload sparql_scan_1m --seed 1 --seconds 1 --trace 0
 
+echo "=== qa_unique_100k traced smoke (staged §2 replay vs Pipeline::answer) ==="
+# Replays every question stage by stage and re-runs each executed candidate
+# from its SPARQL text; exits non-zero if a staged answer differs from
+# `Pipeline::answer`, if a candidate's text fails to parse or execute, or if
+# fewer than 95% of the answers are correct.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload qa_unique_100k --seed 1 --seconds 1 --trace 1
+
 echo "CI OK"

@@ -88,7 +88,8 @@ pub struct ExecStats {
     /// Queries whose results survived execution + type checking (for `ASK`:
     /// candidates that evaluated to `true`).
     pub survived: u64,
-    /// Queries that failed to parse or evaluate.
+    /// Queries that failed to evaluate, or whose result form (solutions or
+    /// boolean) did not match the question's.
     pub failed: u64,
 }
 
@@ -121,8 +122,8 @@ pub fn extract_answer_traced(
 
 /// [`extract_answer_traced`] plus EXPLAIN ANALYZE plan traces: every
 /// executed candidate appends a [`QueryPlan`] to `plans`, in execution
-/// order (candidates that fail to parse produce no plan — there is nothing
-/// to trace). Explained extraction always runs the sequential ranked sweep
+/// order (candidates whose evaluation fails produce no plan — there is
+/// nothing to trace). Explained extraction always runs the sequential ranked sweep
 /// (even when `config.parallel` is set) so the plan order is deterministic
 /// and each query's per-step scan counts line up with the global
 /// `sparql.rows_scanned` counter deltas.
@@ -213,7 +214,7 @@ enum Eval {
     Empty,
     /// `ASK` executed and evaluated to `false`.
     False,
-    /// Parse or evaluation failure.
+    /// Evaluation failure, or a result of the wrong form.
     Failed,
 }
 
@@ -228,11 +229,11 @@ fn evaluate_one(
     plans: Option<&mut Vec<QueryPlan>>,
 ) -> Eval {
     let result = match plans {
-        Some(plans) => kb.query_traced(&query.sparql).map(|(result, trace)| {
+        Some(plans) => kb.execute_traced(&query.query).map(|(result, trace)| {
             plans.push(QueryPlan { sparql: query.sparql.clone(), trace });
             result
         }),
-        None => kb.query(&query.sparql),
+        None => kb.execute(&query.query),
     };
     match result {
         Ok(relpat_sparql::QueryResult::Solutions(sols)) => {
@@ -368,7 +369,8 @@ mod tests {
     }
 
     fn bq(sparql: &str, score: f64) -> BuiltQuery {
-        BuiltQuery { sparql: sparql.to_string(), score }
+        let query = relpat_sparql::parse_query(sparql).unwrap();
+        BuiltQuery { sparql: sparql.to_string(), query, score }
     }
 
     fn exhaustive() -> AnswerConfig {
@@ -481,8 +483,9 @@ mod tests {
     #[test]
     fn malformed_query_is_skipped_not_fatal() {
         let kb = kb();
+        // An ASK candidate for a list question cannot supply its answer.
         let queries = vec![
-            bq("SELECT ?x { broken", 10.0),
+            bq("ASK { res:Turkey dbont:capital res:Ankara }", 10.0),
             bq("SELECT ?x { res:Turkey dbont:capital ?x }", 1.0),
         ];
         let ans = extract_answer(kb, ExpectedType::Unconstrained, false, &queries, &AnswerConfig::default())
@@ -582,7 +585,11 @@ mod tests {
     #[test]
     fn all_failed_ask_batch_reports_failures() {
         let kb = kb();
-        let queries = vec![bq("ASK { nope", 3.0), bq("ASK { also broken", 1.0)];
+        // SELECT candidates for a polar question: both are malformed.
+        let queries = vec![
+            bq("SELECT ?x { res:Snow dbont:author ?x }", 3.0),
+            bq("SELECT ?x { res:Turkey dbont:capital ?x }", 1.0),
+        ];
         let (ans, stats) = extract_answer_traced(
             kb,
             ExpectedType::Boolean,
@@ -593,7 +600,7 @@ mod tests {
         assert!(ans.is_none());
         assert_eq!(stats.executed, 2);
         assert_eq!(stats.survived, 0);
-        assert_eq!(stats.failed, 2, "failed parses must be distinguished");
+        assert_eq!(stats.failed, 2, "malformed candidates must be distinguished");
     }
 
     #[test]
@@ -633,7 +640,8 @@ mod tests {
         // Texts carry a LIMIT marker no other test uses, so the shared
         // cache cannot have warmed them from a concurrently running test.
         let queries = vec![
-            bq("SELECT ?x { broken", 10.0), // parse failure: no plan
+            // Evaluation failure (?y is not in the pattern): no plan.
+            bq("SELECT (COUNT(?y) AS ?n) { ?x dbont:author res:Orhan_Pamuk } LIMIT 9391", 10.0),
             bq("SELECT ?x { res:Frank_Herbert dbont:birthPlace ?x } LIMIT 9391", 5.0), // empty
             bq("SELECT ?x { ?x dbont:author res:Orhan_Pamuk } LIMIT 9391", 2.0), // survives → stop
             bq("SELECT ?x { res:Turkey dbont:capital ?x } LIMIT 9391", 1.0),     // never sent

@@ -23,19 +23,25 @@
 //! whose later weights would have ranked it on top — is fixed by truncating
 //! on final scores only (see DESIGN.md §14 for the post-mortem).
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use relpat_kb::KnowledgeBase;
 use relpat_rdf::vocab::{dbont, rdf};
+use relpat_rdf::Term;
+use relpat_sparql::ast::{AskQuery, GraphPattern, Projection, Query, SelectQuery, TriplePattern};
 
 use crate::mapping::{MappedQuestion, MappedSlot, MappedTriple, PropertyCandidate};
 use crate::triples::QuestionAnalysis;
 
-/// A concrete candidate query with its ranking score.
+/// A concrete candidate query with its ranking score: the `query` the
+/// answer stage executes, and its SPARQL text for responses and traces
+/// (`parse_query(&sparql) == Ok(query)`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuiltQuery {
     pub sparql: String,
+    pub query: Query,
     pub score: f64,
 }
 
@@ -81,12 +87,33 @@ pub struct PlanStats {
     pub emitted: u64,
 }
 
-/// One resolved relation triple option (property + orientation). The
-/// rendered `line` is shared by every assignment that selects this option.
-#[derive(Debug, Clone)]
-struct TripleOption {
+/// One triple of the candidate queries — a resolved relation option or the
+/// type constraint — as its SPARQL `line` and its AST `pattern`.
+#[derive(Debug)]
+struct TripleParts {
     line: String,
+    pattern: TriplePattern,
+}
+
+/// One resolved relation triple option (property + orientation). Its parts
+/// are built when the first emitted assignment selects it and shared by
+/// every later one; an option no emitted assignment selects builds none.
+#[derive(Debug)]
+struct TripleOption<'m> {
+    subject: &'m MappedSlot,
+    property: &'m str,
+    object: &'m MappedSlot,
     weight: f64,
+    parts: OnceCell<TripleParts>,
+}
+
+impl TripleOption<'_> {
+    fn parts(&self) -> &TripleParts {
+        self.parts.get_or_init(|| {
+            let predicate = Term::iri(dbont::iri(self.property));
+            TripleParts::new(slot_term(self.subject), predicate, slot_term(self.object))
+        })
+    }
 }
 
 /// Builds ranked candidate queries with the default [`PlannerStrategy::Beam`]
@@ -112,7 +139,7 @@ pub fn build_queries_planned(
     strategy: PlannerStrategy,
 ) -> (Vec<BuiltQuery>, PlanStats) {
     let max = max.max(1);
-    let mut fixed_lines: Vec<String> = Vec::new();
+    let mut fixed: Vec<TripleParts> = Vec::new();
     let mut option_sets: Vec<Vec<TripleOption>> = Vec::new();
     // Class constraints from the Type triples, used for domain/range checks.
     let var_class: Option<&str> = mapped.triples.iter().find_map(|t| match t {
@@ -123,7 +150,11 @@ pub fn build_queries_planned(
     for triple in &mapped.triples {
         match triple {
             MappedTriple::Type { class } => {
-                fixed_lines.push(format!("?x <{}> <{}> .", rdf::TYPE, dbont::iri(class)));
+                fixed.push(TripleParts::new(
+                    Term::var("x"),
+                    Term::iri(rdf::TYPE),
+                    Term::iri(dbont::iri(class)),
+                ));
             }
             MappedTriple::Relation { subject, object, candidates } => {
                 let mut options = Vec::new();
@@ -149,7 +180,7 @@ pub fn build_queries_planned(
         PlannerStrategy::Beam => beam_topk(&option_sets, max),
         PlannerStrategy::CartesianExhaustive => cartesian_topk(&option_sets, max),
     };
-    let out = render_combos(analysis, &fixed_lines, &option_sets, &combos);
+    let out = render_combos(analysis, &fixed, &option_sets, &combos);
     stats.emitted = out.len() as u64;
 
     relpat_obs::counter!("qa.plan.expanded", stats.expanded);
@@ -342,49 +373,68 @@ fn cartesian_topk(
     (combos, stats)
 }
 
-/// Renders ranked assignments into SPARQL. The fixed-line prefix is
-/// rendered once and shared; each option's line was rendered once at
-/// option construction. Adjacent duplicates (same SPARQL text) collapse to
-/// the highest-ranked occurrence.
+/// Assembles ranked assignments into queries and their SPARQL text. The
+/// fixed-line prefix is rendered once and shared; each option's line and
+/// pattern are built once, by the first assignment that selects it.
+/// Adjacent duplicates (same SPARQL text) collapse to the highest-ranked
+/// occurrence.
 fn render_combos(
     analysis: &QuestionAnalysis,
-    fixed_lines: &[String],
+    fixed: &[TripleParts],
     option_sets: &[Vec<TripleOption>],
     combos: &[(Vec<u32>, f64)],
 ) -> Vec<BuiltQuery> {
-    let prefix = fixed_lines.join(" ");
-    let mut out: Vec<BuiltQuery> = combos
-        .iter()
-        .map(|(indices, score)| {
-            let mut body = prefix.clone();
-            for (set, &i) in option_sets.iter().zip(indices.iter()) {
-                if !body.is_empty() {
-                    body.push(' ');
-                }
-                body.push_str(&set[i as usize].line);
+    let prefix = fixed.iter().map(|p| p.line.as_str()).collect::<Vec<_>>().join(" ");
+    let mut out: Vec<BuiltQuery> = Vec::with_capacity(combos.len());
+    for (indices, score) in combos {
+        let chosen = || option_sets.iter().zip(indices).map(|(set, &i)| set[i as usize].parts());
+        let mut body = prefix.clone();
+        for parts in chosen() {
+            if !body.is_empty() {
+                body.push(' ');
             }
-            let sparql = if analysis.ask {
-                format!("ASK {{ {body} }}")
-            } else {
-                format!("SELECT DISTINCT ?x WHERE {{ {body} }}")
-            };
-            BuiltQuery { sparql, score: *score }
-        })
-        .collect();
-    out.dedup_by(|a, b| a.sparql == b.sparql);
+            body.push_str(&parts.line);
+        }
+        let sparql = if analysis.ask {
+            format!("ASK {{ {body} }}")
+        } else {
+            format!("SELECT DISTINCT ?x WHERE {{ {body} }}")
+        };
+        if out.last().is_some_and(|prev| prev.sparql == sparql) {
+            continue;
+        }
+        let pattern = GraphPattern {
+            triples: fixed.iter().chain(chosen()).map(|p| p.pattern.clone()).collect(),
+            ..GraphPattern::default()
+        };
+        let query = if analysis.ask {
+            Query::Ask(AskQuery { pattern })
+        } else {
+            Query::Select(SelectQuery {
+                distinct: true,
+                projection: Projection::Vars(vec!["x".to_string()]),
+                pattern,
+                order_by: Vec::new(),
+                limit: None,
+                offset: None,
+            })
+        };
+        debug_assert_eq!(relpat_sparql::parse_query(&sparql).as_ref(), Ok(&query));
+        out.push(BuiltQuery { sparql, query, score: *score });
+    }
     out
 }
 
-/// Renders one (candidate, orientation) pair as a SPARQL triple line, or
+/// Resolves one (candidate, orientation) pair into a triple option, or
 /// `None` when the ontology's domain/range rules it out.
-fn triple_option(
+fn triple_option<'m>(
     kb: &KnowledgeBase,
-    subject: &MappedSlot,
-    object: &MappedSlot,
-    candidate: &PropertyCandidate,
+    subject: &'m MappedSlot,
+    object: &'m MappedSlot,
+    candidate: &'m PropertyCandidate,
     inverse: bool,
     var_class: Option<&str>,
-) -> Option<TripleOption> {
+) -> Option<TripleOption<'m>> {
     let (eff_subject, eff_object) =
         if inverse { (object, subject) } else { (subject, object) };
 
@@ -406,7 +456,6 @@ fn triple_option(
     let weight = candidate.weight * orientation_factor;
     let weight = if weight.is_nan() { f64::NAN } else { weight };
 
-    let prop_iri = dbont::iri(&candidate.property);
     if candidate.is_data {
         // Data property: the literal side must be the variable, the subject
         // side an entity (or typed variable within the domain).
@@ -417,19 +466,21 @@ fn triple_option(
         if !slot_compatible(kb, eff_subject, def.domain, var_class) {
             return None;
         }
-        let s = render_slot(eff_subject);
-        return Some(TripleOption { line: format!("{s} <{prop_iri}> ?x ."), weight });
+    } else {
+        let def = kb.ontology.object_properties.iter().find(|p| p.name == candidate.property)?;
+        if !slot_compatible(kb, eff_subject, def.domain, var_class)
+            || !slot_compatible(kb, eff_object, def.range, var_class)
+        {
+            return None;
+        }
     }
-
-    let def = kb.ontology.object_properties.iter().find(|p| p.name == candidate.property)?;
-    if !slot_compatible(kb, eff_subject, def.domain, var_class)
-        || !slot_compatible(kb, eff_object, def.range, var_class)
-    {
-        return None;
-    }
-    let s = render_slot(eff_subject);
-    let o = render_slot(eff_object);
-    Some(TripleOption { line: format!("{s} <{prop_iri}> {o} ."), weight })
+    Some(TripleOption {
+        subject: eff_subject,
+        property: &candidate.property,
+        object: eff_object,
+        weight,
+        parts: OnceCell::new(),
+    })
 }
 
 /// Domain/range compatibility: an entity slot must carry a class related to
@@ -453,10 +504,19 @@ fn slot_compatible(
     }
 }
 
-fn render_slot(slot: &MappedSlot) -> String {
+fn slot_term(slot: &MappedSlot) -> Term {
     match slot {
-        MappedSlot::Var => "?x".to_string(),
-        MappedSlot::Entity(e) => format!("<{}>", e.iri.as_str()),
+        MappedSlot::Var => Term::var("x"),
+        MappedSlot::Entity(e) => Term::Iri(e.iri.clone()),
+    }
+}
+
+impl TripleParts {
+    /// The pattern and its line, every IRI written out in full (`Term`'s
+    /// own `Display`, not the query `Display`'s prefixed form).
+    fn new(subject: Term, predicate: Term, object: Term) -> Self {
+        let line = format!("{subject} {predicate} {object} .");
+        TripleParts { line, pattern: TriplePattern::new(subject, predicate, object) }
     }
 }
 

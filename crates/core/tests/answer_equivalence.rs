@@ -2,12 +2,14 @@
 //! matching the workspace's `proptest` replacement style): sequential,
 //! parallel, early-terminated, exhaustive, and cache-warm execution must
 //! all select the identical `Answer` over randomized candidate sets —
-//! including batches containing failing queries, and batches where every
-//! query fails. Early termination and caching change cost, never answers.
+//! including batches containing failing queries (candidates of the other
+//! query form, whose result cannot answer the question), and batches where
+//! every query fails. Early termination and caching change cost, never answers.
 
 use relpat_kb::{generate, KbConfig, KnowledgeBase};
 use relpat_obs::Rng;
 use relpat_qa::{extract_answer_traced, AnswerConfig, BuiltQuery, ExpectedType};
+use relpat_sparql::parse_query;
 use std::sync::OnceLock;
 
 fn kb() -> &'static KnowledgeBase {
@@ -15,32 +17,39 @@ fn kb() -> &'static KnowledgeBase {
     KB.get_or_init(|| generate(&KbConfig::tiny()))
 }
 
-/// Candidate pool for `SELECT` batches: non-empty, empty, and malformed.
+/// Candidate pool for `SELECT` batches: non-empty, empty, and malformed
+/// (an `ASK` candidate).
 const SELECT_POOL: [&str; 6] = [
     "SELECT ?x { ?x dbont:author res:Orhan_Pamuk }",        // non-empty
     "SELECT ?x { res:Turkey dbont:capital ?x }",            // non-empty
     "SELECT ?x { res:Frank_Herbert dbont:birthPlace ?x }",  // empty
     "SELECT ?x { res:Frank_Herbert dbont:deathPlace ?x }",  // empty
-    "SELECT ?x { broken",                                   // parse failure
+    "ASK { res:Snow dbont:author res:Orhan_Pamuk . }",      // wrong form
     "SELECT ?x { ?x rdf:type dbont:Book }",                 // non-empty
 ];
 
-/// Candidate pool for `ASK` batches: true, false, and malformed.
+/// Candidate pool for `ASK` batches: true, false, and malformed (a
+/// `SELECT` candidate).
 const ASK_POOL: [&str; 5] = [
     "ASK { res:Snow dbont:author res:Orhan_Pamuk . }",   // true
     "ASK { res:Dune dbont:author res:Orhan_Pamuk . }",   // false
     "ASK { res:Turkey dbont:capital res:Ankara . }",     // true
     "ASK { res:Ankara dbont:capital res:Turkey . }",     // false
-    "ASK { also broken",                                 // parse failure
+    "SELECT ?x { res:Turkey dbont:capital ?x }",         // wrong form
 ];
+
+fn built(sparql: String, score: f64) -> BuiltQuery {
+    let query = parse_query(&sparql).unwrap();
+    BuiltQuery { sparql, query, score }
+}
 
 /// A randomized, descending-scored candidate batch drawn from `pool`.
 fn arb_batch(rng: &mut Rng, pool: &[&str]) -> Vec<BuiltQuery> {
     let n = rng.gen_range(1usize..=12);
     let mut queries: Vec<BuiltQuery> = (0..n)
-        .map(|_| BuiltQuery {
-            sparql: pool[rng.gen_range(0usize..pool.len())].to_string(),
-            score: (rng.gen_range(0u32..1000) as f64) / 10.0,
+        .map(|_| {
+            let sparql = pool[rng.gen_range(0usize..pool.len())].to_string();
+            built(sparql, (rng.gen_range(0u32..1000) as f64) / 10.0)
         })
         .collect();
     queries.sort_by(|a, b| b.score.total_cmp(&a.score));
@@ -67,8 +76,9 @@ fn sweep(pool: &[&str], ask: bool, expected: ExpectedType, seed: u64) {
             extract_answer_traced(kb, expected, ask, &queries, &configs()[1]);
         // Exhaustive mode really executes everything and accounts for it.
         assert_eq!(ref_stats.executed, queries.len() as u64, "case {case}");
+        let wrong_form = if ask { "SELECT" } else { "ASK" };
         let expected_failed =
-            queries.iter().filter(|q| q.sparql.contains("broken")).count() as u64;
+            queries.iter().filter(|q| q.sparql.starts_with(wrong_form)).count() as u64;
         assert_eq!(ref_stats.failed, expected_failed, "case {case}");
         for (ci, config) in configs().iter().enumerate() {
             let (answer, stats) = extract_answer_traced(kb, expected, ask, &queries, config);
@@ -113,9 +123,15 @@ fn all_failing_batches_report_failures_not_answers() {
         let ask = rng.gen_bool(0.5);
         let n = rng.gen_range(1usize..=8);
         let queries: Vec<BuiltQuery> = (0..n)
-            .map(|i| BuiltQuery {
-                sparql: format!("{} ?x {{ broken {i}", if ask { "ASK" } else { "SELECT" }),
-                score: (n - i) as f64,
+            .map(|i| {
+                // The other query form: a polar question gets SELECT
+                // candidates, a list question gets ASK candidates.
+                let sparql = if ask {
+                    format!("SELECT ?x {{ ?x dbont:author res:Orhan_Pamuk }} LIMIT {}", i + 1)
+                } else {
+                    format!("ASK {{ res:Snow dbont:author ?x{i} }}")
+                };
+                built(sparql, (n - i) as f64)
             })
             .collect();
         for config in configs() {

@@ -3,7 +3,10 @@
 use relpat_obs::fx::FxHashMap;
 use relpat_rdf::vocab::{self, dbont, rdf, rdfs, res};
 use relpat_rdf::{Graph, IdPattern, Iri, Term, TermId};
-use relpat_sparql::{query, CacheStats, PlanTrace, QueryCache, QueryResult, SparqlError};
+use relpat_sparql::ast::Query;
+use relpat_sparql::{
+    parse_query, query, CacheStats, PlanTrace, QueryCache, QueryResult, SparqlError,
+};
 
 use crate::labels::LabelTable;
 use crate::lexical::LexicalIndex;
@@ -69,7 +72,7 @@ pub struct KnowledgeBase {
     label_pred: Option<TermId>,
     link_pred: Option<TermId>,
     type_pred: Option<TermId>,
-    /// Shared result cache for [`query`](Self::query). The graph is
+    /// Shared result cache for [`execute`](Self::execute). The graph is
     /// immutable, so cached results never go stale.
     query_cache: QueryCache,
     /// Sublinear candidate index over the label table's rows and ontology
@@ -215,10 +218,16 @@ impl KnowledgeBase {
         }
     }
 
-    /// Runs a SPARQL query against the store, serving repeated query texts
-    /// from the shared result cache.
+    /// Parses `text` and [`execute`](Self::execute)s it. Text that does not
+    /// parse never reaches the cache, so it counts neither a hit nor a miss.
     pub fn query(&self, text: &str) -> Result<QueryResult, SparqlError> {
-        self.query_cache.query(&self.graph, text)
+        self.execute(&parse_query(text)?)
+    }
+
+    /// Runs a query against the store, serving repeated queries from the
+    /// shared result cache.
+    pub fn execute(&self, query: &Query) -> Result<QueryResult, SparqlError> {
+        self.query_cache.execute(&self.graph, query)
     }
 
     /// Runs a SPARQL query bypassing the result cache (equivalence testing
@@ -227,11 +236,11 @@ impl KnowledgeBase {
         query(&self.graph, text)
     }
 
-    /// Like [`query`](Self::query) but also returns the EXPLAIN ANALYZE
+    /// Like [`execute`](Self::execute) but also returns the EXPLAIN ANALYZE
     /// plan trace. Cache hits return a trace flagged `cache_hit` with no
     /// steps (the executor never ran).
-    pub fn query_traced(&self, text: &str) -> Result<(QueryResult, PlanTrace), SparqlError> {
-        self.query_cache.query_traced(&self.graph, text)
+    pub fn execute_traced(&self, query: &Query) -> Result<(QueryResult, PlanTrace), SparqlError> {
+        self.query_cache.execute_traced(&self.graph, query)
     }
 
     /// Cumulative hit/miss totals of the query cache.
@@ -448,5 +457,70 @@ mod tests {
         kb.invalidate_query_cache();
         kb.query(text).unwrap();
         assert_eq!(kb.cache_stats().misses, 2);
+        // Text that does not parse never reaches the cache.
+        assert!(kb.query("SELECT ?x { broken").is_err());
+        assert_eq!(kb.cache_stats(), CacheStats { hits: 1, misses: 2 });
+    }
+
+    #[test]
+    fn syntactic_variants_share_one_entry() {
+        let kb = mini_kb();
+        // Same query, three spellings: whitespace, WHERE keyword, trailing
+        // dot. All parse to one AST, the cache key.
+        let a = "SELECT ?x WHERE { ?x rdf:type dbont:Book . }";
+        let b = "SELECT ?x { ?x rdf:type dbont:Book }";
+        let c = "SELECT  ?x  WHERE  {  ?x  rdf:type  dbont:Book  }";
+        let first = kb.query(a).unwrap();
+        assert_eq!(kb.query(b).unwrap(), first);
+        assert_eq!(kb.query(c).unwrap(), first);
+        assert_eq!(kb.cache_occupancy().0, 1, "variants must share one entry");
+        assert_eq!(
+            kb.cache_stats(),
+            CacheStats { hits: 2, misses: 1 },
+            "only the first spelling executes"
+        );
+    }
+
+    /// The `Query` a caller builds for `?x author Orhan_Pamuk`, term by
+    /// term, as the QA planner does.
+    fn built_author_query() -> Query {
+        use relpat_sparql::ast::{GraphPattern, Projection, SelectQuery, TriplePattern};
+        Query::Select(SelectQuery {
+            distinct: true,
+            projection: Projection::Vars(vec!["x".into()]),
+            pattern: GraphPattern {
+                triples: vec![TriplePattern::new(
+                    Term::var("x"),
+                    Term::iri(dbont::iri("author")),
+                    Term::iri(res::iri("Orhan Pamuk")),
+                )],
+                ..GraphPattern::default()
+            },
+            order_by: Vec::new(),
+            limit: None,
+            offset: None,
+        })
+    }
+
+    const AUTHOR_TEXT: &str = "SELECT DISTINCT ?x { ?x dbont:author res:Orhan_Pamuk }";
+
+    #[test]
+    fn text_then_built_query_share_one_entry() {
+        let kb = mini_kb();
+        let from_text = kb.query(AUTHOR_TEXT).unwrap();
+        assert_eq!(kb.execute(&built_author_query()).unwrap(), from_text);
+        assert_eq!(kb.cache_occupancy().0, 1);
+        assert_eq!(kb.cache_stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn built_query_then_text_share_one_entry() {
+        let kb = mini_kb();
+        let (built, trace) = kb.execute_traced(&built_author_query()).unwrap();
+        assert!(!trace.cache_hit);
+        assert_eq!(kb.query(AUTHOR_TEXT).unwrap(), built);
+        assert_eq!(kb.cache_occupancy().0, 1);
+        assert_eq!(kb.cache_stats(), CacheStats { hits: 1, misses: 1 });
+        assert!(kb.execute_traced(&built_author_query()).unwrap().1.cache_hit);
     }
 }

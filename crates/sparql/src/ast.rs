@@ -6,8 +6,12 @@
 
 use relpat_rdf::Term;
 
-/// A parsed query.
-#[derive(Debug, Clone, PartialEq)]
+/// A query, as the parser returns it and as the QA planner builds it.
+///
+/// `Eq` and `Hash` are structural. `Display` renders text that parses back
+/// to an equal AST, so two queries are equal exactly when their renderings
+/// are: the query cache keys on this type directly.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Query {
     Select(SelectQuery),
     Ask(AskQuery),
@@ -24,7 +28,7 @@ impl Query {
 }
 
 /// `SELECT (DISTINCT)? (*|vars) WHERE { ... } (ORDER BY ...)? (LIMIT n)? (OFFSET n)?`
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SelectQuery {
     pub distinct: bool,
     pub projection: Projection,
@@ -35,13 +39,13 @@ pub struct SelectQuery {
 }
 
 /// `ASK { ... }`
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AskQuery {
     pub pattern: GraphPattern,
 }
 
 /// The projected variables of a `SELECT`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Projection {
     /// `SELECT *` — all variables in the pattern, in first-occurrence order.
     All,
@@ -60,7 +64,7 @@ pub enum Projection {
 
 /// A group graph pattern: a basic graph pattern plus filters, `OPTIONAL`
 /// sub-groups and `UNION` blocks.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct GraphPattern {
     pub triples: Vec<TriplePattern>,
     pub filters: Vec<Expr>,
@@ -110,7 +114,7 @@ impl GraphPattern {
 }
 
 /// A triple pattern: any position may be a variable (`Term::Variable`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TriplePattern {
     pub subject: Term,
     pub predicate: Term,
@@ -136,14 +140,14 @@ impl std::fmt::Display for TriplePattern {
 }
 
 /// One `ORDER BY` key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderKey {
     pub expr: Expr,
     pub descending: bool,
 }
 
 /// Filter/order expressions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     Var(String),
     Const(Term),
@@ -165,7 +169,7 @@ pub enum Expr {
     Bound(String),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -175,7 +179,7 @@ pub enum CmpOp {
     Ge,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithOp {
     Add,
     Sub,

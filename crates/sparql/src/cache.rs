@@ -1,27 +1,27 @@
 //! Thread-safe, bounded LRU cache for query execution, keyed on the
-//! canonical rendering of the parsed algebra.
+//! query's AST.
 //!
 //! Candidate sets across questions repeat many type-constraint and label
 //! sub-queries, so caching is a real hot-path win, not a micro-cache.
-//! Entries are keyed by the parsed [`Query`]'s canonical `Display` form
-//! (which round-trips to an equal AST), so syntactic variants of one query —
-//! whitespace, `WHERE` keyword, trailing dots — share a single entry and a
-//! single execution. A side table maps each raw text spelling to its
-//! canonical key, so repeat lookups of a known spelling skip the parser
-//! entirely. A hit returns a clone of the stored [`QueryResult`] without
-//! touching the executor — O(1), since result rows share one immutable cell
-//! table; a miss parses, executes, and (on success only)
-//! stores the parsed [`Query`] AST alongside the result. Failures are never
-//! cached — a malformed query re-reports its error on every attempt.
+//! Entries are keyed by the [`Query`] itself: its `Eq`/`Hash` are
+//! structural and its `Display` round-trips to an equal AST, so two
+//! spellings of one query — whitespace, `WHERE` keyword, trailing dots —
+//! parse to one key, and a query the QA planner built shares the entry of
+//! its parsed text. The cache never parses. A hit returns a clone of the
+//! stored [`QueryResult`] without touching the executor — O(1), since
+//! result rows share one immutable cell table; a miss executes and (on
+//! success only) stores the result. Failures are never cached — a failing
+//! query re-reports its error on every attempt.
 //!
 //! The cache assumes the graph it serves is immutable for its lifetime
 //! (the knowledge-base graphs are built once and then only read). Callers
 //! that do mutate the graph must [`clear`](QueryCache::clear) afterwards.
 //!
 //! Concurrency: a single mutex guards the map, but it is held only for the
-//! lookup/insert bookkeeping — parsing and execution run outside the lock,
-//! so concurrent misses for the same text may race and both execute; the
-//! last insert wins and the results are identical on an immutable graph.
+//! lookup/insert bookkeeping — execution runs outside the lock, and so does
+//! dropping the entries an eviction removes. Concurrent misses for the same
+//! query may race and both execute; the last insert wins and the results
+//! are identical on an immutable graph.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -34,7 +34,6 @@ use relpat_obs::PlanTrace;
 use crate::ast::Query;
 use crate::error::SparqlError;
 use crate::exec::{execute, execute_traced, QueryResult};
-use crate::parser::parse_query;
 
 /// Default entry bound: comfortably holds the working set of a full QALD
 /// run (a few thousand distinct candidate queries) in a few MB.
@@ -70,10 +69,6 @@ impl CacheStats {
 
 #[derive(Debug)]
 struct Entry {
-    /// The parsed AST — kept so a future re-execution (e.g. after
-    /// [`QueryCache::clear`]) can skip the parser, and so the cache is the
-    /// single place that owns the text → AST association.
-    parsed: Query,
     result: QueryResult,
     /// Monotonic recency stamp (higher = more recently used).
     last_used: u64,
@@ -81,16 +76,12 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Canonical query rendering → entry.
-    map: FxHashMap<String, Entry>,
-    /// Raw text spelling → canonical key, so known spellings skip the
-    /// parser. Every value is a key of `map` (pruned on eviction/clear).
-    alias: FxHashMap<String, String>,
+    map: FxHashMap<Query, Entry>,
     tick: u64,
 }
 
-/// Bounded query-text → result cache. See the module docs for the
-/// concurrency and invalidation contract.
+/// Bounded query → result cache. See the module docs for the concurrency
+/// and invalidation contract.
 #[derive(Debug)]
 pub struct QueryCache {
     inner: Mutex<Inner>,
@@ -116,65 +107,35 @@ impl QueryCache {
         }
     }
 
-    /// Parses and executes `text` against `graph`, serving repeats from the
-    /// cache. Increments `sparql.cache.hits` / `sparql.cache.misses` on the
-    /// global [`relpat_obs`] registry as well as the local stats.
-    pub fn query(&self, graph: &Graph, text: &str) -> Result<QueryResult, SparqlError> {
-        match self.lookup(text) {
-            Ok(Lookup::Hit(result)) => {
-                self.hits.fetch_add(1, Relaxed);
-                relpat_obs::counter!("sparql.cache.hits");
-                Ok(result)
-            }
-            Ok(Lookup::Miss { canon, parsed }) => {
-                self.miss();
-                let result = execute(graph, &parsed)?;
-                self.insert(text, canon, parsed, result.clone());
-                Ok(result)
-            }
-            Err(e) => {
-                // Unparseable text is a miss every time (never cached).
-                self.miss();
-                Err(e)
-            }
+    /// Executes `query` against `graph`, serving repeats from the cache.
+    /// Increments `sparql.cache.hits` / `sparql.cache.misses` on the global
+    /// [`relpat_obs`] registry as well as the local stats.
+    pub fn execute(&self, graph: &Graph, query: &Query) -> Result<QueryResult, SparqlError> {
+        if let Some(result) = self.lookup(query) {
+            return Ok(result);
         }
+        let result = execute(graph, query)?;
+        self.insert(query, result.clone());
+        Ok(result)
     }
 
-    /// Like [`query`](Self::query) but also returns the plan trace of the
-    /// execution. A cache hit never re-executes: it returns an empty-steps
-    /// trace flagged `cache_hit` (zero rows scanned, matching the unchanged
-    /// `sparql.rows_scanned` counter). Cache accounting is identical to the
-    /// untraced path, so explained and plain queries share warm state.
-    pub fn query_traced(
+    /// Like [`execute`](Self::execute) but also returns the plan trace of
+    /// the execution. A cache hit never re-executes: it returns an
+    /// empty-steps trace flagged `cache_hit` (zero rows scanned, matching
+    /// the unchanged `sparql.rows_scanned` counter). Cache accounting is
+    /// identical to the untraced path, so explained and plain queries share
+    /// warm state.
+    pub fn execute_traced(
         &self,
         graph: &Graph,
-        text: &str,
+        query: &Query,
     ) -> Result<(QueryResult, PlanTrace), SparqlError> {
-        match self.lookup(text) {
-            Ok(Lookup::Hit(result)) => {
-                self.hits.fetch_add(1, Relaxed);
-                relpat_obs::counter!("sparql.cache.hits");
-                Ok((result, PlanTrace { cache_hit: true, ..PlanTrace::default() }))
-            }
-            Ok(Lookup::Miss { canon, parsed }) => {
-                self.miss();
-                let (result, trace) = execute_traced(graph, &parsed)?;
-                self.insert(text, canon, parsed, result.clone());
-                Ok((result, trace))
-            }
-            Err(e) => {
-                self.miss();
-                Err(e)
-            }
+        if let Some(result) = self.lookup(query) {
+            return Ok((result, PlanTrace { cache_hit: true, ..PlanTrace::default() }));
         }
-    }
-
-    /// The cached parsed AST for `text` (any known spelling), if present.
-    /// Does not touch the LRU recency stamp or the hit/miss totals.
-    pub fn parsed(&self, text: &str) -> Option<Query> {
-        let inner = self.inner.lock().expect("cache lock");
-        let canon = inner.alias.get(text)?;
-        inner.map.get(canon.as_str()).map(|e| e.parsed.clone())
+        let (result, trace) = execute_traced(graph, query)?;
+        self.insert(query, result.clone());
+        Ok((result, trace))
     }
 
     /// Cumulative hit/miss totals.
@@ -196,109 +157,67 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Drops every entry and spelling alias (hit/miss totals are kept).
-    /// Required after any mutation of the graph this cache serves.
+    /// Drops every entry (hit/miss totals are kept). Required after any
+    /// mutation of the graph this cache serves.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.map.clear();
-        inner.alias.clear();
+        self.inner.lock().expect("cache lock").map.clear();
     }
 
-    fn miss(&self) {
-        self.misses.fetch_add(1, Relaxed);
-        relpat_obs::counter!("sparql.cache.misses");
-    }
-
-    /// Two-stage lookup: a known spelling resolves through the alias table
-    /// without parsing; an unknown spelling is parsed and probed by its
-    /// canonical rendering (a hit there registers the new spelling). Only a
-    /// query absent under its canonical key is a true miss — the caller
-    /// executes it and hands the parts back to [`insert`](Self::insert).
-    fn lookup(&self, text: &str) -> Result<Lookup, SparqlError> {
-        {
+    /// The cached result for `query`, refreshing its recency stamp, and
+    /// the hit or miss it counts.
+    fn lookup(&self, query: &Query) -> Option<QueryResult> {
+        let hit = {
             let mut inner = self.inner.lock().expect("cache lock");
             inner.tick += 1;
             let tick = inner.tick;
-            let Inner { map, alias, .. } = &mut *inner;
-            if let Some(canon) = alias.get(text) {
-                if let Some(entry) = map.get_mut(canon.as_str()) {
-                    entry.last_used = tick;
-                    return Ok(Lookup::Hit(entry.result.clone()));
-                }
-            }
+            inner.map.get_mut(query).map(|entry| {
+                entry.last_used = tick;
+                entry.result.clone()
+            })
+        };
+        if hit.is_some() {
+            self.hits.fetch_add(1, Relaxed);
+            relpat_obs::counter!("sparql.cache.hits");
+        } else {
+            self.misses.fetch_add(1, Relaxed);
+            relpat_obs::counter!("sparql.cache.misses");
         }
-        // Parse outside the lock; a hit under the canonical key is still a
-        // hit (the executor never ran), it just paid one parse to learn the
-        // spelling.
-        let parsed = parse_query(text)?;
-        let canon = parsed.to_string();
-        let mut inner = self.inner.lock().expect("cache lock");
-        let tick = inner.tick;
-        let Inner { map, alias, .. } = &mut *inner;
-        if let Some(entry) = map.get_mut(canon.as_str()) {
-            entry.last_used = tick;
-            let result = entry.result.clone();
-            Self::register_alias(alias, self.capacity, text, &canon);
-            return Ok(Lookup::Hit(result));
-        }
-        Ok(Lookup::Miss { canon, parsed })
+        hit
     }
 
-    fn insert(&self, text: &str, canon: String, parsed: Query, result: QueryResult) {
+    fn insert(&self, query: &Query, result: QueryResult) {
+        let mut evicted = Vec::new();
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         let capacity = self.capacity;
-        let Inner { map, alias, .. } = &mut *inner;
-        if map.len() >= capacity && !map.contains_key(&canon) {
+        let map = &mut inner.map;
+        if map.len() >= capacity && !map.contains_key(query) {
             // Batch-evict the least-recently-used eighth so eviction cost
             // amortizes instead of paying a full scan per insert.
             let mut stamps: Vec<u64> = map.values().map(|e| e.last_used).collect();
             stamps.sort_unstable();
             let cutoff = stamps[(capacity / 8).max(1) - 1];
-            let before = map.len();
-            map.retain(|_, e| e.last_used > cutoff);
-            alias.retain(|_, c| map.contains_key(c));
+            evicted.extend(map.extract_if(|_, e| e.last_used <= cutoff));
             relpat_obs::jevent!(
                 relpat_obs::Level::Info, "sparql.cache.evict",
-                "evicted" => before - map.len(),
+                "evicted" => evicted.len(),
                 "held" => map.len(),
                 "capacity" => capacity,
             );
         }
-        Self::register_alias(alias, capacity, text, &canon);
-        map.insert(canon, Entry { parsed, result, last_used: tick });
+        map.insert(query.clone(), Entry { result, last_used: tick });
+        // The evicted keys and results are freed after unlocking, so
+        // concurrent lookups never wait on the deallocations.
+        drop(inner);
+        drop(evicted);
     }
-
-    /// Records `text` as a spelling of `canon`. The alias table is bounded
-    /// independently of the entry map (spellings are unbounded in principle);
-    /// on overflow it is simply dropped — aliases re-register on demand at
-    /// the cost of one parse each.
-    fn register_alias(
-        alias: &mut FxHashMap<String, String>,
-        capacity: usize,
-        text: &str,
-        canon: &str,
-    ) {
-        if alias.len() >= capacity.saturating_mul(8) && !alias.contains_key(text) {
-            alias.clear();
-        }
-        if alias.get(text).map(String::as_str) != Some(canon) {
-            alias.insert(text.to_string(), canon.to_string());
-        }
-    }
-}
-
-/// Outcome of [`QueryCache::lookup`]: a cached result, or the parsed parts
-/// the caller needs to execute and insert.
-enum Lookup {
-    Hit(QueryResult),
-    Miss { canon: String, parsed: Query },
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_query;
     use relpat_rdf::vocab::{dbont, rdf, res};
     use relpat_rdf::{GraphBuilder, Term};
 
@@ -317,15 +236,25 @@ mod tests {
         g.build()
     }
 
+    fn q(text: &str) -> Query {
+        parse_query(text).unwrap()
+    }
+
+    /// `SELECT ?x WHERE { ?x rdf:type dbont:Book . } LIMIT n`, one distinct
+    /// query per `n`.
+    fn limited(n: usize) -> Query {
+        q(&format!("SELECT ?x WHERE {{ ?x rdf:type dbont:Book . }} LIMIT {n}"))
+    }
+
     #[test]
     fn hit_returns_identical_result() {
         let g = graph();
         let cache = QueryCache::new(8);
-        let text = "SELECT ?x WHERE { ?x rdf:type dbont:Book . }";
-        let first = cache.query(&g, text).unwrap();
-        let second = cache.query(&g, text).unwrap();
+        let query = q("SELECT ?x WHERE { ?x rdf:type dbont:Book . }");
+        let first = cache.execute(&g, &query).unwrap();
+        let second = cache.execute(&g, &query).unwrap();
         assert_eq!(first, second);
-        assert_eq!(cache.query(&g, text).unwrap(), crate::exec::query(&g, text).unwrap());
+        assert_eq!(cache.execute(&g, &query).unwrap(), execute(&g, &query).unwrap());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert!(stats.hit_rate() > 0.6);
@@ -336,9 +265,9 @@ mod tests {
     fn ask_results_are_cached_too() {
         let g = graph();
         let cache = QueryCache::new(8);
-        let text = "ASK { res:Snow dbont:author res:Orhan_Pamuk . }";
-        assert_eq!(cache.query(&g, text).unwrap(), QueryResult::Boolean(true));
-        assert_eq!(cache.query(&g, text).unwrap(), QueryResult::Boolean(true));
+        let query = q("ASK { res:Snow dbont:author res:Orhan_Pamuk . }");
+        assert_eq!(cache.execute(&g, &query).unwrap(), QueryResult::Boolean(true));
+        assert_eq!(cache.execute(&g, &query).unwrap(), QueryResult::Boolean(true));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
@@ -346,8 +275,10 @@ mod tests {
     fn errors_are_not_cached() {
         let g = graph();
         let cache = QueryCache::new(8);
-        assert!(cache.query(&g, "SELECT ?x { broken").is_err());
-        assert!(cache.query(&g, "SELECT ?x { broken").is_err());
+        // Parses, but fails to evaluate: ?y never occurs in the pattern.
+        let query = q("SELECT (COUNT(?y) AS ?n) { ?x rdf:type dbont:Book }");
+        assert!(cache.execute(&g, &query).is_err());
+        assert!(cache.execute(&g, &query).is_err());
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
         assert!(cache.is_empty());
     }
@@ -356,31 +287,60 @@ mod tests {
     fn lru_eviction_keeps_recently_used_entries() {
         let g = graph();
         let cache = QueryCache::new(8);
-        let texts: Vec<String> = (0..8)
-            .map(|i| format!("SELECT ?x WHERE {{ ?x rdf:type dbont:Book . }} LIMIT {}", i + 1))
-            .collect();
-        for t in &texts {
-            cache.query(&g, t).unwrap();
+        let queries: Vec<Query> = (1..=8).map(limited).collect();
+        for query in &queries {
+            cache.execute(&g, query).unwrap();
         }
         assert_eq!(cache.len(), 8);
         // Touch the newest entry, then overflow: the hot entry must survive.
-        cache.query(&g, &texts[7]).unwrap();
-        cache.query(&g, "SELECT ?x WHERE { ?x rdf:type dbont:Book . } LIMIT 100").unwrap();
+        cache.execute(&g, &queries[7]).unwrap();
+        cache.execute(&g, &limited(100)).unwrap();
         assert!(cache.len() <= 8);
         let before = cache.stats();
-        cache.query(&g, &texts[7]).unwrap();
+        cache.execute(&g, &queries[7]).unwrap();
         assert_eq!(cache.stats().hits, before.hits + 1, "hot entry was evicted");
+    }
+
+    #[test]
+    fn eviction_keeps_held_entries_and_totals() {
+        let g = graph();
+        let cache = QueryCache::new(16);
+        let queries: Vec<Query> = (1..=16).map(limited).collect();
+        let reference: Vec<QueryResult> =
+            queries.iter().map(|query| execute(&g, query).unwrap()).collect();
+        for query in &queries {
+            cache.execute(&g, query).unwrap();
+        }
+        // Refresh all but the two oldest, which an overflow then evicts
+        // (capacity / 8 = 2 entries).
+        for query in &queries[2..] {
+            cache.execute(&g, query).unwrap();
+        }
+        let before = cache.stats();
+        cache.execute(&g, &limited(100)).unwrap();
+        assert_eq!(cache.stats(), CacheStats { hits: before.hits, misses: before.misses + 1 });
+        assert_eq!(cache.len(), 15);
+        // Every entry still held answers from the cache, unchanged.
+        for (query, want) in queries[2..].iter().zip(&reference[2..]) {
+            assert_eq!(&cache.execute(&g, query).unwrap(), want);
+        }
+        assert_eq!(cache.stats(), CacheStats { hits: before.hits + 14, misses: before.misses + 1 });
+        // The evicted pair executes again.
+        for (query, want) in queries[..2].iter().zip(&reference[..2]) {
+            assert_eq!(&cache.execute(&g, query).unwrap(), want);
+        }
+        assert_eq!(cache.stats().misses, before.misses + 3);
     }
 
     #[test]
     fn clear_drops_entries_but_keeps_totals() {
         let g = graph();
         let cache = QueryCache::new(8);
-        let text = "SELECT ?x WHERE { ?x rdf:type dbont:Book . }";
-        cache.query(&g, text).unwrap();
+        let query = q("SELECT ?x WHERE { ?x rdf:type dbont:Book . }");
+        cache.execute(&g, &query).unwrap();
         cache.clear();
         assert!(cache.is_empty());
-        cache.query(&g, text).unwrap();
+        cache.execute(&g, &query).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
     }
 
@@ -388,17 +348,15 @@ mod tests {
     fn concurrent_lookups_agree() {
         let g = graph();
         let cache = QueryCache::new(64);
-        let texts: Vec<String> = (0..16)
-            .map(|i| format!("SELECT ?x WHERE {{ ?x rdf:type dbont:Book . }} LIMIT {}", i + 1))
-            .collect();
+        let queries: Vec<Query> = (1..=16).map(limited).collect();
         let reference: Vec<QueryResult> =
-            texts.iter().map(|t| crate::exec::query(&g, t).unwrap()).collect();
+            queries.iter().map(|query| execute(&g, query).unwrap()).collect();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..50 {
-                        for (t, want) in texts.iter().zip(reference.iter()) {
-                            assert_eq!(&cache.query(&g, t).unwrap(), want);
+                        for (query, want) in queries.iter().zip(reference.iter()) {
+                            assert_eq!(&cache.execute(&g, query).unwrap(), want);
                         }
                     }
                 });
@@ -410,56 +368,23 @@ mod tests {
     }
 
     #[test]
-    fn stores_the_parsed_ast_alongside_the_result() {
-        let g = graph();
-        let cache = QueryCache::new(8);
-        let text = "SELECT ?x WHERE { ?x rdf:type dbont:Book . }";
-        assert!(cache.parsed(text).is_none());
-        cache.query(&g, text).unwrap();
-        assert_eq!(cache.parsed(text), Some(crate::parser::parse_query(text).unwrap()));
-    }
-
-    #[test]
     fn traced_queries_share_cache_state_and_flag_hits() {
         let g = graph();
         let cache = QueryCache::new(8);
         assert_eq!(cache.capacity(), 8);
-        let text = "SELECT ?x WHERE { ?x rdf:type dbont:Book . }";
-        let (first, miss_trace) = cache.query_traced(&g, text).unwrap();
+        let query = q("SELECT ?x WHERE { ?x rdf:type dbont:Book . }");
+        let (first, miss_trace) = cache.execute_traced(&g, &query).unwrap();
         assert!(!miss_trace.cache_hit);
         assert!(!miss_trace.steps.is_empty(), "a cold execution records join steps");
         assert!(miss_trace.rows_scanned() > 0);
         // Second lookup — including via the untraced path — hits.
-        let (second, hit_trace) = cache.query_traced(&g, text).unwrap();
+        let (second, hit_trace) = cache.execute_traced(&g, &query).unwrap();
         assert_eq!(first, second);
         assert!(hit_trace.cache_hit);
         assert!(hit_trace.steps.is_empty());
         assert_eq!(hit_trace.rows_scanned(), 0);
-        assert_eq!(cache.query(&g, text).unwrap(), first);
+        assert_eq!(cache.execute(&g, &query).unwrap(), first);
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
-    }
-
-    #[test]
-    fn syntactic_variants_share_one_entry() {
-        let g = graph();
-        let cache = QueryCache::new(8);
-        // Same query, three spellings: whitespace, WHERE keyword, trailing
-        // dot. All reduce to one canonical AST rendering.
-        let a = "SELECT ?x WHERE { ?x rdf:type dbont:Book . }";
-        let b = "SELECT ?x { ?x rdf:type dbont:Book }";
-        let c = "SELECT  ?x  WHERE  {  ?x  rdf:type  dbont:Book  }";
-        let first = cache.query(&g, a).unwrap();
-        assert_eq!(cache.query(&g, b).unwrap(), first);
-        assert_eq!(cache.query(&g, c).unwrap(), first);
-        assert_eq!(cache.len(), 1, "variants must share one canonical entry");
-        assert_eq!(
-            cache.stats(),
-            CacheStats { hits: 2, misses: 1 },
-            "only the first spelling executes; the others hit via the canonical key"
-        );
-        // Each spelling now resolves its AST without a fresh parse.
-        assert_eq!(cache.parsed(b), cache.parsed(a));
-        assert!(cache.parsed(b).is_some());
     }
 
     #[test]

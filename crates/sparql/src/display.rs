@@ -205,6 +205,82 @@ mod tests {
         );
     }
 
+    /// The queries of the parser's and this module's tests, plus spelling
+    /// variants of some of them (equal ASTs from different text) and near
+    /// misses (one modifier apart).
+    const CORPUS: &[&str] = &[
+        "SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:writer res:Orhan_Pamuk . }",
+        "SELECT ?x { ?x a dbont:Book . ?x dbont:writer res:Orhan_Pamuk }",
+        "SELECT ?x { ?x a dbont:Book ; dbont:writer res:Orhan_Pamuk . }",
+        "SELECT DISTINCT ?x { ?x a dbont:Book ; dbont:writer res:Orhan_Pamuk . }",
+        "SELECT ?x { ?x a dbont:Book ; dbont:writer res:Orhan_Pamuk . } LIMIT 1",
+        "SELECT ?x WHERE { ?x rdf:type dbont:Book . ?x dbont:author res:Orhan_Pamuk }",
+        "SELECT DISTINCT * WHERE { ?s ?p ?o }",
+        "SELECT DISTINCT * { ?s ?p ?o }",
+        "SELECT * { ?s ?p ?o }",
+        "SELECT DISTINCT * { ?s ?p ?o } ORDER BY DESC(?s) ?p LIMIT 5 OFFSET 2",
+        "SELECT ?x { ?x a dbont:Book ; dbont:writer ?w . }",
+        "ASK { res:X dbont:knows res:A, res:B }",
+        "ASK { res:X dbont:knows res:A . res:X dbont:knows res:B }",
+        "ASK { res:X dbont:knows res:B . res:X dbont:knows res:A }",
+        "SELECT ?x { ?x dbont:height ?h FILTER(?h > 2.0) }",
+        "SELECT ?x { ?x dbont:height ?h FILTER(?h > 2.00) }",
+        "SELECT ?x { ?x dbont:height ?h FILTER(?h >= 2.0) }",
+        "SELECT ?x { ?x rdfs:label ?l FILTER(regex(str(?l), \"snow\", \"i\")) }",
+        "SELECT ?x { ?x rdfs:label ?l FILTER(regex(str(?l), \"snow\")) }",
+        "ASK { ?x ?p ?o FILTER(?o > 1 && ?o < 5 || !bound(?x)) }",
+        "ASK { ?x ?p ?o FILTER((?o > 1 && ?o < 5) || !bound(?x)) }",
+        "ASK { ?x ?p ?o FILTER(?o > 1 && (?o < 5 || !bound(?x))) }",
+        "SELECT ?x { ?x dbont:height ?h } ORDER BY DESC(?h) ?x LIMIT 5 OFFSET 2",
+        "SELECT ?x { ?x dbont:height ?h } ORDER BY DESC(?h) ASC(?x) LIMIT 5 OFFSET 2",
+        "ASK { ?x dbont:birthDate \"1952-06-07\"^^xsd:date . ?x rdfs:label \"Kar\"@tr }",
+        "ASK { ?x dbont:birthDate \"1952-06-07\" . ?x rdfs:label \"Kar\"@tr }",
+        "SELECT ?x { ?x dbont:delta ?d FILTER(?d < -5) }",
+        "SELECT ?x { ?x <http://e/p> ?h FILTER(?h < 5) }",
+        "SELECT ?x { ?x dbont:height ?h FILTER(?h > 1.5 && ?h < 2.2) \
+         FILTER(regex(str(?x), \"jordan\", \"i\")) }",
+        "ASK { ?x ?p ?o FILTER(!bound(?x) || lang(?o) = \"en\") }",
+        "SELECT ?x { ?x dbont:numberOfPages ?p FILTER(?p * 2 - 10 > 800 / 2) }",
+        "SELECT ?x { { ?x dbont:writer res:A } UNION { ?x dbont:author res:A } \
+         OPTIONAL { ?x rdfs:label ?l } }",
+        "SELECT ?x { { ?x dbont:author res:A } UNION { ?x dbont:writer res:A } \
+         OPTIONAL { ?x rdfs:label ?l } }",
+        "ASK { ?x ?p ?o OPTIONAL { ?o ?q ?z OPTIONAL { ?z ?r ?w } } }",
+        "SELECT (COUNT(DISTINCT ?x) AS ?n) { ?x rdf:type dbont:Book }",
+        "SELECT (COUNT(?x) AS ?n) { ?x rdf:type dbont:Book }",
+        "SELECT (COUNT(*) AS ?c) { ?s ?p ?o }",
+        "ASK { ?x dbont:pages 432 . ?x dbont:height 1.98 }",
+        "ASK { ?x <http://dbpedia.org/ontology/pages> 432 . ?x dbont:height 1.98 }",
+    ];
+
+    /// Equal ASTs are exactly equal renderings, and equal ASTs hash alike:
+    /// what lets the query cache key on the AST instead of its text.
+    #[test]
+    fn ast_equality_is_rendering_equality_over_the_corpus() {
+        use std::hash::{BuildHasher, RandomState};
+        let parsed: Vec<_> = CORPUS
+            .iter()
+            .map(|q| parse_query(q).unwrap_or_else(|e| panic!("parse {q}: {e}")))
+            .collect();
+        let hasher = RandomState::new();
+        let (mut equal_pairs, mut unequal_pairs) = (0, 0);
+        for (i, a) in parsed.iter().enumerate() {
+            round_trips(CORPUS[i]);
+            for (j, b) in parsed.iter().enumerate() {
+                let same_text = a.to_string() == b.to_string();
+                assert_eq!(a == b, same_text, "{} vs {}", CORPUS[i], CORPUS[j]);
+                if a == b {
+                    assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
+                    equal_pairs += usize::from(i != j);
+                } else {
+                    unequal_pairs += 1;
+                }
+            }
+        }
+        assert!(equal_pairs >= 10, "{equal_pairs} equal pairs of distinct spellings");
+        assert!(unequal_pairs > 1000);
+    }
+
     #[test]
     fn rendered_text_is_single_line_sparql() {
         let q = parse_query("SELECT ?x { ?x a dbont:Book }").unwrap();

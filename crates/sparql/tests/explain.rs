@@ -134,10 +134,11 @@ fn cache_hits_trace_zero_scans_and_zero_counter_delta() {
     let _guard = exec_lock();
     let g = library();
     let cache = QueryCache::new(8);
-    let (first, cold) = cache.query_traced(&g, QUERY).expect("cold query");
+    let query = parse_query(QUERY).expect("query parses");
+    let (first, cold) = cache.execute_traced(&g, &query).expect("cold query");
     assert!(!cold.cache_hit);
     let before = relpat_obs::global().counter_value("sparql.rows_scanned");
-    let (second, hot) = cache.query_traced(&g, QUERY).expect("warm query");
+    let (second, hot) = cache.execute_traced(&g, &query).expect("warm query");
     let delta = relpat_obs::global().counter_value("sparql.rows_scanned") - before;
     assert_eq!(first, second);
     assert!(hot.cache_hit);

@@ -198,19 +198,19 @@ fn merge_join_allocations_do_not_grow_with_rows() {
 #[test]
 fn cloning_results_and_cache_hits_do_not_grow_with_rows() {
     let _guard = exec_lock();
-    let text = format!("SELECT ?b ?p ?l ?d {{ {PATTERN} }}");
+    let query = parse_query(&format!("SELECT ?b ?p ?l ?d {{ {PATTERN} }}")).unwrap();
     let mut clones = Vec::new();
     let mut hits = Vec::new();
     for n in SIZES {
         let g = books(n);
         let cache = QueryCache::new(8);
-        let result = cache.query(&g, &text).unwrap();
+        let result = cache.execute(&g, &query).unwrap();
         assert_eq!(result.as_solutions().map(|s| s.len()), Some(n));
         clones.push(allocations_of(3, || {
             black_box(result.clone());
         }));
         hits.push(allocations_of(3, || {
-            let hit: QueryResult = cache.query(&g, &text).unwrap();
+            let hit: QueryResult = cache.execute(&g, &query).unwrap();
             black_box(hit);
         }));
     }
