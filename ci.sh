@@ -21,8 +21,8 @@ cargo test -q --workspace
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets --workspace -- -D warnings
 
-echo "=== batch throughput smoke ==="
-cargo bench -p relpat-bench --bench qa_batch_throughput -- --smoke
+echo "=== cargo doc (workspace, -D warnings) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "=== mapping throughput smoke ==="
 cargo bench -p relpat-bench --bench qa_mapping_throughput -- --smoke

@@ -7,7 +7,7 @@ use relpat_kb::{generate, KbConfig, KnowledgeBase};
 use relpat_patterns::{mine, CorpusConfig};
 use relpat_qa::{
     build_queries, extract, similar_property_pairs, KeywordBaseline, Mapper, MappingConfig,
-    Pipeline, PipelineConfig, TemplateBaseline,
+    Pipeline, TemplateBaseline,
 };
 use relpat_wordnet::embedded;
 use std::sync::OnceLock;
@@ -75,13 +75,6 @@ fn bench_stages(c: &mut Criterion) {
 fn bench_end_to_end(c: &mut Criterion) {
     let kb = kb();
     let pipeline = Pipeline::new(kb);
-    let parallel = Pipeline::with_config(
-        kb,
-        PipelineConfig {
-            answer: relpat_qa::AnswerConfig { parallel: true, ..Default::default() },
-            ..PipelineConfig::standard()
-        },
-    );
     let keyword = KeywordBaseline::new(kb);
     let template = TemplateBaseline::new(kb);
 
@@ -93,13 +86,6 @@ fn bench_end_to_end(c: &mut Criterion) {
         b.iter(|| {
             for q in QUESTIONS {
                 black_box(pipeline.answer(q).is_answered());
-            }
-        })
-    });
-    group.bench_function("relpat_parallel_queries", |b| {
-        b.iter(|| {
-            for q in QUESTIONS {
-                black_box(parallel.answer(q).is_answered());
             }
         })
     });

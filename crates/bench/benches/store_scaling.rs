@@ -7,7 +7,7 @@
 //! counts so the whole bench finishes in seconds:
 //! `cargo bench -p relpat-bench --bench store_scaling -- --smoke`
 //!
-//! Queries run uncached ([`relpat_kb::Kb::query_uncached`]): this bench
+//! Queries run uncached ([`relpat_kb::KnowledgeBase::query_uncached`]): this bench
 //! tracks the store's join latency, which the result cache would hide.
 
 use relpat_bench::scaling::{QUERIES, SMOKE_TIERS, TIERS};

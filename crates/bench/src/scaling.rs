@@ -5,7 +5,7 @@
 //! `repro-profile --bench-json` (which writes the committed
 //! `BENCH_store_scaling.json` trajectory file) cannot drift apart.
 //!
-//! Queries run through [`relpat_kb::Kb::query_uncached`]: the trajectory
+//! Queries run through [`relpat_kb::KnowledgeBase::query_uncached`]: the trajectory
 //! tracks the triple store's join latency, which the result cache would
 //! otherwise hide after the first iteration.
 
@@ -132,8 +132,9 @@ pub fn measure_tier(factor: usize, samples: usize) -> TierReport {
             let mut nested_us: Vec<f64> = (0..samples)
                 .map(|_| {
                     let start = Instant::now();
+                    let parsed = relpat_sparql::parse_query(text).expect("query parses");
                     std::hint::black_box(
-                        relpat_sparql::query_nested(&kb.graph, text).expect("query runs"),
+                        relpat_sparql::execute_nested(&kb.graph, &parsed).expect("query runs"),
                     );
                     start.elapsed().as_secs_f64() * 1e6
                 })

@@ -12,8 +12,9 @@
 //!    similarity (greatest common subsequence), WordNet similar-property
 //!    pairs and adjective lists, relational patterns with frequencies, and
 //!    page-link-centrality entity disambiguation;
-//! 3. **Answer extraction** ([`extract_answer`], §2.3) — candidate query
-//!    execution, frequency-product ranking, expected-type checking (Table 1).
+//! 3. **Answer extraction** ([`extract_answer_traced`], §2.3) — candidate
+//!    query execution, frequency-product ranking, expected-type checking
+//!    (Table 1).
 //!
 //! ```no_run
 //! use relpat_kb::{generate, KbConfig};
@@ -35,8 +36,7 @@ mod similarity;
 mod triples;
 
 pub use answer::{
-    extract_answer, extract_answer_traced, type_check, Answer, AnswerConfig, AnswerValue,
-    ExecStats,
+    extract_answer_traced, type_check, Answer, AnswerConfig, AnswerValue, ExecStats,
 };
 pub use baseline::{BaselineAnswer, KeywordBaseline, TemplateBaseline};
 pub use extensions::ExtensionConfig;

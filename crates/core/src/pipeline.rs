@@ -84,7 +84,8 @@ pub struct Response {
     pub answer: Option<Answer>,
     /// Structured record of the run: extracted patterns, candidate counts,
     /// query counts, pattern-store hits/misses, per-stage durations.
-    /// Serialize with `trace.to_json()`.
+    /// Serialize with `trace.to_json()`; `trace.render()` gives the §2
+    /// walkthrough.
     pub trace: QuestionTrace,
 }
 
@@ -102,17 +103,6 @@ impl Response {
             Some(ans) => answer_value_texts(kb, &ans.value),
             None => Vec::new(),
         }
-    }
-
-    /// Renders a step-by-step walkthrough of what the pipeline did — the
-    /// paper's §2 narrative for this question.
-    ///
-    /// Defined as exactly [`QuestionTrace::render`] over [`Self::trace`],
-    /// so the explanation can never drift from the structured trace. The
-    /// `kb` parameter is kept for API stability (answer labels are resolved
-    /// into the trace when the response is built).
-    pub fn explain(&self, _kb: &KnowledgeBase) -> String {
-        self.trace.render()
     }
 }
 
@@ -280,8 +270,8 @@ impl<'kb> Pipeline<'kb> {
     /// Answers with EXPLAIN ANALYZE: identical to [`answer`](Self::answer)
     /// except the response's `trace.plans` carries one [`QueryPlan`] per
     /// SPARQL query executed for the question (planner estimates vs. actual
-    /// rows scanned per join step; cache hits flagged). Candidate execution
-    /// runs the deterministic sequential sweep; answers are unchanged.
+    /// rows scanned per join step; cache hits flagged), in execution order.
+    /// Answers are unchanged.
     ///
     /// [`QueryPlan`]: relpat_obs::QueryPlan
     pub fn answer_explained(&self, question: &str) -> Response {
@@ -304,56 +294,6 @@ impl<'kb> Pipeline<'kb> {
             }
         }
         response
-    }
-
-    /// Answers a batch of questions, sharding them across scoped worker
-    /// threads (one per available core, capped at 8). Responses come back
-    /// in input order. See [`answer_batch_with`](Self::answer_batch_with).
-    pub fn answer_batch(&self, questions: &[&str]) -> Vec<Response> {
-        let workers = std::thread::available_parallelism().map(usize::from).unwrap_or(4).min(8);
-        self.answer_batch_with(questions, workers)
-    }
-
-    /// Answers a batch of questions on exactly `threads` worker threads
-    /// (1 = the plain sequential loop). Workers claim questions from a
-    /// shared atomic cursor, so a slow question never stalls the rest of
-    /// the batch, and the output is index-aligned with the input.
-    ///
-    /// Each response is identical to what [`answer`](Self::answer) returns
-    /// for that question, with one caveat: the per-question
-    /// `trace.pattern_lookups` attribution samples the shared pattern
-    /// store's counters around the mapping stage, so under concurrency a
-    /// question's delta may include lookups from questions in flight on
-    /// other workers (the totals across the batch remain exact).
-    pub fn answer_batch_with(&self, questions: &[&str], threads: usize) -> Vec<Response> {
-        let threads = threads.max(1).min(questions.len().max(1));
-        if threads == 1 {
-            return questions.iter().map(|q| self.answer(q)).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<Response>> = (0..questions.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut mine: Vec<(usize, Response)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(question) = questions.get(i) else { break };
-                            mine.push((i, self.answer(question)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("batch worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots.into_iter().map(|r| r.expect("every question answered")).collect()
     }
 
     /// The paper's three-stage pipeline (no extensions), instrumented: each
@@ -654,8 +594,7 @@ mod tests {
     #[test]
     fn explain_traces_every_stage() {
         let r = pipeline().answer("Which book is written by Orhan Pamuk?");
-        let kb = pipeline().kb();
-        let trace = r.explain(kb);
+        let trace = r.trace.render();
         assert!(trace.contains("§2.1"));
         assert!(trace.contains("rdf:type"));
         assert!(trace.contains("§2.2"));
@@ -667,11 +606,10 @@ mod tests {
 
     #[test]
     fn explain_reports_failures() {
-        let kb = pipeline().kb();
         let r = pipeline().answer("What is the highest mountain?");
-        assert!(r.explain(kb).contains("FAILED"));
+        assert!(r.trace.render().contains("FAILED"));
         let r = pipeline().answer("Is Frank Herbert still alive?");
-        let trace = r.explain(kb);
+        let trace = r.trace.render();
         assert!(trace.contains("alive"));
         assert!(trace.contains("MappingFailed"));
     }
@@ -685,34 +623,6 @@ mod tests {
         assert_eq!(r.answer_texts(kb), vec!["James Cameron"]);
         let r = pipeline().answer("gibberish blargh");
         assert!(r.answer_texts(kb).is_empty());
-    }
-
-    #[test]
-    fn answer_batch_preserves_order_and_matches_single_answers() {
-        let p = pipeline();
-        let questions = [
-            "Which book is written by Orhan Pamuk?",
-            "What is the capital of Turkey?",
-            "gibberish blargh",
-            "Who directed Titanic?",
-            "How tall is Michael Jordan?",
-        ];
-        let batch = p.answer_batch_with(&questions, 4);
-        assert_eq!(batch.len(), questions.len());
-        for (question, response) in questions.iter().zip(batch.iter()) {
-            let single = p.answer(question);
-            assert_eq!(response.question, *question);
-            assert_eq!(response.stage, single.stage, "{question}");
-            assert_eq!(
-                response.answer.as_ref().map(|a| (&a.value, &a.sparql)),
-                single.answer.as_ref().map(|a| (&a.value, &a.sparql)),
-                "{question}"
-            );
-        }
-        // Degenerate thread counts are fine.
-        assert_eq!(p.answer_batch_with(&questions[..1], 16).len(), 1);
-        assert!(p.answer_batch_with(&[], 4).is_empty());
-        assert_eq!(p.answer_batch(&questions).len(), questions.len());
     }
 
     #[test]
@@ -730,7 +640,7 @@ mod tests {
         for plan in &r.trace.plans {
             assert!(plan.trace.cache_hit || !plan.trace.steps.is_empty(), "{plan:?}");
         }
-        let rendered = r.explain(p.kb());
+        let rendered = r.trace.render();
         assert!(rendered.contains("Query plans (EXPLAIN ANALYZE):"), "{rendered}");
         assert!(r.trace.to_json().to_string().contains("\"plans\""));
     }

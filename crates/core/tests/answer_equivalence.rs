@@ -1,14 +1,17 @@
 //! Property-style seeded sweep over answer extraction (in-tree RNG,
-//! matching the workspace's `proptest` replacement style): sequential,
-//! parallel, early-terminated, exhaustive, and cache-warm execution must
-//! all select the identical `Answer` over randomized candidate sets —
+//! matching the workspace's `proptest` replacement style): the ranked,
+//! early-terminated sweep and its cache-warm rerun must select the same
+//! `Answer` as the paper's full sweep over randomized candidate sets —
 //! including batches containing failing queries (candidates of the other
 //! query form, whose result cannot answer the question), and batches where
-//! every query fails. Early termination and caching change cost, never answers.
+//! every query fails. The full sweep is rebuilt here from one-candidate
+//! runs. Early termination and caching change cost, never answers.
 
 use relpat_kb::{generate, KbConfig, KnowledgeBase};
 use relpat_obs::Rng;
-use relpat_qa::{extract_answer_traced, AnswerConfig, BuiltQuery, ExpectedType};
+use relpat_qa::{
+    extract_answer_traced, Answer, AnswerConfig, BuiltQuery, ExecStats, ExpectedType,
+};
 use relpat_sparql::parse_query;
 use std::sync::OnceLock;
 
@@ -56,45 +59,60 @@ fn arb_batch(rng: &mut Rng, pool: &[&str]) -> Vec<BuiltQuery> {
     queries
 }
 
-/// The four execution strategies whose answers must coincide.
-fn configs() -> [AnswerConfig; 4] {
-    let base = AnswerConfig::default(); // sequential, early termination
-    [
-        base.clone(),
-        AnswerConfig { exhaustive: true, ..base.clone() },
-        AnswerConfig { parallel: true, ..base.clone() },
-        AnswerConfig { parallel: true, exhaustive: true, ..base },
-    ]
+/// The paper's full sweep: every candidate executed on its own slice
+/// `&queries[i..=i]`. The first survivor answers, or else (for `ASK`) the
+/// first `false`; the stats total every candidate's outcome. Also returns
+/// the rank of the first survivor.
+fn full_sweep(
+    kb: &KnowledgeBase,
+    expected: ExpectedType,
+    ask: bool,
+    queries: &[BuiltQuery],
+) -> (Option<Answer>, ExecStats, Option<usize>) {
+    let mut total = ExecStats::default();
+    let (mut survivor, mut first_false) = (None, None);
+    for i in 0..queries.len() {
+        let (answer, stats) =
+            extract_answer_traced(kb, expected, ask, &queries[i..=i], &AnswerConfig::default());
+        total.executed += stats.executed;
+        total.survived += stats.survived;
+        total.failed += stats.failed;
+        if stats.survived > 0 {
+            survivor = survivor.or(answer.map(|a| (i, a)));
+        } else {
+            first_false = first_false.or(answer);
+        }
+    }
+    let first = survivor.as_ref().map(|(i, _)| *i);
+    (survivor.map(|(_, a)| a).or(first_false), total, first)
 }
 
 fn sweep(pool: &[&str], ask: bool, expected: ExpectedType, seed: u64) {
     let kb = kb();
+    let config = AnswerConfig::default();
     for case in 0..64u64 {
         let mut rng = Rng::seed_from_u64(seed + case);
         let queries = arb_batch(&mut rng, pool);
-        let (reference, ref_stats) =
-            extract_answer_traced(kb, expected, ask, &queries, &configs()[1]);
-        // Exhaustive mode really executes everything and accounts for it.
-        assert_eq!(ref_stats.executed, queries.len() as u64, "case {case}");
+        let n = queries.len() as u64;
+        let (reference, ref_stats, first) = full_sweep(kb, expected, ask, &queries);
+        // The full sweep really executes everything and accounts for it.
+        assert_eq!(ref_stats.executed, n, "case {case}");
         let wrong_form = if ask { "SELECT" } else { "ASK" };
         let expected_failed =
             queries.iter().filter(|q| q.sparql.starts_with(wrong_form)).count() as u64;
         assert_eq!(ref_stats.failed, expected_failed, "case {case}");
-        for (ci, config) in configs().iter().enumerate() {
-            let (answer, stats) = extract_answer_traced(kb, expected, ask, &queries, config);
-            assert_eq!(answer, reference, "case {case} config {ci}: {queries:#?}");
-            assert!(stats.executed <= queries.len() as u64, "case {case} config {ci}");
-            // No survivor anywhere → nothing can be skipped, by any strategy.
-            if reference.is_none() {
-                assert_eq!(stats, ref_stats, "case {case} config {ci}");
-            }
+
+        let (answer, stats) = extract_answer_traced(kb, expected, ask, &queries, &config);
+        assert_eq!(answer, reference, "case {case}: {queries:#?}");
+        // The ranked sweep sends exactly the prefix up to the first survivor.
+        assert_eq!(stats.executed, first.map_or(n, |i| i as u64 + 1), "case {case}");
+        if stats.executed == n {
+            assert_eq!(stats, ref_stats, "case {case}");
         }
-        // Cache-warm rerun (every query text now cached in the KB): still
-        // the identical answer and the identical stats.
-        let warm = extract_answer_traced(kb, expected, ask, &queries, &configs()[0]);
-        let cold_equivalent = extract_answer_traced(kb, expected, ask, &queries, &configs()[0]);
-        assert_eq!(warm, cold_equivalent, "case {case} warm rerun drifted");
-        assert_eq!(warm.0, reference, "case {case} warm vs exhaustive");
+        // Cache-warm rerun (every query now cached in the KB): still the
+        // identical answer and the identical stats.
+        let warm = extract_answer_traced(kb, expected, ask, &queries, &config);
+        assert_eq!(warm, (answer, stats), "case {case} warm rerun drifted");
     }
 }
 
@@ -134,13 +152,12 @@ fn all_failing_batches_report_failures_not_answers() {
                 built(sparql, (n - i) as f64)
             })
             .collect();
-        for config in configs() {
-            let expected = if ask { ExpectedType::Boolean } else { ExpectedType::Unconstrained };
-            let (answer, stats) = extract_answer_traced(kb, expected, ask, &queries, &config);
-            assert!(answer.is_none(), "case {case}");
-            assert_eq!(stats.executed, n as u64, "case {case}");
-            assert_eq!(stats.failed, n as u64, "case {case}");
-            assert_eq!(stats.survived, 0, "case {case}");
-        }
+        let expected = if ask { ExpectedType::Boolean } else { ExpectedType::Unconstrained };
+        let (answer, stats) =
+            extract_answer_traced(kb, expected, ask, &queries, &AnswerConfig::default());
+        assert!(answer.is_none(), "case {case}");
+        assert_eq!(stats.executed, n as u64, "case {case}");
+        assert_eq!(stats.failed, n as u64, "case {case}");
+        assert_eq!(stats.survived, 0, "case {case}");
     }
 }

@@ -73,7 +73,7 @@ pub fn ablation_suite() -> Vec<Ablation> {
             name: "A3-no-typecheck",
             description: "expected answer type checking disabled",
             config: PipelineConfig {
-                answer: AnswerConfig { use_type_check: false, ..AnswerConfig::default() },
+                answer: AnswerConfig { use_type_check: false },
                 ..base()
             },
         },

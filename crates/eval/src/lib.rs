@@ -18,11 +18,7 @@
 mod ablation;
 mod metrics;
 mod runner;
-mod strategy;
 
 pub use ablation::{ablation_suite, ablation_table, run_ablations, run_selected, Ablation, AblationResult};
 pub use metrics::Counts;
-pub use runner::{
-    judge, run_benchmark, run_benchmark_with, ErrorAnalysis, QuestionResult, Report,
-};
-pub use strategy::{run_strategy_comparison, strategy_table, StrategyResult};
+pub use runner::{judge, run_benchmark, ErrorAnalysis, QuestionResult, Report, RunStats};

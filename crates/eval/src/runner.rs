@@ -27,7 +27,7 @@ pub struct QuestionResult {
 
 /// Aggregated observability over one benchmark run: per-stage latency
 /// percentiles plus pipeline counters, built from the per-question
-/// [`relpat_obs::QuestionTrace`]s (so parallel test runs cannot bleed into
+/// [`relpat_obs::QuestionTrace`]s (so concurrent test runs cannot bleed into
 /// each other through the global registry).
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -219,10 +219,8 @@ fn render_terms(kb: &KnowledgeBase, terms: &[Term]) -> String {
         .join(", ")
 }
 
-/// The per-question trace counters every run reports, in render order.
-/// `queries.*` come from the (thread-local) response trace; `patterns.*`
-/// come from the trace in sequential runs and from a store-wide delta in
-/// parallel ones (see [`run_benchmark_with`]).
+/// The per-question trace counters every run reports, in render order,
+/// summed over each response's trace.
 const TRACE_COUNTERS: [&str; 11] = [
     "queries.built",
     "queries.executed",
@@ -238,14 +236,13 @@ const TRACE_COUNTERS: [&str; 11] = [
 ];
 
 /// Records one response trace into a run-local registry: per-stage latency
-/// histograms plus the `queries.*` counters (and, when `with_patterns`, the
-/// trace-attributed `patterns.*` counters). `stage_order` accumulates the
-/// first-seen histogram order for rendering.
+/// histograms plus the `queries.*`, `qa.plan.*` and trace-attributed
+/// `patterns.*` counters. `stage_order` accumulates the first-seen histogram
+/// order for rendering.
 fn record_trace(
     local: &MetricsRegistry,
     stage_order: &mut Vec<String>,
     trace: &relpat_obs::QuestionTrace,
-    with_patterns: bool,
 ) {
     for s in &trace.stages {
         let key = format!("stage.{}", s.name);
@@ -266,12 +263,10 @@ fn record_trace(
     local.counter("qa.plan.expanded").add(trace.plan_expanded);
     local.counter("qa.plan.pruned").add(trace.plan_pruned);
     local.counter("qa.plan.emitted").add(trace.plan_emitted);
-    if with_patterns {
-        local.counter("patterns.phrase_hits").add(trace.pattern_lookups.phrase_hits);
-        local.counter("patterns.phrase_misses").add(trace.pattern_lookups.phrase_misses);
-        local.counter("patterns.word_hits").add(trace.pattern_lookups.word_hits);
-        local.counter("patterns.word_misses").add(trace.pattern_lookups.word_misses);
-    }
+    local.counter("patterns.phrase_hits").add(trace.pattern_lookups.phrase_hits);
+    local.counter("patterns.phrase_misses").add(trace.pattern_lookups.phrase_misses);
+    local.counter("patterns.word_hits").add(trace.pattern_lookups.word_hits);
+    local.counter("patterns.word_misses").add(trace.pattern_lookups.word_misses);
 }
 
 /// Judges one response against a question's gold answers.
@@ -304,213 +299,66 @@ fn judge_question(
     }
 }
 
-/// Join-operator totals (`sparql.join.*`) sampled from the process-global
-/// registry. Like `planner.misestimates`, these are attributed to a run by
-/// a before/after delta — the executor bumps one of the three per join
-/// step, so the split shows how often the sorted operators actually fired.
-#[derive(Debug, Clone, Copy, Default)]
-struct JoinCounters {
-    merge: u64,
-    gallop: u64,
-    nested: u64,
-}
+/// Process-global counters attributed to a run by a before/after delta and
+/// reported under their own names: `planner.misestimates` counts join steps
+/// whose actual scan cost blew past the planner's score (see
+/// `relpat-sparql`'s misestimation detector); the executor bumps one
+/// `sparql.join.*` operator per join step, so the split shows how often the
+/// sorted operators actually fired.
+const GLOBAL_COUNTERS: [&str; 4] =
+    ["planner.misestimates", "sparql.join.merge", "sparql.join.gallop", "sparql.join.nested"];
 
-impl JoinCounters {
-    fn sample() -> Self {
-        let global = relpat_obs::global();
-        JoinCounters {
-            merge: global.counter_value("sparql.join.merge"),
-            gallop: global.counter_value("sparql.join.gallop"),
-            nested: global.counter_value("sparql.join.nested"),
-        }
-    }
-
-    fn delta_since(self, before: JoinCounters) -> JoinCounters {
-        JoinCounters {
-            merge: self.merge.saturating_sub(before.merge),
-            gallop: self.gallop.saturating_sub(before.gallop),
-            nested: self.nested.saturating_sub(before.nested),
-        }
-    }
-}
-
-/// Per-run deltas of the process-global counters (the registry passed to
-/// [`assemble_report`] only holds per-question trace aggregates; these are
-/// sampled before/after the run and attributed to it as deltas).
-/// `planner_misestimates` is the run's delta of the global
-/// `planner.misestimates` counter — join steps whose actual scan cost blew
-/// past the planner's score (see `relpat-sparql`'s misestimation detector);
-/// `prof` is the `(samples, dropped)` delta of the sampling profiler.
-struct GlobalDeltas {
-    cache: relpat_sparql::CacheStats,
-    index: relpat_kb::IndexLookupStats,
-    planner_misestimates: u64,
-    joins: JoinCounters,
-    prof: (u64, u64),
-}
-
-/// Assembles the final report from judged results and the merged registry.
-fn assemble_report(
-    registry: &MetricsRegistry,
-    stage_order: &[String],
-    results: Vec<QuestionResult>,
-    deltas: GlobalDeltas,
-) -> Report {
-    let answered = results.iter().filter(|r| r.answered).count();
-    let correct = results.iter().filter(|r| r.correct).count();
-    let mut counters: Vec<(String, u64)> = TRACE_COUNTERS
-        .iter()
-        .map(|name| (name.to_string(), registry.counter_value(name)))
-        .collect();
-    counters.push(("sparql.cache.hits".to_string(), deltas.cache.hits));
-    counters.push(("sparql.cache.misses".to_string(), deltas.cache.misses));
-    counters.push(("planner.misestimates".to_string(), deltas.planner_misestimates));
-    counters.push(("sparql.join.merge".to_string(), deltas.joins.merge));
-    counters.push(("sparql.join.gallop".to_string(), deltas.joins.gallop));
-    counters.push(("sparql.join.nested".to_string(), deltas.joins.nested));
-    counters.push(("map.index.probed".to_string(), deltas.index.probed));
-    counters.push(("map.index.pruned".to_string(), deltas.index.pruned));
-    counters.push(("map.index.scored".to_string(), deltas.index.scored));
-    counters.push(("prof.samples".to_string(), deltas.prof.0));
-    counters.push(("prof.dropped".to_string(), deltas.prof.1));
-    let stats = RunStats {
-        stage_latencies: stage_order.iter().map(|key| registry.histogram(key).summary()).collect(),
-        counters,
-    };
-    Report { counts: Counts::new(results.len(), answered, correct), results, stats }
-}
-
-/// Runs the pipeline over the evaluated (non-excluded) questions on one
-/// thread, aggregating each question's trace into the report's [`RunStats`].
+/// Runs the pipeline over the evaluated (non-excluded) questions,
+/// aggregating each question's trace into the report's [`RunStats`].
 pub fn run_benchmark(pipeline: &Pipeline<'_>, questions: &[QaldQuestion]) -> Report {
-    run_benchmark_with(pipeline, questions, 1)
-}
-
-/// [`run_benchmark`] sharded across `threads` scoped worker threads
-/// (1 = the plain sequential loop).
-///
-/// Every deterministic field of the report — per-question results, counts,
-/// and the `queries.*`/`patterns.*`/`sparql.cache.*` aggregate counters —
-/// is identical to the sequential run's. Stage latencies (wall-clock) and
-/// the hit/miss split of a shared warm cache are inherently timing
-/// dependent.
-///
-/// Workers claim questions from a shared cursor and record into their own
-/// local [`MetricsRegistry`], merged at the end via
-/// [`MetricsRegistry::merge_from`]. The `patterns.*` counters are taken
-/// from a store-wide before/after delta rather than per-question trace
-/// deltas (which bleed across concurrent questions); the store-wide delta
-/// equals the sequential per-question sum exactly.
-pub fn run_benchmark_with(
-    pipeline: &Pipeline<'_>,
-    questions: &[QaldQuestion],
-    threads: usize,
-) -> Report {
     let kb = pipeline.kb();
     let evaluated = evaluated_subset(questions);
     let cache_before = kb.cache_stats();
     let index_before = kb.lexical().lookup_stats();
-    // Attributed by sampling the process-global counter around the run —
-    // like the cache delta, concurrent activity outside this run can bleed
-    // into it; within `relpat-eval` and the CLIs nothing else executes
-    // queries while a benchmark runs.
-    let misestimates_before = relpat_obs::global().counter_value("planner.misestimates");
-    let joins_before = JoinCounters::sample();
+    // Like the cache delta, concurrent activity outside this run can bleed
+    // into the global counters; within `relpat-eval` and the CLIs nothing
+    // else executes queries while a benchmark runs.
+    let global = relpat_obs::global();
+    let global_before = GLOBAL_COUNTERS.map(|name| global.counter_value(name));
     // Continuous-profiler activity during the run (zeros when the sampler
     // is off, as it is for plain benchmark invocations).
     let prof_before = relpat_obs::profiler().counters();
-    let prof_delta = || {
-        let (samples, dropped) = relpat_obs::profiler().counters();
-        (samples.saturating_sub(prof_before.0), dropped.saturating_sub(prof_before.1))
-    };
-    let threads = threads.max(1).min(evaluated.len().max(1));
 
-    if threads == 1 {
-        // Local registry: aggregation stays isolated per run even when
-        // several benchmarks execute concurrently in one process.
-        let local = MetricsRegistry::new();
-        let mut stage_order: Vec<String> = Vec::new();
-        let mut results = Vec::with_capacity(evaluated.len());
-        for q in &evaluated {
-            let response = pipeline.answer(&q.text);
-            record_trace(&local, &mut stage_order, &response.trace, true);
-            results.push(judge_question(kb, q, &response));
-        }
-        let cache_delta = kb.cache_stats().delta_since(&cache_before);
-        let index_delta = kb.lexical().lookup_stats().delta_since(&index_before);
-        let misestimates = relpat_obs::global()
-            .counter_value("planner.misestimates")
-            .saturating_sub(misestimates_before);
-        let joins = JoinCounters::sample().delta_since(joins_before);
-        let deltas = GlobalDeltas {
-            cache: cache_delta,
-            index: index_delta,
-            planner_misestimates: misestimates,
-            joins,
-            prof: prof_delta(),
-        };
-        return assemble_report(&local, &stage_order, results, deltas);
+    // Local registry: aggregation stays isolated per run even when several
+    // benchmarks execute concurrently in one process.
+    let local = MetricsRegistry::new();
+    let mut stage_order: Vec<String> = Vec::new();
+    let mut results = Vec::with_capacity(evaluated.len());
+    for q in &evaluated {
+        let response = pipeline.answer(&q.text);
+        record_trace(&local, &mut stage_order, &response.trace);
+        results.push(judge_question(kb, q, &response));
     }
 
-    let patterns_before = pipeline.patterns().lookup_stats();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let merged = MetricsRegistry::new();
-    let mut stage_order: Vec<String> = Vec::new();
-    let mut slots: Vec<Option<QuestionResult>> = (0..evaluated.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let evaluated = &evaluated;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let local = MetricsRegistry::new();
-                    let mut order: Vec<String> = Vec::new();
-                    let mut mine: Vec<(usize, QuestionResult)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(q) = evaluated.get(i) else { break };
-                        let response = pipeline.answer(&q.text);
-                        record_trace(&local, &mut order, &response.trace, false);
-                        mine.push((i, judge_question(kb, q, &response)));
-                    }
-                    (local, order, mine)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (local, order, mine) = h.join().expect("benchmark worker panicked");
-            merged.merge_from(&local);
-            for key in order {
-                if !stage_order.contains(&key) {
-                    stage_order.push(key);
-                }
-            }
-            for (i, r) in mine {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    let pattern_delta = pipeline.patterns().lookup_stats().delta_since(&patterns_before);
-    merged.counter("patterns.phrase_hits").add(pattern_delta.phrase_hits);
-    merged.counter("patterns.phrase_misses").add(pattern_delta.phrase_misses);
-    merged.counter("patterns.word_hits").add(pattern_delta.word_hits);
-    merged.counter("patterns.word_misses").add(pattern_delta.word_misses);
-    let results: Vec<QuestionResult> =
-        slots.into_iter().map(|r| r.expect("every question judged")).collect();
-    let cache_delta = kb.cache_stats().delta_since(&cache_before);
-    let index_delta = kb.lexical().lookup_stats().delta_since(&index_before);
-    let misestimates = relpat_obs::global()
-        .counter_value("planner.misestimates")
-        .saturating_sub(misestimates_before);
-    let joins = JoinCounters::sample().delta_since(joins_before);
-    let deltas = GlobalDeltas {
-        cache: cache_delta,
-        index: index_delta,
-        planner_misestimates: misestimates,
-        joins,
-        prof: prof_delta(),
+    let cache = kb.cache_stats().delta_since(&cache_before);
+    let index = kb.lexical().lookup_stats().delta_since(&index_before);
+    let prof = relpat_obs::profiler().counters();
+    let mut counters: Vec<(String, u64)> = TRACE_COUNTERS
+        .iter()
+        .map(|name| (name.to_string(), local.counter_value(name)))
+        .collect();
+    counters.push(("sparql.cache.hits".to_string(), cache.hits));
+    counters.push(("sparql.cache.misses".to_string(), cache.misses));
+    for (name, before) in GLOBAL_COUNTERS.iter().zip(global_before) {
+        counters.push((name.to_string(), global.counter_value(name).saturating_sub(before)));
+    }
+    counters.push(("map.index.probed".to_string(), index.probed));
+    counters.push(("map.index.pruned".to_string(), index.pruned));
+    counters.push(("map.index.scored".to_string(), index.scored));
+    counters.push(("prof.samples".to_string(), prof.0.saturating_sub(prof_before.0)));
+    counters.push(("prof.dropped".to_string(), prof.1.saturating_sub(prof_before.1)));
+    let stats = RunStats {
+        stage_latencies: stage_order.iter().map(|key| local.histogram(key).summary()).collect(),
+        counters,
     };
-    assemble_report(&merged, &stage_order, results, deltas)
+    let answered = results.iter().filter(|r| r.answered).count();
+    let correct = results.iter().filter(|r| r.correct).count();
+    Report { counts: Counts::new(results.len(), answered, correct), results, stats }
 }
 
 #[cfg(test)]
@@ -642,38 +490,6 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"counts\""));
         assert!(json.contains("\"observability\""));
-    }
-
-    #[test]
-    fn parallel_report_matches_sequential() {
-        // Own pipeline (not the shared `report()` fixture) so nothing else
-        // touches its pattern store or cache while the two runs compare.
-        let kb = generate(&KbConfig::tiny());
-        let pipeline = Pipeline::new(&kb);
-        let questions = qald_questions(&kb);
-        let seq = run_benchmark(&pipeline, &questions);
-        let par = run_benchmark_with(&pipeline, &questions, 4);
-
-        // Question-for-question identical outcomes, in identical order.
-        assert_eq!(seq.counts, par.counts);
-        assert_eq!(seq.results, par.results);
-        // Deterministic aggregate counters agree; stage latencies and the
-        // warm-cache hit/miss split are timing dependent and excluded.
-        for name in TRACE_COUNTERS {
-            assert_eq!(seq.stats.counter(name), par.stats.counter(name), "{name}");
-        }
-        // Every stage histogram saw the same number of samples.
-        for h in &seq.stats.stage_latencies {
-            let other = par.stats.stage(&h.name).unwrap_or_else(|| panic!("missing {}", h.name));
-            assert_eq!(h.count, other.count, "{}", h.name);
-        }
-        assert_eq!(seq.stats.stage_latencies.len(), par.stats.stage_latencies.len());
-        // Both runs surface the cache counters.
-        let lookups = |r: &Report| {
-            r.stats.counter("sparql.cache.hits") + r.stats.counter("sparql.cache.misses")
-        };
-        assert!(lookups(&seq) > 0);
-        assert_eq!(lookups(&seq), lookups(&par), "total cache lookups are deterministic");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! All recording goes through relaxed atomics — no locks on the hot path.
 //! Registration (name → handle) takes a mutex once per call site; the
-//! [`counter!`](crate::counter) and [`span!`](crate::span) macros cache the
+//! [`counter!`](crate::counter) and [`span!`](crate::span!) macros cache the
 //! handle in a `OnceLock` so steady-state cost is an enabled-flag load plus
 //! the `fetch_add`s. Disabling a registry turns every record into the flag
 //! load alone — cheap enough to leave instrumentation compiled in.
@@ -152,19 +152,6 @@ impl HistogramCell {
         }
     }
 
-    /// Folds another cell's observations into this one: count/sum/buckets
-    /// add, min/max take the extremum. Both layouts are identical by
-    /// construction ([`BUCKETS`]). An empty `other` carries the `u64::MAX`
-    /// min sentinel, which `fetch_min` leaves inert.
-    fn merge_from(&self, other: &HistogramCell) {
-        self.count.fetch_add(other.count.load(Relaxed), Relaxed);
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-        self.min.fetch_min(other.min.load(Relaxed), Relaxed);
-        self.max.fetch_max(other.max.load(Relaxed), Relaxed);
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            dst.fetch_add(src.load(Relaxed), Relaxed);
-        }
-    }
 }
 
 /// Cheap cloneable handle to a registered counter.
@@ -449,42 +436,6 @@ impl MetricsRegistry {
         MetricsSnapshot { counters, gauges, histograms }
     }
 
-    /// Folds every metric of `other` into this registry: counters add by
-    /// name, histograms add bucket-wise (max takes the larger observation).
-    /// Metrics only present in `other` are registered here on the fly.
-    ///
-    /// This is how per-worker registries from a parallel run collapse into
-    /// one report: each worker records into its own (contention-free)
-    /// registry, and the coordinator merges them afterwards. The merge
-    /// bypasses the enabled flag — a disabled coordinator registry still
-    /// absorbs worker data faithfully. Merging a registry into itself is a
-    /// no-op.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        if std::ptr::eq(self, other) {
-            return;
-        }
-        let other_counters: Vec<Arc<CounterCell>> =
-            other.counters.lock().expect("metrics lock").clone();
-        for src in other_counters {
-            let dst = self.counter(&src.name);
-            dst.cell.value.fetch_add(src.value.load(Relaxed), Relaxed);
-        }
-        // Gauges are point-in-time levels, not accumulations — adding two
-        // workers' occupancy would double-count shared state. The merged
-        // view keeps the largest reported level (high-water semantics).
-        let other_gauges: Vec<Arc<GaugeCell>> = other.gauges.lock().expect("metrics lock").clone();
-        for src in other_gauges {
-            let dst = self.gauge(&src.name);
-            dst.cell.value.fetch_max(src.value.load(Relaxed), Relaxed);
-        }
-        let other_histograms: Vec<Arc<HistogramCell>> =
-            other.histograms.lock().expect("metrics lock").clone();
-        for src in other_histograms {
-            let dst = self.histogram(&src.name);
-            dst.cell.merge_from(&src);
-        }
-    }
-
     /// Zeroes every metric (keeps registrations and handles alive).
     pub fn reset(&self) {
         for c in self.counters.lock().expect("metrics lock").iter() {
@@ -645,7 +596,7 @@ fn escape_help(text: &str) -> String {
 }
 
 /// The process-wide registry the [`counter!`](crate::counter) and
-/// [`span!`](crate::span) macros record into. Enabled by default.
+/// [`span!`](crate::span!) macros record into. Enabled by default.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new)
@@ -835,66 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_adds_counters_and_histograms() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.counter("shared").add(3);
-        b.counter("shared").add(4);
-        b.counter("only_b").add(7);
-        for v in [10u64, 20, 30] {
-            a.histogram("lat").record(v);
-        }
-        for v in [1_000u64, 2_000] {
-            b.histogram("lat").record(v);
-        }
-        b.histogram("only_b.lat").record(5);
-
-        a.merge_from(&b);
-        assert_eq!(a.counter_value("shared"), 7);
-        assert_eq!(a.counter_value("only_b"), 7);
-        let lat = a.histogram("lat").summary();
-        assert_eq!(lat.count, 5);
-        assert_eq!(lat.sum, 3_060);
-        assert_eq!(lat.max, 2_000);
-        assert_eq!(a.histogram("only_b.lat").summary().count, 1);
-        // The source registry is left untouched.
-        assert_eq!(b.counter_value("shared"), 4);
-        assert_eq!(b.histogram("lat").summary().count, 2);
-    }
-
-    #[test]
-    fn merge_preserves_percentiles_of_the_union() {
-        // Merging k disjoint registries must equal recording everything
-        // into one — bucket-wise addition keeps the percentile structure.
-        let merged = MetricsRegistry::new();
-        let reference = MetricsRegistry::new();
-        for part in 0..4u64 {
-            let worker = MetricsRegistry::new();
-            for i in 0..250u64 {
-                let v = part * 250 + i + 1; // 1..=1000 overall
-                worker.histogram("lat").record(v);
-                reference.histogram("lat").record(v);
-            }
-            merged.merge_from(&worker);
-        }
-        let m = merged.histogram("lat").summary();
-        let r = reference.histogram("lat").summary();
-        assert_eq!((m.count, m.sum, m.max), (r.count, r.sum, r.max));
-        assert_eq!((m.p50, m.p90, m.p99), (r.p50, r.p90, r.p99));
-    }
-
-    #[test]
-    fn merge_bypasses_disabled_flag_and_self_merge_is_noop() {
-        let dst = MetricsRegistry::disabled();
-        let src = MetricsRegistry::new();
-        src.counter("c").add(9);
-        dst.merge_from(&src);
-        assert_eq!(dst.counter_value("c"), 9);
-        dst.merge_from(&dst);
-        assert_eq!(dst.counter_value("c"), 9);
-    }
-
-    #[test]
     fn min_tracks_smallest_observation() {
         let r = MetricsRegistry::new();
         let h = r.histogram("lat");
@@ -904,13 +795,6 @@ mod tests {
         let s = h.summary();
         assert_eq!((s.min, s.max), (3, 40_000));
         assert!(s.to_json().to_string().contains("\"min\":3"));
-        // Merge takes the smaller min; an empty source leaves it alone.
-        let other = MetricsRegistry::new();
-        other.histogram("lat").record(1);
-        r.merge_from(&other);
-        assert_eq!(r.histogram("lat").summary().min, 1);
-        r.merge_from(&MetricsRegistry::new());
-        assert_eq!(r.histogram("lat").summary().min, 1);
         // Reset restores the empty sentinel (reported as 0).
         r.reset();
         assert_eq!(r.histogram("lat").summary().min, 0);
@@ -1046,23 +930,6 @@ mod tests {
         let g = r.gauge("cache.len");
         g.set(9);
         assert_eq!(r.gauge_value("cache.len"), 9);
-    }
-
-    #[test]
-    fn merge_takes_gauge_high_water() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.gauge("held").set(10);
-        b.gauge("held").set(25);
-        b.gauge("only_b").set(3);
-        a.merge_from(&b);
-        assert_eq!(a.gauge_value("held"), 25);
-        assert_eq!(a.gauge_value("only_b"), 3);
-        // Merging a smaller level does not regress the high-water mark.
-        let c = MetricsRegistry::new();
-        c.gauge("held").set(1);
-        a.merge_from(&c);
-        assert_eq!(a.gauge_value("held"), 25);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cooperative wall-clock sampling profiler.
 //!
 //! Every instrumented thread maintains a thread-local **tag stack**: the
-//! [`span!`](crate::span) macro interns its stage name into a [`TagId`]
+//! [`span!`](crate::span!) macro interns its stage name into a [`TagId`]
 //! once per call site and pushes/pops it around the span's lifetime, so the
 //! existing pipeline/SPARQL/mapping instrumentation doubles as profiling
 //! coverage with no new call sites. A background **sampler thread** walks
@@ -49,7 +49,7 @@ const MAX_STACKS: usize = 4096;
 /// Default sampling rate: prime, just under 1 kHz.
 pub const DEFAULT_HZ: u32 = 997;
 
-/// Interned activity tag. `Copy` so the [`span!`](crate::span) macro can
+/// Interned activity tag. `Copy` so the [`span!`](crate::span!) macro can
 /// cache one per call site next to its histogram handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TagId(pub(crate) u32);
@@ -279,7 +279,7 @@ impl Profiler {
     }
 
     /// Interns a tag name (idempotent). Takes a mutex — call once per call
-    /// site and cache the id, as the [`span!`](crate::span) macro does.
+    /// site and cache the id, as the [`span!`](crate::span!) macro does.
     pub fn intern(&self, name: &str) -> TagId {
         let mut i = self.interner.lock().expect("prof interner lock");
         if let Some(&id) = i.index.get(name) {

@@ -4,8 +4,8 @@
 //! elapsed nanoseconds into its histogram when dropped. When the owning
 //! registry is disabled the clock is never read at all — the guard is inert.
 //!
-//! Spans created by the [`span!`](crate::span) macro additionally carry an
-//! interned profiler tag: while the [`prof`](crate::prof) sampler is
+//! Spans created by the [`span!`](crate::span!) macro additionally carry an
+//! interned profiler tag: while the [`prof`] sampler is
 //! enabled, the tag rides the calling thread's stack for the span's
 //! lifetime, so stage timers double as profiling coverage. The push is
 //! gated on the profiler's own flag — one relaxed load, no allocation when
@@ -17,7 +17,7 @@ use crate::metrics::Histogram;
 use crate::prof::{self, StackGuard, TagId};
 
 /// RAII timer: records its own lifetime (nanoseconds) into a histogram on
-/// drop. Obtain one via [`span!`](crate::span) or
+/// drop. Obtain one via [`span!`](crate::span!) or
 /// [`MetricsRegistry::span`](crate::MetricsRegistry::span).
 #[derive(Debug)]
 pub struct Span {
@@ -37,7 +37,7 @@ impl Span {
     }
 
     /// Starts timing and pushes `tag` on the profiler's thread stack while
-    /// the sampler is enabled. The [`span!`](crate::span) macro resolves
+    /// the sampler is enabled. The [`span!`](crate::span!) macro resolves
     /// both handles once per call site and comes through here.
     pub fn from_handle_tagged(histogram: Histogram, tag: TagId) -> Self {
         let prof = prof::push(tag);

@@ -226,8 +226,7 @@ impl QuestionTrace {
         obj
     }
 
-    /// Renders the human-readable §2 walkthrough — the pipeline's
-    /// `Response::explain` output.
+    /// Renders the human-readable §2 walkthrough of the pipeline's run.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "Question: {}", self.question);

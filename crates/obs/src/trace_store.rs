@@ -12,7 +12,7 @@
 //!   internal log-scale histogram fed by *every* trace, retained or not, so
 //!   it tracks the true distribution;
 //! - the fast majority is downsampled with a deterministic, seeded
-//!   [`Rng`](crate::Rng) at [`TraceStoreConfig::sample_rate`].
+//!   [`Rng`] at [`TraceStoreConfig::sample_rate`].
 //!
 //! Memory is accounted in bytes of the stored compact-JSON rendering and
 //! bounded by [`TraceStoreConfig::max_bytes`] as well as the entry-count

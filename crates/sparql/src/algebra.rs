@@ -5,7 +5,7 @@
 //! (spargebra-style separation: Bgp / Union / LeftJoin / Filter / Slice)
 //! whose BGP leaves carry the planner's decisions — join order, index
 //! estimates, selectivity scores and the join operator per step. The
-//! executor ([`crate::exec`]) interprets this tree; it never re-plans.
+//! executor ([`crate::execute`]) interprets this tree; it never re-plans.
 //!
 //! ## Operator selection
 //!
@@ -144,8 +144,9 @@ impl BoundExpr {
 }
 
 /// Lowering options. `force_nested` pins every step to the nested-loop
-/// operator — the differential oracle ([`crate::execute_nested`]) and the
-/// benchmark baselines use it to compare operators on identical join orders.
+/// operator — the differential oracle (`execute_nested`, the nested-loop
+/// twin of [`crate::execute`]) and the benchmark baselines use it to compare
+/// operators on identical join orders.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LowerOpts {
     pub force_nested: bool,

@@ -108,13 +108,6 @@ pub fn execute_nested_traced(
     Ok((result, trace))
 }
 
-/// Parse + [`execute_nested`] in one step.
-#[doc(hidden)]
-pub fn query_nested(graph: &Graph, text: &str) -> Result<QueryResult, SparqlError> {
-    let parsed = crate::parser::parse_query(text)?;
-    execute_nested(graph, &parsed)
-}
-
 /// [`execute`] with EXPLAIN ANALYZE collection: returns the result together
 /// with a [`PlanTrace`] recording, per join step, the planner's prediction
 /// (index estimate, selectivity score, chosen order) against measured
@@ -152,12 +145,6 @@ fn execute_inner(
 pub fn query(graph: &Graph, text: &str) -> Result<QueryResult, SparqlError> {
     let parsed = crate::parser::parse_query(text)?;
     execute(graph, &parsed)
-}
-
-/// Parses and executes with plan-trace collection (see [`execute_traced`]).
-pub fn query_traced(graph: &Graph, text: &str) -> Result<(QueryResult, PlanTrace), SparqlError> {
-    let parsed = crate::parser::parse_query(text)?;
-    execute_traced(graph, &parsed)
 }
 
 fn execute_select(

@@ -33,8 +33,7 @@ mod results;
 pub use cache::{CacheStats, QueryCache, DEFAULT_CACHE_CAPACITY};
 pub use error::SparqlError;
 pub use exec::{
-    execute, execute_nested, execute_nested_traced, execute_traced, query, query_nested,
-    query_traced, QueryResult,
+    execute, execute_nested, execute_nested_traced, execute_traced, query, QueryResult,
 };
 pub use parser::parse_query;
 // Plan-trace types are defined in `relpat-obs` (so traces can embed them)

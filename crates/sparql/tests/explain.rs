@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use relpat_rdf::vocab::{dbont, rdf, res};
 use relpat_rdf::{Graph, GraphBuilder, IdPattern, Term};
-use relpat_sparql::{execute, execute_traced, parse_query, query_traced, QueryCache};
+use relpat_sparql::{execute, execute_traced, parse_query, QueryCache};
 
 struct CountingAllocator;
 
@@ -77,7 +77,8 @@ const QUERY: &str = "SELECT ?x { ?x rdf:type dbont:Book . ?x dbont:author res:Or
 fn golden_explain_rendering_is_stable() {
     let _guard = exec_lock();
     let g = library();
-    let (result, trace) = query_traced(&g, QUERY).expect("query runs");
+    let parsed = parse_query(QUERY).expect("query parses");
+    let (result, trace) = execute_traced(&g, &parsed).expect("query runs");
     assert_eq!(result.clone().into_solutions().unwrap().len(), 3);
     // Both patterns estimate 3 rows (3 typed books, 3 authored books); the
     // tie keeps the type pattern first, and once ?x is bound the author

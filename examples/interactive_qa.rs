@@ -51,7 +51,7 @@ fn answer_one(kb: &KnowledgeBase, qa: &Pipeline<'_>, question: &str, trace: bool
         println!("Dependency graph:");
         print!("{}", graph.to_tree_string());
         // The full §2 walkthrough for this question.
-        println!("{}", response.explain(kb));
+        println!("{}", response.trace.render());
     } else {
         println!("Q: {question}");
         print_answer(kb, &response);
