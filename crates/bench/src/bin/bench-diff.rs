@@ -1,19 +1,25 @@
 //! `bench-diff` — the perf-regression sentinel CLI.
 //!
 //! ```text
-//! # Compare a fresh trajectory against the committed baseline:
-//! cargo bench -p relpat-bench --bench store_scaling -- --json /tmp/new.json
+//! # Compare a fresh trajectory (here the x1/x12 smoke tiers) against the
+//! # committed baseline; tiers the fresh run did not measure are skipped:
+//! cargo bench -p relpat-bench --bench store_scaling -- --smoke --json /tmp/new.json
 //! cargo run --release -p relpat-bench --bin bench-diff -- \
 //!     BENCH_store_scaling.json /tmp/new.json
 //!
+//! # Gate on work counts and coverage only, printing p50 ratios:
+//! cargo run --release -p relpat-bench --bin bench-diff -- --threshold inf \
+//!     BENCH_store_scaling.json /tmp/new.json
+//!
 //! # CI self-test: prove the gate passes a clean run and fires on a
-//! # synthetic 2x regression of the same baseline:
+//! # synthetic 2x regression and on a changed work count:
 //! cargo run --release -p relpat-bench --bin bench-diff -- --smoke \
 //!     BENCH_store_scaling.json
 //! ```
 //!
-//! Exit code 0 means "no regression" (or, under `--smoke`, "the gate
-//! demonstrably works"); anything else fails the CI step.
+//! Exit code 0 means "no regression, no changed work count, no missing
+//! benchmark" (or, under `--smoke`, "the gate demonstrably works");
+//! anything else fails the CI step.
 
 use std::process::ExitCode;
 
@@ -22,15 +28,17 @@ use relpat_bench::diff::{
 };
 
 const USAGE: &str = "bench-diff — compare two store-scaling trajectories for p50 regressions
+and changed work counts (rows_scanned, rows_scanned_nested: compared exactly)
 
 USAGE:
     bench-diff [--threshold <ratio>] <baseline.json> <current.json>
     bench-diff --smoke <baseline.json>
 
 OPTIONS:
-    --threshold <ratio>   regression threshold on current/baseline p50 [default: 1.5]
+    --threshold <ratio>   regression threshold on current/baseline p50 [default: 1.5];
+                          `inf` prints the ratios without gating on them
     --smoke               self-test: baseline vs itself must pass, baseline vs a
-                          synthetic 2x slowdown must fail
+                          synthetic 2x slowdown and vs a changed work count must fail
     --help                print this help
 ";
 
@@ -85,15 +93,19 @@ fn main() -> ExitCode {
     let report = diff(&baseline, &current, threshold);
     print!("{}", report.render());
     if report.passes() {
-        println!(
-            "\nOK: {} benchmarks within {threshold:.2}x of baseline (floor {NOISE_FLOOR_US} us)",
-            report.rows.len()
-        );
+        let timing = if threshold.is_finite() {
+            format!("within {threshold:.2}x of baseline (floor {NOISE_FLOOR_US} us)")
+        } else {
+            "p50 ratios not gated".to_string()
+        };
+        println!("\nOK: {} benchmarks with unchanged work counts, {timing}", report.rows.len());
         ExitCode::SUCCESS
     } else {
         let regressed = report.regressions().count();
         println!(
-            "\nFAIL: {regressed} regression(s) past {threshold:.2}x, {} benchmark(s) missing",
+            "\nFAIL: {regressed} regression(s) past {threshold:.2}x, {} changed work count(s), \
+             {} benchmark(s) missing",
+            report.work_changes().count(),
             report.missing.len()
         );
         ExitCode::FAILURE
@@ -127,7 +139,16 @@ fn run_smoke(path: &str, threshold: f64) -> ExitCode {
         "smoke: baseline vs synthetic 2x slowdown → {} regression(s) flagged (as expected)",
         regressed.regressions().count()
     );
-    println!("smoke: OK — the regression gate provably fires");
+
+    let mut changed = baseline.clone();
+    changed[0].rows_scanned += 1;
+    let report = diff(&baseline, &changed, f64::INFINITY);
+    if report.passes() {
+        print!("{}", report.render());
+        return fail("baseline vs a changed work count passed — the work gate cannot fire");
+    }
+    println!("smoke: baseline vs one changed work count → flagged (as expected)");
+    println!("smoke: OK — the p50 and work-count gates provably fire");
     ExitCode::SUCCESS
 }
 

@@ -1,5 +1,6 @@
 //! Perf-regression sentinel: compare two `BENCH_store_scaling.json`
-//! trajectory files and flag per-benchmark p50 regressions.
+//! trajectory files, flag per-benchmark p50 regressions and any change in
+//! the work a benchmark does.
 //!
 //! The scaling study ([`crate::scaling`]) emits one JSON trajectory per
 //! run; CI keeps the committed baseline at the repo root. `bench-diff`
@@ -10,10 +11,18 @@
 //! sub-microsecond timings jitter by integer factors on shared CI
 //! machines, so a ratio alone would page on noise.
 //!
+//! Work counts are deterministic, so they are compared exactly: a
+//! benchmark whose `rows_scanned` or `rows_scanned_nested` differs from
+//! the baseline's fails whatever its timing. A tier the current run did
+//! not measure is skipped (a CI run measures the small tiers only); a
+//! benchmark missing from a tier it did measure fails.
+//!
 //! The binary (`src/bin/bench-diff.rs`) exits nonzero when any benchmark
-//! regresses, which is what makes it a CI gate. Its `--smoke` mode is a
-//! self-test: the baseline must pass against itself and must fail against
-//! a synthetically 2×-slowed copy, proving the gate can actually fire.
+//! regresses, changes its work or goes missing, which is what makes it a
+//! CI gate. Its `--smoke` mode is a self-test: the baseline must pass
+//! against itself and must fail against a synthetically 2×-slowed copy and
+//! against a copy with one work count changed, proving both gates can
+//! actually fire.
 
 use relpat_obs::json::{Json, JsonError};
 
@@ -24,7 +33,8 @@ pub const DEFAULT_THRESHOLD: f64 = 1.5;
 /// at or below this never counts as a regression, whatever the ratio.
 pub const NOISE_FLOOR_US: f64 = 0.5;
 
-/// One benchmark's p50 in a trajectory file, keyed by tier and query.
+/// One benchmark's p50 and work counts in a trajectory file, keyed by tier
+/// and query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchPoint {
     /// KB scale factor of the tier the measurement came from.
@@ -33,6 +43,10 @@ pub struct BenchPoint {
     pub name: String,
     /// Median latency in microseconds.
     pub p50_us: f64,
+    /// Rows the planner's operators scan.
+    pub rows_scanned: u64,
+    /// Rows the nested-loop baseline scans.
+    pub rows_scanned_nested: u64,
 }
 
 /// Comparison of one benchmark across the two files.
@@ -45,6 +59,9 @@ pub struct DiffRow {
     /// `current / baseline`; `f64::INFINITY` when the baseline p50 is 0.
     pub ratio: f64,
     pub regressed: bool,
+    /// `(rows_scanned, rows_scanned_nested)` as `(baseline, current)`, when
+    /// either count differs.
+    pub work_changed: Option<((u64, u64), (u64, u64))>,
 }
 
 /// Full diff report: matched rows plus benchmarks present in only one file.
@@ -55,6 +72,8 @@ pub struct DiffReport {
     pub missing: Vec<(u64, String)>,
     /// `(factor, name)` pairs in current but absent from the baseline.
     pub added: Vec<(u64, String)>,
+    /// Baseline tiers the current run did not measure, not compared.
+    pub skipped_tiers: Vec<u64>,
 }
 
 impl DiffReport {
@@ -63,10 +82,16 @@ impl DiffReport {
         self.rows.iter().filter(|r| r.regressed)
     }
 
+    /// Rows whose work counts differ from the baseline's.
+    pub fn work_changes(&self) -> impl Iterator<Item = &DiffRow> {
+        self.rows.iter().filter(|r| r.work_changed.is_some())
+    }
+
     /// True when the current file is no worse than the baseline: no
-    /// regressed rows and no benchmarks that silently disappeared.
+    /// regressed rows, no changed work counts and no benchmarks that
+    /// silently disappeared.
     pub fn passes(&self) -> bool {
-        self.missing.is_empty() && self.rows.iter().all(|r| !r.regressed)
+        self.missing.is_empty() && self.rows.iter().all(|r| !r.regressed && r.work_changed.is_none())
     }
 
     /// Human-readable table, worst ratio first; regressions marked.
@@ -76,7 +101,10 @@ impl DiffReport {
         let mut out = String::new();
         out.push_str("tier  benchmark                 baseline_us  current_us   ratio\n");
         for r in rows {
-            let mark = if r.regressed { "  REGRESSED" } else { "" };
+            let mut mark = if r.regressed { "  REGRESSED".to_string() } else { String::new() };
+            if let Some(((b, bn), (c, cn))) = r.work_changed {
+                mark += &format!("  WORK CHANGED rows_scanned {b}/{bn} -> {c}/{cn} (fast/nested)");
+            }
             out.push_str(&format!(
                 "{:>4}  {:<24} {:>12.2} {:>11.2} {:>7.2}x{mark}\n",
                 r.factor, r.name, r.baseline_us, r.current_us, r.ratio
@@ -88,11 +116,15 @@ impl DiffReport {
         for (factor, name) in &self.added {
             out.push_str(&format!("{factor:>4}  {name:<24}  new in current (no baseline)\n"));
         }
+        for factor in &self.skipped_tiers {
+            out.push_str(&format!("{factor:>4}  (tier not measured by current: skipped)\n"));
+        }
         out
     }
 }
 
-/// Extracts every `(tier, query)` p50 from a parsed trajectory document.
+/// Extracts every `(tier, query)` p50 and work count from a parsed
+/// trajectory document.
 ///
 /// Returns an error string naming the first malformed element so a
 /// truncated or hand-edited file fails loudly instead of diffing empty.
@@ -123,7 +155,18 @@ pub fn extract_points(doc: &Json) -> Result<Vec<BenchPoint>, String> {
                 .get("p50_us")
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("tier[{ti}].queries[{qi}] missing p50_us"))?;
-            points.push(BenchPoint { factor, name: name.to_string(), p50_us });
+            let count = |key: &str| {
+                q.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("tier[{ti}].queries[{qi}] missing {key}"))
+            };
+            points.push(BenchPoint {
+                factor,
+                name: name.to_string(),
+                p50_us,
+                rows_scanned: count("rows_scanned")?,
+                rows_scanned_nested: count("rows_scanned_nested")?,
+            });
         }
     }
     if points.is_empty() {
@@ -139,10 +182,17 @@ pub fn parse_trajectory(text: &str) -> Result<Vec<BenchPoint>, String> {
 }
 
 /// Diffs `current` against `baseline` at `threshold` (ratio) with the
-/// [`NOISE_FLOOR_US`] absolute guard.
+/// [`NOISE_FLOOR_US`] absolute guard, comparing work counts exactly.
+/// Baseline tiers absent from `current` are skipped.
 pub fn diff(baseline: &[BenchPoint], current: &[BenchPoint], threshold: f64) -> DiffReport {
     let mut report = DiffReport::default();
     for b in baseline {
+        if !current.iter().any(|c| c.factor == b.factor) {
+            if !report.skipped_tiers.contains(&b.factor) {
+                report.skipped_tiers.push(b.factor);
+            }
+            continue;
+        }
         match current.iter().find(|c| c.factor == b.factor && c.name == b.name) {
             Some(c) => {
                 let ratio = if b.p50_us > 0.0 {
@@ -153,6 +203,7 @@ pub fn diff(baseline: &[BenchPoint], current: &[BenchPoint], threshold: f64) -> 
                     1.0
                 };
                 let regressed = ratio > threshold && c.p50_us > NOISE_FLOOR_US;
+                let work = |p: &BenchPoint| (p.rows_scanned, p.rows_scanned_nested);
                 report.rows.push(DiffRow {
                     factor: b.factor,
                     name: b.name.clone(),
@@ -160,6 +211,7 @@ pub fn diff(baseline: &[BenchPoint], current: &[BenchPoint], threshold: f64) -> 
                     current_us: c.p50_us,
                     ratio,
                     regressed,
+                    work_changed: (work(b) != work(c)).then(|| (work(b), work(c))),
                 });
             }
             None => report.missing.push((b.factor, b.name.clone())),
@@ -184,7 +236,7 @@ mod tests {
     use super::*;
 
     fn point(factor: u64, name: &str, p50_us: f64) -> BenchPoint {
-        BenchPoint { factor, name: name.to_string(), p50_us }
+        BenchPoint { factor, name: name.to_string(), p50_us, rows_scanned: 3, rows_scanned_nested: 40 }
     }
 
     #[test]
@@ -227,6 +279,29 @@ mod tests {
         assert_eq!(report.missing, vec![(1, "b".to_string())]);
         assert_eq!(report.added, vec![(1, "c".to_string())]);
         assert!(!report.passes(), "a vanished benchmark must fail the gate");
+    }
+
+    #[test]
+    fn changed_work_fails_whatever_the_timing() {
+        let base = vec![point(1, "a", 2.0), point(1, "b", 2.0)];
+        let mut cur = base.clone();
+        cur[1].rows_scanned_nested += 1;
+        let report = diff(&base, &cur, f64::INFINITY);
+        assert!(!report.passes(), "{}", report.render());
+        assert_eq!(report.work_changes().count(), 1);
+        assert_eq!(report.rows[1].work_changed, Some(((3, 40), (3, 41))));
+        assert!(report.render().contains("WORK CHANGED"));
+    }
+
+    #[test]
+    fn unmeasured_tiers_are_skipped_not_missing() {
+        let base = vec![point(1, "a", 2.0), point(119, "a", 900.0), point(119, "b", 900.0)];
+        let cur = vec![point(1, "a", 2.0)];
+        let report = diff(&base, &cur, DEFAULT_THRESHOLD);
+        assert!(report.passes(), "{}", report.render());
+        assert_eq!(report.skipped_tiers, vec![119]);
+        assert!(report.missing.is_empty());
+        assert_eq!(report.rows.len(), 1);
     }
 
     #[test]

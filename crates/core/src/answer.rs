@@ -10,7 +10,6 @@
 //! [`ExecStats`]) differs.
 
 use relpat_kb::KnowledgeBase;
-use relpat_obs::fx::FxHashSet;
 use relpat_obs::QueryPlan;
 use relpat_rdf::{Term, TermId};
 
@@ -36,21 +35,30 @@ pub struct Answer {
     pub score: f64,
 }
 
-/// An IRI answer term's graph id (resolved once per term).
-fn entity_id(kb: &KnowledgeBase, term: &Term) -> Option<TermId> {
-    matches!(term, Term::Iri(_)).then(|| kb.graph.term_id(term)).flatten()
+/// Table 1 of the paper: does the graph term `id` satisfy the expected
+/// answer type? Entity types test the id against the class tree, with no
+/// interner probe; literal types read the term.
+pub fn type_check(kb: &KnowledgeBase, id: TermId, expected: ExpectedType) -> bool {
+    let entity = || matches!(kb.graph.term(id), Term::Iri(_));
+    match expected {
+        ExpectedType::PersonOrOrganization => {
+            entity()
+                && (kb.is_instance_of(id, "Person")
+                    || kb.is_instance_of(id, "Organisation")
+                    || kb.is_instance_of(id, "Company"))
+        }
+        ExpectedType::Place => entity() && kb.is_instance_of(id, "Place"),
+        _ => value_check(kb.graph.term(id), expected),
+    }
 }
 
-/// Table 1 of the paper: does a term satisfy the expected answer type?
-pub fn type_check(kb: &KnowledgeBase, term: &Term, expected: ExpectedType) -> bool {
+/// The part of Table 1 that reads only the term. A computed result cell (a
+/// `COUNT` value) has no graph id and is no entity, so it is checked by
+/// this alone.
+fn value_check(term: &Term, expected: ExpectedType) -> bool {
     match expected {
         ExpectedType::Unconstrained | ExpectedType::Boolean => true,
-        ExpectedType::PersonOrOrganization => entity_id(kb, term).is_some_and(|id| {
-            kb.is_instance_of(id, "Person")
-                || kb.is_instance_of(id, "Organisation")
-                || kb.is_instance_of(id, "Company")
-        }),
-        ExpectedType::Place => entity_id(kb, term).is_some_and(|id| kb.is_instance_of(id, "Place")),
+        ExpectedType::PersonOrOrganization | ExpectedType::Place => false,
         ExpectedType::Date => term.as_literal().is_some_and(|l| l.is_date()),
         ExpectedType::Numeric => term.as_literal().is_some_and(|l| l.is_numeric()),
     }
@@ -176,8 +184,9 @@ enum Eval {
     Failed,
 }
 
-/// Executes one query and classifies its outcome. `SELECT` result terms are
-/// type-filtered and deduplicated (first-seen order) in a single pass.
+/// Executes one query and classifies its outcome. `SELECT` result cells are
+/// deduplicated on their ids (first-seen order) and type-filtered; only the
+/// surviving cells are resolved to terms.
 fn evaluate_one(
     kb: &KnowledgeBase,
     query: &BuiltQuery,
@@ -201,15 +210,17 @@ fn evaluate_one(
                 // `ExecStats.failed` like any other execution error.
                 return Eval::Failed;
             }
-            let mut seen: FxHashSet<Term> = FxHashSet::default();
+            // Type checks are pure in the term, so checking each distinct
+            // cell once keeps the first-seen order of filter-then-dedup.
             let mut terms: Vec<Term> = Vec::new();
-            for row in &sols.rows {
-                for cell in row.iter().flatten() {
-                    if (!config.use_type_check || type_check(kb, cell, expected))
-                        && seen.insert(cell.clone())
-                    {
-                        terms.push(cell.clone());
-                    }
+            for cell in sols.distinct_cells() {
+                let fits = !config.use_type_check
+                    || match cell.term_id() {
+                        Some(id) => type_check(kb, id, expected),
+                        None => cell.as_ref().is_some_and(|term| value_check(term, expected)),
+                    };
+                if fits {
+                    terms.extend(cell.as_ref().cloned());
                 }
             }
             if terms.is_empty() {
@@ -265,14 +276,17 @@ mod tests {
         let ankara = Term::Iri(Iri::new(relpat_rdf::vocab::res::iri("Ankara")));
         let date = Term::Literal(Literal::date(1952, 6, 7));
         let num = Term::Literal(Literal::double(1.98));
-        assert!(type_check(kb, &pamuk, ExpectedType::PersonOrOrganization));
-        assert!(!type_check(kb, &pamuk, ExpectedType::Place));
-        assert!(type_check(kb, &ankara, ExpectedType::Place));
-        assert!(!type_check(kb, &ankara, ExpectedType::Date));
-        assert!(type_check(kb, &date, ExpectedType::Date));
-        assert!(type_check(kb, &num, ExpectedType::Numeric));
-        assert!(!type_check(kb, &date, ExpectedType::Numeric));
-        assert!(type_check(kb, &date, ExpectedType::Unconstrained));
+        let [pamuk, ankara, date, num] = [pamuk, ankara, date, num]
+            .map(|t| kb.graph.term_id(&t).unwrap_or_else(|| panic!("{t} not in the KB")));
+        assert!(type_check(kb, pamuk, ExpectedType::PersonOrOrganization));
+        assert!(!type_check(kb, pamuk, ExpectedType::Place));
+        assert!(type_check(kb, ankara, ExpectedType::Place));
+        assert!(!type_check(kb, ankara, ExpectedType::Date));
+        assert!(type_check(kb, date, ExpectedType::Date));
+        assert!(type_check(kb, num, ExpectedType::Numeric));
+        assert!(!type_check(kb, date, ExpectedType::Numeric));
+        assert!(!type_check(kb, date, ExpectedType::PersonOrOrganization));
+        assert!(type_check(kb, date, ExpectedType::Unconstrained));
     }
 
     #[test]

@@ -39,15 +39,7 @@ fn find_entity(kb: &KnowledgeBase, words: &[String]) -> Option<(Iri, usize, usiz
 fn run(kb: &KnowledgeBase, sparql: &str) -> Vec<Term> {
     match kb.query(sparql) {
         Ok(relpat_sparql::QueryResult::Solutions(sols)) => {
-            let mut terms = Vec::new();
-            for row in &sols.rows {
-                for cell in row.iter().flatten() {
-                    if !terms.contains(cell) {
-                        terms.push(cell.clone());
-                    }
-                }
-            }
-            terms
+            sols.distinct_cells().flatten().cloned().collect()
         }
         _ => Vec::new(),
     }

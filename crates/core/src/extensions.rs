@@ -355,19 +355,8 @@ fn count_by_class(
 fn run_select(mapper: &Mapper<'_>, sparql: &str) -> Option<Vec<relpat_rdf::Term>> {
     match mapper.kb.query(sparql) {
         Ok(relpat_sparql::QueryResult::Solutions(sols)) => {
-            let mut out = Vec::new();
-            for row in &sols.rows {
-                for cell in row.iter().flatten() {
-                    if !out.contains(cell) {
-                        out.push(cell.clone());
-                    }
-                }
-            }
-            if out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
+            let out: Vec<relpat_rdf::Term> = sols.distinct_cells().flatten().cloned().collect();
+            (!out.is_empty()).then_some(out)
         }
         _ => None,
     }

@@ -65,15 +65,7 @@ impl QaldQuestion {
         let Some(sparql) = &self.gold_sparql else { return Vec::new() };
         match kb.query(sparql) {
             Ok(relpat_sparql::QueryResult::Solutions(sols)) => {
-                let mut out: Vec<Term> = Vec::new();
-                for row in &sols.rows {
-                    for cell in row.iter().flatten() {
-                        if !out.contains(cell) {
-                            out.push(cell.clone());
-                        }
-                    }
-                }
-                out
+                sols.distinct_cells().flatten().cloned().collect()
             }
             Ok(relpat_sparql::QueryResult::Boolean(b)) => {
                 vec![Term::Literal(relpat_rdf::Literal::boolean(b))]

@@ -13,7 +13,7 @@
 //! O(log n). Beside the interner, `build` also resolves every term's
 //! FILTER value once into a dense [`TermValue`] column.
 
-use crate::interner::{Interner, TermId};
+use crate::interner::{Interner, TermId, TermTable};
 use crate::term::Term;
 use crate::value::TermValue;
 
@@ -293,6 +293,13 @@ impl Graph {
     /// Access to the interner for id↔term translation.
     pub fn interner(&self) -> &Interner {
         &self.interner
+    }
+
+    /// The graph's id → term table. Cloning it is one refcount bump, and
+    /// the clone resolves this graph's ids for as long as it lives: the
+    /// graph never interns again after [`GraphBuilder::build`].
+    pub fn terms(&self) -> &TermTable {
+        self.interner.table()
     }
 
     /// Looks up a term's id. A miss means the term occurs nowhere in the

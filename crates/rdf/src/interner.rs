@@ -5,6 +5,12 @@
 //! insertion; the three index permutations then operate on `(u32, u32, u32)`
 //! keys, which keeps them small and makes range scans cache-friendly (see the
 //! "Type Sizes" guidance in the Rust Performance Book).
+//!
+//! The id → term array is a [`TermTable`]: it sits behind an `Arc`, so a
+//! built graph can hand it to query results, which then hold 4-byte ids and
+//! resolve them on demand instead of cloning terms.
+
+use std::sync::Arc;
 
 use relpat_obs::fx::FxHashMap;
 
@@ -20,14 +26,49 @@ impl TermId {
     }
 }
 
+/// An interner's id → term array behind an `Arc`: cloning the table costs
+/// one refcount bump, and every clone resolves the same ids. A graph's table
+/// never changes after [`GraphBuilder::build`](crate::GraphBuilder::build),
+/// so a clone held by a query result stays valid for as long as it lives.
+#[derive(Debug, Clone, Default)]
+pub struct TermTable(Arc<Vec<Term>>);
+
+impl TermTable {
+    /// Number of terms.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Resolves an id if it is valid.
+    #[inline]
+    pub fn get(&self, id: TermId) -> Option<&Term> {
+        self.0.get(id.index())
+    }
+
+    /// True if both handles share one table, so equal ids mean equal terms.
+    pub fn same_table(&self, other: &TermTable) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Iterates over `(id, term)` pairs in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
+        self.0.iter().enumerate().map(|(i, t)| (TermId(i as u32), t))
+    }
+}
+
 /// Bidirectional map between [`Term`] values and dense [`TermId`]s.
 ///
 /// Ids are never recycled; a term, once interned, stays resolvable for the
 /// lifetime of the interner. This is the right trade-off for a research store
-/// that only grows.
+/// that only grows. Ids stop below `u32::MAX`, which query results keep free
+/// to mark an unbound cell.
 #[derive(Debug, Default)]
 pub struct Interner {
-    terms: Vec<Term>,
+    terms: TermTable,
     ids: FxHashMap<Term, TermId>,
 }
 
@@ -50,12 +91,14 @@ impl Interner {
         if let Some(&id) = self.ids.get(term) {
             return id;
         }
-        let id = TermId(
-            u32::try_from(self.terms.len()).expect("interner capacity exceeded (2^32 terms)"),
-        );
+        let id = u32::try_from(self.terms.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("interner capacity exceeded (2^32 - 1 terms)");
+        let id = TermId(id);
         // Term payloads are `Arc<str>`: both clones share the caller's
-        // string allocations.
-        self.terms.push(term.clone());
+        // string allocations. A table already handed out is copied first.
+        Arc::make_mut(&mut self.terms.0).push(term.clone());
         self.ids.insert(term.clone(), id);
         id
     }
@@ -68,12 +111,17 @@ impl Interner {
     /// Resolves an id back to its term. Panics on a foreign id, which would
     /// indicate index corruption.
     pub fn resolve(&self, id: TermId) -> &Term {
-        &self.terms[id.index()]
+        &self.terms.0[id.index()]
     }
 
     /// Resolves an id if it is valid.
     pub fn try_resolve(&self, id: TermId) -> Option<&Term> {
-        self.terms.get(id.index())
+        self.terms.get(id)
+    }
+
+    /// The id → term table, shared: results clone this handle.
+    pub(crate) fn table(&self) -> &TermTable {
+        &self.terms
     }
 
     /// Heap bytes held: the term array, the term → id table (entries plus
@@ -82,16 +130,13 @@ impl Interner {
     pub fn heap_bytes(&self) -> usize {
         let term = std::mem::size_of::<Term>();
         let table = self.ids.capacity() * (std::mem::size_of::<(Term, TermId)>() + 1);
-        let payloads: usize = self.terms.iter().map(Term::payload_bytes).sum();
-        self.terms.capacity() * term + table + payloads
+        let payloads: usize = self.terms.0.iter().map(Term::payload_bytes).sum();
+        self.terms.0.capacity() * term + table + payloads
     }
 
     /// Iterates over `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TermId(i as u32), t))
+        self.terms.iter()
     }
 }
 
@@ -144,6 +189,19 @@ mod tests {
             .collect();
         let seen: Vec<_> = interner.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, seen);
+    }
+
+    #[test]
+    fn a_shared_table_is_copied_before_a_push() {
+        let mut interner = Interner::new();
+        let a = interner.intern(&Term::iri("http://e/a"));
+        let shared = interner.table().clone();
+        assert!(shared.same_table(interner.table()));
+        let b = interner.intern(&Term::iri("http://e/b"));
+        assert!(!shared.same_table(interner.table()));
+        assert_eq!((shared.len(), interner.len()), (1, 2));
+        assert_eq!(shared.get(a), Some(&Term::iri("http://e/a")));
+        assert_eq!(shared.get(b), None);
     }
 
     #[test]

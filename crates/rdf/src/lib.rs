@@ -4,7 +4,8 @@
 //! provides:
 //!
 //! - an RDF 1.1-style term model ([`Iri`], [`Literal`], [`Term`]);
-//! - a term [`Interner`] mapping terms to dense `u32` ids;
+//! - a term [`Interner`] mapping terms to dense `u32` ids, whose id → term
+//!   array ([`TermTable`]) a built graph shares with query results;
 //! - an indexed, immutable in-memory [`Graph`], built once by a
 //!   [`GraphBuilder`], whose flat SPO/POS/OSP/PSO permutation indexes make any
 //!   partially bound triple pattern a contiguous slice scan located in
@@ -47,7 +48,7 @@ pub use graph::{
     sort_major_position, FrozenProbe, Graph, GraphBuilder, GraphBytes, IdPattern, IdTriple,
     ScanIter, Triple,
 };
-pub use interner::{Interner, TermId};
+pub use interner::{Interner, TermId, TermTable};
 pub use io::{load_path, save_ntriples, save_turtle};
 pub use ntriples::{parse_ntriples, to_ntriples};
 pub use term::{BlankNode, Iri, Literal, Term};

@@ -407,6 +407,43 @@ fn megabyte_of_braces_is_a_400_and_the_server_survives() {
     join_within(server, Duration::from_secs(20));
 }
 
+/// The `/sparql` writer's exact bytes for a multi-row result holding an
+/// unbound cell, language-tagged literals and a typed literal: each cell is
+/// the term's N-Triples form as a JSON string, an unbound cell is `null`.
+#[test]
+fn sparql_solutions_json_bytes_are_pinned() {
+    let _serial = serial();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+    let app = App::new(TraceStoreConfig::default());
+    let config = ServerConfig { workers: 2, read_timeout: Duration::from_secs(10) };
+    let server = spawn(listener, Arc::clone(&app), config).expect("spawn server");
+    let addr = server.addr();
+    let kb = Box::leak(Box::new(generate(&KbConfig::tiny())));
+    app.install_pipeline(Pipeline::new(kb));
+
+    let query = Json::obj()
+        .set(
+            "query",
+            "SELECT ?p ?label ?died WHERE { \
+             { ?p rdfs:label \"Orhan Pamuk\"@en } UNION { ?p rdfs:label \"Abraham Lincoln\"@en } \
+             ?p rdfs:label ?label . OPTIONAL { ?p dbont:deathDate ?died } } ORDER BY ?label",
+        )
+        .to_string();
+    let (status, body) = post(addr, "/sparql", &query);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        body,
+        concat!(
+            r#"{"kind":"solutions","variables":["p","label","died"],"rows":["#,
+            r#"["<http://dbpedia.org/resource/Abraham_Lincoln>","\"Abraham Lincoln\"@en","#,
+            r#""\"1865-04-15\"^^<http://www.w3.org/2001/XMLSchema#date>"],"#,
+            r#"["<http://dbpedia.org/resource/Orhan_Pamuk>","\"Orhan Pamuk\"@en",null]]}"#,
+        )
+    );
+    server.shutdown();
+    join_within(server, Duration::from_secs(20));
+}
+
 /// Joins `server` on a helper thread and fails if that takes longer than
 /// `bound`: a worker left blocked in `accept` would hang `join` forever.
 fn join_within(server: Server, bound: Duration) {

@@ -9,14 +9,16 @@
 //! row-at-a-time nested loop as fallback — stopping mid-join for
 //! bare-LIMIT/ASK queries → apply filters → ORDER BY (a sorted row-index
 //! permutation) → project → DISTINCT (hash dedup) → OFFSET/LIMIT → one
-//! materialization into shared [`Rows`]. Everything before the last step
-//! runs in id space; FILTER and ORDER BY expressions are bound once per
-//! query ([`BoundExpr`]), read each row's typed values from the graph's
-//! value column, and reach a term only through a borrowed [`Value`].
+//! slice copy of the kept ids into shared [`Rows`], which hold the graph's
+//! term table and resolve a cell only when it is read. Every step runs in
+//! id space; FILTER and ORDER BY expressions are bound once per query
+//! ([`BoundExpr`]), read each row's typed values from the graph's value
+//! column, and reach a term only through a borrowed [`Value`].
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use relpat_rdf::{Graph, IdPattern, Term, TermId, TermValue};
@@ -26,7 +28,7 @@ use relpat_obs::{JoinAlgo, PlanStep, PlanTrace};
 use crate::algebra::{lower_pattern, Algebra, BoundExpr, LowerOpts, PlannedStep};
 use crate::ast::{ArithOp, CmpOp, GraphPattern, Projection, Query, SelectQuery, TriplePattern};
 use crate::error::SparqlError;
-use crate::results::{Rows, Solutions};
+use crate::results::{Rows, Solutions, UNBOUND};
 
 /// Result of executing a [`Query`].
 #[derive(Debug, Clone, PartialEq)]
@@ -190,7 +192,7 @@ fn execute_select(
         let count = Term::Literal(relpat_rdf::Literal::integer(n as i64));
         return Ok(Solutions {
             variables: vec![alias.clone()],
-            rows: Rows::new(1, kept, std::iter::repeat_n(Some(count), kept).collect()),
+            rows: Rows::computed(graph.terms(), count, kept),
         });
     }
 
@@ -232,41 +234,57 @@ fn execute_select(
         order
     });
 
-    // Id-space projection in output order: copying column ids, never terms.
+    // Id-space projection in output order into the result's cell encoding:
+    // one `u32` per cell, unbound as `UNBOUND`; column ids, never terms.
     let width = out_vars.len();
-    let mut projected = IdTable::new(width);
-    projected.data.reserve(table.len() * width);
-    for i in 0..table.len() {
+    let cell = |i: usize, col: usize| {
         let row = table.row(order.as_ref().map_or(i, |o| o[i]));
-        projected.data.extend(positions.iter().map(|p| p.and_then(|c| row[c])));
-        projected.rows += 1;
-    }
-
-    if sel.distinct {
-        // Stable dedup on id rows, first occurrence wins: hashing borrowed
-        // slices of a few u32s.
-        projected = {
-            let mut seen: FxHashSet<&[Option<TermId>]> = FxHashSet::default();
-            seen.reserve(projected.len());
-            let mut unique = IdTable::new(width);
-            for row in projected.iter() {
-                if seen.insert(row) {
-                    unique.push(row);
-                }
+        positions[col].and_then(|c| row[c]).map_or(UNBOUND, |t| t.0)
+    };
+    let (ids, len): (Arc<[u32]>, usize) = if sel.distinct {
+        // Stable dedup on projected id rows, first occurrence wins: hashing
+        // borrowed slices of a few u32s. The window is known only after it,
+        // so the kept rows are copied out of the deduplicated buffer.
+        let mut projected: Vec<u32> = Vec::with_capacity(table.len() * width);
+        for i in 0..table.len() {
+            projected.extend((0..width).map(|col| cell(i, col)));
+        }
+        let mut seen: FxHashSet<&[u32]> = FxHashSet::default();
+        seen.reserve(table.len());
+        let mut unique = Vec::with_capacity(projected.len());
+        for i in 0..table.len() {
+            let row = &projected[i * width..(i + 1) * width];
+            if seen.insert(row) {
+                unique.extend_from_slice(row);
             }
-            unique
-        };
-    }
-
-    // The single materialization point: OFFSET/LIMIT pick the output window
-    // in id space, then each surviving cell costs one refcount bump into
-    // one shared allocation for the whole table.
-    let kept = window(sel, projected.len());
-    let cells = projected.data[kept.start * width..kept.end * width]
-        .iter()
-        .map(|id| id.map(|t| graph.term(t).clone()))
-        .collect();
-    Ok(Solutions { variables: out_vars, rows: Rows::new(width, kept.len(), cells) })
+        }
+        let kept = window(sel, seen.len());
+        (Arc::from(&unique[kept.start * width..kept.end * width]), kept.len())
+    } else {
+        // OFFSET/LIMIT pick the output window first, and its cells are
+        // written once, straight into the result's one allocation (a `Range`
+        // mapped by a counter is an exact-size iterator, so the `Arc` is
+        // sized before it is filled).
+        let kept = window(sel, table.len());
+        let (mut i, mut col) = (kept.start, 0);
+        let ids = (0..kept.len() * width)
+            .map(|_| {
+                let id = cell(i, col);
+                col += 1;
+                if col == width {
+                    (i, col) = (i + 1, 0);
+                }
+                id
+            })
+            .collect();
+        (ids, kept.len())
+    };
+    // The result holds the ids beside a handle on the graph's term table:
+    // no term is cloned here, nor when the result is cloned or dropped.
+    Ok(Solutions {
+        variables: out_vars,
+        rows: Rows::new(width, len, ids, graph.terms().clone()),
+    })
 }
 
 /// The rows OFFSET/LIMIT keep out of `len`.
@@ -366,9 +384,9 @@ impl IdTable {
     }
 }
 
-/// Id-level bindings produced by BGP + filter evaluation. Terms are only
-/// materialized after projection and slicing, so each emitted cell pays for
-/// exactly one refcount bump and dropped columns pay nothing.
+/// Id-level bindings produced by BGP + filter evaluation. Projection and
+/// slicing also run on ids, and the result keeps them: no term is cloned
+/// for any cell.
 struct Evaluated {
     variables: Vec<String>,
     table: IdTable,
@@ -1194,7 +1212,7 @@ mod tests {
         let all = select(&g, "SELECT ?x { ?x rdf:type dbont:Book } ORDER BY ?x");
         let skipped = select(&g, "SELECT ?x { ?x rdf:type dbont:Book } ORDER BY ?x OFFSET 1");
         assert_eq!(skipped.rows.len(), all.rows.len() - 1);
-        assert_eq!(skipped.rows[0], all.rows[1]);
+        assert_eq!(skipped.rows.get(0), all.rows.get(1));
     }
 
     #[test]
@@ -1257,7 +1275,7 @@ mod tests {
         let g = library();
         let sols = select(&g, "SELECT ?ghost { res:Snow rdf:type dbont:Book }");
         assert_eq!(sols.rows.len(), 1);
-        assert_eq!(sols.rows[0][0], None);
+        assert_eq!(sols.rows.get(0).unwrap().get(0).unwrap().as_ref(), None);
     }
 
     #[test]
@@ -1292,7 +1310,7 @@ mod tests {
             "SELECT ?w ?p { ?x dbont:writer ?w OPTIONAL { ?w dbont:birthPlace ?p } }",
         );
         assert_eq!(sols.rows.len(), 3);
-        let bound: Vec<bool> = sols.rows.iter().map(|r| r[1].is_some()).collect();
+        let bound: Vec<bool> = sols.rows.iter().map(|r| r.get(1).unwrap().is_bound()).collect();
         assert_eq!(bound.iter().filter(|b| **b).count(), 2); // Pamuk's two books
         assert_eq!(bound.iter().filter(|b| !**b).count(), 1); // Lem unextended
     }
@@ -1359,7 +1377,7 @@ mod tests {
             "SELECT ?x ?p { ?x rdf:type dbont:Book OPTIONAL { ?x dbont:numberOfPages ?p FILTER(?p > 500) } }",
         );
         assert_eq!(sols.rows.len(), 3);
-        assert_eq!(sols.rows.iter().filter(|r| r[1].is_some()).count(), 1); // 536 only
+        assert_eq!(sols.rows.iter().filter(|r| r.get(1).unwrap().is_bound()).count(), 1); // 536 only
     }
 
     #[test]

@@ -164,7 +164,7 @@ type Row = Vec<Option<Term>>;
 
 fn rows(g: &Graph, text: &str) -> Vec<Row> {
     let sols = query(g, text).unwrap_or_else(|e| panic!("{text}: {e}")).into_solutions().unwrap();
-    sols.rows.iter().map(|r| r.to_vec()).collect()
+    sols.rows.iter().map(|r| r.iter().map(|c| c.as_ref().cloned()).collect()).collect()
 }
 
 const EX: &str = "PREFIX ex: <http://example.org/>";

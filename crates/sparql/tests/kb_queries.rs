@@ -86,7 +86,7 @@ fn order_by_returns_extremes_first() {
     let pops: Vec<i64> = result
         .rows
         .iter()
-        .map(|r| r[1].as_ref().unwrap().as_literal().unwrap().as_i64().unwrap())
+        .map(|r| r.get(1).unwrap().as_ref().unwrap().as_literal().unwrap().as_i64().unwrap())
         .collect();
     assert!(pops.windows(2).all(|w| w[0] >= w[1]), "{pops:?}");
 }
@@ -133,7 +133,7 @@ fn distinct_interacts_with_union_and_projection() {
 
 /// One result cell: IRIs and datatypes shortened to their prefixed names,
 /// `-` for unbound.
-fn cell(term: &Option<Term>) -> String {
+fn cell(term: Option<&Term>) -> String {
     match term {
         None => "-".to_string(),
         Some(Term::Literal(l)) if l.language().is_none() && l.datatype_str() != xsd::STRING => {
@@ -153,7 +153,7 @@ fn pin(q: &str, want: &[&str]) {
     let mut got: Vec<String> = sols
         .rows
         .iter()
-        .map(|row| row.iter().map(cell).collect::<Vec<_>>().join(" "))
+        .map(|row| row.iter().map(|c| cell(c.as_ref())).collect::<Vec<_>>().join(" "))
         .collect();
     if !q.contains("ORDER BY") {
         got.sort();

@@ -1,14 +1,16 @@
 //! Allocation gate for the result path: FILTER, ORDER BY, materialization
 //! and result cloning must cost a number of allocations that does not grow
-//! with the number of rows.
+//! with the number of rows, and materialization at most 4 requested bytes
+//! per emitted cell.
 //!
-//! Term payloads are `Arc<str>` and `Rows` is one shared cell table, so an
-//! emitted cell costs a refcount bump, a filtered or ordered row costs
-//! nothing, and cloning a result (as the query cache does on every hit) is
-//! O(1). Join steps size their output before writing it, so a join's own
-//! allocations do not grow with rows either. The binary installs a global
-//! allocator that counts each thread's allocations in a thread-local cell
-//! and compares each operation's count on the measuring thread at N and 4N
+//! `Rows` is one shared table of 4-byte cell ids beside a handle on the
+//! graph's term table, so an emitted cell costs its id and no term clone, a
+//! filtered or ordered row costs nothing, and cloning a result (as the query
+//! cache does on every hit) is O(1). Join steps size their output before
+//! writing it, so a join's own allocations do not grow with rows either.
+//! The binary installs a global allocator that counts each thread's
+//! allocations, and the bytes they request, in thread-local cells and
+//! compares each operation's counts on the measuring thread at N and 4N
 //! rows, so the test harness and other test threads allocating meanwhile
 //! do not leak into a count. Tests still serialize on [`exec_lock`], so no
 //! other test grows state they share (metric registries, the event
@@ -26,24 +28,32 @@ use relpat_sparql::{execute, execute_traced, parse_query, JoinAlgo, QueryCache, 
 struct CountingAllocator;
 
 thread_local! {
-    // `const`-initialized with no destructor: reading it never allocates
+    // `const`-initialized with no destructor: reading them never allocates
     // and never fails, even while the thread is being torn down.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation of `bytes` requested bytes (a reallocation counts
+/// its new size).
+fn count_one(bytes: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 // SAFETY: every call forwards to `System` unchanged; the counter only
 // observes that a call was made.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -52,12 +62,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -98,36 +108,54 @@ fn books(n: usize) -> Graph {
 const PATTERN: &str = "?b rdf:type dbont:Book . ?b dbont:numberOfPages ?p . \
                        ?b rdfs:label ?l . ?b dbont:releaseDate ?d";
 
-/// Allocations of one call after `warmup` identical calls.
-fn allocations_of(warmup: usize, f: impl Fn()) -> u64 {
+/// Allocations and requested bytes of one call after `warmup` identical
+/// calls.
+fn allocs_and_bytes_of(warmup: usize, f: impl Fn()) -> (u64, u64) {
     for _ in 0..warmup {
         f();
     }
-    let before = allocations();
+    let before = (allocations(), bytes());
     f();
-    allocations() - before
+    (allocations() - before.0, bytes() - before.1)
 }
 
-/// Allocations of one warm execution of `text` over `g`.
-fn execution_allocs(g: &Graph, text: &str) -> u64 {
+/// Allocations of one call after `warmup` identical calls.
+fn allocations_of(warmup: usize, f: impl Fn()) -> u64 {
+    allocs_and_bytes_of(warmup, f).0
+}
+
+/// Allocations and requested bytes of one warm execution of `text` over `g`.
+fn execution_costs(g: &Graph, text: &str) -> (u64, u64) {
     let parsed = parse_query(text).unwrap();
-    allocations_of(3, || {
+    allocs_and_bytes_of(3, || {
         black_box(execute(g, &parsed).unwrap());
     })
 }
 
+/// Allocations of one warm execution of `text` over `g`.
+fn execution_allocs(g: &Graph, text: &str) -> u64 {
+    execution_costs(g, text).0
+}
+
 /// What `text` allocates beyond `baseline` — the same pattern without the
-/// operation under test — at each of [`SIZES`]. Subtracting the baseline
-/// cancels the join's own buffer growth, which is logarithmic in N and not
-/// part of the result path.
-fn extra_allocs(text: &str, baseline: &str) -> Vec<u64> {
+/// operation under test — at each of [`SIZES`], as (allocations, requested
+/// bytes). Subtracting the baseline cancels the join's own buffer growth,
+/// which is logarithmic in N and not part of the result path.
+fn extra_costs(text: &str, baseline: &str) -> Vec<(u64, u64)> {
     SIZES
         .iter()
         .map(|&n| {
             let g = books(n);
-            execution_allocs(&g, text).saturating_sub(execution_allocs(&g, baseline))
+            let ((allocs, bytes), (base_allocs, base_bytes)) =
+                (execution_costs(&g, text), execution_costs(&g, baseline));
+            (allocs.saturating_sub(base_allocs), bytes.saturating_sub(base_bytes))
         })
         .collect()
+}
+
+/// The allocation counts of [`extra_costs`].
+fn extra_allocs(text: &str, baseline: &str) -> Vec<u64> {
+    extra_costs(text, baseline).into_iter().map(|(allocs, _)| allocs).collect()
 }
 
 fn assert_flat(what: &str, counts: &[u64]) {
@@ -168,11 +196,22 @@ fn order_by_allocations_do_not_grow_with_rows() {
 #[test]
 fn materialization_allocations_do_not_grow_with_rows() {
     let _guard = exec_lock();
-    let counts = extra_allocs(
+    let costs = extra_costs(
         &format!("SELECT ?b ?p ?l ?d {{ {PATTERN} }}"),
         &format!("SELECT (COUNT(*) AS ?n) {{ {PATTERN} }}"),
     );
+    let counts: Vec<u64> = costs.iter().map(|&(allocs, _)| allocs).collect();
     assert_flat("materialization", &counts);
+    // Bytes: at most a 4-byte id per emitted cell beyond a constant. Four
+    // cells per row; the growth from N to 4N rows bounds the per-cell cost,
+    // and a term-valued cell (56 bytes as `Option<Term>`) fails it.
+    let cells = |rows: usize| 4 * rows as u64;
+    let (grown, added) = (costs[1].1.saturating_sub(costs[0].1), cells(SIZES[1]) - cells(SIZES[0]));
+    assert!(
+        grown <= 4 * added,
+        "materialization requests {grown} more bytes for {added} more cells \
+         ({SIZES:?} rows -> {costs:?} (allocations, bytes)): over 4 bytes per cell"
+    );
 }
 
 #[test]

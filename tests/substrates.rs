@@ -120,7 +120,7 @@ fn ask_and_select_agree_on_facts() {
         .unwrap()
         .into_solutions().unwrap();
     for row in &sols.rows {
-        let iri = row[0].as_ref().unwrap().as_iri().unwrap();
+        let iri = row.get(0).unwrap().as_ref().unwrap().as_iri().unwrap();
         let ask = kb
             .query(&format!("ASK {{ <{}> dbont:author res:Orhan_Pamuk }}", iri.as_str()))
             .unwrap();
