@@ -34,9 +34,7 @@ echo "=== observability overhead smoke ==="
 cargo bench -p relpat-bench --bench obs_overhead -- --smoke
 
 echo "=== store scaling smoke (paper + 100k tiers) ==="
-# Also writes the measured x1/x12 trajectory for the diff step below (an
-# absolute path: cargo runs benches from the package directory).
-cargo bench -p relpat-bench --bench store_scaling -- --smoke --json "$PWD/target/store_scaling_smoke.json"
+cargo bench -p relpat-bench --bench store_scaling -- --smoke
 
 echo "=== pattern mining smoke (x1 + x12, pinned mined-pattern fingerprints) ==="
 cargo bench -p relpat-bench --bench pattern_mining -- --smoke
@@ -50,6 +48,8 @@ echo "=== bench-diff: fresh x1/x12 trajectory vs committed BENCH_store_scaling.j
 # tier is not measured here and is skipped. The p50 ratios of this short
 # run are printed, not gated (`--threshold inf`): a 20-sample timing on a
 # shared machine against a 200-sample committed one is not a verdict.
+cargo run --release -q -p relpat-bench --bin repro-profile -- \
+    --bench-json target/store_scaling_smoke.json --smoke
 cargo run --release -q -p relpat-bench --bin bench-diff -- --threshold inf \
     BENCH_store_scaling.json target/store_scaling_smoke.json
 

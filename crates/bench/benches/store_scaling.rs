@@ -7,26 +7,15 @@
 //! counts so the whole bench finishes in seconds:
 //! `cargo bench -p relpat-bench --bench store_scaling -- --smoke`
 //!
-//! `--json <path>` then also writes the measured tiers as a trajectory in
-//! the `BENCH_store_scaling.json` format (20 samples per query under
-//! `--smoke`, 200 otherwise), for `bench-diff` to compare against the
-//! committed file.
-//!
 //! Queries run uncached ([`relpat_kb::KnowledgeBase::query_uncached`]): this bench
 //! tracks the store's join latency, which the result cache would hide.
 
-use relpat_bench::scaling::{measure_tier, reports_to_json, QUERIES, SMOKE_TIERS, TIERS};
+use relpat_bench::scaling::{QUERIES, SMOKE_TIERS, TIERS};
 use relpat_bench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use relpat_kb::{generate, KbConfig, DEFAULT_KB_FINGERPRINT};
 
 fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke")
-}
-
-/// The operand of `--json`, if given.
-fn json_path() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1).cloned())
 }
 
 fn bench_store(c: &mut Criterion) {
@@ -74,14 +63,6 @@ fn bench_store(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    if let Some(path) = json_path() {
-        let samples = if smoke() { 20 } else { 200 };
-        let reports: Vec<_> = tiers.iter().map(|&factor| measure_tier(factor, samples)).collect();
-        std::fs::write(&path, reports_to_json(&reports).to_pretty() + "\n")
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("trajectory of tiers {tiers:?} written to {path}");
-    }
 }
 
 criterion_group!(benches, bench_store);

@@ -3,7 +3,8 @@
 //! ```text
 //! # Compare a fresh trajectory (here the x1/x12 smoke tiers) against the
 //! # committed baseline; tiers the fresh run did not measure are skipped:
-//! cargo bench -p relpat-bench --bench store_scaling -- --smoke --json /tmp/new.json
+//! cargo run --release -p relpat-bench --bin repro-profile -- \
+//!     --bench-json /tmp/new.json --smoke
 //! cargo run --release -p relpat-bench --bin bench-diff -- \
 //!     BENCH_store_scaling.json /tmp/new.json
 //!

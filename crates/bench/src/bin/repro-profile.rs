@@ -22,7 +22,10 @@
 //!   store-scaling study (the tier ladder in `relpat_bench::scaling`:
 //!   paper scale / 100k / 1M triples), writing per-tier triple counts,
 //!   build milliseconds and p50/p99 query latencies as JSON. This is how
-//!   the committed `BENCH_store_scaling.json` trajectory is regenerated;
+//!   the committed `BENCH_store_scaling.json` trajectory is regenerated.
+//!   With `--smoke` it measures only the CI tiers (paper scale and 100k)
+//!   at 20 samples per query, the fresh run `ci.sh` diffs against that
+//!   file;
 //! - `--flame [path]` — loop the Table-2 benchmark under the continuous
 //!   profiler for ≥2 s of wall time and print the collapsed-stack profile
 //!   (flamegraph-compatible `tag;tag count` lines) plus the per-tag self
@@ -44,7 +47,12 @@ fn main() {
     };
 
     if let Some(path) = flag_value("--bench-json") {
-        run_scaling_study(&path);
+        let (tiers, samples) = if args.iter().any(|a| a == "--smoke") {
+            (scaling::SMOKE_TIERS, 20)
+        } else {
+            (scaling::TIERS, 200)
+        };
+        run_scaling_study(&path, tiers, samples);
         return;
     }
     if args.iter().any(|a| a == "--flame") {
@@ -272,13 +280,13 @@ fn run_flame(out_path: Option<&str>) {
     println!("\nflame self-check OK: hot tags are {top3:?}");
 }
 
-/// Runs the store-scaling tier ladder and writes the trajectory JSON.
-fn run_scaling_study(path: &str) {
-    const SAMPLES: usize = 200;
-    println!("=== Store-scaling study (tiers {:?}) ===\n", scaling::TIERS);
+/// Runs the store-scaling study over `tiers`, `samples` runs per query,
+/// and writes the trajectory JSON.
+fn run_scaling_study(path: &str, tiers: &[usize], samples: usize) {
+    println!("=== Store-scaling study (tiers {tiers:?}) ===\n");
     let mut reports = Vec::new();
-    for &factor in scaling::TIERS {
-        let report = scaling::measure_tier(factor, SAMPLES);
+    for &factor in tiers {
+        let report = scaling::measure_tier(factor, samples);
         println!(
             "x{}: {} triples / {} entities, built in {:.0} ms",
             report.factor, report.triples, report.entities, report.build_ms

@@ -51,7 +51,8 @@ fn main() {
     ];
     let mut ok = true;
     for (label, term, expected, want) in checks {
-        let got = kb.graph.term_id(term).is_some_and(|id| type_check(&kb, id, *expected));
+        let id = kb.graph.term_id(term).unwrap_or_else(|| panic!("{term} not in the KB"));
+        let got = type_check(&kb, id, *expected);
         let mark = if got == *want { "ok " } else { "FAIL" };
         ok &= got == *want;
         println!("  [{mark}] {label}: accepted={got} (expected {want})");

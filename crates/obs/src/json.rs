@@ -269,31 +269,8 @@ fn write_number(n: f64, out: &mut String) {
 }
 
 fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    escape_into(s, out);
-    out.push('"');
-}
-
-/// Appends `value`'s `Display` output to `out` as one JSON string literal,
-/// escaping each piece as it is formatted: the bytes of
-/// `Json::Str(value.to_string())`, without the intermediate `String`.
-pub fn write_display(out: &mut String, value: &(impl fmt::Display + ?Sized)) {
-    struct Escaper<'a>(&'a mut String);
-    impl fmt::Write for Escaper<'_> {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            escape_into(s, self.0);
-            Ok(())
-        }
-    }
-    out.push('"');
-    // Writing into a `String` cannot fail.
-    let _ = fmt::write(&mut Escaper(out), format_args!("{value}"));
-    out.push('"');
-}
-
-/// Appends `s` with JSON string escaping, without the quotes.
-fn escape_into(s: &str, out: &mut String) {
     use std::fmt::Write as _;
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -307,6 +284,7 @@ fn escape_into(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 /// How deep arrays and objects may nest in a parsed document. Request
@@ -522,14 +500,6 @@ mod tests {
         let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(err.offset, MAX_DEPTH, "{err}");
         assert!(Json::parse(&"[{\"a\":".repeat(1 << 19)).is_err());
-    }
-
-    #[test]
-    fn write_display_matches_a_string_value() {
-        let text = "\"quoted\"@en \\ tab\t nl\n bell\u{7} é";
-        let mut out = String::new();
-        write_display(&mut out, &format_args!("{}{}", &text[..9], &text[9..]));
-        assert_eq!(out, Json::from(text).to_string());
     }
 
     #[test]

@@ -64,8 +64,9 @@ impl TermTable {
 ///
 /// Ids are never recycled; a term, once interned, stays resolvable for the
 /// lifetime of the interner. This is the right trade-off for a research store
-/// that only grows. Ids stop below `u32::MAX`, which query results keep free
-/// to mark an unbound cell.
+/// that only grows. Ids stop below `u32::MAX - 1`: query results mark an
+/// unbound cell with `u32::MAX` and give a computed cell (an aggregate's
+/// value) the id one past the last term, which therefore stays below it.
 #[derive(Debug, Default)]
 pub struct Interner {
     terms: TermTable,
@@ -93,12 +94,15 @@ impl Interner {
         }
         let id = u32::try_from(self.terms.len())
             .ok()
-            .filter(|&id| id < u32::MAX)
-            .expect("interner capacity exceeded (2^32 - 1 terms)");
+            .filter(|&id| id < u32::MAX - 1)
+            .expect("interner capacity exceeded (2^32 - 2 terms)");
         let id = TermId(id);
         // Term payloads are `Arc<str>`: both clones share the caller's
-        // string allocations. A table already handed out is copied first.
-        Arc::make_mut(&mut self.terms.0).push(term.clone());
+        // string allocations. The table is handed out only by a built graph,
+        // which never interns again.
+        Arc::get_mut(&mut self.terms.0)
+            .expect("the term table is shared only once the graph is built")
+            .push(term.clone());
         self.ids.insert(term.clone(), id);
         id
     }
@@ -189,19 +193,6 @@ mod tests {
             .collect();
         let seen: Vec<_> = interner.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, seen);
-    }
-
-    #[test]
-    fn a_shared_table_is_copied_before_a_push() {
-        let mut interner = Interner::new();
-        let a = interner.intern(&Term::iri("http://e/a"));
-        let shared = interner.table().clone();
-        assert!(shared.same_table(interner.table()));
-        let b = interner.intern(&Term::iri("http://e/b"));
-        assert!(!shared.same_table(interner.table()));
-        assert_eq!((shared.len(), interner.len()), (1, 2));
-        assert_eq!(shared.get(a), Some(&Term::iri("http://e/a")));
-        assert_eq!(shared.get(b), None);
     }
 
     #[test]

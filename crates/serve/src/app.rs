@@ -11,11 +11,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use relpat_obs::{
-    counter, gauge, global, global_journal, jevent, json, profiler, render_prometheus, span,
+    counter, gauge, global, global_journal, jevent, profiler, render_prometheus, span,
     BurnReport, Json, Level, SloConfig, SloMonitor, TraceStore, TraceStoreConfig,
 };
 use relpat_qa::{Pipeline, Stage};
-use relpat_sparql::{QueryResult, Solutions};
+use relpat_sparql::QueryResult;
 
 use crate::http::{Request, Response};
 
@@ -308,16 +308,32 @@ impl App {
             }
             None => result,
         };
-        match result {
-            QueryResult::Boolean(b) => {
-                Response::json(200, &Json::obj().set("kind", "boolean").set("value", b))
+        let body = match result {
+            QueryResult::Boolean(b) => Json::obj().set("kind", "boolean").set("value", b),
+            QueryResult::Solutions(sols) => {
+                let variables =
+                    sols.variables.iter().map(|v| Json::from(v.as_str())).collect();
+                let rows = sols
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        Json::Arr(
+                            row.iter()
+                                .map(|cell| match cell.as_ref() {
+                                    Some(term) => Json::from(term.to_string().as_str()),
+                                    None => Json::Null,
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                Json::obj()
+                    .set("kind", "solutions")
+                    .set("variables", Json::Arr(variables))
+                    .set("rows", Json::Arr(rows))
             }
-            QueryResult::Solutions(sols) => Response {
-                status: 200,
-                content_type: "application/json",
-                body: solutions_json(&sols).into_bytes(),
-            },
-        }
+        };
+        Response::json(200, &body)
     }
 
     /// `GET /debug/store` — point-in-time health of the triple store, the
@@ -412,38 +428,6 @@ impl App {
 
 fn parse_count(param: Option<&str>, default: usize) -> usize {
     param.and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// The `/sparql` body of a `SELECT` result, written straight from the
-/// result's term table: each cell is its term's N-Triples form as a JSON
-/// string, escaped while it is formatted (no temporary `String` per cell),
-/// and an unbound cell is `null`. The bytes equal those of the equivalent
-/// [`Json`] document.
-fn solutions_json(sols: &Solutions) -> String {
-    let mut out = String::with_capacity(64 + 48 * sols.len() * sols.variables.len());
-    out.push_str(r#"{"kind":"solutions","variables":["#);
-    for (i, var) in sols.variables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_display(&mut out, var.as_str());
-    }
-    out.push_str(r#"],"rows":["#);
-    for (i, row) in sols.rows.iter().enumerate() {
-        out.push_str(if i > 0 { ",[" } else { "[" });
-        for (j, cell) in row.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            match cell.as_ref() {
-                Some(term) => json::write_display(&mut out, term),
-                None => out.push_str("null"),
-            }
-        }
-        out.push(']');
-    }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]

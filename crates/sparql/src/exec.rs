@@ -244,38 +244,31 @@ fn execute_select(
     let (ids, len): (Arc<[u32]>, usize) = if sel.distinct {
         // Stable dedup on projected id rows, first occurrence wins: hashing
         // borrowed slices of a few u32s. The window is known only after it,
-        // so the kept rows are copied out of the deduplicated buffer.
+        // so the kept rows are compacted in place before the one copy out.
         let mut projected: Vec<u32> = Vec::with_capacity(table.len() * width);
         for i in 0..table.len() {
             projected.extend((0..width).map(|col| cell(i, col)));
         }
         let mut seen: FxHashSet<&[u32]> = FxHashSet::default();
         seen.reserve(table.len());
-        let mut unique = Vec::with_capacity(projected.len());
-        for i in 0..table.len() {
-            let row = &projected[i * width..(i + 1) * width];
-            if seen.insert(row) {
-                unique.extend_from_slice(row);
-            }
+        let firsts: Vec<usize> = (0..table.len())
+            .filter(|&i| seen.insert(&projected[i * width..(i + 1) * width]))
+            .collect();
+        let kept = window(sel, firsts.len());
+        // Each source row lies at or after its destination, so moving the
+        // rows in order never overwrites one still to be moved.
+        for (dst, &src) in firsts[kept.clone()].iter().enumerate() {
+            projected.copy_within(src * width..(src + 1) * width, dst * width);
         }
-        let kept = window(sel, seen.len());
-        (Arc::from(&unique[kept.start * width..kept.end * width]), kept.len())
+        (Arc::from(&projected[..kept.len() * width]), kept.len())
     } else {
         // OFFSET/LIMIT pick the output window first, and its cells are
-        // written once, straight into the result's one allocation (a `Range`
-        // mapped by a counter is an exact-size iterator, so the `Arc` is
-        // sized before it is filled).
+        // written once, straight into the result's one allocation (a mapped
+        // `Range` is an exact-size iterator, so the `Arc` is sized before it
+        // is filled).
         let kept = window(sel, table.len());
-        let (mut i, mut col) = (kept.start, 0);
         let ids = (0..kept.len() * width)
-            .map(|_| {
-                let id = cell(i, col);
-                col += 1;
-                if col == width {
-                    (i, col) = (i + 1, 0);
-                }
-                id
-            })
+            .map(|k| cell(kept.start + k / width, k % width))
             .collect();
         (ids, kept.len())
     };

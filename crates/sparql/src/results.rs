@@ -85,7 +85,10 @@ impl Rows {
     /// A one-column table of `len` rows, each holding `term`, which is
     /// computed rather than read from `graph` (an aggregate's value).
     pub(crate) fn computed(graph: &TermTable, term: Term, len: usize) -> Self {
-        let id = u32::try_from(graph.len()).expect("graph ids stop below u32::MAX");
+        let id = u32::try_from(graph.len())
+            .ok()
+            .filter(|&id| id < UNBOUND)
+            .expect("graph ids stop below u32::MAX - 1");
         Rows {
             width: 1,
             len,
