@@ -58,7 +58,7 @@ fn workload(kb: &KnowledgeBase, plans: usize, rng: &mut Rng) -> Vec<Job> {
     // in label order).
     let (label, ids) = kb.labels_iter().next().expect("a labeled entity");
     let iri = kb.graph.term(ids[0]).as_iri().expect("entities are IRIs").clone();
-    let entity = ResolvedEntity { iri, label: label.to_string(), score: 1.0 };
+    let entity = ResolvedEntity { id: ids[0], iri, label: label.to_string() };
     // Lattice shapes from narrow (typical QALD question) to wide (where the
     // cartesian product materializes hundreds of combinations).
     let shapes = [(1, 4), (2, 4), (2, 8), (3, 6), (3, 10)];

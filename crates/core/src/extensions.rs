@@ -204,20 +204,18 @@ fn superlative_question(
 /// exact/near name match first, then a WordNet hypernym-path match
 /// (`height` → `elevation` for mountains). Domain must cover the class.
 fn data_property_for_attr(mapper: &Mapper<'_>, attr: &str, class: &str) -> Option<String> {
+    let ontology = &mapper.kb.ontology;
+    let class = ontology.class_id(class)?;
     let mut best: Option<(f64, String)> = None;
-    for p in &mapper.kb.ontology.data_properties {
-        let domain_ok = mapper.kb.ontology.is_subclass_of(class, p.domain)
-            || mapper.kb.ontology.is_subclass_of(p.domain, class);
-        if !domain_ok {
+    for (i, p) in ontology.data_properties.iter().enumerate() {
+        let domain = ontology.data_property_domain(i);
+        if !ontology.is_subclass(class, domain) && !ontology.is_subclass(domain, class) {
             continue;
         }
         let mut score = property_name_score(attr, p.name, p.label);
         if score < 0.9 {
             let head = p.label.split_whitespace().last().unwrap_or(p.label);
-            if let (Some(lin), Some(wup)) = (
-                mapper.wordnet.lin(attr, head, WnPos::Noun),
-                mapper.wordnet.wup(attr, head, WnPos::Noun),
-            ) {
+            if let Some((lin, wup)) = mapper.wordnet.lin_wup(attr, head, WnPos::Noun) {
                 if lin >= 0.75 && wup >= 0.85 {
                     score = score.max(lin * 0.95);
                 }

@@ -52,12 +52,12 @@ pub struct PropertyCandidate {
     pub source: CandidateSource,
 }
 
-/// A resolved entity mention.
+/// A resolved entity mention: its graph id, IRI and primary label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedEntity {
+    pub id: TermId,
     pub iri: Iri,
     pub label: String,
-    pub score: f64,
 }
 
 /// A mapped slot.
@@ -161,8 +161,7 @@ fn label_pair_similarity(a: &str, b: &str, wordnet: &WordNet) -> Option<f64> {
     let wa: Vec<&str> = a.split_whitespace().collect();
     let wb: Vec<&str> = b.split_whitespace().collect();
     let (ha, hb) = (*wa.last()?, *wb.last()?);
-    let lin = wordnet.lin(ha, hb, WnPos::Noun)?;
-    let wup = wordnet.wup(ha, hb, WnPos::Noun)?;
+    let (lin, wup) = wordnet.lin_wup(ha, hb, WnPos::Noun)?;
     if lin < 0.75 || wup < 0.85 {
         return None;
     }
@@ -175,8 +174,7 @@ fn label_pair_similarity(a: &str, b: &str, wordnet: &WordNet) -> Option<f64> {
             if ma == mb {
                 return Some(lin);
             }
-            let mlin = wordnet.lin(ma, mb, WnPos::Noun)?;
-            let mwup = wordnet.wup(ma, mb, WnPos::Noun)?;
+            let (mlin, mwup) = wordnet.lin_wup(ma, mb, WnPos::Noun)?;
             if mlin >= 0.75 && mwup >= 0.85 {
                 Some(lin * mlin)
             } else {
@@ -187,26 +185,46 @@ fn label_pair_similarity(a: &str, b: &str, wordnet: &WordNet) -> Option<f64> {
     }
 }
 
-impl Mapper<'_> {
-    /// Maps an analyzed question. `None` = some slot could not be resolved
-    /// (the question is abandoned, paper §3's unprocessed bucket).
-    pub fn map(&self, analysis: &QuestionAnalysis) -> Option<MappedQuestion> {
-        // Each mention's candidate pool, computed once: it resolves the
-        // mention and, for the others, feeds cross-mention centrality.
-        let mention_pools: Vec<Vec<TermId>> = analysis
+/// The candidate pools of a question's mentions (subject and object
+/// mentions in triple order), each computed when first needed.
+struct MentionPools<'q> {
+    texts: Vec<&'q str>,
+    pools: Vec<Vec<TermId>>,
+    computed: Vec<bool>,
+}
+
+impl<'q> MentionPools<'q> {
+    fn new(analysis: &'q QuestionAnalysis) -> Self {
+        let texts: Vec<&str> = analysis
             .triples
             .iter()
             .flat_map(|t| [&t.subject, &t.object])
             .filter_map(|s| match s {
-                SlotTerm::Mention { text } => Some(self.entity_pool(text)),
+                SlotTerm::Mention { text } => Some(text.as_str()),
                 SlotTerm::Var => None,
             })
             .collect();
+        let n = texts.len();
+        MentionPools { texts, pools: vec![Vec::new(); n], computed: vec![false; n] }
+    }
 
+    fn compute(&mut self, mapper: &Mapper<'_>, k: usize) {
+        if !self.computed[k] {
+            self.pools[k] = mapper.entity_pool(self.texts[k]);
+            self.computed[k] = true;
+        }
+    }
+}
+
+impl Mapper<'_> {
+    /// Maps an analyzed question. `None` = some slot could not be resolved
+    /// (the question is abandoned, paper §3's unprocessed bucket).
+    pub fn map(&self, analysis: &QuestionAnalysis) -> Option<MappedQuestion> {
+        let mut pools = MentionPools::new(analysis);
         let mut triples = Vec::with_capacity(analysis.triples.len());
         let mut first_pool = 0;
         for t in &analysis.triples {
-            triples.push(self.map_triple(t, &mention_pools, first_pool)?);
+            triples.push(self.map_triple(t, &mut pools, first_pool)?);
             first_pool += [&t.subject, &t.object]
                 .iter()
                 .filter(|s| matches!(s, SlotTerm::Mention { .. }))
@@ -219,7 +237,7 @@ impl Mapper<'_> {
     fn map_triple(
         &self,
         triple: &PatternTriple,
-        pools: &[Vec<TermId>],
+        pools: &mut MentionPools<'_>,
         first_pool: usize,
     ) -> Option<MappedTriple> {
         if let Some(class_word) = triple.class_word() {
@@ -241,12 +259,26 @@ impl Mapper<'_> {
         Some(MappedTriple::Relation { subject, object, candidates })
     }
 
-    /// Maps a slot; a mention resolves from its precomputed `pools[pool]`.
-    fn map_slot(&self, slot: &SlotTerm, pools: &[Vec<TermId>], pool: usize) -> Option<MappedSlot> {
+    /// Maps a slot; a mention resolves from `pools[pool]`. Only a mention
+    /// with two or more candidates reads the other mentions' pools (for
+    /// centrality), so only then are they all computed.
+    fn map_slot(
+        &self,
+        slot: &SlotTerm,
+        pools: &mut MentionPools<'_>,
+        pool: usize,
+    ) -> Option<MappedSlot> {
         match slot {
             SlotTerm::Var => Some(MappedSlot::Var),
             SlotTerm::Mention { text } => {
-                self.resolve_from_pool(text, &pools[pool], pools).map(MappedSlot::Entity)
+                pools.compute(self, pool);
+                if pools.pools[pool].len() >= 2 && self.config.use_centrality {
+                    for k in 0..pools.texts.len() {
+                        pools.compute(self, k);
+                    }
+                }
+                self.resolve_from_pool(text, &pools.pools[pool], &pools.pools)
+                    .map(MappedSlot::Entity)
             }
         }
     }
@@ -316,7 +348,8 @@ impl Mapper<'_> {
     }
 
     /// [`resolve_entity`](Self::resolve_entity) over the mention's already
-    /// computed [`entity_pool`](Self::entity_pool).
+    /// computed [`entity_pool`](Self::entity_pool). A single candidate is
+    /// the pick whatever it scores, so it is not scored.
     fn resolve_from_pool(
         &self,
         text: &str,
@@ -325,8 +358,10 @@ impl Mapper<'_> {
     ) -> Option<ResolvedEntity> {
         relpat_obs::counter!("qa.map.entity_lookups");
         relpat_obs::counter!("qa.map.entity_candidates", candidates.len() as u64);
-        if candidates.is_empty() {
-            return None;
+        match candidates {
+            [] => return None,
+            &[id] => return self.resolved(id, self.kb.label_of(id).unwrap_or_default()),
+            _ => {}
         }
         let norm = normalize_label(text);
         let max_degree = candidates
@@ -352,9 +387,13 @@ impl Mapper<'_> {
                 best = Some((id, label, score));
             }
         }
-        let (id, label, score) = best?;
+        let (id, label, _) = best?;
+        self.resolved(id, label)
+    }
+
+    fn resolved(&self, id: TermId, label: &str) -> Option<ResolvedEntity> {
         let iri = self.kb.graph.term(id).as_iri()?.clone();
-        Some(ResolvedEntity { iri, label: label.to_string(), score })
+        Some(ResolvedEntity { id, iri, label: label.to_string() })
     }
 
     // -------------------------------------------------------------- properties
@@ -552,10 +591,7 @@ impl Mapper<'_> {
             if head == lemma {
                 continue; // string similarity already found it
             }
-            let (Some(lin), Some(wup)) = (
-                self.wordnet.lin(lemma, head, WnPos::Noun),
-                self.wordnet.wup(lemma, head, WnPos::Noun),
-            ) else {
+            let Some((lin, wup)) = self.wordnet.lin_wup(lemma, head, WnPos::Noun) else {
                 continue;
             };
             if lin >= 0.75 && wup >= 0.85 {
@@ -784,7 +820,8 @@ mod tests {
     fn michael_jordan_disambiguates_to_athlete_by_centrality() {
         let m = mapper();
         let e = m.resolve_entity("Michael Jordan", &[]).unwrap();
-        assert!(m.kb.is_instance_of(&e.iri, "Athlete"), "picked {}", e.iri.as_str());
+        let athlete = m.kb.ontology.class_id("Athlete").unwrap();
+        assert!(m.kb.is_instance_of(e.id, athlete), "picked {}", e.iri.as_str());
     }
 
     #[test]

@@ -447,10 +447,6 @@ impl<'kb> Pipeline<'kb> {
         trace.pattern_lookups = self.patterns.lookup_stats().delta_since(lookups_before);
         for (name, nanos) in timings {
             trace.add_stage(name, nanos);
-            relpat_obs::jevent!(
-                relpat_obs::Level::Debug, "qa.stage",
-                "stage" => name, "ns" => nanos,
-            );
         }
         relpat_obs::jevent!(
             relpat_obs::Level::Info, "qa.question",

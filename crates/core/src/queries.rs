@@ -27,7 +27,7 @@ use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use relpat_kb::KnowledgeBase;
+use relpat_kb::{ClassId, ClassSet, KnowledgeBase};
 use relpat_rdf::vocab::{dbont, rdf};
 use relpat_rdf::Term;
 use relpat_sparql::ast::{AskQuery, GraphPattern, Projection, Query, SelectQuery, TriplePattern};
@@ -61,7 +61,7 @@ pub enum PlannerStrategy {
 }
 
 impl PlannerStrategy {
-    /// Short label used in journal events and reports.
+    /// Short label used in traces and reports.
     pub fn name(self) -> &'static str {
         match self {
             PlannerStrategy::Beam => "beam",
@@ -141,11 +141,16 @@ pub fn build_queries_planned(
     let max = max.max(1);
     let mut fixed: Vec<TripleParts> = Vec::new();
     let mut option_sets: Vec<Vec<TripleOption>> = Vec::new();
-    // Class constraints from the Type triples, used for domain/range checks.
-    let var_class: Option<&str> = mapped.triples.iter().find_map(|t| match t {
-        MappedTriple::Type { class } => Some(class.as_str()),
+    // The variable's class constraint from the first Type triple, used for
+    // domain/range checks: no constraint admits every class.
+    let var_classes = mapped.triples.iter().find_map(|t| match t {
+        MappedTriple::Type { class } => Some(kb.ontology.class_set(kb.ontology.class_id(class))),
         _ => None,
     });
+    let slot_classes = |slot: &MappedSlot| match slot {
+        MappedSlot::Var => var_classes.unwrap_or_default(),
+        MappedSlot::Entity(e) => kb.entity_classes(e.id),
+    };
 
     for triple in &mapped.triples {
         match triple {
@@ -157,11 +162,13 @@ pub fn build_queries_planned(
                 ));
             }
             MappedTriple::Relation { subject, object, candidates } => {
+                let classes = (slot_classes(subject), slot_classes(object));
                 let mut options = Vec::new();
                 for c in candidates {
+                    let Some(declared) = declared_classes(kb, c) else { continue };
                     for inverse in [false, true] {
                         if let Some(opt) =
-                            triple_option(kb, subject, object, c, inverse, var_class)
+                            triple_option(kb, subject, object, classes, declared, c, inverse)
                         {
                             options.push(opt);
                         }
@@ -186,13 +193,6 @@ pub fn build_queries_planned(
     relpat_obs::counter!("qa.plan.expanded", stats.expanded);
     relpat_obs::counter!("qa.plan.pruned", stats.pruned);
     relpat_obs::counter!("qa.plan.emitted", stats.emitted);
-    relpat_obs::jevent!(
-        relpat_obs::Level::Debug, "qa.plan",
-        "strategy" => strategy.name(),
-        "expanded" => stats.expanded,
-        "pruned" => stats.pruned,
-        "emitted" => stats.emitted,
-    );
     (out, stats)
 }
 
@@ -425,18 +425,40 @@ fn render_combos(
     out
 }
 
+/// The candidate property's declared domain, and its range for an object
+/// property; `None` when the ontology does not define the property.
+fn declared_classes(
+    kb: &KnowledgeBase,
+    candidate: &PropertyCandidate,
+) -> Option<(ClassId, Option<ClassId>)> {
+    let o = &kb.ontology;
+    if candidate.is_data {
+        let i = o.data_properties.iter().position(|p| p.name == candidate.property)?;
+        Some((o.data_property_domain(i), None))
+    } else {
+        let i = o.object_properties.iter().position(|p| p.name == candidate.property)?;
+        let (domain, range) = o.object_property_classes(i);
+        Some((domain, Some(range)))
+    }
+}
+
 /// Resolves one (candidate, orientation) pair into a triple option, or
-/// `None` when the ontology's domain/range rules it out.
+/// `None` when the ontology's domain/range rules it out. `classes` are the
+/// subject's and the object's classes (see [`ClassSet::admits`]),
+/// `declared` the candidate's [`declared_classes`].
 fn triple_option<'m>(
     kb: &KnowledgeBase,
     subject: &'m MappedSlot,
     object: &'m MappedSlot,
+    classes: (ClassSet, ClassSet),
+    (domain, range): (ClassId, Option<ClassId>),
     candidate: &'m PropertyCandidate,
     inverse: bool,
-    var_class: Option<&str>,
 ) -> Option<TripleOption<'m>> {
     let (eff_subject, eff_object) =
         if inverse { (object, subject) } else { (subject, object) };
+    let (subject_classes, object_classes) =
+        if inverse { (classes.1, classes.0) } else { classes };
 
     // Direction-hint dampening.
     let orientation_factor = match candidate.preferred_inverse {
@@ -456,23 +478,15 @@ fn triple_option<'m>(
     let weight = candidate.weight * orientation_factor;
     let weight = if weight.is_nan() { f64::NAN } else { weight };
 
-    if candidate.is_data {
-        // Data property: the literal side must be the variable, the subject
-        // side an entity (or typed variable within the domain).
-        if !matches!(eff_object, MappedSlot::Var) {
-            return None;
-        }
-        let def = kb.ontology.data_properties.iter().find(|p| p.name == candidate.property)?;
-        if !slot_compatible(kb, eff_subject, def.domain, var_class) {
-            return None;
-        }
-    } else {
-        let def = kb.ontology.object_properties.iter().find(|p| p.name == candidate.property)?;
-        if !slot_compatible(kb, eff_subject, def.domain, var_class)
-            || !slot_compatible(kb, eff_object, def.range, var_class)
-        {
-            return None;
-        }
+    // Data property: the literal side must be the variable, the subject
+    // side an entity (or typed variable within the domain).
+    if candidate.is_data && !matches!(eff_object, MappedSlot::Var) {
+        return None;
+    }
+    if !subject_classes.admits(&kb.ontology, domain)
+        || range.is_some_and(|range| !object_classes.admits(&kb.ontology, range))
+    {
+        return None;
     }
     Some(TripleOption {
         subject: eff_subject,
@@ -481,27 +495,6 @@ fn triple_option<'m>(
         weight,
         parts: OnceCell::new(),
     })
-}
-
-/// Domain/range compatibility: an entity slot must carry a class related to
-/// the declared one (either direction along the taxonomy); a variable slot
-/// is checked against the question's `rdf:type` constraint when present.
-fn slot_compatible(
-    kb: &KnowledgeBase,
-    slot: &MappedSlot,
-    declared: &str,
-    var_class: Option<&str>,
-) -> bool {
-    let related = |c: &str| {
-        kb.ontology.is_subclass_of(c, declared) || kb.ontology.is_subclass_of(declared, c)
-    };
-    match slot {
-        MappedSlot::Var => var_class.is_none_or(related),
-        MappedSlot::Entity(e) => {
-            let mut classes = kb.classes_of(&e.iri).peekable();
-            classes.peek().is_none() || classes.any(related)
-        }
-    }
 }
 
 fn slot_term(slot: &MappedSlot) -> Term {
@@ -545,6 +538,13 @@ mod tests {
             let pairs = similar_property_pairs(&kb, embedded());
             Fixture { kb, patterns: mined.store, pairs }
         })
+    }
+
+    /// The resolved entity `res:<name>`, labelled `name`.
+    fn entity(kb: &KnowledgeBase, name: &str) -> crate::mapping::ResolvedEntity {
+        let iri = relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri(name));
+        let id = kb.graph.term_id(&Term::Iri(iri.clone())).unwrap_or_else(|| panic!("{name}"));
+        crate::mapping::ResolvedEntity { id, iri, label: name.into() }
     }
 
     fn queries_for(question: &str) -> Vec<BuiltQuery> {
@@ -649,13 +649,9 @@ mod tests {
     fn cartesian_product_over_two_relation_triples() {
         // Hand-built mapped question with two relation triples, each with two
         // candidates → 4 combinations, scored by the product of weights.
-        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate, ResolvedEntity};
+        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate};
         let f = fixture();
-        let pamuk = ResolvedEntity {
-            iri: relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk")),
-            label: "Orhan Pamuk".into(),
-            score: 1.0,
-        };
+        let pamuk = entity(&f.kb, "Orhan Pamuk");
         let cand = |prop: &str, w: f64| PropertyCandidate {
             property: prop.into(),
             is_data: false,
@@ -731,13 +727,9 @@ mod tests {
         // whose product with the second triple's author (−8) is the global
         // maximum (+80). Truncating on final scores (cartesian) or bounding
         // the frontier admissibly (beam) must both keep it.
-        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate, ResolvedEntity};
+        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate};
         let f = fixture();
-        let pamuk = ResolvedEntity {
-            iri: relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk")),
-            label: "Orhan Pamuk".into(),
-            score: 1.0,
-        };
+        let pamuk = entity(&f.kb, "Orhan Pamuk");
         let cand = |prop: &str, w: f64| PropertyCandidate {
             property: prop.into(),
             is_data: false,
@@ -786,13 +778,9 @@ mod tests {
         // A wide two-triple lattice with a clear ranking: the beam search
         // must prove the top-3 without expanding everything the cartesian
         // fold materializes, and both must emit the identical queries.
-        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate, ResolvedEntity};
+        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate};
         let f = fixture();
-        let pamuk = ResolvedEntity {
-            iri: relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk")),
-            label: "Orhan Pamuk".into(),
-            score: 1.0,
-        };
+        let pamuk = entity(&f.kb, "Orhan Pamuk");
         let props = ["author", "publisher", "director", "starring", "capital", "spouse"];
         let cands = |base: f64| -> Vec<PropertyCandidate> {
             props
@@ -839,13 +827,9 @@ mod tests {
         // A zero-frequency pattern feeding a 0/0 normalization yields a NaN
         // weight; ranking must stay total (`f64::total_cmp`) instead of
         // panicking in `partial_cmp().unwrap()`.
-        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate, ResolvedEntity};
+        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate};
         let f = fixture();
-        let pamuk = ResolvedEntity {
-            iri: relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk")),
-            label: "Orhan Pamuk".into(),
-            score: 1.0,
-        };
+        let pamuk = entity(&f.kb, "Orhan Pamuk");
         let cand = |prop: &str, w: f64| PropertyCandidate {
             property: prop.into(),
             is_data: false,
@@ -877,13 +861,9 @@ mod tests {
     fn relation_with_no_consistent_reading_voids_the_query_set() {
         // A candidate whose domain/range cannot fit either orientation must
         // yield zero queries (the question falls back to "not attempted").
-        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate, ResolvedEntity};
+        use crate::mapping::{CandidateSource, MappedSlot, PropertyCandidate};
         let f = fixture();
-        let turkey = ResolvedEntity {
-            iri: relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Turkey")),
-            label: "Turkey".into(),
-            score: 1.0,
-        };
+        let turkey = entity(&f.kb, "Turkey");
         let mapped = crate::mapping::MappedQuestion {
             triples: vec![crate::mapping::MappedTriple::Relation {
                 subject: MappedSlot::Entity(turkey.clone()),

@@ -68,14 +68,17 @@ fn arb_candidate(rng: &mut Rng) -> PropertyCandidate {
     }
 }
 
+/// The resolved `res:Orhan_Pamuk`.
+fn pamuk() -> ResolvedEntity {
+    let iri = relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk"));
+    let id = kb().graph.term_id(&relpat_rdf::Term::Iri(iri.clone())).expect("Orhan Pamuk");
+    ResolvedEntity { id, iri, label: "Orhan Pamuk".into() }
+}
+
 /// A randomized mapped question: 1–3 relation triples, 1–6 candidates each,
 /// pointing at the Orhan Pamuk entity.
 fn arb_mapped(rng: &mut Rng) -> MappedQuestion {
-    let pamuk = ResolvedEntity {
-        iri: relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk")),
-        label: "Orhan Pamuk".into(),
-        score: 1.0,
-    };
+    let pamuk = pamuk();
     let triples = (0..rng.gen_range(1usize..=3))
         .map(|_| MappedTriple::Relation {
             subject: MappedSlot::Var,
@@ -147,11 +150,7 @@ fn ties_preserve_generation_order_tie_break() {
     // generation order (earlier-listed candidates and orientations first).
     let kb = kb();
     let (select, _) = analyses();
-    let pamuk = ResolvedEntity {
-        iri: relpat_rdf::Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk")),
-        label: "Orhan Pamuk".into(),
-        score: 1.0,
-    };
+    let pamuk = pamuk();
     let cand = |prop: &str| PropertyCandidate {
         property: prop.to_string(),
         is_data: false,

@@ -799,6 +799,7 @@ fn usa_of(gen: &Generator) -> Iri {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relpat_rdf::TermId;
 
     #[test]
     fn generation_is_deterministic() {
@@ -907,8 +908,9 @@ mod tests {
     fn famous_athlete_has_higher_degree_than_namesake() {
         let kb = generate(&KbConfig::default());
         let jordans = kb.entities_with_label("Michael Jordan");
-        let athlete = jordans.iter().find(|&&i| kb.is_instance_of(i, "Athlete")).copied().unwrap();
-        let scientist = jordans.iter().find(|&&i| kb.is_instance_of(i, "Scientist")).copied().unwrap();
+        let is_a = |i: TermId, class| kb.is_instance_of(i, kb.ontology.class_id(class).unwrap());
+        let athlete = jordans.iter().find(|&&i| is_a(i, "Athlete")).copied().unwrap();
+        let scientist = jordans.iter().find(|&&i| is_a(i, "Scientist")).copied().unwrap();
         assert!(
             kb.page_degree(athlete) > kb.page_degree(scientist),
             "athlete {} vs scientist {}",

@@ -10,7 +10,7 @@ use relpat_sparql::{
 
 use crate::labels::LabelTable;
 use crate::lexical::LexicalIndex;
-use crate::ontology::Ontology;
+use crate::ontology::{ClassId, ClassSet, Ontology};
 
 /// Normalizes a label for indexing: lower-case, article-stripped,
 /// whitespace-collapsed.
@@ -65,8 +65,9 @@ pub struct KnowledgeBase {
     labels: LabelTable,
     /// `|out ∪ in|` over page-link neighbours, indexed by term id.
     page_degree: Vec<u32>,
-    /// Per ontology class: the ids of it and its subclasses, sorted.
-    class_ids: FxHashMap<&'static str, Box<[TermId]>>,
+    /// `(term id, class id)` of every ontology class the graph holds,
+    /// sorted by term id.
+    class_terms: Box<[(TermId, ClassId)]>,
     class_by_label: FxHashMap<String, &'static str>,
     /// Predicate ids the probes bind (`None`: the graph has no such fact).
     label_pred: Option<TermId>,
@@ -89,19 +90,13 @@ impl KnowledgeBase {
             (id(rdfs::LABEL), id(vocab::WIKI_PAGE_LINK), id(rdf::TYPE));
         let labels = LabelTable::from_graph(&graph);
         let page_degree = link_pred.map_or_else(Vec::new, |link| page_degrees(&graph, link));
-        let class_ids = ontology
+        let mut class_terms: Vec<(TermId, ClassId)> = ontology
             .classes
             .iter()
-            .map(|c| {
-                let mut ids: Vec<TermId> = ontology
-                    .descendants(c.name)
-                    .into_iter()
-                    .filter_map(|d| id(&dbont::iri(d)))
-                    .collect();
-                ids.sort_unstable();
-                (c.name, ids.into_boxed_slice())
-            })
+            .enumerate()
+            .filter_map(|(i, c)| Some((id(&dbont::iri(c.name))?, ClassId(i as u8))))
             .collect();
+        class_terms.sort_unstable();
         let class_by_label =
             ontology.classes.iter().map(|c| (normalize_label(c.label), c.name)).collect();
         let lexical = LexicalIndex::build(&labels, &ontology);
@@ -110,7 +105,7 @@ impl KnowledgeBase {
             ontology,
             labels,
             page_degree,
-            class_ids,
+            class_terms: class_terms.into_boxed_slice(),
             class_by_label,
             label_pred,
             link_pred,
@@ -182,18 +177,27 @@ impl KnowledgeBase {
         })
     }
 
-    /// True if the entity is an instance of `class_name` directly or via the
-    /// subclass tree: its `rdf:type` ids against the class's subtree ids.
-    pub fn is_instance_of(&self, entity: impl EntityRef, class_name: &str) -> bool {
-        let unknown;
-        let targets = match self.class_ids.get(class_name) {
-            Some(ids) => &ids[..],
-            None => {
-                unknown = self.graph.term_id(&Term::iri(dbont::iri(class_name)));
-                unknown.as_slice()
-            }
-        };
-        self.type_ids(entity.id_in(&self.graph)).any(|c| targets.binary_search(&c).is_ok())
+    /// The entity's ontology classes as masks: one scan of its `rdf:type`
+    /// ids, each looked up among the class term ids.
+    pub fn entity_classes(&self, entity: impl EntityRef) -> ClassSet {
+        let in_dbont =
+            |ty| matches!(self.graph.term(ty), Term::Iri(c) if c.as_str().starts_with(dbont::NS));
+        let mut set = ClassSet::default();
+        for ty in self.type_ids(entity.id_in(&self.graph)) {
+            let class = match self.class_terms.binary_search_by_key(&ty, |&(t, _)| t) {
+                Ok(i) => Some(self.class_terms[i].1),
+                Err(_) if in_dbont(ty) => None,
+                Err(_) => continue,
+            };
+            set = set.union(self.ontology.class_set(class));
+        }
+        set
+    }
+
+    /// True if the entity is an instance of `class` directly or via the
+    /// subclass tree.
+    pub fn is_instance_of(&self, entity: impl EntityRef, class: ClassId) -> bool {
+        self.entity_classes(entity).is_a(class)
     }
 
     /// Number of distinct pages linked to or from an entity.
@@ -387,9 +391,13 @@ mod tests {
     fn instance_reasoning_uses_taxonomy() {
         let kb = mini_kb();
         let pamuk = Iri::new(res::iri("Orhan Pamuk"));
-        assert!(kb.is_instance_of(&pamuk, "Writer"));
-        assert!(kb.is_instance_of(&pamuk, "Person"));
-        assert!(!kb.is_instance_of(&pamuk, "Place"));
+        let class = |name| kb.ontology.class_id(name).unwrap();
+        assert!(kb.is_instance_of(&pamuk, class("Writer")));
+        assert!(kb.is_instance_of(&pamuk, class("Person")));
+        assert!(!kb.is_instance_of(&pamuk, class("Place")));
+        let writer = class("Writer");
+        assert_eq!(kb.entity_classes(&pamuk).direct, writer.bit());
+        assert_eq!(kb.entity_classes(&pamuk).closure, kb.ontology.ancestor_mask(writer));
     }
 
     #[test]
@@ -427,7 +435,7 @@ mod tests {
             kb.entities_with_label("orhan pamuk")
         );
         let pamuk = Iri::new(res::iri("Orhan Pamuk"));
-        assert!(loaded.is_instance_of(&pamuk, "Person"));
+        assert!(loaded.is_instance_of(&pamuk, loaded.ontology.class_id("Person").unwrap()));
         let (pamuk, snow) =
             (loaded.entities_with_label("Orhan Pamuk")[0], loaded.entities_with_label("Snow")[0]);
         assert!(loaded.are_linked(pamuk, snow));

@@ -29,6 +29,8 @@ pub use kb::{normalize_label, EntityRef, KbBytes, KnowledgeBase};
 pub use labels::LabelTable;
 pub use lexical::{split_camel_case, IndexLookupStats, LexStats, LexicalIndex};
 pub use names::AMBIGUOUS_CITY;
-pub use ontology::{ClassDef, DataPropertyDef, DataRange, ObjectPropertyDef, Ontology};
+pub use ontology::{
+    ClassDef, ClassId, ClassSet, DataPropertyDef, DataRange, ObjectPropertyDef, Ontology,
+};
 pub use qald::{evaluated_subset, qald_questions, Exclusion, QaldQuestion};
 pub use stats::KbStats;

@@ -59,22 +59,134 @@ pub struct DataPropertyDef {
     pub range: DataRange,
 }
 
-/// The full ontology definition.
+/// Dense id of an ontology class: its index in [`Ontology::classes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ClassId(pub u8);
+
+impl ClassId {
+    /// The class's bit in a class mask.
+    pub fn bit(self) -> u64 {
+        1 << self.0
+    }
+}
+
+/// Mask bit of a `dbont:` class the ontology does not define. It relates to
+/// no ontology class, so the ontology holds at most 63 classes.
+const UNDEFINED_CLASS_BIT: u64 = 1 << 63;
+
+/// Some ontology classes as bit masks over [`ClassId`]s: the classes
+/// themselves (an entity's direct `rdf:type` classes), and the classes with
+/// all their ancestors. A `dbont:` class outside the ontology sets a bit of
+/// its own in both, which no ontology class relates to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClassSet {
+    pub direct: u64,
+    pub closure: u64,
+}
+
+impl ClassSet {
+    /// This set plus `other`'s classes.
+    pub fn union(self, other: ClassSet) -> ClassSet {
+        ClassSet { direct: self.direct | other.direct, closure: self.closure | other.closure }
+    }
+
+    /// True if one of the classes is `class` or a subclass of it.
+    pub fn is_a(self, class: ClassId) -> bool {
+        self.closure & class.bit() != 0
+    }
+
+    /// The §2.3 domain/range test: no `dbont:` class at all, or one related
+    /// to `declared` either way along the taxonomy.
+    pub fn admits(self, ontology: &Ontology, declared: ClassId) -> bool {
+        self.direct == 0
+            || self.is_a(declared)
+            || self.direct & ontology.ancestor_mask(declared) != 0
+    }
+}
+
+/// The full ontology definition, with the class taxonomy as dense ids and
+/// one ancestor-or-self mask per class, built once by the constructor.
 #[derive(Debug, Clone)]
 pub struct Ontology {
     pub classes: Vec<ClassDef>,
     pub object_properties: Vec<ObjectPropertyDef>,
     pub data_properties: Vec<DataPropertyDef>,
+    /// Per class id: the class and all its ancestors.
+    ancestor_masks: Vec<u64>,
+    /// Per object property: its domain and range class ids.
+    object_property_ids: Vec<(ClassId, ClassId)>,
+    /// Per data property: its domain class id.
+    data_property_domains: Vec<ClassId>,
 }
 
 impl Ontology {
     /// The DBpedia-fragment ontology used throughout the system.
     pub fn dbpedia() -> Self {
+        let classes = CLASSES.to_vec();
+        assert!(classes.len() < 64, "class masks hold at most 63 classes");
+        let id = |name: &str| {
+            let i = classes.iter().position(|c| c.name == name);
+            ClassId(i.unwrap_or_else(|| panic!("undefined class {name}")) as u8)
+        };
+        let ancestor_masks = classes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let mut mask = 1u64 << i;
+                let mut parent = c.parent;
+                while let Some(p) = parent {
+                    let p = id(p);
+                    mask |= p.bit();
+                    parent = classes[p.0 as usize].parent;
+                }
+                mask
+            })
+            .collect();
+        let object_property_ids =
+            OBJECT_PROPERTIES.iter().map(|p| (id(p.domain), id(p.range))).collect();
+        let data_property_domains = DATA_PROPERTIES.iter().map(|p| id(p.domain)).collect();
         Ontology {
-            classes: CLASSES.to_vec(),
+            classes,
             object_properties: OBJECT_PROPERTIES.to_vec(),
             data_properties: DATA_PROPERTIES.to_vec(),
+            ancestor_masks,
+            object_property_ids,
+            data_property_domains,
         }
+    }
+
+    /// The id of a class by local name.
+    pub fn class_id(&self, name: &str) -> Option<ClassId> {
+        self.classes.iter().position(|c| c.name == name).map(|i| ClassId(i as u8))
+    }
+
+    /// The set of one class; `None` stands for a `dbont:` class the
+    /// ontology does not define.
+    pub fn class_set(&self, class: Option<ClassId>) -> ClassSet {
+        match class {
+            Some(c) => ClassSet { direct: c.bit(), closure: self.ancestor_mask(c) },
+            None => ClassSet { direct: UNDEFINED_CLASS_BIT, closure: UNDEFINED_CLASS_BIT },
+        }
+    }
+
+    /// The class and all its ancestors, one bit per class id.
+    pub fn ancestor_mask(&self, class: ClassId) -> u64 {
+        self.ancestor_masks[class.0 as usize]
+    }
+
+    /// True if `sub` is `sup` or a descendant of it.
+    pub fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
+        self.ancestor_mask(sub) & sup.bit() != 0
+    }
+
+    /// Domain and range class ids of `object_properties[i]`.
+    pub fn object_property_classes(&self, i: usize) -> (ClassId, ClassId) {
+        self.object_property_ids[i]
+    }
+
+    /// Domain class id of `data_properties[i]`.
+    pub fn data_property_domain(&self, i: usize) -> ClassId {
+        self.data_property_domains[i]
     }
 
     /// IRI of a class by local name.
@@ -90,31 +202,6 @@ impl Ontology {
     /// Looks up a class definition.
     pub fn class(&self, name: &str) -> Option<&ClassDef> {
         self.classes.iter().find(|c| c.name == name)
-    }
-
-    /// All ancestors of a class (exclusive), nearest first.
-    pub fn ancestors(&self, name: &str) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        let mut cur = self.class(name).and_then(|c| c.parent);
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.class(p).and_then(|c| c.parent);
-        }
-        out
-    }
-
-    /// True if `sub` is `sup` or a descendant of it.
-    pub fn is_subclass_of(&self, sub: &str, sup: &str) -> bool {
-        sub == sup || self.ancestors(sub).contains(&sup)
-    }
-
-    /// All classes that are `sup` or descendants of it.
-    pub fn descendants(&self, sup: &str) -> Vec<&'static str> {
-        self.classes
-            .iter()
-            .map(|c| c.name)
-            .filter(|c| self.is_subclass_of(c, sup))
-            .collect()
     }
 
     /// Materializes the ontology as RDF triples (class tree, property
@@ -320,29 +407,42 @@ mod tests {
     #[test]
     fn subclass_reasoning() {
         let o = Ontology::dbpedia();
-        assert!(o.is_subclass_of("Writer", "Person"));
-        assert!(o.is_subclass_of("Writer", "Agent"));
-        assert!(o.is_subclass_of("City", "Place"));
-        assert!(o.is_subclass_of("Book", "Work"));
-        assert!(!o.is_subclass_of("Book", "Person"));
-        assert!(o.is_subclass_of("Person", "Person"));
+        let sub = |a: &str, b: &str| o.is_subclass(o.class_id(a).unwrap(), o.class_id(b).unwrap());
+        assert!(sub("Writer", "Person"));
+        assert!(sub("Writer", "Agent"));
+        assert!(sub("City", "Place"));
+        assert!(sub("Book", "Work"));
+        assert!(!sub("Book", "Person"));
+        assert!(sub("Person", "Person"));
+        assert!(!sub("Person", "Writer"));
     }
 
     #[test]
-    fn ancestors_nearest_first() {
+    fn ancestor_mask_is_the_parent_chain() {
         let o = Ontology::dbpedia();
-        assert_eq!(o.ancestors("Writer"), vec!["Artist", "Person", "Agent"]);
-        assert!(o.ancestors("Place").is_empty());
+        let mask = |names: &[&str]| names.iter().map(|n| o.class_id(n).unwrap().bit()).sum::<u64>();
+        let writer = o.class_id("Writer").unwrap();
+        assert_eq!(o.ancestor_mask(writer), mask(&["Writer", "Artist", "Person", "Agent"]));
+        assert_eq!(o.ancestor_mask(o.class_id("Place").unwrap()), mask(&["Place"]));
+        assert_eq!(o.class_id("Spaceship"), None);
     }
 
     #[test]
-    fn descendants_include_self() {
+    fn class_sets_admit_related_classes_only() {
         let o = Ontology::dbpedia();
-        let d = o.descendants("Person");
-        assert!(d.contains(&"Person"));
-        assert!(d.contains(&"Writer"));
-        assert!(d.contains(&"BasketballPlayer"));
-        assert!(!d.contains(&"Company"));
+        let id = |n: &str| o.class_id(n).unwrap();
+        let of = |n: &str| o.class_set(Some(id(n)));
+        // Down and up the taxonomy, not across it.
+        assert!(of("Writer").admits(&o, id("Person")));
+        assert!(of("Person").admits(&o, id("Writer")));
+        assert!(!of("Book").admits(&o, id("Person")));
+        // No class at all admits anything; an undefined one admits nothing.
+        assert!(ClassSet::default().admits(&o, id("Person")));
+        let undefined = o.class_set(None);
+        assert!(!undefined.admits(&o, id("Person")));
+        assert!(!undefined.is_a(id("Person")));
+        assert!(of("Writer").union(undefined).admits(&o, id("Person")));
+        assert!(of("Writer").is_a(id("Agent")) && !of("Writer").is_a(id("Place")));
     }
 
     #[test]

@@ -71,8 +71,10 @@ impl KbStats {
         }
     }
 
-    /// Instances of a class, including subclasses (taxonomy-aware count).
+    /// Instances of a class, including subclasses (taxonomy-aware count);
+    /// 0 for a name the ontology does not define.
     pub fn instances_under(kb: &KnowledgeBase, class: &str) -> usize {
+        let Some(class) = kb.ontology.class_id(class) else { return 0 };
         kb.labels_iter()
             .flat_map(|(_, ids)| ids.iter())
             .filter(|&&id| kb.is_instance_of(id, class))

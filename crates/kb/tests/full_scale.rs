@@ -97,6 +97,7 @@ fn page_link_graph_is_substantial() {
     assert!(stats.degree_max >= 20, "hub degree {}", stats.degree_max);
     // The famous athlete must be the Michael Jordan hub.
     let jordans = kb.entities_with_label("Michael Jordan");
-    let athlete = jordans.iter().find(|&&i| kb.is_instance_of(i, "Athlete")).copied().unwrap();
+    let athlete_class = kb.ontology.class_id("Athlete").unwrap();
+    let athlete = jordans.iter().find(|&&i| kb.is_instance_of(i, athlete_class)).copied().unwrap();
     assert!(kb.page_degree(athlete) >= 10);
 }

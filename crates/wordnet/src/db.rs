@@ -35,18 +35,25 @@ pub struct Synset {
     pub count: u64,
 }
 
-/// The lexical database.
+/// The lexical database. Everything the similarity metrics read of the
+/// DAG — information content, depth, ancestor lists — is computed once by
+/// [`WordNetBuilder::build`].
 #[derive(Debug)]
 pub struct WordNet {
     synsets: Vec<Synset>,
-    /// word (lower) + pos → synsets containing it.
-    index: FxHashMap<(String, WnPos), Vec<SynsetId>>,
-    /// Cumulative counts (own + all descendants), computed at build time.
-    cumulative: Vec<u64>,
+    /// Per POS (indexed by `pos as usize`): word (lower) → synsets
+    /// containing it.
+    index: [FxHashMap<String, Vec<SynsetId>>; 3],
+    /// `−ln(cumulative / total)` per synset, where `cumulative` is the
+    /// synset's own count plus all its descendants' and `total` the POS's
+    /// root mass.
+    ic: Vec<f64>,
     /// Depth from the per-POS virtual root (root synsets have depth 1).
     depth: Vec<u32>,
-    /// Total cumulative count per POS (the virtual root's probability mass).
-    totals: FxHashMap<WnPos, u64>,
+    /// Every synset's ancestors (inclusive, itself first), concatenated;
+    /// synset `i`'s run is `ancestors[ancestor_start[i]..ancestor_start[i + 1]]`.
+    ancestors: Vec<SynsetId>,
+    ancestor_start: Vec<u32>,
     /// adjective → attribute noun ("tall" → "height").
     attributes: FxHashMap<String, String>,
 }
@@ -103,13 +110,10 @@ impl WordNetBuilder {
 
     pub fn build(self) -> WordNet {
         let n = self.synsets.len();
-        let mut index: FxHashMap<(String, WnPos), Vec<SynsetId>> = FxHashMap::default();
+        let mut index: [FxHashMap<String, Vec<SynsetId>>; 3] = Default::default();
         for (i, s) in self.synsets.iter().enumerate() {
             for w in &s.words {
-                index
-                    .entry((w.clone(), s.pos))
-                    .or_default()
-                    .push(SynsetId(i as u32));
+                index[s.pos as usize].entry(w.clone()).or_default().push(SynsetId(i as u32));
             }
         }
 
@@ -142,13 +146,45 @@ impl WordNetBuilder {
                 *totals.entry(s.pos).or_insert(0) += cumulative[i];
             }
         }
+        let ic = self
+            .synsets
+            .iter()
+            .zip(&cumulative)
+            .map(|(s, &cum)| {
+                let total = *totals.get(&s.pos).unwrap_or(&1) as f64;
+                -(cum.max(1) as f64 / total).ln()
+            })
+            .collect();
+
+        // Ancestor lists in the order of a stack walk up the hypernym
+        // links, which is the order `lcs` breaks information-content ties
+        // in.
+        let mut ancestors: Vec<SynsetId> = Vec::new();
+        let mut ancestor_start = Vec::with_capacity(n + 1);
+        let mut stack = Vec::new();
+        for i in 0..n {
+            let start = ancestors.len();
+            ancestor_start.push(start as u32);
+            ancestors.push(SynsetId(i as u32));
+            stack.push(SynsetId(i as u32));
+            while let Some(s) = stack.pop() {
+                for &h in &self.synsets[s.0 as usize].hypernyms {
+                    if !ancestors[start..].contains(&h) {
+                        ancestors.push(h);
+                        stack.push(h);
+                    }
+                }
+            }
+        }
+        ancestor_start.push(ancestors.len() as u32);
 
         WordNet {
             synsets: self.synsets,
             index,
-            cumulative,
+            ic,
             depth,
-            totals,
+            ancestors,
+            ancestor_start,
             attributes: self.attributes,
         }
     }
@@ -164,12 +200,16 @@ impl WordNet {
         self.synsets.is_empty()
     }
 
-    /// Synsets containing a word.
+    /// Synsets containing a word. The word is lowercased, allocating only
+    /// when it is not lowercase already.
     pub fn synsets_of(&self, word: &str, pos: WnPos) -> &[SynsetId] {
-        self.index
-            .get(&(word.to_lowercase(), pos))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let index = &self.index[pos as usize];
+        let hit = if word.is_ascii() && !word.bytes().any(|b| b.is_ascii_uppercase()) {
+            index.get(word)
+        } else {
+            index.get(&word.to_lowercase())
+        };
+        hit.map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The synset behind an id.
@@ -193,77 +233,75 @@ impl WordNet {
 
     /// Information content of a synset: `−ln(cumulative/total)`.
     pub fn information_content(&self, id: SynsetId) -> f64 {
-        let s = &self.synsets[id.0 as usize];
-        let total = *self.totals.get(&s.pos).unwrap_or(&1) as f64;
-        let cum = self.cumulative[id.0 as usize].max(1) as f64;
-        -(cum / total).ln()
+        self.ic[id.0 as usize]
     }
 
-    /// All ancestors of a synset (inclusive).
-    fn ancestors(&self, id: SynsetId) -> Vec<SynsetId> {
-        let mut out = vec![id];
-        let mut stack = vec![id];
-        while let Some(s) = stack.pop() {
-            for &h in &self.synsets[s.0 as usize].hypernyms {
-                if !out.contains(&h) {
-                    out.push(h);
-                    stack.push(h);
-                }
+    /// The synset and all its ancestors.
+    fn ancestors_of(&self, id: SynsetId) -> &[SynsetId] {
+        let i = id.0 as usize;
+        &self.ancestors[self.ancestor_start[i] as usize..self.ancestor_start[i + 1] as usize]
+    }
+
+    /// Least common subsumer by maximum information content (of equals,
+    /// the last in `a`'s ancestor order).
+    pub fn lcs(&self, a: SynsetId, b: SynsetId) -> Option<SynsetId> {
+        let anc_b = self.ancestors_of(b);
+        self.ancestors_of(a)
+            .iter()
+            .copied()
+            .filter(|x| anc_b.contains(x))
+            .max_by(|x, y| self.ic[x.0 as usize].total_cmp(&self.ic[y.0 as usize]))
+    }
+
+    /// Lin and Wu–Palmer similarity between two synsets, from one `lcs`.
+    pub fn lin_wup_synsets(&self, a: SynsetId, b: SynsetId) -> (f64, f64) {
+        if a == b {
+            return (1.0, 1.0);
+        }
+        let Some(lcs) = self.lcs(a, b) else { return (0.0, 0.0) };
+        let (ic_a, ic_b) = (self.information_content(a), self.information_content(b));
+        let lin = if ic_a + ic_b == 0.0 {
+            0.0
+        } else {
+            (2.0 * self.information_content(lcs) / (ic_a + ic_b)).clamp(0.0, 1.0)
+        };
+        let da = self.depth(a) as f64;
+        let db = self.depth(b) as f64;
+        let dl = self.depth(lcs) as f64;
+        // +1 on every depth accounts for the virtual per-POS root.
+        let wup = (2.0 * (dl + 1.0) / ((da + 1.0) + (db + 1.0))).clamp(0.0, 1.0);
+        (lin, wup)
+    }
+
+    /// Word-level Lin and Wu–Palmer similarity in one pass over the sense
+    /// pairs: each is the maximum over all sense pairs (the standard
+    /// word-similarity lifting, also what WordNet::Similarity does).
+    /// `None` when either word is unknown.
+    pub fn lin_wup(&self, a: &str, b: &str, pos: WnPos) -> Option<(f64, f64)> {
+        let sa = self.synsets_of(a, pos);
+        let sb = self.synsets_of(b, pos);
+        if sa.is_empty() || sb.is_empty() {
+            return None;
+        }
+        let (mut lin, mut wup): (f64, f64) = (0.0, 0.0);
+        for &x in sa {
+            for &y in sb {
+                let (l, w) = self.lin_wup_synsets(x, y);
+                lin = lin.max(l);
+                wup = wup.max(w);
             }
         }
-        out
+        Some((lin, wup))
     }
 
-    /// Least common subsumer by maximum information content.
-    pub fn lcs(&self, a: SynsetId, b: SynsetId) -> Option<SynsetId> {
-        let anc_a = self.ancestors(a);
-        let anc_b = self.ancestors(b);
-        anc_a
-            .into_iter()
-            .filter(|x| anc_b.contains(x))
-            .max_by(|x, y| {
-                self.information_content(*x)
-                    .total_cmp(&self.information_content(*y))
-            })
-    }
-
-    /// Lin similarity between two synsets.
-    pub fn lin_synsets(&self, a: SynsetId, b: SynsetId) -> f64 {
-        if a == b {
-            return 1.0;
-        }
-        let Some(lcs) = self.lcs(a, b) else { return 0.0 };
-        let ic_a = self.information_content(a);
-        let ic_b = self.information_content(b);
-        if ic_a + ic_b == 0.0 {
-            return 0.0;
-        }
-        (2.0 * self.information_content(lcs) / (ic_a + ic_b)).clamp(0.0, 1.0)
-    }
-
-    /// Wu–Palmer similarity between two synsets.
-    pub fn wup_synsets(&self, a: SynsetId, b: SynsetId) -> f64 {
-        if a == b {
-            return 1.0;
-        }
-        let Some(lcs) = self.lcs(a, b) else { return 0.0 };
-        let da = self.depth[a.0 as usize] as f64;
-        let db = self.depth[b.0 as usize] as f64;
-        let dl = self.depth[lcs.0 as usize] as f64;
-        // +1 on every depth accounts for the virtual per-POS root.
-        (2.0 * (dl + 1.0) / ((da + 1.0) + (db + 1.0))).clamp(0.0, 1.0)
-    }
-
-    /// Word-level Lin similarity: the maximum over all sense pairs
-    /// (the standard word-similarity lifting, also what WordNet::Similarity
-    /// does). `None` when either word is unknown.
+    /// Word-level Lin similarity (see [`lin_wup`](Self::lin_wup)).
     pub fn lin(&self, a: &str, b: &str, pos: WnPos) -> Option<f64> {
-        self.max_over_senses(a, b, pos, |x, y| self.lin_synsets(x, y))
+        self.lin_wup(a, b, pos).map(|(lin, _)| lin)
     }
 
-    /// Word-level Wu–Palmer similarity.
+    /// Word-level Wu–Palmer similarity (see [`lin_wup`](Self::lin_wup)).
     pub fn wup(&self, a: &str, b: &str, pos: WnPos) -> Option<f64> {
-        self.max_over_senses(a, b, pos, |x, y| self.wup_synsets(x, y))
+        self.lin_wup(a, b, pos).map(|(_, wup)| wup)
     }
 
     /// Shortest hypernym-path length between two synsets (edges through the
@@ -352,11 +390,20 @@ mod tests {
     #[test]
     fn cumulative_counts_accumulate_upward() {
         let wn = tiny();
-        let entity = wn.synsets_of("entity", WnPos::Noun)[0];
-        // 100 + 50 + 10 + 5 + 40
-        assert_eq!(wn.cumulative[entity.0 as usize], 205);
+        // The root's mass: 100 + 50 + 10 + 5 + 40; the writer's: 10 + 5.
         let writer = wn.synsets_of("writer", WnPos::Noun)[0];
-        assert_eq!(wn.cumulative[writer.0 as usize], 15);
+        assert_eq!(wn.information_content(writer), -(15.0f64 / 205.0).ln());
+        let place = wn.synsets_of("place", WnPos::Noun)[0];
+        assert_eq!(wn.information_content(place), -(40.0f64 / 205.0).ln());
+    }
+
+    #[test]
+    fn lookup_lowercases_the_word() {
+        let wn = tiny();
+        let writer = wn.synsets_of("writer", WnPos::Noun);
+        assert_eq!(wn.synsets_of("Writer", WnPos::Noun), writer);
+        assert_eq!(wn.synsets_of("AUTHOR", WnPos::Noun), writer);
+        assert!(wn.synsets_of("Wrïter", WnPos::Noun).is_empty());
     }
 
     #[test]

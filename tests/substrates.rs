@@ -59,20 +59,21 @@ fn generated_kb_satisfies_ontology_domains() {
     // builder both rely on this).
     let kb = generate(&KbConfig::tiny());
     let onto = Ontology::dbpedia();
-    for p in &onto.object_properties {
+    for (i, p) in onto.object_properties.iter().enumerate() {
+        let (domain, range) = onto.object_property_classes(i);
         let pred = Term::iri(relpat::rdf::vocab::dbont::iri(p.name));
         for t in kb.graph.triples_matching(None, Some(&pred), None) {
             let (Term::Iri(s), Term::Iri(o)) = (&t.subject, &t.object) else {
                 continue;
             };
             assert!(
-                kb.classes_of(s).any(|c| onto.is_subclass_of(c, p.domain)),
+                kb.is_instance_of(s, domain),
                 "{} violates domain of {}",
                 s.as_str(),
                 p.name
             );
             assert!(
-                kb.classes_of(o).any(|c| onto.is_subclass_of(c, p.range)),
+                kb.is_instance_of(o, range),
                 "{} violates range of {}",
                 o.as_str(),
                 p.name
