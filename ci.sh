@@ -48,6 +48,8 @@ echo "=== bench-diff: fresh x1/x12 trajectory vs committed BENCH_store_scaling.j
 # tier is not measured here and is skipped. The p50 ratios of this short
 # run are printed, not gated (`--threshold inf`): a 20-sample timing on a
 # shared machine against a 200-sample committed one is not a verdict.
+# Weighing each gap against the runs' quartile spread does not make it
+# one: whole runs shift (DESIGN.md §16, "Perf-regression sentinel").
 cargo run --release -q -p relpat-bench --bin repro-profile -- \
     --bench-json target/store_scaling_smoke.json --smoke
 cargo run --release -q -p relpat-bench --bin bench-diff -- --threshold inf \

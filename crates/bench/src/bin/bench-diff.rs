@@ -37,7 +37,10 @@ USAGE:
 
 OPTIONS:
     --threshold <ratio>   regression threshold on current/baseline p50 [default: 1.5];
-                          `inf` prints the ratios without gating on them
+                          `inf` prints the ratios without gating on them. A p50 past
+                          it regresses only if it also clears 0.5 us and, when both
+                          files hold p25_us/p75_us, its gap exceeds the sum of the
+                          two interquartile ranges
     --smoke               self-test: baseline vs itself must pass, baseline vs a
                           synthetic 2x slowdown and vs a changed work count must fail
     --help                print this help
@@ -95,7 +98,10 @@ fn main() -> ExitCode {
     print!("{}", report.render());
     if report.passes() {
         let timing = if threshold.is_finite() {
-            format!("within {threshold:.2}x of baseline (floor {NOISE_FLOOR_US} us)")
+            format!(
+                "within {threshold:.2}x of baseline or the runs' quartile spread \
+                 (floor {NOISE_FLOOR_US} us)"
+            )
         } else {
             "p50 ratios not gated".to_string()
         };

@@ -6,10 +6,15 @@
 //! run; CI keeps the committed baseline at the repo root. `bench-diff`
 //! loads both, matches benchmarks by `(tier factor, query name)`, and
 //! reports the p50 ratio `current / baseline` for each. A benchmark
-//! regresses when the ratio exceeds the threshold (default 1.5×) **and**
-//! the current p50 clears an absolute noise floor (default 0.5 µs) —
-//! sub-microsecond timings jitter by integer factors on shared CI
-//! machines, so a ratio alone would page on noise.
+//! regresses when the ratio exceeds the threshold (default 1.5×), the
+//! current p50 clears an absolute noise floor (default 0.5 µs) **and**,
+//! when both files carry quartiles (`p25_us`/`p75_us`), the p50 gap
+//! exceeds the sum of the two runs' interquartile ranges. A 2–5 µs store
+//! query on a shared machine can read twice as slow from one run to the
+//! next (a bimodal run moves its median between modes), so a ratio and a
+//! fixed floor alone page on noise; the spread each run measured is what
+//! a gap must clear. A file without quartiles keeps the ratio-and-floor
+//! rule.
 //!
 //! Work counts are deterministic, so they are compared exactly: a
 //! benchmark whose `rows_scanned` or `rows_scanned_nested` differs from
@@ -43,6 +48,9 @@ pub struct BenchPoint {
     pub name: String,
     /// Median latency in microseconds.
     pub p50_us: f64,
+    /// Interquartile range `p75_us - p25_us` in microseconds, when the
+    /// file records quartiles.
+    pub iqr_us: Option<f64>,
     /// Rows the planner's operators scan.
     pub rows_scanned: u64,
     /// Rows the nested-loop baseline scans.
@@ -160,10 +168,16 @@ pub fn extract_points(doc: &Json) -> Result<Vec<BenchPoint>, String> {
                     .and_then(Json::as_u64)
                     .ok_or_else(|| format!("tier[{ti}].queries[{qi}] missing {key}"))
             };
+            let quartile = |key: &str| q.get(key).and_then(Json::as_f64);
+            let iqr_us = match (quartile("p25_us"), quartile("p75_us")) {
+                (Some(p25), Some(p75)) => Some(p75 - p25),
+                _ => None,
+            };
             points.push(BenchPoint {
                 factor,
                 name: name.to_string(),
                 p50_us,
+                iqr_us,
                 rows_scanned: count("rows_scanned")?,
                 rows_scanned_nested: count("rows_scanned_nested")?,
             });
@@ -181,8 +195,20 @@ pub fn parse_trajectory(text: &str) -> Result<Vec<BenchPoint>, String> {
     extract_points(&doc)
 }
 
+/// Whether `current`'s p50 regressed from `baseline`'s: the ratio exceeds
+/// `threshold`, the current p50 clears [`NOISE_FLOOR_US`], and, when both
+/// carry quartiles, the gap exceeds the sum of their interquartile ranges.
+fn regressed(baseline: &BenchPoint, current: &BenchPoint, ratio: f64, threshold: f64) -> bool {
+    let outside_spread = match (baseline.iqr_us, current.iqr_us) {
+        (Some(b), Some(c)) => current.p50_us - baseline.p50_us > b + c,
+        _ => true,
+    };
+    ratio > threshold && current.p50_us > NOISE_FLOOR_US && outside_spread
+}
+
 /// Diffs `current` against `baseline` at `threshold` (ratio) with the
-/// [`NOISE_FLOOR_US`] absolute guard, comparing work counts exactly.
+/// [`NOISE_FLOOR_US`] absolute guard and, where both files carry quartiles,
+/// the interquartile-range guard; work counts are compared exactly.
 /// Baseline tiers absent from `current` are skipped.
 pub fn diff(baseline: &[BenchPoint], current: &[BenchPoint], threshold: f64) -> DiffReport {
     let mut report = DiffReport::default();
@@ -202,7 +228,7 @@ pub fn diff(baseline: &[BenchPoint], current: &[BenchPoint], threshold: f64) -> 
                 } else {
                     1.0
                 };
-                let regressed = ratio > threshold && c.p50_us > NOISE_FLOOR_US;
+                let regressed = regressed(b, c, ratio, threshold);
                 let work = |p: &BenchPoint| (p.rows_scanned, p.rows_scanned_nested);
                 report.rows.push(DiffRow {
                     factor: b.factor,
@@ -225,10 +251,18 @@ pub fn diff(baseline: &[BenchPoint], current: &[BenchPoint], threshold: f64) -> 
     report
 }
 
-/// Synthesizes a uniformly `scale`×-slower copy of `points` — used by the
-/// `--smoke` self-test to prove the gate fires on a real regression.
+/// Synthesizes a uniformly `scale`×-slower copy of `points`, spread
+/// included — used by the `--smoke` self-test to prove the gate fires on a
+/// real regression.
 pub fn scale_points(points: &[BenchPoint], scale: f64) -> Vec<BenchPoint> {
-    points.iter().map(|p| BenchPoint { p50_us: p.p50_us * scale, ..p.clone() }).collect()
+    points
+        .iter()
+        .map(|p| BenchPoint {
+            p50_us: p.p50_us * scale,
+            iqr_us: p.iqr_us.map(|iqr| iqr * scale),
+            ..p.clone()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -236,7 +270,18 @@ mod tests {
     use super::*;
 
     fn point(factor: u64, name: &str, p50_us: f64) -> BenchPoint {
-        BenchPoint { factor, name: name.to_string(), p50_us, rows_scanned: 3, rows_scanned_nested: 40 }
+        BenchPoint {
+            factor,
+            name: name.to_string(),
+            p50_us,
+            iqr_us: None,
+            rows_scanned: 3,
+            rows_scanned_nested: 40,
+        }
+    }
+
+    fn quartiles(factor: u64, name: &str, [p25, p50, p75]: [f64; 3]) -> BenchPoint {
+        BenchPoint { iqr_us: Some(p75 - p25), ..point(factor, name, p50) }
     }
 
     #[test]
@@ -269,6 +314,61 @@ mod tests {
         // Once it clears the floor, the ratio counts.
         let cur = vec![point(1, "tiny", 0.6)];
         assert!(!diff(&base, &cur, DEFAULT_THRESHOLD).passes());
+    }
+
+    #[test]
+    fn found_noise_triples_pass_against_each_other() {
+        // Three runs of one unchanged build read `ask` at ×12 at 2.62 / 5.28
+        // / 2.63 µs and `subject_lookup` at 3.01 / 4.88 / 4.84 µs, with 200
+        // single-shot samples that split between a ≈2.6 µs and a ≈5 µs mode,
+        // and the fixed 0.5 µs floor flagged them. Those runs recorded p50s
+        // only; the quartiles here are those of runs split between the two
+        // modes, where a median may land in either one.
+        let run = |ask: [f64; 3], lookup: [f64; 3]| {
+            [quartiles(12, "ask", ask), quartiles(12, "subject_lookup", lookup)]
+        };
+        let runs = [
+            run([2.55, 2.62, 5.1], [2.9, 3.01, 4.9]),
+            run([2.6, 5.28, 5.4], [2.95, 4.88, 5.0]),
+            run([2.56, 2.63, 5.2], [2.98, 4.84, 4.95]),
+        ];
+        for a in &runs {
+            for b in &runs {
+                assert!(
+                    diff(a, b, f64::INFINITY).passes(),
+                    "work counts are equal, so only a timing could fail"
+                );
+                let report = diff(a, b, DEFAULT_THRESHOLD);
+                assert!(report.passes(), "{}", report.render());
+            }
+        }
+        // Without quartiles the same p50s fall back to the ratio-and-floor
+        // rule, which flags the 2.62 → 5.28 µs pair.
+        let strip = |run: &[BenchPoint; 2]| -> Vec<BenchPoint> {
+            run.iter().map(|p| BenchPoint { iqr_us: None, ..p.clone() }).collect()
+        };
+        assert!(!diff(&strip(&runs[0]), &strip(&runs[1]), DEFAULT_THRESHOLD).passes());
+    }
+
+    #[test]
+    fn a_gap_past_both_spreads_regresses() {
+        // Measured on one 2-vCPU VM: the ×12 `ask` of two full runs of one
+        // build, 200 samples each. The whole run shifted (every ×1 query
+        // read about 1.5× slower), so the quartiles are tight and the gap
+        // still reads as a regression: the rule weighs spread within a run,
+        // not between runs.
+        let fast = vec![quartiles(12, "ask", [2.47, 2.51, 2.6])];
+        let slow = vec![quartiles(12, "ask", [4.27, 4.31, 4.35])];
+        assert!(!diff(&fast, &slow, DEFAULT_THRESHOLD).passes());
+        assert!(diff(&slow, &fast, DEFAULT_THRESHOLD).passes(), "faster never regresses");
+        // A 2× slowdown of the spread as well as the median is a regression
+        // whenever the median exceeds three interquartile ranges.
+        let base = vec![quartiles(1, "agg_join", [80.0, 86.7, 95.0])];
+        let report = diff(&base, &scale_points(&base, 2.0), DEFAULT_THRESHOLD);
+        assert_eq!(report.regressions().count(), 1, "{}", report.render());
+        // A quartile on one side only falls back to the floor rule.
+        let lone = vec![point(1, "agg_join", 86.7)];
+        assert!(!diff(&lone, &scale_points(&base, 2.0), DEFAULT_THRESHOLD).passes());
     }
 
     #[test]
@@ -325,6 +425,10 @@ mod tests {
                          "rows_scanned_nested":40,"samples":200}]}]}"#;
         let points = parse_trajectory(text).unwrap();
         assert_eq!(points, vec![point(1, "spo_probe", 2.25)]);
+        let with_quartiles =
+            text.replace("\"p50_us\":2.25", "\"p25_us\":2.0,\"p50_us\":2.25,\"p75_us\":2.5");
+        let points = parse_trajectory(&with_quartiles).unwrap();
+        assert_eq!(points, vec![quartiles(1, "spo_probe", [2.0, 2.25, 2.5])]);
     }
 
     #[test]

@@ -83,7 +83,11 @@ pub const SMOKE_TIERS: &[usize] = &[1, 12];
 #[derive(Debug)]
 pub struct QueryStats {
     pub name: &'static str,
+    /// Quartiles of the planner's runs: the spread `bench-diff` weighs a
+    /// p50 gap against.
+    pub p25_us: f64,
     pub p50_us: f64,
+    pub p75_us: f64,
     pub p99_us: f64,
     pub p50_nested_us: f64,
     pub rows_scanned: u64,
@@ -148,7 +152,9 @@ pub fn measure_tier(factor: usize, samples: usize) -> TierReport {
             assert_eq!(fast, slow, "{name}: sorted operators must not change results");
             QueryStats {
                 name,
+                p25_us: percentile(&us, 25.0),
                 p50_us: percentile(&us, 50.0),
+                p75_us: percentile(&us, 75.0),
                 p99_us: percentile(&us, 99.0),
                 p50_nested_us: percentile(&nested_us, 50.0),
                 rows_scanned: fast_trace.rows_scanned(),
@@ -178,7 +184,9 @@ pub fn reports_to_json(reports: &[TierReport]) -> Json {
                 .map(|q| {
                     Json::obj()
                         .set("name", q.name)
+                        .set("p25_us", round2(q.p25_us))
                         .set("p50_us", round2(q.p50_us))
+                        .set("p75_us", round2(q.p75_us))
                         .set("p99_us", round2(q.p99_us))
                         .set("p50_nested_us", round2(q.p50_nested_us))
                         .set("rows_scanned", q.rows_scanned)
@@ -226,6 +234,7 @@ mod tests {
         assert!(report.triples > 9_000, "paper-scale KB is ~9.6k triples");
         assert_eq!(report.queries.len(), QUERIES.len());
         for q in &report.queries {
+            assert!(q.p25_us <= q.p50_us && q.p50_us <= q.p75_us, "{}: quartiles in order", q.name);
             assert!(q.p50_us <= q.p99_us, "{}: p50 must not exceed p99", q.name);
             assert!(
                 q.rows_scanned <= q.rows_scanned_nested,
@@ -250,8 +259,8 @@ mod tests {
         }
         let json = reports_to_json(&[report]).to_pretty();
         for key in
-            ["store_scaling", "paper_join", "merge_join", "chain_join", "agg_join", "p99_us",
-             "build_ms", "p50_nested_us", "rows_scanned_nested"]
+            ["store_scaling", "paper_join", "merge_join", "chain_join", "agg_join", "p25_us",
+             "p75_us", "p99_us", "build_ms", "p50_nested_us", "rows_scanned_nested"]
         {
             assert!(json.contains(key), "JSON missing {key}");
         }

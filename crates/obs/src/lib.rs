@@ -71,7 +71,7 @@ pub use metrics::{
     global, render_prometheus, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use plan::{JoinAlgo, PlanStep, PlanTrace, QueryPlan};
+pub use plan::{FilterStep, JoinAlgo, PlanStep, PlanTrace, QueryPlan};
 pub use prof::{profiler, ProfileSnapshot, Profiler, TagId};
 pub use rng::Rng;
 pub use slo::{BurnReport, SloConfig, SloMonitor, SloObjective};

@@ -92,6 +92,27 @@ impl PlanStep {
     }
 }
 
+/// What a query's FILTERs did, summed over every FILTER node it ran (a
+/// FILTER inside OPTIONAL runs once per left row).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FilterStep {
+    /// Rows the FILTERs were evaluated on.
+    pub rows_in: usize,
+    /// Rows they kept.
+    pub rows_out: usize,
+    /// Wall-clock time spent filtering, in nanoseconds.
+    pub nanos: u64,
+}
+
+impl FilterStep {
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("rows_in", self.rows_in)
+            .set("rows_out", self.rows_out)
+            .set("nanos", self.nanos)
+    }
+}
+
 /// The full plan trace of one query execution.
 ///
 /// A cache hit produces an empty-steps trace with `cache_hit: true` — the
@@ -107,6 +128,12 @@ pub struct PlanTrace {
     /// Join steps whose actual scan cost diverged from the planner's score
     /// past the misestimation threshold.
     pub misestimates: u64,
+    /// The FILTERs' work, `None` when the query ran none.
+    pub filter: Option<FilterStep>,
+    /// Wall-clock nanoseconds from the bindings to the result: ORDER BY,
+    /// projection (or COUNT), DISTINCT and the OFFSET/LIMIT copy. Zero for
+    /// ASK, which projects nothing.
+    pub projection_nanos: u64,
 }
 
 impl PlanTrace {
@@ -122,9 +149,12 @@ impl PlanTrace {
             .set("misestimates", self.misestimates)
             .set("rows_scanned", self.rows_scanned())
             .set("steps", Json::Arr(self.steps.iter().map(PlanStep::to_json).collect()))
+            .set("filter", self.filter.as_ref().map_or(Json::Null, FilterStep::to_json))
+            .set("projection_nanos", self.projection_nanos)
     }
 
-    /// Stable human-readable rendering. Deliberately excludes `nanos` so
+    /// Stable human-readable rendering, with a filter line only when a
+    /// FILTER ran. Deliberately excludes `nanos` so
     /// the output of a fixed query on a fixed graph is byte-stable (the
     /// explain golden test locks this format).
     pub fn render(&self) -> String {
@@ -156,6 +186,9 @@ impl PlanTrace {
                 s.join_algo.as_str(),
                 if s.limit_pushdown { " [pushdown]" } else { "" },
             );
+        }
+        if let Some(f) = &self.filter {
+            let _ = writeln!(out, "  filter: in={} out={}", f.rows_in, f.rows_out);
         }
         out
     }
@@ -211,6 +244,8 @@ mod tests {
             ],
             cache_hit: false,
             misestimates: 0,
+            filter: None,
+            projection_nanos: 890,
         }
     }
 
@@ -242,6 +277,22 @@ mod tests {
              \x20 #1 ?x <t> <B> .  est=3 score=0.30 scanned=2 emitted=2 algo=merge [pushdown]\n"
         );
         assert!(!text.contains("1234"), "nanos must not leak into the stable rendering");
+    }
+
+    #[test]
+    fn filter_line_renders_only_when_a_filter_ran() {
+        let filtered = PlanTrace {
+            filter: Some(FilterStep { rows_in: 2, rows_out: 1, nanos: 4321 }),
+            ..sample()
+        };
+        let text = filtered.render();
+        assert_eq!(text, sample().render() + "  filter: in=2 out=1\n");
+        assert!(!text.contains("4321"), "nanos must not leak into the stable rendering");
+        let json = filtered.to_json().to_string();
+        let filter = "\"filter\":{\"rows_in\":2,\"rows_out\":1,\"nanos\":4321}";
+        assert!(json.contains(filter), "{json}");
+        assert!(json.contains("\"projection_nanos\":890"), "{json}");
+        assert!(sample().to_json().to_string().contains("\"filter\":null"));
     }
 
     #[test]

@@ -460,8 +460,7 @@ mod tests {
                     nanos: 99,
                     limit_pushdown: false,
                 }],
-                cache_hit: false,
-                misestimates: 0,
+                ..PlanTrace::default()
             },
         });
         let text = explained.render();

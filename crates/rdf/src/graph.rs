@@ -83,6 +83,10 @@ fn permute(perm: usize, s: u32, p: u32, o: u32) -> [u32; 3] {
     }
 }
 
+/// Where each SPO position (subject, predicate, object) sits in an entry of
+/// each permutation: `LAYOUT[perm][pos]` indexes the permuted key.
+const LAYOUT: [[usize; 3]; 4] = [[0, 1, 2], [2, 0, 1], [1, 2, 0], [1, 0, 2]];
+
 /// Recovers the SPO reading of a permuted key.
 #[inline]
 fn unpermute(perm: usize, k: [u32; 3]) -> IdTriple {
@@ -158,9 +162,14 @@ fn prefix_bounds(index: &[[u32; 3]], key: [u32; 3], len: usize) -> (usize, usize
     (lo, hi)
 }
 
+/// Entries [`gallop`] tests one by one before it starts doubling.
+const NEAR: usize = 8;
+
 /// The first position at or after `from` whose entry fails `pred`, given
-/// that `pred` holds on a prefix of `index[from..]` and fails on the rest:
-/// an exponential search that doubles its step from `from` until it
+/// that `pred` holds on a prefix of `index[from..]` and fails on the rest.
+/// A merge probing ascending keys mostly finds its answer at `from` or a
+/// few entries on, and most ranges are short, so the first [`NEAR`] entries
+/// are tested in order; past them the search doubles its step until it
 /// overshoots, then binary-searches the last window. Costs O(log d)
 /// comparisons for an answer `d` entries past `from`, all of them near
 /// `from`, where a `partition_point` over the whole tail costs O(log n)
@@ -168,6 +177,12 @@ fn prefix_bounds(index: &[[u32; 3]], key: [u32; 3], len: usize) -> (usize, usize
 #[inline]
 fn gallop(index: &[[u32; 3]], from: usize, pred: impl Fn(&[u32; 3]) -> bool) -> usize {
     let mut base = from;
+    for entry in &index[from..(from + NEAR).min(index.len())] {
+        if !pred(entry) {
+            return base;
+        }
+        base += 1;
+    }
     let mut step = 1;
     // Invariant: `pred` holds on every entry of `index[from..base]`.
     while base + step <= index.len() && pred(&index[base + step - 1]) {
@@ -478,6 +493,22 @@ pub struct ScanIter<'a> {
     slice: std::slice::Iter<'a, [u32; 3]>,
 }
 
+impl<'a> ScanIter<'a> {
+    /// The entries still to come, permuted: read each through
+    /// [`ScanIter::layout`] instead of yielding it reordered.
+    #[inline]
+    pub fn entries(&self) -> &'a [[u32; 3]] {
+        self.slice.as_slice()
+    }
+
+    /// Where each SPO position sits in one of [`ScanIter::entries`]
+    /// (as [`FrozenProbe::layout`]).
+    #[inline]
+    pub fn layout(&self) -> [usize; 3] {
+        LAYOUT[self.perm]
+    }
+}
+
 impl Iterator for ScanIter<'_> {
     type Item = IdTriple;
 
@@ -538,23 +569,45 @@ impl FrozenProbe<'_> {
     /// as `from` (or 0). Both bounds are exponential searches: the lower one
     /// doubles its step from `from`, the upper one from `lo`, so a key whose
     /// range starts `d` entries on and spans `r` costs O(log d + log r)
-    /// comparisons, none of them far from `from`.
+    /// comparisons, none of them far from `from`. Each prefix length has its
+    /// own comparison: one component, two packed into one `u64`, or the
+    /// whole entry.
     #[inline]
     pub fn bounds_from(&self, from: usize, key: [u32; 3]) -> (usize, usize) {
-        let len = self.prefix_len;
-        if len == 0 {
-            return (0, self.index.len());
+        let index = self.index;
+        match self.prefix_len {
+            0 => (0, index.len()),
+            1 => {
+                let k = key[0];
+                let lo = gallop(index, from, |t| t[0] < k);
+                (lo, gallop(index, lo, |t| t[0] == k))
+            }
+            2 => {
+                let pack = |t: &[u32; 3]| u64::from(t[0]) << 32 | u64::from(t[1]);
+                let k = pack(&key);
+                let lo = gallop(index, from, |t| pack(t) < k);
+                (lo, gallop(index, lo, |t| pack(t) == k))
+            }
+            _ => {
+                let lo = gallop(index, from, |t| *t < key);
+                (lo, gallop(index, lo, |t| *t == key))
+            }
         }
-        // Entries compare as one masked integer each: the first `len`
-        // components in lexicographic order, the rest zeroed.
-        let mask = u128::MAX << (32 * (3 - len));
-        let packed = |t: &[u32; 3]| {
-            (u128::from(t[0]) << 64 | u128::from(t[1]) << 32 | u128::from(t[2])) & mask
-        };
-        let prefix = packed(&key);
-        let lo = gallop(self.index, from, |t| packed(t) < prefix);
-        let hi = gallop(self.index, lo, |t| packed(t) == prefix);
-        (lo, hi)
+    }
+
+    /// Where each SPO position sits in one of [`FrozenProbe::entries`]'
+    /// permuted entries: `entry[layout()[0]]` is its subject, and so on.
+    #[inline]
+    pub fn layout(&self) -> [usize; 3] {
+        LAYOUT[self.perm]
+    }
+
+    /// The permuted entries `lo..hi`, read through [`FrozenProbe::layout`]:
+    /// a range of [`FrozenProbe::bounds_from`] without a per-entry
+    /// [`FrozenProbe::triple`] reordering.
+    #[inline]
+    pub fn entries(&self, lo: usize, hi: usize) -> &[[u32; 3]] {
+        &self.index[lo..hi]
     }
 
     /// The SPO reading of index entry `i`.
@@ -809,6 +862,11 @@ mod tests {
             };
             let via_probe =
                 |(lo, hi): (usize, usize)| (lo..hi).map(|i| probe.triple(i)).collect::<Vec<_>>();
+            let [s, p, o] = probe.layout();
+            let via_entries = |(lo, hi): (usize, usize)| {
+                let read = |e: &[u32; 3]| (TermId(e[s]), TermId(e[p]), TermId(e[o]));
+                probe.entries(lo, hi).iter().map(read).collect::<Vec<_>>()
+            };
             // Every distinct key in ascending order, from the previous hi
             // and from 0; the via-slice entries must match the key.
             let mut keys: Vec<[u32; 3]> = index.iter().map(padded).collect();
@@ -823,6 +881,7 @@ mod tests {
                 assert_eq!(probe.key(pattern(key)), key, "{shape:?}: key round trip");
                 let scanned: Vec<IdTriple> = g.scan_iter(pattern(key)).collect();
                 assert_eq!(via_probe((lo, hi)), scanned, "{shape:?} {key:?}: range vs scan_iter");
+                assert_eq!(via_entries((lo, hi)), scanned, "{shape:?} {key:?}: entries vs scan");
                 longest = longest.max(hi - lo);
                 from = hi;
             }
@@ -870,6 +929,11 @@ mod tests {
         for &pat in &all_shapes(snow, writer, pamuk) {
             let streamed: Vec<IdTriple> = g.scan_iter(pat).collect();
             assert_eq!(streamed, g.scan(pat));
+            let iter = g.scan_iter(pat);
+            let [s, p, o] = iter.layout();
+            let read: Vec<IdTriple> =
+                iter.entries().iter().map(|e| (TermId(e[s]), TermId(e[p]), TermId(e[o]))).collect();
+            assert_eq!(read, streamed, "entries through the layout, {pat:?}");
         }
     }
 }

@@ -4,8 +4,13 @@
 //! [`GraphPattern`] against a concrete [`Graph`] into an [`Algebra`] tree
 //! (spargebra-style separation: Bgp / Union / LeftJoin / Filter / Slice)
 //! whose BGP leaves carry the planner's decisions — join order, index
-//! estimates, selectivity scores and the join operator per step. The
-//! executor ([`crate::execute`]) interprets this tree; it never re-plans.
+//! estimates, selectivity scores and the join operator per step — and each
+//! step resolved once: its concrete terms as graph ids, each variable
+//! position's binding-row column, and whether a concrete term is missing
+//! from the graph (a dead step). The planner resolves and estimates every
+//! pattern once; a greedy round only recounts its bound variables. The
+//! executor ([`crate::execute`]) interprets this tree; it never re-plans,
+//! and never looks a term or a variable name up again.
 //!
 //! ## Operator selection
 //!
@@ -48,19 +53,28 @@
 
 use std::cmp::Ordering;
 
-use relpat_obs::fx::FxHashMap;
 use relpat_obs::JoinAlgo;
-use relpat_rdf::{sort_major_position, Graph, IdPattern, Term, TermId, TermValue};
+use relpat_rdf::{sort_major_position, Graph, IdPattern, Term, TermValue};
 
 use crate::ast::{ArithOp, CmpOp, Expr, GraphPattern, Query, TriplePattern};
 
-/// One planner-annotated join step of a BGP, in execution order.
+/// One planner-annotated join step of a BGP, in execution order, resolved
+/// against the graph and the binding-row layout once: the executor reads
+/// its ids and columns and never looks a term or a variable name up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedStep {
     /// Index of the pattern in the source BGP (source order).
     pub pattern_index: usize,
     /// The triple pattern itself.
     pub pattern: TriplePattern,
+    /// The pattern's concrete positions as graph ids; variables stay `None`.
+    pub ids: IdPattern,
+    /// The binding-row column of each variable position (subject,
+    /// predicate, object); `None` at a concrete position.
+    pub columns: [Option<usize>; 3],
+    /// A concrete term does not occur in the graph: the step matches
+    /// nothing.
+    pub dead: bool,
     /// Exact index estimate at choice time (`graph.estimate()` over the
     /// pattern's concrete positions).
     pub estimate: usize,
@@ -118,10 +132,11 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Binds `expr` to the row layout `columns` (variable name → column).
-    pub fn bind(expr: &Expr, columns: &FxHashMap<&str, usize>) -> BoundExpr {
-        let bind = |e: &Expr| Box::new(BoundExpr::bind(e, columns));
-        let column = |v: &String| columns.get(v.as_str()).copied();
+    /// Binds `expr` to the row layout `variables` (column `i` holds
+    /// `variables[i]`).
+    pub fn bind(expr: &Expr, variables: &[String]) -> BoundExpr {
+        let bind = |e: &Expr| Box::new(BoundExpr::bind(e, variables));
+        let column = |v: &String| column(variables, v);
         match expr {
             Expr::Var(v) => column(v).map_or(BoundExpr::Unbindable, BoundExpr::Col),
             Expr::Const(term) => BoundExpr::Const(term.clone(), TermValue::of(term)),
@@ -177,19 +192,22 @@ pub fn lower_pattern(
     opts: LowerOpts,
 ) -> PlannedPattern {
     let variables = pattern.variables();
-    let var_index: FxHashMap<&str, usize> =
-        variables.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
-    let mut root = lower_group(graph, pattern, &var_index, true, opts);
+    let mut root = lower_group(graph, pattern, &variables, true, opts);
     if let Some(limit) = limit {
         root = Algebra::Slice { input: Box::new(root), limit };
     }
     PlannedPattern { root, variables }
 }
 
+/// The column of variable `v` in the row layout `variables`.
+fn column(variables: &[String], v: &str) -> Option<usize> {
+    variables.iter().position(|x| x == v)
+}
+
 fn lower_group(
     graph: &Graph,
     gp: &GraphPattern,
-    var_index: &FxHashMap<&str, usize>,
+    variables: &[String],
     top_level: bool,
     opts: LowerOpts,
 ) -> Algebra {
@@ -200,89 +218,119 @@ fn lower_group(
     // lowering does not model — possibly non-uniform after a left join —
     // and stay on the nested fallback.
     let sorted_aware = top_level && !opts.force_nested;
-    let mut node = Algebra::Bgp(plan_bgp(graph, &gp.triples, var_index, sorted_aware));
+    let mut node = Algebra::Bgp(plan_bgp(graph, &gp.triples, variables, sorted_aware));
     for alternatives in &gp.unions {
         node = Algebra::Union {
             input: Box::new(node),
             alternatives: alternatives
                 .iter()
-                .map(|alt| lower_group(graph, alt, var_index, false, opts))
+                .map(|alt| lower_group(graph, alt, variables, false, opts))
                 .collect(),
         };
     }
     for opt in &gp.optionals {
         node = Algebra::LeftJoin {
             input: Box::new(node),
-            right: Box::new(lower_group(graph, opt, var_index, false, opts)),
+            right: Box::new(lower_group(graph, opt, variables, false, opts)),
         };
     }
     if !gp.filters.is_empty() {
-        let exprs = gp.filters.iter().map(|f| BoundExpr::bind(f, var_index)).collect();
+        let exprs = gp.filters.iter().map(|f| BoundExpr::bind(f, variables)).collect();
         node = Algebra::Filter { input: Box::new(node), exprs };
     }
     node
 }
 
-/// What the planner knows about one candidate pattern at choice time.
-struct Scored {
-    score: f64,
-    estimate: usize,
-    /// The pattern's concrete positions as ids (variables stay `None`).
-    id_pattern: IdPattern,
-    /// A concrete term does not occur in the graph: matches nothing.
-    dead: bool,
+/// Resolves a pattern against the graph and the row layout: its concrete
+/// ids, each variable position's column, and whether it is dead.
+fn resolve(
+    graph: &Graph,
+    tp: &TriplePattern,
+    variables: &[String],
+) -> (IdPattern, [Option<usize>; 3], bool) {
+    let mut ids = [None; 3];
+    let mut columns = [None; 3];
+    let mut dead = false;
+    for (pos, term) in [&tp.subject, &tp.predicate, &tp.object].into_iter().enumerate() {
+        match term {
+            Term::Variable(v) => columns[pos] = column(variables, v),
+            concrete => match graph.term_id(concrete) {
+                Some(id) => ids[pos] = Some(id),
+                None => dead = true,
+            },
+        }
+    }
+    let [subject, predicate, object] = ids;
+    (IdPattern { subject, predicate, object }, columns, dead)
 }
 
 /// Greedy join ordering: repeatedly pick the pattern with the fewest
 /// estimated matches, treating variables already bound by chosen patterns
-/// as bound positions. When `sorted_aware`, annotate each step with the
-/// merge/gallop operator per the module-level selection rule; otherwise
-/// every step stays nested.
+/// as bound positions. Each pattern is resolved and estimated once; a
+/// round only recounts its bound positions. When `sorted_aware`, annotate
+/// each step with the merge/gallop operator per the module-level selection
+/// rule; otherwise every step stays nested.
 pub(crate) fn plan_bgp(
     graph: &Graph,
     triples: &[TriplePattern],
-    var_index: &FxHashMap<&str, usize>,
+    variables: &[String],
     sorted_aware: bool,
 ) -> Vec<PlannedStep> {
-    let n = triples.len();
-    let mut chosen: Vec<PlannedStep> = Vec::with_capacity(n);
-    let mut bound_vars = vec![false; var_index.len()];
-    let mut remaining: Vec<usize> = (0..n).collect();
+    let mut candidates: Vec<PlannedStep> = triples
+        .iter()
+        .enumerate()
+        .map(|(pattern_index, tp)| {
+            let (ids, columns, dead) = resolve(graph, tp, variables);
+            PlannedStep {
+                pattern_index,
+                pattern: tp.clone(),
+                ids,
+                columns,
+                dead,
+                // A dead pattern matches nothing: it scores 0 and runs first
+                // to prune immediately.
+                estimate: if dead { 0 } else { graph.estimate(ids) },
+                score: 0.0,
+                algo: JoinAlgo::Nested,
+            }
+        })
+        .collect();
+    let mut chosen: Vec<PlannedStep> = Vec::with_capacity(candidates.len());
+    let mut bound_vars = vec![false; variables.len()];
     // The variable the binding stream is sorted by (established by the
     // first step's scan order, preserved by every order-preserving step).
     let mut sorted_var: Option<usize> = None;
 
-    while !remaining.is_empty() {
-        let (best_pos, best) = remaining
+    while !candidates.is_empty() {
+        // Bound variables divide the estimate, each roughly one order of
+        // magnitude; unbound variables keep it unchanged.
+        let score = |step: &PlannedStep| {
+            let bound = step.columns.iter().flatten().filter(|&&c| bound_vars[c]).count();
+            step.estimate as f64 / 10f64.powi(bound as i32)
+        };
+        let (best_pos, best_score) = candidates
             .iter()
+            .map(score)
             .enumerate()
-            .map(|(pos, &idx)| (pos, score_pattern(graph, &triples[idx], &bound_vars, var_index)))
-            .min_by(|(_, a), (_, b)| a.score.partial_cmp(&b.score).unwrap_or(Ordering::Equal))
-            .expect("remaining is non-empty");
-        let idx = remaining.swap_remove(best_pos);
-        let tp = &triples[idx];
+            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(Ordering::Equal))
+            .expect("candidates is non-empty");
+        let mut step = candidates.swap_remove(best_pos);
+        step.score = best_score;
 
-        let algo = if !sorted_aware || best.dead {
+        step.algo = if !sorted_aware || step.dead {
             JoinAlgo::Nested
         } else if chosen.is_empty() {
             // First step: one scan for the single initial row. Record what
             // the emitted rows will be sorted by.
-            if let Some(pos) = sort_major_position(best.id_pattern) {
-                let term = [&tp.subject, &tp.predicate, &tp.object][pos];
-                if let Term::Variable(v) = term {
-                    sorted_var = var_index.get(v.as_str()).copied();
-                }
+            if let Some(pos) = sort_major_position(step.ids) {
+                sorted_var = step.columns[pos];
             }
             JoinAlgo::Nested
         } else {
             let mut bound_in_binding: Vec<usize> = Vec::new();
-            for term in [&tp.subject, &tp.predicate, &tp.object] {
-                if let Term::Variable(v) = term {
-                    if let Some(&i) = var_index.get(v.as_str()) {
-                        if bound_vars[i] && !bound_in_binding.contains(&i) {
-                            bound_in_binding.push(i);
-                        }
-                    }
+            for &c in step.columns.iter().flatten() {
+                if bound_vars[c] && !bound_in_binding.contains(&c) {
+                    bound_in_binding.push(c);
                 }
             }
             match bound_in_binding.as_slice() {
@@ -291,66 +339,12 @@ pub(crate) fn plan_bgp(
             }
         };
 
-        for term in [&tp.subject, &tp.predicate, &tp.object] {
-            if let Term::Variable(v) = term {
-                if let Some(&i) = var_index.get(v.as_str()) {
-                    bound_vars[i] = true;
-                }
-            }
+        for &c in step.columns.iter().flatten() {
+            bound_vars[c] = true;
         }
-        chosen.push(PlannedStep {
-            pattern_index: idx,
-            pattern: tp.clone(),
-            estimate: best.estimate,
-            score: best.score,
-            algo,
-        });
+        chosen.push(step);
     }
     chosen
-}
-
-/// Cost estimate for one pattern given the set of already-bound variables.
-/// Concrete positions contribute to an index estimate; bound variables
-/// divide the estimate (each roughly one order of magnitude); unbound
-/// variables keep it unchanged.
-fn score_pattern(
-    graph: &Graph,
-    tp: &TriplePattern,
-    bound_vars: &[bool],
-    var_index: &FxHashMap<&str, usize>,
-) -> Scored {
-    let mut id_pattern = IdPattern { subject: None, predicate: None, object: None };
-    let mut bound_var_positions = 0u32;
-    let mut dead = false;
-    {
-        let mut fill = |term: &Term, slot: &mut Option<TermId>| match term {
-            Term::Variable(v) => {
-                if var_index.get(v.as_str()).is_some_and(|&i| bound_vars[i]) {
-                    bound_var_positions += 1;
-                }
-            }
-            concrete => match graph.term_id(concrete) {
-                Some(id) => *slot = Some(id),
-                None => dead = true,
-            },
-        };
-        // Borrow gymnastics: fill each slot separately.
-        let IdPattern { subject, predicate, object } = &mut id_pattern;
-        fill(&tp.subject, subject);
-        fill(&tp.predicate, predicate);
-        fill(&tp.object, object);
-    }
-    if dead {
-        // Matches nothing: evaluate first to prune immediately.
-        return Scored { score: 0.0, estimate: 0, id_pattern, dead };
-    }
-    let estimate = graph.estimate(id_pattern);
-    Scored {
-        score: estimate as f64 / 10f64.powi(bound_var_positions as i32),
-        estimate,
-        id_pattern,
-        dead,
-    }
 }
 
 #[cfg(test)]
@@ -373,8 +367,8 @@ mod tests {
         g.build()
     }
 
-    fn vi(vars: &[(&'static str, usize)]) -> FxHashMap<&'static str, usize> {
-        vars.iter().copied().collect()
+    fn vars(names: &[&str]) -> Vec<String> {
+        names.iter().map(|v| v.to_string()).collect()
     }
 
     #[test]
@@ -388,7 +382,7 @@ mod tests {
                 Term::iri(res::iri("Orhan Pamuk")),
             ),
         ];
-        let order = plan_bgp(&g, &tps, &vi(&[("x", 0), ("p", 1), ("o", 2)]), true);
+        let order = plan_bgp(&g, &tps, &vars(&["x", "p", "o"]), true);
         assert_eq!(order[0].pattern_index, 1, "selective pattern should run first");
         assert!(order[0].estimate > 0, "chosen step records the planner's index estimate");
         assert!(
@@ -410,11 +404,11 @@ mod tests {
                 Term::iri(res::iri("Orhan Pamuk")),
             ),
         ];
-        let order = plan_bgp(&g, &tps, &vi(&[("x", 0)]), true);
+        let order = plan_bgp(&g, &tps, &vars(&["x"]), true);
         assert_eq!(order[0].algo, JoinAlgo::Nested, "first step is always a plain scan");
         assert_eq!(order[1].algo, JoinAlgo::Merge);
         // With sorted-awareness off (the oracle), both steps stay nested.
-        let forced = plan_bgp(&g, &tps, &vi(&[("x", 0)]), false);
+        let forced = plan_bgp(&g, &tps, &vars(&["x"]), false);
         assert!(forced.iter().all(|s| s.algo == JoinAlgo::Nested));
     }
 
@@ -428,7 +422,7 @@ mod tests {
             TriplePattern::new(Term::var("b"), Term::iri(dbont::iri("writer")), Term::var("w")),
             TriplePattern::new(Term::var("b"), Term::iri(rdf::TYPE), Term::iri(dbont::iri("Book"))),
         ];
-        let order = plan_bgp(&g, &tps, &vi(&[("b", 0), ("w", 1)]), true);
+        let order = plan_bgp(&g, &tps, &vars(&["b", "w"]), true);
         // Both patterns estimate 3; tie keeps source order (writer first).
         assert_eq!(order[0].pattern_index, 0);
         assert_eq!(order[1].algo, JoinAlgo::Gallop, "join variable ?b is not sort-major");
@@ -442,7 +436,7 @@ mod tests {
             TriplePattern::new(Term::var("b"), Term::iri(dbont::iri("writer")), Term::var("w")),
             TriplePattern::new(Term::var("b"), Term::var("p"), Term::var("w")),
         ];
-        let order = plan_bgp(&g, &tps, &vi(&[("b", 0), ("w", 1), ("p", 2)]), true);
+        let order = plan_bgp(&g, &tps, &vars(&["b", "w", "p"]), true);
         let last = order.last().unwrap();
         assert_eq!(last.pattern_index, 2, "least selective pattern runs last");
         assert_eq!(last.algo, JoinAlgo::Gallop, "two bound variables cannot merge");

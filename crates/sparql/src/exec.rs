@@ -9,11 +9,21 @@
 //! row-at-a-time nested loop as fallback — stopping mid-join for
 //! bare-LIMIT/ASK queries → apply filters → ORDER BY (a sorted row-index
 //! permutation) → project → DISTINCT (hash dedup) → OFFSET/LIMIT → one
-//! slice copy of the kept ids into shared [`Rows`], which hold the graph's
-//! term table and resolve a cell only when it is read. Every step runs in
-//! id space; FILTER and ORDER BY expressions are bound once per query
-//! ([`BoundExpr`]), read each row's typed values from the graph's value
-//! column, and reach a term only through a borrowed [`Value`].
+//! copy of the kept cells into shared [`Rows`], which hold the graph's
+//! term table and resolve a cell only when it is read.
+//!
+//! The inner loops run on plain `u32` rows. A binding row is `width` cells
+//! in the result's own encoding (a graph id, or `UNBOUND`), so projection
+//! copies cells and never converts them. Steps arrive resolved
+//! ([`PlannedStep`]: concrete ids, each variable position's column, dead
+//! flag), so no join hashes a term or a variable name. A step writes each
+//! matching index entry straight from the permuted entry into a copy of
+//! its probe row; only a step whose pattern repeats a free variable checks
+//! entries first. FILTER and ORDER BY expressions are bound once per query
+//! ([`BoundExpr`]) and read each row's typed values from the graph's value
+//! column; a comparison of a column against a number or date constant
+//! compares those values directly, and everything else reaches a term only
+//! through a borrowed [`Value`].
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -23,10 +33,10 @@ use std::time::Instant;
 
 use relpat_rdf::{Graph, IdPattern, Term, TermId, TermValue};
 use relpat_obs::fx::{FxHashMap, FxHashSet};
-use relpat_obs::{JoinAlgo, PlanStep, PlanTrace};
+use relpat_obs::{FilterStep, JoinAlgo, PlanStep, PlanTrace};
 
 use crate::algebra::{lower_pattern, Algebra, BoundExpr, LowerOpts, PlannedStep};
-use crate::ast::{ArithOp, CmpOp, GraphPattern, Projection, Query, SelectQuery, TriplePattern};
+use crate::ast::{ArithOp, CmpOp, GraphPattern, Projection, Query, SelectQuery};
 use crate::error::SparqlError;
 use crate::results::{Rows, Solutions, UNBOUND};
 
@@ -152,7 +162,7 @@ pub fn query(graph: &Graph, text: &str) -> Result<QueryResult, SparqlError> {
 fn execute_select(
     graph: &Graph,
     sel: &SelectQuery,
-    trace: Option<&mut PlanTrace>,
+    mut trace: Option<&mut PlanTrace>,
     opts: LowerOpts,
 ) -> Result<Solutions, SparqlError> {
     // ORDER BY/OFFSET/LIMIT prevent early termination; only a bare LIMIT
@@ -167,8 +177,23 @@ fn execute_select(
         None
     };
     let Evaluated { variables: pattern_vars, table } =
-        evaluate_pattern(graph, &sel.pattern, early_stop, trace, opts)?;
+        evaluate_pattern(graph, &sel.pattern, early_stop, trace.as_deref_mut(), opts)?;
+    let started = trace.is_some().then(Instant::now);
+    let sols = project(graph, sel, pattern_vars, &table)?;
+    if let (Some(t), Some(started)) = (trace, started) {
+        t.projection_nanos = started.elapsed().as_nanos() as u64;
+    }
+    Ok(sols)
+}
 
+/// The solutions of `sel` over its evaluated bindings: COUNT, or ORDER BY,
+/// projection, DISTINCT and OFFSET/LIMIT, all on ids.
+fn project(
+    graph: &Graph,
+    sel: &SelectQuery,
+    pattern_vars: Vec<String>,
+    table: &IdTable,
+) -> Result<Solutions, SparqlError> {
     // Aggregate projection: COUNT collapses the solution sequence to one row,
     // which then passes through the same OFFSET/LIMIT window as any other
     // result. Runs entirely in id space — interning is injective, so
@@ -180,12 +205,15 @@ fn execute_select(
                 let Some(col) = pattern_vars.iter().position(|pv| pv == v) else {
                     return Err(SparqlError::eval(format!("COUNT of unknown variable ?{v}")));
                 };
-                let mut bound: Vec<TermId> = table.iter().filter_map(|r| r[col]).collect();
+                let bound = table.iter().map(|r| r[col]).filter(|&id| id != UNBOUND);
                 if *distinct {
-                    bound.sort_unstable();
-                    bound.dedup();
+                    let mut ids: Vec<u32> = bound.collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    ids.len()
+                } else {
+                    bound.count()
                 }
-                bound.len()
             }
         };
         let kept = window(sel, 1).len();
@@ -206,15 +234,14 @@ fn execute_select(
         .iter()
         .map(|v| pattern_vars.iter().position(|pv| pv == v))
         .collect();
+    let positions = positions.as_slice();
 
     // ORDER BY sorts a permutation of row indices, not rows: every key is
     // bound once, evaluated once per row into one flat buffer of borrowed
     // values, and the stable sort keeps equal keys in solution order.
     let order: Option<Vec<usize>> = (!sel.order_by.is_empty()).then(|| {
-        let columns: FxHashMap<&str, usize> =
-            pattern_vars.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
         let order_keys: Vec<BoundExpr> =
-            sel.order_by.iter().map(|k| BoundExpr::bind(&k.expr, &columns)).collect();
+            sel.order_by.iter().map(|k| BoundExpr::bind(&k.expr, &pattern_vars)).collect();
         let width = sel.order_by.len();
         let mut keys: Vec<Option<Value<'_>>> = Vec::with_capacity(table.len() * width);
         for row in table.iter() {
@@ -234,21 +261,30 @@ fn execute_select(
         order
     });
 
-    // Id-space projection in output order into the result's cell encoding:
-    // one `u32` per cell, unbound as `UNBOUND`; column ids, never terms.
+    // Id-space projection in output order into the result's cell encoding,
+    // which the binding rows already share: one `u32` per cell, unbound as
+    // `UNBOUND`, copied and never converted. The cells of `rows` are
+    // produced row by row, with no division per cell, as one exact-size
+    // iterator: the `Arc` it is collected into is sized before it is filled.
     let width = out_vars.len();
-    let cell = |i: usize, col: usize| {
-        let row = table.row(order.as_ref().map_or(i, |o| o[i]));
-        positions[col].and_then(|c| row[c]).map_or(UNBOUND, |t| t.0)
+    let cells = |rows: Range<usize>| {
+        let n = rows.len() * width;
+        let mut source = rows.map(|i| table.row(order.as_ref().map_or(i, |o| o[i])));
+        let (mut row, mut col): (&[u32], usize) = (&[], width);
+        (0..n).map(move |_| {
+            if col == width {
+                row = source.next().expect("one source row per output row");
+                col = 0;
+            }
+            col += 1;
+            positions[col - 1].map_or(UNBOUND, |c| row[c])
+        })
     };
     let (ids, len): (Arc<[u32]>, usize) = if sel.distinct {
         // Stable dedup on projected id rows, first occurrence wins: hashing
         // borrowed slices of a few u32s. The window is known only after it,
         // so the kept rows are compacted in place before the one copy out.
-        let mut projected: Vec<u32> = Vec::with_capacity(table.len() * width);
-        for i in 0..table.len() {
-            projected.extend((0..width).map(|col| cell(i, col)));
-        }
+        let mut projected: Vec<u32> = cells(0..table.len()).collect();
         let mut seen: FxHashSet<&[u32]> = FxHashSet::default();
         seen.reserve(table.len());
         let firsts: Vec<usize> = (0..table.len())
@@ -263,13 +299,18 @@ fn execute_select(
         (Arc::from(&projected[..kept.len() * width]), kept.len())
     } else {
         // OFFSET/LIMIT pick the output window first, and its cells are
-        // written once, straight into the result's one allocation (a mapped
-        // `Range` is an exact-size iterator, so the `Arc` is sized before it
-        // is filled).
+        // written once, straight into the result's one allocation. An
+        // unordered projection of every column in order is one slice of
+        // the table.
         let kept = window(sel, table.len());
-        let ids = (0..kept.len() * width)
-            .map(|k| cell(kept.start + k / width, k % width))
-            .collect();
+        let identity = order.is_none()
+            && width == table.width
+            && positions.iter().enumerate().all(|(i, p)| *p == Some(i));
+        let ids = if identity {
+            Arc::from(&table.data[kept.start * width..kept.end * width])
+        } else {
+            cells(kept.clone()).collect()
+        };
         (ids, kept.len())
     };
     // The result holds the ids beside a handle on the graph's term table:
@@ -287,18 +328,18 @@ fn window(sel: &SelectQuery, len: usize) -> Range<usize> {
     lo..hi
 }
 
-/// Row-major table of variable bindings in id space: `width` columns per
-/// row, every row a contiguous stripe of one shared allocation. The join
-/// pipeline appends, filters and truncates rows without allocating per row —
-/// at the million-triple tier the per-row `Vec` boxes this replaces cost more
-/// than the probe searches themselves, burying the operator win under
-/// allocator traffic. The row count is tracked explicitly because fully
-/// concrete ASK patterns produce zero-width rows.
+/// Row-major table of variable bindings in id space: `width` cells per
+/// row, every row a contiguous stripe of one shared allocation. A cell is
+/// a graph id or [`UNBOUND`] — the encoding of the result's [`Rows`], so
+/// projection copies cells without converting them. The join pipeline
+/// appends, filters and truncates rows without allocating per row. The row
+/// count is tracked explicitly because fully concrete ASK patterns produce
+/// zero-width rows.
 #[derive(Debug, Clone)]
 struct IdTable {
     width: usize,
     rows: usize,
-    data: Vec<Option<TermId>>,
+    data: Vec<u32>,
 }
 
 impl IdTable {
@@ -309,12 +350,12 @@ impl IdTable {
     /// One row with every column unbound — the seed every evaluation starts
     /// from.
     fn unit(width: usize) -> Self {
-        IdTable { width, rows: 1, data: vec![None; width] }
+        IdTable { width, rows: 1, data: vec![UNBOUND; width] }
     }
 
     /// A one-row table copied from an existing row (OPTIONAL evaluates its
     /// right side once per left row).
-    fn single(width: usize, row: &[Option<TermId>]) -> Self {
+    fn single(width: usize, row: &[u32]) -> Self {
         debug_assert_eq!(row.len(), width);
         IdTable { width, rows: 1, data: row.to_vec() }
     }
@@ -327,11 +368,11 @@ impl IdTable {
         self.rows == 0
     }
 
-    fn row(&self, i: usize) -> &[Option<TermId>] {
+    fn row(&self, i: usize) -> &[u32] {
         &self.data[i * self.width..(i + 1) * self.width]
     }
 
-    fn iter(&self) -> impl Iterator<Item = &[Option<TermId>]> {
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
         (0..self.rows).map(move |i| &self.data[i * self.width..(i + 1) * self.width])
     }
 
@@ -341,7 +382,7 @@ impl IdTable {
         self.data.reserve(rows * self.width);
     }
 
-    fn push(&mut self, row: &[Option<TermId>]) {
+    fn push(&mut self, row: &[u32]) {
         debug_assert_eq!(row.len(), self.width);
         self.data.extend_from_slice(row);
         self.rows += 1;
@@ -361,7 +402,7 @@ impl IdTable {
     }
 
     /// Keeps only rows satisfying `keep`, compacting in place.
-    fn retain(&mut self, mut keep: impl FnMut(&[Option<TermId>]) -> bool) {
+    fn retain(&mut self, mut keep: impl FnMut(&[u32]) -> bool) {
         let width = self.width;
         let mut kept = 0usize;
         for i in 0..self.rows {
@@ -374,6 +415,135 @@ impl IdTable {
             }
         }
         self.truncate(kept);
+    }
+
+    /// Appends, for each `(row, entries)` pair, one copy of `row` per entry
+    /// with `emit`'s free columns written from the entry; `rows` counts the
+    /// entries of all pairs. A step whose pattern repeats a free variable
+    /// checks each entry and appends the ones it admits (`rows` is then an
+    /// upper bound). Every other step on a table 1–4 cells wide grows the
+    /// table once and writes each row in place as a fixed-size array, so a
+    /// row costs a few moves rather than a `memcpy` call.
+    fn extend_joined<'a>(
+        &mut self,
+        pairs: impl Iterator<Item = (&'a [u32], &'a [[u32; 3]])>,
+        rows: usize,
+        emit: &Emit,
+    ) {
+        if emit.same().is_empty() && (1..=4).contains(&self.width) {
+            let start = self.data.len();
+            self.data.resize(start + rows * self.width, UNBOUND);
+            let (out, writes) = (&mut self.data[start..], emit.writes());
+            match self.width {
+                1 => fill::<1>(out, pairs, writes),
+                2 => fill::<2>(out, pairs, writes),
+                3 => fill::<3>(out, pairs, writes),
+                _ => fill::<4>(out, pairs, writes),
+            }
+            self.rows += rows;
+            return;
+        }
+        for (row, entries) in pairs {
+            for entry in entries.iter().filter(|e| emit.admits(e)) {
+                self.push_joined(row, entry, emit);
+            }
+        }
+    }
+
+    /// Appends `row` with `emit`'s free columns written from `entry`.
+    fn push_joined(&mut self, row: &[u32], entry: &[u32; 3], emit: &Emit) {
+        let start = self.data.len();
+        self.data.extend_from_slice(row);
+        for &(col, k) in emit.writes() {
+            self.data[start + col] = entry[k];
+        }
+        self.rows += 1;
+    }
+}
+
+/// Writes one row per entry of `pairs` into `out`, which holds exactly
+/// that many `W`-cell rows: the entry's probe row, with each `(column,
+/// component)` of `writes` read from the entry. Every row runs the same
+/// three writes, the unused ones repeating the first, so the loop has no
+/// inner loop and no per-write bounds check. The writes go to the output
+/// row itself: patching a stack copy at a run-time column and then
+/// copying it out stalls on the reload (on a 2-vCPU x86-64 VM at ×119,
+/// about 9 ns a row at two or three cells, against about 3).
+fn fill<'a, const W: usize>(
+    out: &mut [u32],
+    pairs: impl Iterator<Item = (&'a [u32], &'a [[u32; 3]])>,
+    writes: &[(usize, usize)],
+) {
+    let mut out = out.chunks_exact_mut(W);
+    let Some(&first) = writes.first() else {
+        // Every position bound: the step only tests that the triple exists.
+        for (row, entries) in pairs {
+            for _ in entries {
+                out.next().expect("one output row per entry").copy_from_slice(row);
+            }
+        }
+        return;
+    };
+    let [(c0, k0), (c1, k1), (c2, k2)]: [(usize, usize); 3] =
+        std::array::from_fn(|i| writes.get(i).copied().unwrap_or(first));
+    assert!(c0.max(c1).max(c2) < W && k0.max(k1).max(k2) < 3, "writes inside row and entry");
+    for (row, entries) in pairs {
+        let row: [u32; W] = row.try_into().expect("probe rows are the table's width");
+        for entry in entries {
+            let cells = out.next().expect("one output row per entry");
+            cells.copy_from_slice(&row);
+            cells[c0] = entry[k0];
+            cells[c1] = entry[k1];
+            cells[c2] = entry[k2];
+        }
+    }
+}
+
+/// How a join step writes one matching index entry into a copy of its
+/// probe row: each free column's value sits at one component of the
+/// (permuted) entry. A free variable at two positions (`?x <p> ?x`) is
+/// written once and admits only entries holding one id at both.
+#[derive(Debug, Default)]
+struct Emit {
+    /// `(column, entry component)`, one per free column.
+    writes: [(usize, usize); 3],
+    n_writes: usize,
+    /// Entry components that must be equal.
+    same: [(usize, usize); 2],
+    n_same: usize,
+}
+
+impl Emit {
+    /// From the step's free `(column, SPO position)`s and the layout of
+    /// the entries it reads.
+    fn new(free: impl Iterator<Item = (usize, usize)>, layout: [usize; 3]) -> Emit {
+        let mut emit = Emit::default();
+        for (col, pos) in free {
+            let k = layout[pos];
+            match emit.writes().iter().find(|&&(c, _)| c == col) {
+                Some(&(_, first)) => {
+                    emit.same[emit.n_same] = (first, k);
+                    emit.n_same += 1;
+                }
+                None => {
+                    emit.writes[emit.n_writes] = (col, k);
+                    emit.n_writes += 1;
+                }
+            }
+        }
+        emit
+    }
+
+    fn writes(&self) -> &[(usize, usize)] {
+        &self.writes[..self.n_writes]
+    }
+
+    fn same(&self) -> &[(usize, usize)] {
+        &self.same[..self.n_same]
+    }
+
+    fn admits(&self, entry: &[u32; 3]) -> bool {
+        self.same().iter().all(|&(a, b)| entry[a] == entry[b])
     }
 }
 
@@ -393,12 +563,9 @@ fn evaluate_pattern(
     opts: LowerOpts,
 ) -> Result<Evaluated, SparqlError> {
     let planned = lower_pattern(graph, pattern, early_stop, opts);
-    let var_index: FxHashMap<&str, usize> =
-        planned.variables.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
-
     let initial = IdTable::unit(planned.variables.len());
     let mut trace = trace;
-    let mut table = eval_algebra(graph, &planned.root, &var_index, initial, &mut trace);
+    let mut table = eval_algebra(graph, &planned.root, initial, &mut trace);
 
     if let Some(stop) = early_stop {
         // Safety net: the lowering emits a pushdown-capable Slice directly
@@ -413,27 +580,23 @@ fn evaluate_pattern(
 
 /// Interprets a lowered [`Algebra`] tree bottom-up against a set of incoming
 /// bindings: each node first evaluates its `input` edge, then transforms the
-/// rows. Semantics are identical to the previous direct `GraphPattern` walk
-/// (UNION concatenation, OPTIONAL left join, filter error-drops); only the
-/// BGP leaves changed join operators.
+/// rows (UNION concatenation, OPTIONAL left join, filter error-drops); BGP
+/// leaves join with the operators the planner chose.
 fn eval_algebra(
     graph: &Graph,
     node: &Algebra,
-    var_index: &FxHashMap<&str, usize>,
     bindings: IdTable,
     trace: &mut Option<&mut PlanTrace>,
 ) -> IdTable {
     match node {
-        Algebra::Bgp(steps) => join_steps(graph, steps, var_index, bindings, None, trace),
+        Algebra::Bgp(steps) => join_steps(graph, steps, bindings, None, trace),
         Algebra::Slice { input, limit } => match &**input {
             // Bare-LIMIT/ASK pushdown: only a Slice directly over a BGP can
             // stop the join mid-scan. Any other child could drop or multiply
             // rows, so it is evaluated in full and truncated.
-            Algebra::Bgp(steps) => {
-                join_steps(graph, steps, var_index, bindings, Some(*limit), trace)
-            }
+            Algebra::Bgp(steps) => join_steps(graph, steps, bindings, Some(*limit), trace),
             other => {
-                let mut rows = eval_algebra(graph, other, var_index, bindings, trace);
+                let mut rows = eval_algebra(graph, other, bindings, trace);
                 rows.truncate(*limit);
                 rows
             }
@@ -442,26 +605,25 @@ fn eval_algebra(
         // evaluated from the input's bindings (join semantics with the
         // surrounding group).
         Algebra::Union { input, alternatives } => {
-            let bindings = eval_algebra(graph, input, var_index, bindings, trace);
+            let bindings = eval_algebra(graph, input, bindings, trace);
             if bindings.is_empty() {
                 return bindings;
             }
             let mut next = IdTable::new(bindings.width);
             for alt in alternatives {
-                next.append(&eval_algebra(graph, alt, var_index, bindings.clone(), trace));
+                next.append(&eval_algebra(graph, alt, bindings.clone(), trace));
             }
             next
         }
         // OPTIONAL: left join — keep the binding unextended when the
         // optional part has no solutions.
         Algebra::LeftJoin { input, right } => {
-            let bindings = eval_algebra(graph, input, var_index, bindings, trace);
+            let bindings = eval_algebra(graph, input, bindings, trace);
             let mut next = IdTable::new(bindings.width);
             for i in 0..bindings.len() {
                 let extended = eval_algebra(
                     graph,
                     right,
-                    var_index,
                     IdTable::single(bindings.width, bindings.row(i)),
                     trace,
                 );
@@ -474,14 +636,68 @@ fn eval_algebra(
             next
         }
         // Group-level filters; erroring filters remove the row (SPARQL
-        // error semantics).
+        // error semantics). Each filter is one pass over the rows the
+        // previous ones kept.
         Algebra::Filter { input, exprs } => {
-            let mut bindings = eval_algebra(graph, input, var_index, bindings, trace);
-            bindings.retain(|row| {
-                exprs.iter().all(|f| eval(f, row, graph).is_some_and(|v| v.truthy()))
-            });
+            let mut bindings = eval_algebra(graph, input, bindings, trace);
+            let started = trace.is_some().then(Instant::now);
+            let rows_in = bindings.len();
+            for expr in exprs {
+                filter(graph, expr, &mut bindings);
+            }
+            if let (Some(t), Some(started)) = (trace.as_deref_mut(), started) {
+                let f = t.filter.get_or_insert_with(FilterStep::default);
+                f.rows_in += rows_in;
+                f.rows_out += bindings.len();
+                f.nanos += started.elapsed().as_nanos() as u64;
+            }
             bindings
         }
+    }
+}
+
+/// Keeps the rows `expr` holds on. A comparison of a column against a
+/// number or a date constant compares the column's typed value straight
+/// from the value column whenever it is of the constant's kind; every
+/// other row and every other expression is evaluated by [`eval`].
+fn filter(graph: &Graph, expr: &BoundExpr, bindings: &mut IdTable) {
+    let holds = |row: &[u32]| eval(expr, row, graph).is_some_and(|v| v.truthy());
+    let Some((col, op, constant)) = column_against_constant(expr) else {
+        return bindings.retain(holds);
+    };
+    bindings.retain(|row| {
+        let id = row[col];
+        if id == UNBOUND {
+            return false;
+        }
+        match (graph.value(TermId(id)), constant) {
+            (TermValue::Num(x), TermValue::Num(c)) => cmp_holds(x.partial_cmp(&c), op),
+            (TermValue::Date(x), TermValue::Date(c)) => cmp_holds(Some(x.cmp(&c)), op),
+            _ => holds(row),
+        }
+    });
+}
+
+/// `?col op constant` for a number or date constant, with a constant on
+/// the left mirrored to the right (`5 < ?x` is `?x > 5`).
+fn column_against_constant(expr: &BoundExpr) -> Option<(usize, CmpOp, TermValue)> {
+    let BoundExpr::Cmp(lhs, op, rhs) = expr else { return None };
+    let (col, op, constant) = match (&**lhs, &**rhs) {
+        (BoundExpr::Col(c), BoundExpr::Const(_, v)) => (*c, *op, *v),
+        (BoundExpr::Const(_, v), BoundExpr::Col(c)) => (*c, mirrored(*op), *v),
+        _ => return None,
+    };
+    matches!(constant, TermValue::Num(_) | TermValue::Date(_)).then_some((col, op, constant))
+}
+
+/// The operator that holds on swapped operands.
+fn mirrored(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        symmetric => symmetric,
     }
 }
 
@@ -514,7 +730,6 @@ const MISESTIMATE_MIN_ROWS: u64 = 64;
 fn join_steps(
     graph: &Graph,
     steps: &[PlannedStep],
-    var_index: &FxHashMap<&str, usize>,
     initial: IdTable,
     limit: Option<usize>,
     trace: &mut Option<&mut PlanTrace>,
@@ -530,22 +745,24 @@ fn join_steps(
     let mut scanned: u64 = 0;
     for (step, planned) in steps.iter().enumerate() {
         let cap = if step + 1 == steps.len() { limit } else { None };
-        let tp = &planned.pattern;
         let step_started = trace.is_some().then(Instant::now);
         let scanned_before = scanned;
         let mut algo = if cap.is_some() { JoinAlgo::Nested } else { planned.algo };
         let mut next = IdTable::new(bindings.width);
-        if algo != JoinAlgo::Nested
-            && !join_batched(graph, tp, var_index, &bindings, algo, &mut next, &mut scanned)
-        {
-            // The batch precondition (uniformly bound probe rows) failed:
-            // fall back.
-            algo = JoinAlgo::Nested;
-            next = IdTable::new(bindings.width);
-            scanned = scanned_before;
-        }
-        if algo == JoinAlgo::Nested {
-            join_nested(graph, tp, var_index, &bindings, cap, &mut next, &mut scanned);
+        // A dead step (a concrete term the graph lacks) matches nothing.
+        if !planned.dead {
+            if algo != JoinAlgo::Nested
+                && !join_batched(graph, planned, &bindings, algo, &mut next, &mut scanned)
+            {
+                // The batch precondition (uniformly bound probe rows) failed:
+                // fall back.
+                algo = JoinAlgo::Nested;
+                next = IdTable::new(bindings.width);
+                scanned = scanned_before;
+            }
+            if algo == JoinAlgo::Nested {
+                join_nested(graph, planned, &bindings, cap, &mut next, &mut scanned);
+            }
         }
         // One literal call site per counter: `counter!` caches its handle
         // per site, so the name must not be a runtime value.
@@ -565,7 +782,7 @@ fn join_steps(
             relpat_obs::jevent!(
                 relpat_obs::Level::Warn,
                 "planner.misestimate",
-                "pattern" => tp,
+                "pattern" => &planned.pattern,
                 "position" => step,
                 "estimate" => planned.estimate,
                 "score" => planned.score,
@@ -574,7 +791,7 @@ fn join_steps(
         }
         if let Some(t) = trace.as_deref_mut() {
             t.steps.push(PlanStep {
-                pattern: tp.to_string(),
+                pattern: planned.pattern.to_string(),
                 pattern_index: planned.pattern_index,
                 position: step,
                 estimate: planned.estimate,
@@ -598,51 +815,118 @@ fn join_steps(
     bindings
 }
 
-/// The always-correct fallback operator: for each probe row, substitute its
-/// bound variables into the pattern and stream the matching slice via
-/// [`Graph::scan_iter`], counting every visited row. The only operator that
+/// `pattern` with position `pos` (0 = subject, 1 = predicate, 2 = object)
+/// bound to `id`.
+fn bind_position(mut pattern: IdPattern, pos: usize, id: u32) -> IdPattern {
+    let slot = match pos {
+        0 => &mut pattern.subject,
+        1 => &mut pattern.predicate,
+        _ => &mut pattern.object,
+    };
+    *slot = Some(TermId(id));
+    pattern
+}
+
+/// The always-correct fallback operator: for each probe row, bind the
+/// step's variables the row binds and stream the matching slice of
+/// [`Graph::scan_iter`], counting every visited row. Which columns are free
+/// is read per row, so rows need not be uniform. The only operator that
 /// can honor a mid-scan `cap`. With a single probe row (a BGP's first step)
 /// the output is at most that row's slice, so it is reserved up front.
 fn join_nested(
     graph: &Graph,
-    tp: &TriplePattern,
-    var_index: &FxHashMap<&str, usize>,
+    step: &PlannedStep,
     bindings: &IdTable,
     cap: Option<usize>,
     next: &mut IdTable,
     scanned: &mut u64,
 ) {
-    'probes: for i in 0..bindings.len() {
-        let binding = bindings.row(i);
-        match bind_pattern(graph, tp, binding, var_index) {
-            BoundPattern::NoMatch => {}
-            BoundPattern::Scan(id_pattern, slots) => {
-                let matches = graph.scan_iter(id_pattern);
-                if bindings.len() == 1 {
-                    next.reserve(matches.len().min(cap.unwrap_or(usize::MAX)));
-                }
-                for (s, p, o) in matches {
-                    *scanned += 1;
-                    if try_push_extended(next, binding, &slots, s, p, o)
-                        && cap.is_some_and(|c| next.len() >= c)
-                    {
-                        break 'probes;
-                    }
+    for row in bindings.iter() {
+        let mut pattern = step.ids;
+        let mut free = ColumnSet::default();
+        for (pos, col) in step.columns.iter().enumerate() {
+            let Some(col) = *col else { continue };
+            match row[col] {
+                UNBOUND => free.insert(col, pos),
+                id => pattern = bind_position(pattern, pos, id),
+            }
+        }
+        let matches = graph.scan_iter(pattern);
+        let entries = matches.entries();
+        let emit = Emit::new(free.iter(), matches.layout());
+        if bindings.len() == 1 {
+            next.reserve(entries.len().min(cap.unwrap_or(usize::MAX)));
+        }
+        // Without a cap every entry is visited; with one the scan stops at
+        // the entry that fills it.
+        let Some(cap) = cap else {
+            *scanned += entries.len() as u64;
+            next.extend_joined(std::iter::once((row, entries)), entries.len(), &emit);
+            continue;
+        };
+        for entry in entries {
+            *scanned += 1;
+            if emit.admits(entry) {
+                next.push_joined(row, entry, &emit);
+                if next.len() >= cap {
+                    return;
                 }
             }
         }
     }
 }
 
-/// How one pattern position resolves for a uniform batch of probe rows.
-#[derive(Debug, Clone, Copy)]
-enum ProbePos {
-    /// Concrete term, identical for every row.
-    Const(TermId),
-    /// Variable bound in every probe row (read per row at this column).
-    Bound(usize),
-    /// Variable free in every probe row: filled from matches.
-    Free(usize),
+/// Some of a step's variable positions for one probe row, as `(column,
+/// SPO position)`s: the ones the row leaves free, or the ones it binds.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColumnSet {
+    at: [(usize, usize); 3],
+    len: usize,
+}
+
+impl ColumnSet {
+    fn insert(&mut self, col: usize, pos: usize) {
+        self.at[self.len] = (col, pos);
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.at[..self.len].iter().copied()
+    }
+}
+
+/// How a batched step builds each probe row's permuted key, and checks
+/// that the row is uniform: it binds every key column and leaves every
+/// free column unbound.
+struct ProbeKey {
+    /// The first row's key: the pattern's constants, zeros past the prefix.
+    base: [u32; 3],
+    /// The column each key component is read from, where it is a variable.
+    cols: [Option<usize>; 3],
+    free: ColumnSet,
+}
+
+impl ProbeKey {
+    /// From the key of the first row's pattern, its bound and free
+    /// positions and the probe's entry layout.
+    fn new(base: [u32; 3], bound: ColumnSet, free: ColumnSet, layout: [usize; 3]) -> Self {
+        let mut cols = [None; 3];
+        for (col, pos) in bound.iter() {
+            cols[layout[pos]] = Some(col);
+        }
+        ProbeKey { base, cols, free }
+    }
+
+    /// The row's key, `None` when the row is not uniform. A bound graph id
+    /// is never [`UNBOUND`], nor is a constant.
+    #[inline(always)]
+    fn of(&self, row: &[u32]) -> Option<[u32; 3]> {
+        let key: [u32; 3] =
+            std::array::from_fn(|i| self.cols[i].map_or(self.base[i], |col| row[col]));
+        let uniform =
+            !key.contains(&UNBOUND) && self.free.iter().all(|(col, _)| row[col] == UNBOUND);
+        uniform.then_some(key)
+    }
 }
 
 /// Batched sorted operators — merge and gallop. Both resolve the pattern's
@@ -650,23 +934,25 @@ enum ProbePos {
 /// row binds exactly the variables earlier steps bound), route it to one
 /// permutation slice, and locate each **distinct** probe key's range
 /// exactly once — merge with a forward cursor over non-decreasing keys,
-/// gallop by sorting + deduplicating the keys; both search forward from the
-/// previous key's range with [`relpat_rdf::FrozenProbe::bounds_from`]'s
-/// exponential search. `scanned` counts each distinct range once,
-/// which is the probe work actually done and never exceeds the nested loop's
-/// per-row rescans. All ranges are found before any row is written, so the
-/// output is reserved once from their total.
+/// gallop by hashing the keys and visiting the distinct ones in sorted
+/// order; both search forward from the previous key's range with
+/// [`relpat_rdf::FrozenProbe::bounds_from`]'s exponential search. `scanned`
+/// counts each distinct range once, which is the probe work actually done
+/// and never exceeds the nested loop's per-row rescans. All ranges are found
+/// before any row is written, so the output is reserved once from their
+/// total, and then written range by range, straight from the permuted
+/// entries.
 ///
 /// Extended rows are emitted in the probe rows' original order — order
 /// preservation is what keeps the binding stream sorted for downstream merge
 /// steps and the solution sequence bit-identical to the nested loop's.
 ///
-/// Returns `false` when the batch cannot run (a supposedly bound variable is
-/// unbound in some row); the caller falls back to [`join_nested`].
+/// Returns `false` when the batch cannot run — some probe row does not bind
+/// exactly the first row's columns of this step (checked once per row, as
+/// its key is built); the caller falls back to [`join_nested`].
 fn join_batched(
     graph: &Graph,
-    tp: &TriplePattern,
-    var_index: &FxHashMap<&str, usize>,
+    step: &PlannedStep,
     bindings: &IdTable,
     algo: JoinAlgo,
     next: &mut IdTable,
@@ -676,197 +962,90 @@ fn join_batched(
         return true;
     }
     let first = bindings.row(0);
-    let mut shape = [ProbePos::Free(0); 3];
-    for (pos, term) in shape.iter_mut().zip([&tp.subject, &tp.predicate, &tp.object]) {
-        *pos = match term {
-            Term::Variable(v) => {
-                let idx = var_index[v.as_str()];
-                if first[idx].is_some() { ProbePos::Bound(idx) } else { ProbePos::Free(idx) }
-            }
-            concrete => match graph.term_id(concrete) {
-                Some(id) => ProbePos::Const(id),
-                // A concrete term absent from the graph matches nothing:
-                // the whole batch is trivially done.
-                None => return true,
-            },
-        };
+    let mut shape = step.ids;
+    let (mut bound, mut free) = (ColumnSet::default(), ColumnSet::default());
+    for (pos, col) in step.columns.iter().enumerate() {
+        let Some(col) = *col else { continue };
+        if first[col] == UNBOUND {
+            free.insert(col, pos);
+        } else {
+            shape = bind_position(shape, pos, first[col]);
+            bound.insert(col, pos);
+        }
     }
-    let free_slot = |pos: ProbePos| match pos {
-        ProbePos::Free(idx) => Some(idx),
-        _ => None,
-    };
-    let slots = Slots {
-        subject: free_slot(shape[0]),
-        predicate: free_slot(shape[1]),
-        object: free_slot(shape[2]),
-    };
-    let representative = |row: &[Option<TermId>]| -> Option<IdPattern> {
-        let component = |pos: ProbePos| match pos {
-            ProbePos::Const(id) => Some(Some(id)),
-            // A `None` here breaks the uniformity precondition → bail out.
-            ProbePos::Bound(idx) => row[idx].map(Some),
-            ProbePos::Free(_) => Some(None),
-        };
-        Some(IdPattern {
-            subject: component(shape[0])?,
-            predicate: component(shape[1])?,
-            object: component(shape[2])?,
-        })
-    };
-    let Some(rep) = representative(first) else { return false };
-    let probe = graph.probe(rep);
+    let probe = graph.probe(shape);
+    let layout = probe.layout();
+    let key = ProbeKey::new(probe.key(shape), bound, free, layout);
+    let emit = Emit::new(free.iter(), layout);
 
-    // Every row's permuted probe key. All rows share the pattern's
-    // Some/None structure, so they all route to `probe`'s permutation.
-    let mut keys: Vec<[u32; 3]> = Vec::with_capacity(bindings.len());
-    for row in bindings.iter() {
-        let Some(pat) = representative(row) else { return false };
-        keys.push(probe.key(pat));
-    }
-
-    // Each row's range, then the output sized once from their total (an
-    // upper bound: only a repeated variable rejects matches).
-    let ranges: Vec<(usize, usize)> = match algo {
+    match algo {
         JoinAlgo::Merge => {
             // The binding stream is sorted by the single varying key
             // component, so keys are non-decreasing: one forward cursor
             // visits each distinct key's range once without restarting.
+            let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(bindings.len());
             let mut prev: Option<([u32; 3], (usize, usize))> = None;
-            keys.iter()
-                .map(|key| match prev {
-                    Some((k, range)) if k == *key => range,
+            let mut total = 0;
+            for row in bindings.iter() {
+                let Some(key) = key.of(row) else { return false };
+                let range = match prev {
+                    Some((k, range)) if k == key => range,
                     earlier => {
                         debug_assert!(
-                            earlier.is_none_or(|(k, _)| k <= *key),
+                            earlier.is_none_or(|(k, _)| k <= key),
                             "merge probe keys regressed"
                         );
                         // Keys never regress when the plan's sortedness
                         // argument holds; restart from 0 if they somehow do
                         // (release-mode correctness over speed).
                         let from = match earlier {
-                            Some((k, (_, prev_hi))) if k <= *key => prev_hi,
+                            Some((k, (_, prev_hi))) if k <= key => prev_hi,
                             _ => 0,
                         };
-                        let range = probe.bounds_from(from, *key);
+                        let range = probe.bounds_from(from, key);
                         *scanned += (range.1 - range.0) as u64;
-                        prev = Some((*key, range));
+                        prev = Some((key, range));
                         range
                     }
-                })
-                .collect()
+                };
+                total += range.1 - range.0;
+                ranges.push(range);
+            }
+            // An upper bound: only a repeated free variable rejects entries.
+            next.reserve(total);
+            let pairs =
+                bindings.iter().zip(ranges).map(|(row, (lo, hi))| (row, probe.entries(lo, hi)));
+            next.extend_joined(pairs, total, &emit);
         }
         _ => {
-            // Gallop: sort + dedup the probe keys, locate each distinct
-            // key's range once, galloping on from the previous key's range,
-            // then look each probe row's range up in original row order.
-            let mut distinct = keys.clone();
+            // Gallop: count each distinct probe key's rows, locate each
+            // distinct key's range once in ascending key order, galloping on
+            // from the previous key's range, then write the rows in original
+            // row order, looking each row's range up by its key.
+            let mut found: FxHashMap<[u32; 3], (usize, (usize, usize))> = FxHashMap::default();
+            for row in bindings.iter() {
+                let Some(key) = key.of(row) else { return false };
+                found.entry(key).or_default().0 += 1;
+            }
+            let mut distinct: Vec<[u32; 3]> = found.keys().copied().collect();
             distinct.sort_unstable();
-            distinct.dedup();
-            let mut found: FxHashMap<[u32; 3], (usize, usize)> = FxHashMap::default();
-            found.reserve(distinct.len());
-            let mut from = 0;
+            let (mut from, mut total) = (0, 0);
             for key in &distinct {
                 let (lo, hi) = probe.bounds_from(from, *key);
                 *scanned += (hi - lo) as u64;
-                found.insert(*key, (lo, hi));
+                let (rows, range) = found.get_mut(key).expect("a counted key");
+                *range = (lo, hi);
+                total += *rows * (hi - lo);
                 from = hi;
             }
-            keys.iter().map(|key| found[key]).collect()
-        }
-    };
-    next.reserve(ranges.iter().map(|(lo, hi)| hi - lo).sum());
-    for (row, (lo, hi)) in bindings.iter().zip(ranges) {
-        for i in lo..hi {
-            let (s, p, o) = probe.triple(i);
-            try_push_extended(next, row, &slots, s, p, o);
+            next.reserve(total);
+            let pairs = bindings.iter().map(|row| {
+                let (lo, hi) = found[&key.of(row).expect("rows checked above")].1;
+                (row, probe.entries(lo, hi))
+            });
+            next.extend_joined(pairs, total, &emit);
         }
     }
-    true
-}
-
-/// Where each variable of a pattern lands in the binding vector.
-struct Slots {
-    subject: Option<usize>,
-    predicate: Option<usize>,
-    object: Option<usize>,
-}
-
-enum BoundPattern {
-    /// A concrete term in the pattern does not occur in the graph.
-    NoMatch,
-    Scan(IdPattern, Slots),
-}
-
-fn bind_pattern(
-    graph: &Graph,
-    tp: &TriplePattern,
-    binding: &[Option<TermId>],
-    var_index: &FxHashMap<&str, usize>,
-) -> BoundPattern {
-    let mut id_pattern = IdPattern { subject: None, predicate: None, object: None };
-    let mut slots = Slots { subject: None, predicate: None, object: None };
-    let positions: [(&Term, &mut Option<TermId>, &mut Option<usize>); 3] = [
-        (&tp.subject, &mut id_pattern.subject, &mut slots.subject),
-        (&tp.predicate, &mut id_pattern.predicate, &mut slots.predicate),
-        (&tp.object, &mut id_pattern.object, &mut slots.object),
-    ];
-    for (term, id_slot, var_slot) in positions {
-        match term {
-            Term::Variable(v) => {
-                let idx = var_index[v.as_str()];
-                match binding[idx] {
-                    Some(bound) => *id_slot = Some(bound),
-                    None => *var_slot = Some(idx),
-                }
-            }
-            concrete => match graph.term_id(concrete) {
-                Some(id) => *id_slot = Some(id),
-                None => return BoundPattern::NoMatch,
-            },
-        }
-    }
-    BoundPattern::Scan(id_pattern, slots)
-}
-
-/// Extends a binding with a scan result, checking repeated-variable
-/// consistency (e.g. `?x ?p ?x`), and appends the extended row to `next`.
-/// Validation runs **before** the row is copied, so rejected scan rows — the
-/// overwhelming majority in a selective join — cost nothing; an emitted row
-/// is one `extend_from_slice` into the table's flat buffer plus in-place slot
-/// writes, never a per-row allocation. Returns whether a row was emitted.
-fn try_push_extended(
-    next: &mut IdTable,
-    binding: &[Option<TermId>],
-    slots: &Slots,
-    s: TermId,
-    p: TermId,
-    o: TermId,
-) -> bool {
-    let parts = [(slots.subject, s), (slots.predicate, p), (slots.object, o)];
-    for (i, (slot, value)) in parts.iter().enumerate() {
-        let Some(idx) = slot else { continue };
-        // Against the existing binding (scan patterns constrain bound
-        // positions already, but a repeated variable may appear both bound
-        // and free)…
-        if binding[*idx].is_some_and(|existing| existing != *value) {
-            return false;
-        }
-        // …and against the other free slots of this same triple
-        // (`?x <p> ?x` with ?x unbound binds two slots to one column).
-        for (other_slot, other_value) in &parts[..i] {
-            if *other_slot == Some(*idx) && other_value != value {
-                return false;
-            }
-        }
-    }
-    let start = next.data.len();
-    next.data.extend_from_slice(binding);
-    for (slot, value) in parts {
-        if let Some(idx) = slot {
-            next.data[start + idx] = Some(value);
-        }
-    }
-    next.rows += 1;
     true
 }
 
@@ -953,11 +1132,11 @@ impl<'a> Value<'a> {
 /// Evaluates a bound expression over one id row. `None` is a SPARQL
 /// evaluation error (unbound or unknown variable, type error, division by
 /// zero): a FILTER drops the row and an ORDER BY key sorts as unbound.
-fn eval<'a>(expr: &'a BoundExpr, row: &[Option<TermId>], graph: &'a Graph) -> Option<Value<'a>> {
+fn eval<'a>(expr: &'a BoundExpr, row: &[u32], graph: &'a Graph) -> Option<Value<'a>> {
     let eval = |e: &'a BoundExpr| eval(e, row, graph);
     match expr {
         BoundExpr::Col(c) => {
-            let id = row[*c]?;
+            let id = Some(row[*c]).filter(|&id| id != UNBOUND).map(TermId)?;
             Some(Value::of(graph.value(id), || graph.term(id)))
         }
         BoundExpr::Const(term, value) => Some(Value::of(*value, || term)),
@@ -989,14 +1168,21 @@ fn eval<'a>(expr: &'a BoundExpr, row: &[Option<TermId>], graph: &'a Graph) -> Op
             _ => None,
         },
         BoundExpr::Str(inner) => Some(Value::Str(eval(inner)?.into_str())),
-        BoundExpr::Bound(c) => Some(Value::Bool(row[*c].is_some())),
+        BoundExpr::Bound(c) => Some(Value::Bool(row[*c] != UNBOUND)),
     }
 }
 
 /// A FILTER comparison. A NaN operand makes every operator false except
 /// `!=`, which is true (`op:numeric-equal` / `op:numeric-less-than`).
 fn apply_cmp(l: &Value<'_>, op: CmpOp, r: &Value<'_>) -> bool {
-    let Some(ord) = compare(l, r) else { return op == CmpOp::Ne };
+    cmp_holds(compare(l, r), op)
+}
+
+/// Whether `op` holds on operands ordered `ord`; `None` (a NaN operand)
+/// holds for `!=` only.
+#[inline]
+fn cmp_holds(ord: Option<Ordering>, op: CmpOp) -> bool {
+    let Some(ord) = ord else { return op == CmpOp::Ne };
     match op {
         CmpOp::Eq => ord == Ordering::Equal,
         CmpOp::Ne => ord != Ordering::Equal,

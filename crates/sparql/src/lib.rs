@@ -38,5 +38,5 @@ pub use exec::{
 pub use parser::parse_query;
 // Plan-trace types are defined in `relpat-obs` (so traces can embed them)
 // but this crate is their only writer — re-export them as part of our API.
-pub use relpat_obs::{JoinAlgo, PlanStep, PlanTrace, QueryPlan};
+pub use relpat_obs::{FilterStep, JoinAlgo, PlanStep, PlanTrace, QueryPlan};
 pub use results::{Cell, Cells, Row, RowIter, Rows, Solutions};

@@ -131,6 +131,48 @@ fn step_estimates_match_graph_estimate_and_scan_sum_matches_counter() {
 }
 
 #[test]
+fn filter_and_projection_are_traced() {
+    let _guard = exec_lock();
+    // The store-scaling `filtered` shape: the FILTER sees every row the
+    // last join step emitted and keeps exactly the result's rows.
+    let mut g = GraphBuilder::new();
+    let populations = [800_000, 3_500_000, 1_200_000, 9_000_000, 4_100_000];
+    for (i, population) in populations.iter().enumerate() {
+        let city = Term::iri(res::iri(&format!("City {i}")));
+        g.add(city.clone(), Term::iri(rdf::TYPE), Term::iri(dbont::iri("City")));
+        let population = Term::Literal(relpat_rdf::Literal::integer(*population));
+        g.add(city, Term::iri(dbont::iri("populationTotal")), population);
+    }
+    g.add(Term::iri(res::iri("Nowhere")), Term::iri(rdf::TYPE), Term::iri(dbont::iri("City")));
+    let g = g.build();
+    let query = parse_query(
+        "SELECT ?c { ?c rdf:type dbont:City . ?c dbont:populationTotal ?p \
+         FILTER(?p > 3000000) }",
+    )
+    .unwrap();
+    let (result, trace) = execute_traced(&g, &query).unwrap();
+    let rows = result.into_solutions().unwrap().len();
+    let filter = trace.filter.expect("a FILTER ran");
+    let last = trace.steps.last().expect("the BGP ran");
+    assert_eq!((filter.rows_in, filter.rows_out, rows), (5, 3, 3), "{}", trace.render());
+    assert_eq!(filter.rows_in, last.bindings_emitted, "{}", trace.render());
+    assert_eq!(filter.rows_out, rows, "{}", trace.render());
+    assert!(filter.nanos > 0 && trace.projection_nanos > 0);
+    assert!(trace.render().ends_with("  filter: in=5 out=3\n"), "{}", trace.render());
+    let json = trace.to_json().to_string();
+    assert!(json.contains("\"filter\":{\"rows_in\":5,\"rows_out\":3,"), "{json}");
+    assert!(json.contains("\"projection_nanos\""), "{json}");
+
+    // Without a FILTER there is no filter entry, and ASK projects nothing.
+    let (_, plain) = execute_traced(&g, &parse_query("SELECT ?c { ?c a dbont:City }").unwrap())
+        .unwrap();
+    assert_eq!(plain.filter, None);
+    assert!(plain.to_json().to_string().contains("\"filter\":null"));
+    let ask = parse_query("ASK { ?c rdf:type dbont:City }").unwrap();
+    assert_eq!(execute_traced(&g, &ask).unwrap().1.projection_nanos, 0);
+}
+
+#[test]
 fn cache_hits_trace_zero_scans_and_zero_counter_delta() {
     let _guard = exec_lock();
     let g = library();

@@ -256,3 +256,92 @@ fn order_by_matches_the_oracle() {
         }
     }
 }
+
+#[test]
+fn typed_comparisons_on_a_mixed_column_match_eval_and_the_oracle() {
+    // One column holding every kind, and entities OPTIONAL leaves without a
+    // value. `?a op C` against a number or a date constant reads typed
+    // values straight from the value column; `!!(?a op C)` is the same test
+    // through the generic evaluator. Both must equal the term-level oracle,
+    // for every operator, with the constant on either side.
+    let mut column = Vec::new();
+    for n in ["-7", "0", "-0", "42", "0042"] {
+        column.push(typed(n, xsd::INTEGER));
+    }
+    for n in ["1.5", "-0.25", "0.0", "-0.0"] {
+        column.push(typed(n, xsd::DECIMAL));
+    }
+    for n in ["NaN", "INF", "-INF", "0E0", "-0E0", "1e3"] {
+        column.push(typed(n, xsd::DOUBLE));
+    }
+    for d in ["1923-04-05", "1900-01-01", "2001-12-31", "0999-01-01"] {
+        column.push(typed(d, xsd::DATE));
+    }
+    for d in ["1923-4-5", "-0044-03-15", "1923-04-05Z"] {
+        column.push(typed(d, xsd::DATE));
+    }
+    for b in ["true", "false"] {
+        column.push(typed(b, xsd::BOOLEAN));
+    }
+    for s in ["abc", "42", "1923-04-05", ""] {
+        column.push(Term::literal(s));
+    }
+    column.push(Term::iri("http://example.org/A"));
+    let mut b = GraphBuilder::new();
+    let (ty, class) = (Term::iri(rdf::TYPE), Term::iri("http://example.org/T"));
+    for (i, v) in column.iter().enumerate() {
+        let e = Term::iri(format!("http://example.org/e{i}"));
+        b.add(e.clone(), ty.clone(), class.clone());
+        b.add(e, Term::iri("http://example.org/v"), v.clone());
+    }
+    for i in 0..3 {
+        b.add(Term::iri(format!("http://example.org/u{i}")), ty.clone(), class.clone());
+    }
+    let g = b.build();
+
+    let constants = [
+        typed("42", xsd::INTEGER),
+        typed("0", xsd::INTEGER),
+        typed("-0.0", xsd::DOUBLE),
+        typed("NaN", xsd::DOUBLE),
+        typed("1.5", xsd::DECIMAL),
+        typed("1e3", xsd::DOUBLE),
+        typed("1923-04-05", xsd::DATE),
+        typed("1900-01-01", xsd::DATE),
+        typed("1923-4-5", xsd::DATE),
+        typed("true", xsd::BOOLEAN),
+        Term::literal("42"),
+        Term::iri("http://example.org/A"),
+    ];
+    let pattern = "?s a ex:T OPTIONAL { ?s ex:v ?a }";
+    let all = rows(&g, &format!("{EX} SELECT ?s ?a {{ {pattern} }}"));
+    assert_eq!(all.len(), column.len() + 3);
+    assert_eq!(all.iter().filter(|r| r[1].is_none()).count(), 3, "three rows leave ?a unbound");
+    for c in &constants {
+        for op in OPS {
+            for const_first in [false, true] {
+                let test =
+                    if const_first { format!("{c} {op} ?a") } else { format!("?a {op} {c}") };
+                let want: Vec<Row> = all
+                    .iter()
+                    .filter(|r| {
+                        // An unbound ?a makes the comparison an error: the row goes.
+                        r[1].as_ref().is_some_and(|a| {
+                            if const_first {
+                                holds(c, op, a)
+                            } else {
+                                holds(a, op, c)
+                            }
+                        })
+                    })
+                    .cloned()
+                    .collect();
+                for filter in [test.clone(), format!("!!({test})")] {
+                    let text = format!("{EX} SELECT ?s ?a {{ {pattern} FILTER({filter}) }}");
+                    let got = rows(&g, &text);
+                    assert_eq!(got, want, "FILTER({filter})");
+                }
+            }
+        }
+    }
+}

@@ -155,6 +155,45 @@ fn repeated_variables_within_a_pattern() {
 }
 
 #[test]
+fn repeated_free_variable_in_a_batched_step() {
+    // `?y ?q ?q` runs after ?y is bound, as a merge (the stream is sorted
+    // by ?y) or a gallop (sorted by ?x): ?q is free at two positions, so the
+    // batched step must keep only entries whose predicate is their object.
+    let mut g = GraphBuilder::new();
+    let mut rng = Rng::seed_from_u64(61);
+    for _ in 0..120 {
+        let [s, o] = [rng.gen_range(0..12), rng.gen_range(0..12)].map(|e| format!("e{e}"));
+        let p = format!("p{}", rng.gen_range(0..3));
+        g.add(Term::iri(s), Term::iri(p), Term::iri(o));
+    }
+    for i in 0..12 {
+        let p = Term::iri(format!("p{}", i % 3));
+        g.add(Term::iri(format!("e{i}")), p.clone(), p);
+    }
+    let g = g.build();
+    // The oracle shares the row emission, so the count is also checked
+    // against the graph: one row per `<p0>` edge and per predicate its
+    // ?y end carries as its own object.
+    let loops = |y: &Term| {
+        g.triples_matching(Some(y), None, None).iter().filter(|t| t.predicate == t.object).count()
+    };
+    let edges = g.triples_matching(None, Some(&Term::iri("p0")), None);
+    for (q, algo, y_is_object) in [
+        ("SELECT * { ?x <p0> ?y . ?y ?q ?q }", JoinAlgo::Merge, true),
+        ("SELECT * { ?y <p0> ?x . ?y ?q ?q }", JoinAlgo::Gallop, false),
+    ] {
+        let algos = assert_equivalent(&g, q);
+        assert_eq!(algos, [JoinAlgo::Nested, algo], "{q}");
+        let parsed = parse_query(q).unwrap();
+        let rows = execute_traced(&g, &parsed).unwrap().0.into_solutions().unwrap().len();
+        let want: usize =
+            edges.iter().map(|t| loops(if y_is_object { &t.object } else { &t.subject })).sum();
+        assert_eq!(rows, want, "{q}");
+        assert!(rows > 0, "{q} must match some self-labelled entries");
+    }
+}
+
+#[test]
 fn empty_and_singleton_slices() {
     let mut g = GraphBuilder::new();
     g.add(Term::iri("only-s"), Term::iri("only-p"), Term::iri("only-o"));

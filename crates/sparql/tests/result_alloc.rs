@@ -80,6 +80,9 @@ fn exec_lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Bytes a two-step merge join requests per added row.
+const BYTES_PER_ROW: u64 = 32;
+
 /// Row counts every gate compares: N and 4N.
 const SIZES: [usize; 2] = [100, 400];
 
@@ -232,6 +235,23 @@ fn merge_join_allocations_do_not_grow_with_rows() {
         })
         .collect();
     assert_flat("two-pattern merge join", &counts);
+}
+
+#[test]
+fn merge_join_requests_pinned_bytes_per_row() {
+    let _guard = exec_lock();
+    // Per added book the two steps request one 2-cell row each (4-byte
+    // cells: 8 bytes a row) and the merge step one 16-byte probe range.
+    // 8-byte `Option<TermId>` cells and a 12-byte probe key per row request
+    // 60 bytes a row.
+    let text = "SELECT (COUNT(*) AS ?n) { ?b rdf:type dbont:Book . ?b dbont:numberOfPages ?p }";
+    let bytes: Vec<u64> = SIZES.iter().map(|&n| execution_costs(&books(n), text).1).collect();
+    let added = (SIZES[1] - SIZES[0]) as u64;
+    assert_eq!(
+        bytes[1] - bytes[0],
+        BYTES_PER_ROW * added,
+        "{SIZES:?} rows -> {bytes:?} requested bytes"
+    );
 }
 
 #[test]
