@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repository CI gate: release build, full test suite, and lint-clean clippy
-# across every target (libs, bins, tests, benches). The workspace has zero
-# external dependencies, so this runs fully offline.
+# Repository CI gate: release build, full test suite, lint-clean clippy
+# across every target (libs, bins, tests, examples), warning-free docs, the
+# store-scaling work-count diff and the perfbench smokes. The workspace has
+# zero external dependencies, so this runs fully offline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -23,21 +24,6 @@ cargo clippy --all-targets --workspace -- -D warnings
 
 echo "=== cargo doc (workspace, -D warnings) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-
-echo "=== mapping throughput smoke ==="
-cargo bench -p relpat-bench --bench qa_mapping_throughput -- --smoke
-
-echo "=== planning throughput smoke ==="
-cargo bench -p relpat-bench --bench qa_planning_throughput -- --smoke
-
-echo "=== observability overhead smoke ==="
-cargo bench -p relpat-bench --bench obs_overhead -- --smoke
-
-echo "=== store scaling smoke (paper + 100k tiers) ==="
-cargo bench -p relpat-bench --bench store_scaling -- --smoke
-
-echo "=== pattern mining smoke (x1 + x12, pinned mined-pattern fingerprints) ==="
-cargo bench -p relpat-bench --bench pattern_mining -- --smoke
 
 echo "=== bench-diff regression sentinel self-test ==="
 cargo run --release -q -p relpat-bench --bin bench-diff -- --smoke BENCH_store_scaling.json

@@ -1,4 +1,4 @@
-//! # relpat-bench — benchmarks and paper-reproduction binaries
+//! # relpat-bench — paper-reproduction binaries and the store-scaling study
 //!
 //! Binaries (run with `cargo run --release -p relpat-bench --bin <name>`):
 //!
@@ -11,239 +11,14 @@
 //! - `repro-ablations` — the ablation study and baseline comparison;
 //! - `repro-report`  — regenerates every artifact into one `REPORT.md`;
 //! - `repro-profile` — QALD run with the observability layer on: per-stage
-//!   latency percentiles, pipeline counters, and one full question trace.
+//!   latency percentiles, pipeline counters, and one full question trace;
+//!   `--bench-json` writes the store-scaling trajectory
+//!   (`BENCH_store_scaling.json`) through [`scaling`];
+//! - `bench-diff` — compares two trajectory files through [`diff`].
 //!
-//! Benches (`cargo bench -p relpat-bench`): `nlp_throughput`,
-//! `store_scaling`, `pattern_mining`, `pipeline`, `ablations`.
-//!
-//! ## The in-tree micro-bench harness
-//!
-//! The bench targets used to link `criterion`; the workspace now builds
-//! with zero external dependencies, so this lib provides a drop-in subset
-//! of criterion's API surface (`Criterion`, `BenchmarkGroup`, `Bencher`,
-//! `Throughput`, `BenchmarkId`, `black_box`, `criterion_group!`,
-//! `criterion_main!`). Each `Bencher::iter` call calibrates an iteration
-//! count so one sample costs roughly [`TARGET_SAMPLE_NANOS`], collects
-//! `sample_size` wall-clock samples, and prints min / median / mean
-//! per-iteration time plus throughput when the group declared one. No
-//! statistics beyond that — these are smoke-level latency numbers, not
-//! criterion-grade confidence intervals.
-
-use std::fmt::Display;
-use std::time::Instant;
+//! Speed is measured by the separate `perfbench/` workspace; this crate
+//! keeps only the store-scaling study, whose work counts
+//! `tests/work_counts.rs` pins to the committed trajectory.
 
 pub mod diff;
 pub mod scaling;
-
-pub use std::hint::black_box;
-
-/// Per-sample time budget used to calibrate the inner iteration count.
-pub const TARGET_SAMPLE_NANOS: u128 = 5_000_000;
-
-/// Work-per-iteration declaration, used to derive throughput lines.
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    /// Logical elements processed per iteration (questions, triples, ...).
-    Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// A bench identifier: `name/parameter`, mirroring criterion's display form.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    pub fn new(name: impl Display, parameter: impl Display) -> Self {
-        BenchmarkId { id: format!("{name}/{parameter}") }
-    }
-
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
-    }
-}
-
-/// Entry point handed to every bench target function.
-#[derive(Debug, Default)]
-pub struct Criterion {}
-
-impl Criterion {
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            _criterion: self,
-            name: name.into(),
-            throughput: None,
-            sample_size: 10,
-        }
-    }
-}
-
-/// A named group of related benches sharing throughput/sample settings.
-pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
-    name: String,
-    throughput: Option<Throughput>,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    pub fn throughput(&mut self, throughput: Throughput) {
-        self.throughput = Some(throughput);
-    }
-
-    pub fn sample_size(&mut self, n: usize) {
-        self.sample_size = n.max(2);
-    }
-
-    pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) {
-        self.run(id.to_string(), f);
-    }
-
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) {
-        self.run(id.id, |b| f(b, input));
-    }
-
-    pub fn finish(self) {}
-
-    fn run(&mut self, id: String, mut f: impl FnMut(&mut Bencher)) {
-        let mut bencher = Bencher { samples: Vec::new(), sample_size: self.sample_size };
-        f(&mut bencher);
-        let mut samples = bencher.samples;
-        if samples.is_empty() {
-            return; // the target never called iter()
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let min = samples[0];
-        let median = samples[samples.len() / 2];
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mut line = format!(
-            "{:<40} time: [min {} / median {} / mean {}]",
-            format!("{}/{}", self.name, id),
-            fmt_nanos(min),
-            fmt_nanos(median),
-            fmt_nanos(mean),
-        );
-        if let Some(t) = self.throughput {
-            let (amount, unit) = match t {
-                Throughput::Elements(n) => (n as f64, "elem"),
-                Throughput::Bytes(n) => (n as f64, "B"),
-            };
-            if median > 0.0 {
-                let per_sec = amount / (median / 1e9);
-                line.push_str(&format!("  thrpt: [{}/s]", fmt_quantity(per_sec, unit)));
-            }
-        }
-        println!("{line}");
-    }
-}
-
-/// Collects per-iteration wall-clock samples for one bench target.
-pub struct Bencher {
-    samples: Vec<f64>,
-    sample_size: usize,
-}
-
-impl Bencher {
-    /// Measures `f`, auto-calibrating how many calls make up one sample.
-    pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        // Calibration: one timed call decides the batch size per sample.
-        let start = Instant::now();
-        black_box(f());
-        let once = start.elapsed().as_nanos().max(1);
-        let iters = (TARGET_SAMPLE_NANOS / once).clamp(1, 100_000) as usize;
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            self.samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-        }
-    }
-}
-
-/// Human-readable duration from nanoseconds.
-fn fmt_nanos(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-/// Human-readable rate with K/M/G scaling.
-fn fmt_quantity(v: f64, unit: &str) -> String {
-    if v >= 1e9 {
-        format!("{:.2} G{unit}", v / 1e9)
-    } else if v >= 1e6 {
-        format!("{:.2} M{unit}", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.2} K{unit}", v / 1e3)
-    } else {
-        format!("{v:.1} {unit}")
-    }
-}
-
-/// Defines a function running a list of bench targets (criterion-compatible).
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $( $target(&mut criterion); )+
-        }
-    };
-}
-
-/// Defines `main` for a bench binary (criterion-compatible). Ignores CLI
-/// arguments such as the `--bench` flag cargo passes.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting_scales_units() {
-        assert_eq!(fmt_nanos(12.0), "12.0 ns");
-        assert_eq!(fmt_nanos(12_345.0), "12.35 µs");
-        assert_eq!(fmt_nanos(12_345_678.0), "12.35 ms");
-        assert_eq!(fmt_quantity(1_500.0, "elem"), "1.50 Kelem");
-        assert_eq!(fmt_quantity(2.5e6, "elem"), "2.50 Melem");
-    }
-
-    #[test]
-    fn bencher_collects_requested_samples() {
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("harness_smoke");
-        group.sample_size(3);
-        group.throughput(Throughput::Elements(1));
-        let mut calls = 0u64;
-        group.bench_function("noop", |b| b.iter(|| calls += 1));
-        group.finish();
-        assert!(calls > 0);
-    }
-
-    #[test]
-    fn benchmark_id_renders_like_criterion() {
-        assert_eq!(BenchmarkId::new("scan", "x2").id, "scan/x2");
-        assert_eq!(BenchmarkId::from_parameter("A1-full").id, "A1-full");
-    }
-}

@@ -1,9 +1,10 @@
 //! Shared definitions for the store-scaling study.
 //!
 //! One place owns the tier ladder, the representative query set, and the
-//! measurement routine, so the `store_scaling` bench and
-//! `repro-profile --bench-json` (which writes the committed
-//! `BENCH_store_scaling.json` trajectory file) cannot drift apart.
+//! measurement routine. `repro-profile --bench-json` writes the committed
+//! `BENCH_store_scaling.json` trajectory file through it, and
+//! `tests/work_counts.rs` re-measures the ×1 and ×12 tiers against that
+//! file, so the two cannot drift apart.
 //!
 //! Queries run through [`relpat_kb::KnowledgeBase::query_uncached`]: the trajectory
 //! tracks the triple store's join latency, which the result cache would

@@ -101,8 +101,9 @@ pub struct MappingConfig {
     /// Route entity/property string-similarity scans through the KB's
     /// prebuilt [`relpat_kb::LexicalIndex`] instead of brute-force label
     /// scans. Candidates are bit-identical either way (the index only
-    /// prunes provably below-threshold entries); the flag is the escape
-    /// hatch and the lever for the equivalence test.
+    /// prunes provably below-threshold entries). Only the
+    /// `lexical_equivalence` test turns it off, to run the brute-force
+    /// scan as its oracle.
     pub use_lexical_index: bool,
 }
 

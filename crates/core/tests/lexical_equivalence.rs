@@ -4,14 +4,15 @@
 //! only skips entries whose similarity provably cannot reach the threshold.
 //!
 //! The sweep covers every ontology property name, label, label word and
-//! camel constituent, every entity label in the tiny KB, threshold-boundary
+//! camel constituent, every entity label in the tiny KB (exact and with one
+//! character dropped), every word of the QALD questions, threshold-boundary
 //! scores (exactly at `string_sim_threshold` / `entity_sim_threshold`),
 //! empty/unicode queries, and a seeded random-string sweep across the
 //! threshold regimes (including 0.5, below the bigram-recall guarantee,
 //! which exercises the index's full-scan fallback) — same structure that
 //! gated PR 3's early-termination change.
 
-use relpat_kb::{generate, split_camel_case, KbConfig, KnowledgeBase};
+use relpat_kb::{generate, qald_questions, split_camel_case, KbConfig, KnowledgeBase};
 use relpat_obs::fx::FxHashMap;
 use relpat_obs::Rng;
 use relpat_patterns::{mine, CorpusConfig, PatternStore};
@@ -48,9 +49,10 @@ fn mapper_pair(config: MappingConfig) -> (Mapper<'static>, Mapper<'static>) {
     )
 }
 
-/// Every lexical form the ontology itself can produce: property names,
-/// whole labels, label words and camel-split constituents.
-fn ontology_vocabulary(kb: &KnowledgeBase) -> Vec<String> {
+/// Every lexical form the ontology itself can produce (property names,
+/// whole labels, label words and camel-split constituents), plus every word
+/// of the QALD questions.
+fn vocabulary(kb: &KnowledgeBase) -> Vec<String> {
     let mut words: Vec<String> = Vec::new();
     for (name, label) in kb
         .ontology
@@ -63,6 +65,10 @@ fn ontology_vocabulary(kb: &KnowledgeBase) -> Vec<String> {
         words.push(label.to_string());
         words.extend(split_camel_case(name));
         words.extend(label.split_whitespace().map(str::to_string));
+    }
+    for q in qald_questions(kb) {
+        let text = q.text.split(|c: char| !c.is_alphabetic());
+        words.extend(text.filter(|w| w.len() > 2).map(str::to_lowercase));
     }
     words.sort();
     words.dedup();
@@ -84,9 +90,9 @@ fn assert_equivalent_for_word(on: &Mapper<'_>, off: &Mapper<'_>, word: &str, con
 }
 
 #[test]
-fn all_ontology_words_map_identically() {
+fn all_vocabulary_words_map_identically() {
     let (on, off) = mapper_pair(MappingConfig::default());
-    for word in ontology_vocabulary(&fixture().kb) {
+    for word in vocabulary(&fixture().kb) {
         assert_equivalent_for_word(&on, &off, &word, "default config");
     }
 }
@@ -96,19 +102,21 @@ fn all_entity_labels_map_identically() {
     let (on, off) = mapper_pair(MappingConfig::default());
     let labels: Vec<String> =
         fixture().kb.labels_iter().map(|(l, _)| l.to_string()).collect();
+    let mut rng = Rng::seed_from_u64(0x10CA1);
     for label in labels {
-        // The exact label short-circuits the fuzzy path; a mutated copy
-        // (drop the middle character) forces it.
+        // The exact label short-circuits the fuzzy path; mutated copies
+        // (drop the middle character, drop a seeded random one) force it.
         assert_eq!(on.entity_pool(&label), off.entity_pool(&label), "exact {label:?}");
         let chars: Vec<char> = label.chars().collect();
         if chars.len() > 2 {
-            let mut fuzzed: String = chars[..chars.len() / 2].iter().collect();
-            fuzzed.extend(&chars[chars.len() / 2 + 1..]);
-            assert_eq!(
-                on.entity_pool(&fuzzed),
-                off.entity_pool(&fuzzed),
-                "fuzzed {fuzzed:?} (from {label:?})"
-            );
+            for drop in [chars.len() / 2, rng.gen_range(0usize..chars.len())] {
+                let fuzzed: String = chars[..drop].iter().chain(&chars[drop + 1..]).collect();
+                assert_eq!(
+                    on.entity_pool(&fuzzed),
+                    off.entity_pool(&fuzzed),
+                    "fuzzed {fuzzed:?} (from {label:?})"
+                );
+            }
         }
     }
 }

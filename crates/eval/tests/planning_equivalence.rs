@@ -6,7 +6,8 @@
 //!    random weight matrices — including negative weights (the class that
 //!    exposed the old mid-fold truncation bug), NaN weights, score ties
 //!    (generation-order tie-break preserved), and all `preferred_inverse`
-//!    orientations.
+//!    orientations; plus wide lattices (up to 3 × 10 options) drawn from
+//!    every object property of the ontology.
 //! 2. Table-2 gate: the standard beam pipeline answers every QALD question
 //!    bit-identically to the cartesian reference planner, building the same
 //!    candidate lists with no more planner work, and ≤ 51 built and ≤ 31
@@ -141,6 +142,51 @@ fn seeded_sweep_beam_equals_exact_topk_of_full_product() {
     // empty outputs (domain/range checks void some random readings).
     assert!(nonempty >= 100, "only {nonempty}/200 cases built queries");
     assert!(multi_set >= 20, "only {multi_set} multi-triple cases built queries");
+}
+
+#[test]
+fn wide_lattices_over_every_object_property_agree() {
+    // Lattices from 1 × 4 up to 3 × 10 options (1 000 assignments), where
+    // the cartesian product materializes hundreds of combinations; weights
+    // mix negatives and ties.
+    let kb = kb();
+    let (select, _) = analyses();
+    let props: Vec<&str> = kb.ontology.object_properties.iter().map(|p| p.name).collect();
+    let (label, ids) = kb.labels_iter().next().expect("a labeled entity");
+    let iri = kb.graph.term(ids[0]).as_iri().expect("entities are IRIs").clone();
+    let entity = ResolvedEntity { id: ids[0], iri, label: label.to_string() };
+    let shapes = [(1, 4), (2, 4), (2, 8), (3, 6), (3, 10)];
+    let mut rng = Rng::seed_from_u64(0x91A7);
+    let mut nonempty = 0usize;
+    for (case, (sets, width)) in shapes.into_iter().cycle().take(200).enumerate() {
+        let triples = (0..sets)
+            .map(|_| MappedTriple::Relation {
+                subject: MappedSlot::Var,
+                object: MappedSlot::Entity(entity.clone()),
+                candidates: (0..width)
+                    .map(|_| PropertyCandidate {
+                        property: props[rng.gen_range(0usize..props.len())].to_string(),
+                        is_data: false,
+                        preferred_inverse: match rng.gen_range(0u32..3) {
+                            0 => None,
+                            1 => Some(false),
+                            _ => Some(true),
+                        },
+                        weight: rng.gen_range(0u32..40) as f64 - 15.0,
+                        source: CandidateSource::RelationalPattern,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let mapped = MappedQuestion { triples };
+        let max = rng.gen_range(1usize..=20);
+        let (beam, _) = build_queries_planned(kb, select, &mapped, max, PlannerStrategy::Beam);
+        let (cart, _) =
+            build_queries_planned(kb, select, &mapped, max, PlannerStrategy::CartesianExhaustive);
+        assert_identical(&beam, &cart, &format!("wide case {case} ({sets} x {width}) max {max}"));
+        nonempty += usize::from(!beam.is_empty());
+    }
+    assert!(nonempty >= 150, "only {nonempty}/200 wide cases built queries");
 }
 
 #[test]

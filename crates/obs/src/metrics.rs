@@ -800,6 +800,9 @@ mod tests {
         assert_eq!(r.histogram("lat").summary().min, 0);
         r.histogram("lat").record(9);
         assert_eq!(r.histogram("lat").summary().min, 9);
+        // A recorded zero is a real minimum, not the empty sentinel.
+        r.histogram("lat").record(0);
+        assert_eq!(r.histogram("lat").summary().min, 0);
     }
 
     #[test]

@@ -34,8 +34,8 @@ use relpat_rdf::Iri;
 
 /// Pinned [`Mined::fingerprint`] values, as `(KbConfig::scaled factor,
 /// CorpusConfig::include_data_properties, fingerprint)`. Extraction
-/// refactors must keep the mined store and taxonomy byte-identical; a unit
-/// test and the `pattern_mining --smoke` gate check every row.
+/// refactors must keep the mined store and taxonomy byte-identical; the
+/// unit test `mining_matches_the_pinned_fingerprints` checks every row.
 pub const MINED_FINGERPRINTS: [(usize, bool, u64); 4] = [
     (1, false, 0x914d_deed_b369_cdf7),
     (1, true, 0xf34e_590f_ae35_b68c),

@@ -7,7 +7,7 @@
 //! raises for the worker pool.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use relpat_obs::{
@@ -18,6 +18,18 @@ use relpat_qa::{Pipeline, Stage};
 use relpat_sparql::QueryResult;
 
 use crate::http::{Request, Response};
+
+/// The `/debug/profile` windows open in this process. The sampler is
+/// process-global, so windows from any [`App`] share one count: the last
+/// window to close switches the sampler off, and only if the first one
+/// switched it on.
+struct ProfileWindows {
+    open: usize,
+    switched_on: bool,
+}
+
+static PROFILE_WINDOWS: Mutex<ProfileWindows> =
+    Mutex::new(ProfileWindows { open: 0, switched_on: false });
 
 pub struct App {
     pipeline: OnceLock<Pipeline<'static>>,
@@ -164,10 +176,11 @@ impl App {
     /// (flamegraph-compatible text, or JSON with `format=json`).
     ///
     /// If the sampler is off it is enabled for the window and switched back
-    /// off afterwards. The handling worker blocks for the window (capped at
-    /// 30 s); the rest of the pool keeps serving, and those requests are
-    /// exactly the traffic the profile captures. A non-finite `seconds`
-    /// (`NaN`, `inf`) is rejected with 400 before the sampler is touched.
+    /// off when the last overlapping window ends. The handling worker
+    /// blocks for the window (capped at 30 s); the rest of the pool keeps
+    /// serving, and those requests are exactly the traffic the profile
+    /// captures. A non-finite `seconds` (`NaN`, `inf`) is rejected with 400
+    /// before the sampler is touched.
     fn handle_profile(&self, req: &Request) -> Response {
         let seconds = req
             .query_param("seconds")
@@ -178,15 +191,25 @@ impl App {
         }
         let seconds = seconds.clamp(0.1, 30.0);
         let prof = profiler();
-        let was_on = prof.is_enabled();
-        if !was_on {
-            prof.enable(relpat_obs::prof::DEFAULT_HZ);
+        {
+            let mut windows = PROFILE_WINDOWS.lock().unwrap_or_else(PoisonError::into_inner);
+            if windows.open == 0 {
+                windows.switched_on = !prof.is_enabled();
+                if windows.switched_on {
+                    prof.enable(relpat_obs::prof::DEFAULT_HZ);
+                }
+            }
+            windows.open += 1;
         }
         let before = prof.snapshot();
         std::thread::sleep(std::time::Duration::from_secs_f64(seconds));
         let window = prof.snapshot().delta_since(&before);
-        if !was_on {
-            prof.disable();
+        {
+            let mut windows = PROFILE_WINDOWS.lock().unwrap_or_else(PoisonError::into_inner);
+            windows.open -= 1;
+            if windows.open == 0 && windows.switched_on {
+                prof.disable();
+            }
         }
         jevent!(
             Level::Info,

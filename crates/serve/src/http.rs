@@ -6,7 +6,7 @@
 //! Query strings are split on `&`/`=` without percent-decoding — every
 //! parameter this server accepts is a plain integer.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use relpat_obs::Json;
 
@@ -55,14 +55,27 @@ impl From<io::Error> for ReadError {
     }
 }
 
+/// Reads one line of the request head (up to and including `\n`, or to
+/// EOF) and counts it against `left`, the head bytes still allowed under
+/// [`MAX_HEAD_BYTES`]. At most `left + 1` bytes are read, so a peer that
+/// streams bytes without a newline is cut off at the cap, not buffered.
+fn read_head_line(reader: &mut impl BufRead, left: &mut usize) -> Result<String, ReadError> {
+    let mut line = Vec::new();
+    let n = Read::take(&mut *reader, *left as u64 + 1).read_until(b'\n', &mut line)?;
+    if n > *left {
+        return Err(ReadError::Bad("request head too large"));
+    }
+    *left -= n;
+    String::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e).into())
+}
+
 /// Reads one request from the stream.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
-    let mut head_bytes = 0usize;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut head_left = MAX_HEAD_BYTES;
+    let line = read_head_line(reader, &mut head_left)?;
+    if line.is_empty() {
         return Err(ReadError::Eof);
     }
-    head_bytes += line.len();
     let request_line = line.trim_end_matches(['\r', '\n']);
     let mut parts = request_line.split_ascii_whitespace();
     let method = parts.next().ok_or(ReadError::Bad("empty request line"))?.to_string();
@@ -87,13 +100,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = read_head_line(reader, &mut head_left)?;
+        if header.is_empty() {
             return Err(ReadError::Bad("truncated headers"));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::Bad("request head too large"));
         }
         let header = header.trim_end_matches(['\r', '\n']);
         if header.is_empty() {
@@ -212,6 +221,31 @@ mod tests {
         assert!(matches!(parse(""), Err(ReadError::Eof)));
         assert!(matches!(parse("GET\r\n\r\n"), Err(ReadError::Bad(_))));
         assert!(matches!(parse("GET / SPDY/3\r\n\r\n"), Err(ReadError::Bad(_))));
+    }
+
+    /// Reads `raw` and returns the outcome with the bytes consumed.
+    fn read_counted(raw: Vec<u8>) -> (Result<Request, ReadError>, u64) {
+        let mut cursor = io::Cursor::new(raw);
+        let result = read_request(&mut cursor);
+        (result, cursor.position())
+    }
+
+    #[test]
+    fn unterminated_request_line_stops_at_the_head_cap() {
+        let mut raw = b"GET /".to_vec();
+        raw.resize(1 << 20, b'a');
+        let (result, consumed) = read_counted(raw);
+        assert!(matches!(result, Err(ReadError::Bad("request head too large"))), "{result:?}");
+        assert!(consumed <= MAX_HEAD_BYTES as u64 + 1, "consumed {consumed} bytes");
+    }
+
+    #[test]
+    fn unterminated_header_line_stops_at_the_head_cap() {
+        let mut raw = b"GET / HTTP/1.1\r\nX-Fill: ".to_vec();
+        raw.resize(1 << 20, b'a');
+        let (result, consumed) = read_counted(raw);
+        assert!(matches!(result, Err(ReadError::Bad("request head too large"))), "{result:?}");
+        assert!(consumed <= MAX_HEAD_BYTES as u64 + 1, "consumed {consumed} bytes");
     }
 
     #[test]

@@ -79,6 +79,7 @@ fn golden_explain_rendering_is_stable() {
     let g = library();
     let parsed = parse_query(QUERY).expect("query parses");
     let (result, trace) = execute_traced(&g, &parsed).expect("query runs");
+    assert_eq!(result, execute(&g, &parsed).expect("query runs"), "explain changed the result");
     assert_eq!(result.clone().into_solutions().unwrap().len(), 3);
     // Both patterns estimate 3 rows (3 typed books, 3 authored books); the
     // tie keeps the type pattern first, and once ?x is bound the author
