@@ -19,6 +19,13 @@ echo "=== cargo test -q (workspace) ==="
 # failure in any of them stops the gate here.
 cargo test -q --workspace
 
+echo "=== cargo test --release -q -p relpat-sparql (release-only paths) ==="
+# Some executor paths run only without debug assertions: a merge whose
+# probe keys regress stops a debug build at its `debug_assert!` but
+# restarts its search in a release build, and the
+# `#[cfg(not(debug_assertions))]` test of that path runs only here.
+cargo test --release -q -p relpat-sparql
+
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets --workspace -- -D warnings
 

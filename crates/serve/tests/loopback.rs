@@ -13,11 +13,12 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use relpat_kb::{generate, KbConfig};
 use relpat_obs::{global, Json, TraceStoreConfig};
 use relpat_qa::Pipeline;
+use relpat_serve::app::MAX_QUESTION_WORDS;
 use relpat_serve::{spawn, App, Server, ServerConfig};
 
 /// Runs the tests of this file one at a time.
@@ -403,6 +404,41 @@ fn megabyte_of_braces_is_a_400_and_the_server_survives() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("nest deeper than"), "{body}");
     assert_eq!(get(addr, "/healthz").0, 200, "the server must survive the deep query");
+    server.shutdown();
+    join_within(server, Duration::from_secs(20));
+}
+
+/// A body-sized question is refused with 413 before any stage runs, within
+/// a second, and the server keeps serving; a question at the word bound is
+/// still answered.
+#[test]
+fn megabyte_question_is_a_413_and_the_server_survives() {
+    let _serial = serial();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+    let app = App::new(TraceStoreConfig::default());
+    let config = ServerConfig { workers: 2, read_timeout: Duration::from_secs(30) };
+    let server = spawn(listener, Arc::clone(&app), config).expect("spawn server");
+    let addr = server.addr();
+    let kb = Box::leak(Box::new(generate(&KbConfig::tiny())));
+    app.install_pipeline(Pipeline::new(kb));
+
+    let clause = "Which book is written by Orhan Pamuk and ";
+    let question = clause.repeat((1024 * 1024 - 64) / clause.len());
+    let payload = Json::obj().set("question", question.as_str()).to_string();
+    let started = Instant::now();
+    let (status, body) = post(addr, "/answer", &payload);
+    let elapsed = started.elapsed();
+    assert_eq!(status, 413, "{body}");
+    assert!(body.contains(&format!("longer than {MAX_QUESTION_WORDS} words")), "{body}");
+    assert!(elapsed < Duration::from_secs(1), "the refusal took {elapsed:?}");
+    assert_eq!(get(addr, "/healthz").0, 200, "the server must survive the long question");
+
+    let words: Vec<&str> = question.split_whitespace().collect();
+    for (n, want) in [(MAX_QUESTION_WORDS, 200), (MAX_QUESTION_WORDS + 1, 413)] {
+        let payload = Json::obj().set("question", words[..n].join(" ")).to_string();
+        let (status, body) = post(addr, "/answer", &payload);
+        assert_eq!(status, want, "{n} words: {body}");
+    }
     server.shutdown();
     join_within(server, Duration::from_secs(20));
 }

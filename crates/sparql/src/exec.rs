@@ -19,7 +19,12 @@
 //! flag), so no join hashes a term or a variable name. A step writes each
 //! matching index entry straight from the permuted entry into a copy of
 //! its probe row; only a step whose pattern repeats a free variable checks
-//! entries first. FILTER and ORDER BY expressions are bound once per query
+//! entries first. A merge step is one pass over its probe rows: it builds a
+//! key and searches only where the sorted column's value changes, and
+//! writes each row's matches before it reads the next row. An unordered,
+//! non-DISTINCT projection compacts the kept cells at the front of the
+//! binding table, which it owns, and copies them out once. FILTER and
+//! ORDER BY expressions are bound once per query
 //! ([`BoundExpr`]) and read each row's typed values from the graph's value
 //! column; a comparison of a column against a number or date constant
 //! compares those values directly, and everything else reaches a term only
@@ -31,7 +36,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use relpat_rdf::{Graph, IdPattern, Term, TermId, TermValue};
+use relpat_rdf::{FrozenProbe, Graph, IdPattern, Term, TermId, TermValue};
 use relpat_obs::fx::{FxHashMap, FxHashSet};
 use relpat_obs::{FilterStep, JoinAlgo, PlanStep, PlanTrace};
 
@@ -179,7 +184,7 @@ fn execute_select(
     let Evaluated { variables: pattern_vars, table } =
         evaluate_pattern(graph, &sel.pattern, early_stop, trace.as_deref_mut(), opts)?;
     let started = trace.is_some().then(Instant::now);
-    let sols = project(graph, sel, pattern_vars, &table)?;
+    let sols = project(graph, sel, pattern_vars, table)?;
     if let (Some(t), Some(started)) = (trace, started) {
         t.projection_nanos = started.elapsed().as_nanos() as u64;
     }
@@ -187,12 +192,13 @@ fn execute_select(
 }
 
 /// The solutions of `sel` over its evaluated bindings: COUNT, or ORDER BY,
-/// projection, DISTINCT and OFFSET/LIMIT, all on ids.
+/// projection, DISTINCT and OFFSET/LIMIT, all on ids. The table is
+/// consumed: an unordered projection may compact its rows in place.
 fn project(
     graph: &Graph,
     sel: &SelectQuery,
     pattern_vars: Vec<String>,
-    table: &IdTable,
+    mut table: IdTable,
 ) -> Result<Solutions, SparqlError> {
     // Aggregate projection: COUNT collapses the solution sequence to one row,
     // which then passes through the same OFFSET/LIMIT window as any other
@@ -301,13 +307,27 @@ fn project(
         // OFFSET/LIMIT pick the output window first, and its cells are
         // written once, straight into the result's one allocation. An
         // unordered projection of every column in order is one slice of
-        // the table.
+        // the table; any other unordered projection of 1–4 of the table's
+        // columns is compacted at the table's front first.
         let kept = window(sel, table.len());
         let identity = order.is_none()
             && width == table.width
             && positions.iter().enumerate().all(|(i, p)| *p == Some(i));
+        let compactable = order.is_none()
+            && (1..=4).contains(&width)
+            && width <= table.width
+            && positions.iter().all(Option::is_some);
         let ids = if identity {
             Arc::from(&table.data[kept.start * width..kept.end * width])
+        } else if compactable {
+            let (data, from) = (&mut table.data, table.width);
+            match width {
+                1 => compact::<1>(data, from, positions, kept.clone()),
+                2 => compact::<2>(data, from, positions, kept.clone()),
+                3 => compact::<3>(data, from, positions, kept.clone()),
+                _ => compact::<4>(data, from, positions, kept.clone()),
+            }
+            Arc::from(&table.data[..kept.len() * width])
         } else {
             cells(kept.clone()).collect()
         };
@@ -326,6 +346,26 @@ fn window(sel: &SelectQuery, len: usize) -> Range<usize> {
     let lo = sel.offset.unwrap_or(0).min(len);
     let hi = sel.limit.map_or(len, |l| lo.saturating_add(l).min(len));
     lo..hi
+}
+
+/// Moves the cells `cols` of each row of `rows` to the front of `data`, a
+/// table `width` cells wide, as consecutive `W`-cell rows. A row is read
+/// whole before it is written, and `W <= width`, so no write reaches a row
+/// still to be read.
+fn compact<const W: usize>(
+    data: &mut [u32],
+    width: usize,
+    cols: &[Option<usize>],
+    rows: Range<usize>,
+) {
+    assert_eq!(cols.len(), W, "one column per output cell");
+    let cols: [usize; W] = std::array::from_fn(|i| cols[i].expect("a column of the table"));
+    assert!(W <= width && cols.iter().all(|&c| c < width), "columns inside the table");
+    for (dst, src) in rows.enumerate() {
+        let row = &data[src * width..(src + 1) * width];
+        let cells: [u32; W] = std::array::from_fn(|i| row[cols[i]]);
+        data[dst * W..(dst + 1) * W].copy_from_slice(&cells);
+    }
 }
 
 /// Row-major table of variable bindings in id space: `width` cells per
@@ -417,36 +457,63 @@ impl IdTable {
         self.truncate(kept);
     }
 
-    /// Appends, for each `(row, entries)` pair, one copy of `row` per entry
-    /// with `emit`'s free columns written from the entry; `rows` counts the
-    /// entries of all pairs. A step whose pattern repeats a free variable
-    /// checks each entry and appends the ones it admits (`rows` is then an
-    /// upper bound). Every other step on a table 1–4 cells wide grows the
-    /// table once and writes each row in place as a fixed-size array, so a
-    /// row costs a few moves rather than a `memcpy` call.
-    fn extend_joined<'a>(
-        &mut self,
-        pairs: impl Iterator<Item = (&'a [u32], &'a [[u32; 3]])>,
-        rows: usize,
-        emit: &Emit,
-    ) {
-        if emit.same().is_empty() && (1..=4).contains(&self.width) {
-            let start = self.data.len();
-            self.data.resize(start + rows * self.width, UNBOUND);
-            let (out, writes) = (&mut self.data[start..], emit.writes());
-            match self.width {
-                1 => fill::<1>(out, pairs, writes),
-                2 => fill::<2>(out, pairs, writes),
-                3 => fill::<3>(out, pairs, writes),
-                _ => fill::<4>(out, pairs, writes),
+    /// Appends one copy of `row` per entry of `entries`, with `emit`'s free
+    /// columns written from the entry. A step whose pattern repeats a free
+    /// variable checks each entry and appends the ones it admits; every
+    /// other step on a table 1–4 cells wide writes fixed-size rows
+    /// ([`IdTable::push_fixed`]).
+    fn push_entries(&mut self, row: &[u32], entries: &[[u32; 3]], emit: &Emit) {
+        match (emit.same().is_empty(), self.width) {
+            (true, 1) => self.push_fixed::<1>(row, entries, emit),
+            (true, 2) => self.push_fixed::<2>(row, entries, emit),
+            (true, 3) => self.push_fixed::<3>(row, entries, emit),
+            (true, 4) => self.push_fixed::<4>(row, entries, emit),
+            _ => {
+                for entry in entries.iter().filter(|e| emit.admits(e)) {
+                    self.push_joined(row, entry, emit);
+                }
             }
-            self.rows += rows;
+        }
+    }
+
+    /// Appends one `W`-cell row per entry: `row`, with each write of `emit`
+    /// read from the entry. Every row runs the same three writes, the
+    /// unused ones repeating the first, so the loop has no inner loop and
+    /// no per-write bounds check. The writes go to the output row itself:
+    /// patching a stack copy at a run-time column and then copying it out
+    /// stalls on the reload (on a 2-vCPU x86-64 VM at ×119, about 9 ns a row
+    /// at two or three cells, against about 3). A row with one entry is
+    /// pushed; a row with more grows the table once and fills it, which
+    /// saves a length update per entry on a first step's long scan.
+    #[inline(always)]
+    fn push_fixed<const W: usize>(&mut self, row: &[u32], entries: &[[u32; 3]], emit: &Emit) {
+        let row: &[u32; W] = row.try_into().expect("probe rows are the table's width");
+        let [(c0, k0), (c1, k1), (c2, k2)] = emit.writes;
+        assert!(c0.max(c1).max(c2) < W && k0.max(k1).max(k2) < 3, "writes inside row and entry");
+        self.rows += entries.len();
+        if let [entry] = entries {
+            self.data.extend_from_slice(row);
+            if emit.n_writes > 0 {
+                let cells = self.data.last_chunk_mut::<W>().expect("a row was just pushed");
+                cells[c0] = entry[k0];
+                cells[c1] = entry[k1];
+                cells[c2] = entry[k2];
+            }
             return;
         }
-        for (row, entries) in pairs {
-            for entry in entries.iter().filter(|e| emit.admits(e)) {
-                self.push_joined(row, entry, emit);
-            }
+        let start = self.data.len();
+        self.data.resize(start + entries.len() * W, UNBOUND);
+        let out = self.data[start..].chunks_exact_mut(W);
+        if emit.n_writes == 0 {
+            // Every position bound: the step only tests that the triple exists.
+            out.for_each(|cells| cells.copy_from_slice(row));
+            return;
+        }
+        for (cells, entry) in out.zip(entries) {
+            cells.copy_from_slice(row);
+            cells[c0] = entry[k0];
+            cells[c1] = entry[k1];
+            cells[c2] = entry[k2];
         }
     }
 
@@ -461,51 +528,15 @@ impl IdTable {
     }
 }
 
-/// Writes one row per entry of `pairs` into `out`, which holds exactly
-/// that many `W`-cell rows: the entry's probe row, with each `(column,
-/// component)` of `writes` read from the entry. Every row runs the same
-/// three writes, the unused ones repeating the first, so the loop has no
-/// inner loop and no per-write bounds check. The writes go to the output
-/// row itself: patching a stack copy at a run-time column and then
-/// copying it out stalls on the reload (on a 2-vCPU x86-64 VM at ×119,
-/// about 9 ns a row at two or three cells, against about 3).
-fn fill<'a, const W: usize>(
-    out: &mut [u32],
-    pairs: impl Iterator<Item = (&'a [u32], &'a [[u32; 3]])>,
-    writes: &[(usize, usize)],
-) {
-    let mut out = out.chunks_exact_mut(W);
-    let Some(&first) = writes.first() else {
-        // Every position bound: the step only tests that the triple exists.
-        for (row, entries) in pairs {
-            for _ in entries {
-                out.next().expect("one output row per entry").copy_from_slice(row);
-            }
-        }
-        return;
-    };
-    let [(c0, k0), (c1, k1), (c2, k2)]: [(usize, usize); 3] =
-        std::array::from_fn(|i| writes.get(i).copied().unwrap_or(first));
-    assert!(c0.max(c1).max(c2) < W && k0.max(k1).max(k2) < 3, "writes inside row and entry");
-    for (row, entries) in pairs {
-        let row: [u32; W] = row.try_into().expect("probe rows are the table's width");
-        for entry in entries {
-            let cells = out.next().expect("one output row per entry");
-            cells.copy_from_slice(&row);
-            cells[c0] = entry[k0];
-            cells[c1] = entry[k1];
-            cells[c2] = entry[k2];
-        }
-    }
-}
-
 /// How a join step writes one matching index entry into a copy of its
 /// probe row: each free column's value sits at one component of the
 /// (permuted) entry. A free variable at two positions (`?x <p> ?x`) is
 /// written once and admits only entries holding one id at both.
 #[derive(Debug, Default)]
 struct Emit {
-    /// `(column, entry component)`, one per free column.
+    /// `(column, entry component)`, one per free column; the slots past
+    /// `n_writes` repeat the first, so [`IdTable::push_fixed`] runs three
+    /// writes a row.
     writes: [(usize, usize); 3],
     n_writes: usize,
     /// Entry components that must be equal.
@@ -530,6 +561,9 @@ impl Emit {
                     emit.n_writes += 1;
                 }
             }
+        }
+        for i in emit.n_writes.max(1)..3 {
+            emit.writes[i] = emit.writes[0];
         }
         emit
     }
@@ -861,7 +895,7 @@ fn join_nested(
         // the entry that fills it.
         let Some(cap) = cap else {
             *scanned += entries.len() as u64;
-            next.extend_joined(std::iter::once((row, entries)), entries.len(), &emit);
+            next.push_entries(row, entries, &emit);
             continue;
         };
         for entry in entries {
@@ -923,9 +957,13 @@ impl ProbeKey {
     fn of(&self, row: &[u32]) -> Option<[u32; 3]> {
         let key: [u32; 3] =
             std::array::from_fn(|i| self.cols[i].map_or(self.base[i], |col| row[col]));
-        let uniform =
-            !key.contains(&UNBOUND) && self.free.iter().all(|(col, _)| row[col] == UNBOUND);
-        uniform.then_some(key)
+        (!key.contains(&UNBOUND) && self.leaves_free(row)).then_some(key)
+    }
+
+    /// Whether the row leaves every free column unbound.
+    #[inline(always)]
+    fn leaves_free(&self, row: &[u32]) -> bool {
+        self.free.iter().all(|(col, _)| row[col] == UNBOUND)
     }
 }
 
@@ -933,23 +971,25 @@ impl ProbeKey {
 /// shape once from the first probe row (top-level BGP rows are uniform: every
 /// row binds exactly the variables earlier steps bound), route it to one
 /// permutation slice, and locate each **distinct** probe key's range
-/// exactly once — merge with a forward cursor over non-decreasing keys,
-/// gallop by hashing the keys and visiting the distinct ones in sorted
-/// order; both search forward from the previous key's range with
+/// exactly once, searching forward from the previous key's range with
 /// [`relpat_rdf::FrozenProbe::bounds_from`]'s exponential search. `scanned`
 /// counts each distinct range once, which is the probe work actually done
-/// and never exceeds the nested loop's per-row rescans. All ranges are found
-/// before any row is written, so the output is reserved once from their
-/// total, and then written range by range, straight from the permuted
-/// entries.
+/// and never exceeds the nested loop's per-row rescans.
+///
+/// Merge is one pass over the probe rows: it compares each row's bound
+/// column with the previous row's, builds a key and searches only when
+/// that value changes, and writes the row's matches straight from the
+/// permuted entries before it reads the next row. Gallop hashes the keys,
+/// visits the distinct ones in sorted order, reserves the output from the
+/// ranges' total and then writes each row's range.
 ///
 /// Extended rows are emitted in the probe rows' original order — order
 /// preservation is what keeps the binding stream sorted for downstream merge
 /// steps and the solution sequence bit-identical to the nested loop's.
 ///
 /// Returns `false` when the batch cannot run — some probe row does not bind
-/// exactly the first row's columns of this step (checked once per row, as
-/// its key is built); the caller falls back to [`join_nested`].
+/// exactly the first row's columns of this step (checked once per row); the
+/// caller discards what was written and falls back to [`join_nested`].
 fn join_batched(
     graph: &Graph,
     step: &PlannedStep,
@@ -980,42 +1020,20 @@ fn join_batched(
 
     match algo {
         JoinAlgo::Merge => {
-            // The binding stream is sorted by the single varying key
-            // component, so keys are non-decreasing: one forward cursor
-            // visits each distinct key's range once without restarting.
-            let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(bindings.len());
-            let mut prev: Option<([u32; 3], (usize, usize))> = None;
-            let mut total = 0;
-            for row in bindings.iter() {
-                let Some(key) = key.of(row) else { return false };
-                let range = match prev {
-                    Some((k, range)) if k == key => range,
-                    earlier => {
-                        debug_assert!(
-                            earlier.is_none_or(|(k, _)| k <= key),
-                            "merge probe keys regressed"
-                        );
-                        // Keys never regress when the plan's sortedness
-                        // argument holds; restart from 0 if they somehow do
-                        // (release-mode correctness over speed).
-                        let from = match earlier {
-                            Some((k, (_, prev_hi))) if k <= key => prev_hi,
-                            _ => 0,
-                        };
-                        let range = probe.bounds_from(from, key);
-                        *scanned += (range.1 - range.0) as u64;
-                        prev = Some((key, range));
-                        range
-                    }
-                };
-                total += range.1 - range.0;
-                ranges.push(range);
+            let Some((col, _)) = bound.iter().next() else { return false };
+            if bound.iter().any(|(c, _)| c != col) {
+                return false;
             }
-            // An upper bound: only a repeated free variable rejects entries.
-            next.reserve(total);
-            let pairs =
-                bindings.iter().zip(ranges).map(|(row, (lo, hi))| (row, probe.entries(lo, hi)));
-            next.extend_joined(pairs, total, &emit);
+            // A first guess of one entry per probe row; past it the table
+            // grows by doubling.
+            next.reserve(bindings.len());
+            match (emit.same().is_empty(), bindings.width) {
+                (true, 1) => merge::<1>(bindings, probe, &key, col, &emit, next, scanned),
+                (true, 2) => merge::<2>(bindings, probe, &key, col, &emit, next, scanned),
+                (true, 3) => merge::<3>(bindings, probe, &key, col, &emit, next, scanned),
+                (true, 4) => merge::<4>(bindings, probe, &key, col, &emit, next, scanned),
+                _ => merge::<0>(bindings, probe, &key, col, &emit, next, scanned),
+            }
         }
         _ => {
             // Gallop: count each distinct probe key's rows, locate each
@@ -1039,11 +1057,55 @@ fn join_batched(
                 from = hi;
             }
             next.reserve(total);
-            let pairs = bindings.iter().map(|row| {
+            for row in bindings.iter() {
                 let (lo, hi) = found[&key.of(row).expect("rows checked above")].1;
-                (row, probe.entries(lo, hi))
-            });
-            next.extend_joined(pairs, total, &emit);
+                next.push_entries(row, probe.entries(lo, hi), &emit);
+            }
+            true
+        }
+    }
+}
+
+/// The merge operator: one pass over the probe rows, which are sorted by
+/// `col`, the step's one bound column and its key's only varying component,
+/// so keys are non-decreasing. A row whose `col` repeats the previous
+/// row's value reuses its range; a new value builds the key and searches
+/// forward from the previous range's end, so each distinct key's range is
+/// found once. Each row's matches are written before the next row is read,
+/// as fixed-size rows when `W` is the table's width (1–4) and through
+/// [`IdTable::push_entries`] when `W` is 0. Returns `false` at the first row
+/// that is not uniform.
+fn merge<const W: usize>(
+    bindings: &IdTable,
+    probe: FrozenProbe<'_>,
+    key: &ProbeKey,
+    col: usize,
+    emit: &Emit,
+    next: &mut IdTable,
+    scanned: &mut u64,
+) -> bool {
+    // The first row binds `col`, so its value differs from `prev`.
+    let (mut prev, mut range) = (UNBOUND, (0, 0));
+    for row in bindings.data.chunks_exact(bindings.width) {
+        let value = row[col];
+        if value != prev {
+            let Some(key) = key.of(row) else { return false };
+            debug_assert!(prev == UNBOUND || value > prev, "merge probe keys regressed");
+            // Keys never regress when the plan's sortedness argument holds;
+            // restart from 0 if they somehow do (release-mode correctness
+            // over speed).
+            let from = if value > prev { range.1 } else { 0 };
+            range = probe.bounds_from(from, key);
+            *scanned += (range.1 - range.0) as u64;
+            prev = value;
+        } else if !key.leaves_free(row) {
+            return false;
+        }
+        let entries = probe.entries(range.0, range.1);
+        if W == 0 {
+            next.push_entries(row, entries, emit);
+        } else {
+            next.push_fixed::<W>(row, entries, emit);
         }
     }
     true
@@ -1633,6 +1695,112 @@ mod tests {
     fn count_unknown_variable_errors() {
         let g = library();
         assert!(query(&g, "SELECT (COUNT(?zzz) AS ?n) { ?x ?p ?o }").is_err());
+    }
+
+    /// The library with a book that has no writer (a key missing between
+    /// present ones) and one with two writers (two entries for one key).
+    fn merge_library() -> Graph {
+        let mut b = library_builder();
+        let (ty, book, writer) =
+            (Term::iri(rdf::TYPE), Term::iri(dbont::iri("Book")), Term::iri(dbont::iri("writer")));
+        b.add(Term::iri(res::iri("Untitled")), ty.clone(), book.clone());
+        let anthology = Term::iri(res::iri("Anthology"));
+        b.add(anthology.clone(), ty, book);
+        b.add(anthology.clone(), writer.clone(), Term::iri(res::iri("Orhan Pamuk")));
+        b.add(anthology, writer, Term::iri(res::iri("Stanislaw Lem")));
+        b.build()
+    }
+
+    /// The writer step of `?x a Book . ?x writer ?w`, planned as a merge,
+    /// and its probe rows: the type scan's, sorted by ?x with ?w unbound.
+    fn merge_probe(g: &Graph) -> (PlannedStep, IdTable) {
+        let q =
+            crate::parser::parse_query("SELECT * { ?x rdf:type dbont:Book . ?x dbont:writer ?w }")
+                .unwrap();
+        let planned = crate::algebra::lower(g, &q, None);
+        let Algebra::Bgp(steps) = planned.root else { panic!("one BGP") };
+        assert_eq!(steps[1].algo, JoinAlgo::Merge);
+        let rows = join_steps(g, &steps[..1], IdTable::unit(2), None, &mut None);
+        (steps[1].clone(), rows)
+    }
+
+    /// The nested operator's rows and scan count for `rows`.
+    fn nested_join(g: &Graph, step: &PlannedStep, rows: &IdTable) -> (IdTable, u64) {
+        let (mut next, mut scanned) = (IdTable::new(rows.width), 0);
+        join_nested(g, step, rows, None, &mut next, &mut scanned);
+        (next, scanned)
+    }
+
+    /// `rows` with every row twice in a row.
+    fn doubled(rows: &IdTable) -> IdTable {
+        let mut doubled = IdTable::new(rows.width);
+        for row in rows.iter() {
+            doubled.push(row);
+            doubled.push(row);
+        }
+        doubled
+    }
+
+    #[test]
+    fn a_non_uniform_row_after_written_rows_falls_back_to_nested() {
+        let g = merge_library();
+        let (step, rows) = merge_probe(&g);
+        // The last probe row already binds ?w, so it is not uniform, and it
+        // arrives after the merge has written the earlier rows' matches:
+        // once with a new ?x, once repeating the previous row's.
+        for mut rows in [rows.clone(), doubled(&rows)] {
+            let (w, last) = (step.columns[2].expect("?w is a column"), rows.len() - 1);
+            rows.data[last * rows.width + w] = rows.data[0];
+            let (mut next, mut scanned) = (IdTable::new(rows.width), 0);
+            assert!(!join_batched(&g, &step, &rows, JoinAlgo::Merge, &mut next, &mut scanned));
+            assert!(!next.is_empty(), "the merge wrote rows before it met the non-uniform one");
+
+            let mut trace = PlanTrace::default();
+            let out = join_steps(
+                &g,
+                std::slice::from_ref(&step),
+                rows.clone(),
+                None,
+                &mut Some(&mut trace),
+            );
+            let (nested, nested_scanned) = nested_join(&g, &step, &rows);
+            assert_eq!((out.len(), &out.data), (nested.len(), &nested.data));
+            assert_eq!(trace.steps[0].join_algo, JoinAlgo::Nested);
+            assert_eq!(trace.steps[0].rows_scanned, nested_scanned);
+        }
+    }
+
+    #[test]
+    fn merge_equals_nested_and_scans_each_distinct_key_once() {
+        let g = merge_library();
+        let (step, rows) = merge_probe(&g);
+        // Every book twice in a row: repeated keys reuse their range.
+        let doubled = doubled(&rows);
+        let (mut next, mut scanned) = (IdTable::new(rows.width), 0);
+        assert!(join_batched(&g, &step, &doubled, JoinAlgo::Merge, &mut next, &mut scanned));
+        let (nested, nested_scanned) = nested_join(&g, &step, &doubled);
+        assert_eq!((next.len(), &next.data), (nested.len(), &nested.data));
+        // Five writer triples, each range counted once by the merge and
+        // once per probe row by the nested loop.
+        assert_eq!((scanned, nested_scanned), (5, 10));
+    }
+
+    /// Keys that regress stop a debug build at the merge's `debug_assert!`;
+    /// a release build restarts the search from the start of the index.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn merge_over_an_unsorted_stream_restarts_its_search() {
+        let g = merge_library();
+        let (step, rows) = merge_probe(&g);
+        let mut unsorted = IdTable::new(rows.width);
+        for i in (0..rows.len()).rev().chain([rows.len() - 1, 0, rows.len() - 1]) {
+            unsorted.push(rows.row(i));
+        }
+        let (mut next, mut scanned) = (IdTable::new(rows.width), 0);
+        assert!(join_batched(&g, &step, &unsorted, JoinAlgo::Merge, &mut next, &mut scanned));
+        let (nested, nested_scanned) = nested_join(&g, &step, &unsorted);
+        assert_eq!((next.len(), &next.data), (nested.len(), &nested.data));
+        assert!(scanned <= nested_scanned);
     }
 
     #[test]

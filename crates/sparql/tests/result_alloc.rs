@@ -81,7 +81,7 @@ fn exec_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Bytes a two-step merge join requests per added row.
-const BYTES_PER_ROW: u64 = 32;
+const BYTES_PER_ROW: u64 = 16;
 
 /// Row counts every gate compares: N and 4N.
 const SIZES: [usize; 2] = [100, 400];
@@ -238,12 +238,70 @@ fn merge_join_allocations_do_not_grow_with_rows() {
 }
 
 #[test]
+fn narrowing_projection_allocations_do_not_grow_with_rows() {
+    let _guard = exec_lock();
+    // Two of the four columns: the projection compacts them in the
+    // binding table and copies them out once.
+    let costs = extra_costs(
+        &format!("SELECT ?b ?d {{ {PATTERN} }}"),
+        &format!("SELECT (COUNT(*) AS ?n) {{ {PATTERN} }}"),
+    );
+    let counts: Vec<u64> = costs.iter().map(|&(allocs, _)| allocs).collect();
+    assert_flat("narrowing projection", &counts);
+    let cells = |rows: usize| 2 * rows as u64;
+    let (grown, added) = (costs[1].1.saturating_sub(costs[0].1), cells(SIZES[1]) - cells(SIZES[0]));
+    assert!(
+        grown <= 4 * added,
+        "narrowing projection requests {grown} more bytes for {added} more cells \
+         ({SIZES:?} rows -> {costs:?} (allocations, bytes)): over 4 bytes per cell"
+    );
+}
+
+/// `n` books of three authors each.
+fn coauthored(n: usize) -> Graph {
+    let mut g = GraphBuilder::new();
+    for i in 0..n {
+        let book = Term::iri(res::iri(&format!("Book {i}")));
+        g.add(book.clone(), Term::iri(rdf::TYPE), Term::iri(dbont::iri("Book")));
+        for a in 0..3 {
+            let author = Term::iri(res::iri(&format!("Author {}", (i + a) % n)));
+            g.add(book.clone(), Term::iri(dbont::iri("author")), author);
+        }
+    }
+    g.build()
+}
+
+#[test]
+fn merge_with_several_entries_per_key_allocations_do_not_grow_with_rows() {
+    let _guard = exec_lock();
+    // Each probe row matches three entries, so the merge step's output
+    // outgrows its first guess of one row per probe row; it grows by
+    // doubling, the same number of times at every size.
+    let text = "SELECT (COUNT(*) AS ?n) { ?b rdf:type dbont:Book . ?b dbont:author ?a }";
+    let parsed = parse_query(text).unwrap();
+    let counts: Vec<u64> = SIZES
+        .iter()
+        .map(|&n| {
+            let g = coauthored(n);
+            let (result, trace) = execute_traced(&g, &parsed).unwrap();
+            let algos: Vec<JoinAlgo> = trace.steps.iter().map(|s| s.join_algo).collect();
+            assert_eq!(algos, [JoinAlgo::Nested, JoinAlgo::Merge], "{n} books");
+            let count = result.into_solutions().unwrap().first().cloned();
+            assert_eq!(count, Some(Term::Literal(Literal::integer(3 * n as i64))), "{n} books");
+            execution_allocs(&g, text)
+        })
+        .collect();
+    assert_flat("merge with three entries per key", &counts);
+}
+
+#[test]
 fn merge_join_requests_pinned_bytes_per_row() {
     let _guard = exec_lock();
     // Per added book the two steps request one 2-cell row each (4-byte
-    // cells: 8 bytes a row) and the merge step one 16-byte probe range.
-    // 8-byte `Option<TermId>` cells and a 12-byte probe key per row request
-    // 60 bytes a row.
+    // cells: 8 bytes a row), and nothing else: the merge step writes each
+    // row as it finds its range, keeping no per-row range or key. A 16-byte
+    // range per row requests 32 bytes a row, and 8-byte `Option<TermId>`
+    // cells with a 12-byte probe key per row 60.
     let text = "SELECT (COUNT(*) AS ?n) { ?b rdf:type dbont:Book . ?b dbont:numberOfPages ?p }";
     let bytes: Vec<u64> = SIZES.iter().map(|&n| execution_costs(&books(n), text).1).collect();
     let added = (SIZES[1] - SIZES[0]) as u64;
