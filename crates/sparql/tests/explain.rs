@@ -181,6 +181,10 @@ fn cache_hits_trace_zero_scans_and_zero_counter_delta() {
     let query = parse_query(QUERY).expect("query parses");
     let (first, cold) = cache.execute_traced(&g, &query).expect("cold query");
     assert!(!cold.cache_hit);
+    // A query is stored on its second miss.
+    let (stored, store) = cache.execute_traced(&g, &query).expect("second cold query");
+    assert!(!store.cache_hit);
+    assert_eq!(stored, first);
     let before = relpat_obs::global().counter_value("sparql.rows_scanned");
     let (second, hot) = cache.execute_traced(&g, &query).expect("warm query");
     let delta = relpat_obs::global().counter_value("sparql.rows_scanned") - before;

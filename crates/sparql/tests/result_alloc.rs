@@ -7,7 +7,9 @@
 //! graph's term table, so an emitted cell costs its id and no term clone, a
 //! filtered or ordered row costs nothing, and cloning a result (as the query
 //! cache does on every hit) is O(1). Join steps size their output before
-//! writing it, so a join's own allocations do not grow with rows either.
+//! writing it, so a join's own allocations do not grow with rows either. A
+//! query cache miss that only sights the query allocates exactly what
+//! `execute` does.
 //! The binary installs a global allocator that counts each thread's
 //! allocations, and the bytes they request, in thread-local cells and
 //! compares each operation's counts on the measuring thread at N and 4N
@@ -310,6 +312,26 @@ fn merge_join_requests_pinned_bytes_per_row() {
         BYTES_PER_ROW * added,
         "{SIZES:?} rows -> {bytes:?} requested bytes"
     );
+}
+
+#[test]
+fn a_first_sighting_cache_miss_allocates_what_execute_allocates() {
+    let _guard = exec_lock();
+    let g = books(SIZES[0]);
+    let query = parse_query(&format!("SELECT ?b ?p ?l ?d {{ {PATTERN} }}")).unwrap();
+    let bare = allocs_and_bytes_of(3, || {
+        black_box(execute(&g, &query).unwrap());
+    });
+    // A miss on another cache first registers the cache's counters.
+    black_box(QueryCache::new(8).execute(&g, &query).unwrap());
+    // The cache stores a query on its second miss: the first clones
+    // neither the query nor its result and inserts nothing.
+    let cache = QueryCache::new(8);
+    let miss = allocs_and_bytes_of(0, || {
+        black_box(cache.execute(&g, &query).unwrap());
+    });
+    assert_eq!(miss, bare, "(allocations, requested bytes) of a first miss and of execute");
+    assert!(cache.is_empty());
 }
 
 #[test]
