@@ -26,6 +26,12 @@ echo "=== cargo test --release -q -p relpat-sparql (release-only paths) ==="
 # `#[cfg(not(debug_assertions))]` test of that path runs only here.
 cargo test --release -q -p relpat-sparql
 
+echo "=== cargo test --release -q -p relpat-nlp (linear-time front end) ==="
+# The `#[cfg(not(debug_assertions))]` gate tags and parses 20 480 and
+# 81 920 tokens and fails if the larger input takes more than 8x as long;
+# debug-build timings are not a verdict, so it runs only here.
+cargo test --release -q -p relpat-nlp
+
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets --workspace -- -D warnings
 

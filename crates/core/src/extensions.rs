@@ -170,7 +170,7 @@ fn superlative_question(
     if !graph.token(subj).pos.is_wh() {
         return None;
     }
-    let amod = graph.child_where(root, |r| r == &DepRel::Amod)?;
+    let amod = graph.child_with(root, &DepRel::Amod)?;
     let adj_tok = graph.token(amod);
     if adj_tok.pos != PosTag::Jjs {
         return None;
@@ -262,10 +262,11 @@ fn count_question(
     let entity_idx = graph
         .child_with(root, &DepRel::Nsubj)
         .into_iter()
-        .chain(graph.edges.iter().filter_map(|e| {
-            (e.head == root && matches!(e.rel, DepRel::Prep(_) | DepRel::Dobj))
-                .then_some(e.dependent)
-        }))
+        .chain(
+            graph
+                .children(root)
+                .filter_map(|(d, rel)| matches!(rel, DepRel::Prep(_) | DepRel::Dobj).then_some(d)),
+        )
         .find(|&i| graph.token(i).pos.is_proper_noun())?;
     let entity = mapper.resolve_entity(&graph.phrase_text(entity_idx), &[])?;
 

@@ -98,13 +98,6 @@ pub struct MappingConfig {
     pub entity_sim_threshold: f64,
     /// Keep at most this many pattern candidates per predicate.
     pub max_pattern_candidates: usize,
-    /// Route entity/property string-similarity scans through the KB's
-    /// prebuilt [`relpat_kb::LexicalIndex`] instead of brute-force label
-    /// scans. Candidates are bit-identical either way (the index only
-    /// prunes provably below-threshold entries). Only the
-    /// `lexical_equivalence` test turns it off, to run the brute-force
-    /// scan as its oracle.
-    pub use_lexical_index: bool,
 }
 
 impl Default for MappingConfig {
@@ -117,7 +110,6 @@ impl Default for MappingConfig {
             string_sim_threshold: 0.7,
             entity_sim_threshold: 0.85,
             max_pattern_candidates: 5,
-            use_lexical_index: true,
         }
     }
 }
@@ -304,9 +296,9 @@ impl Mapper<'_> {
     // --------------------------------------------------------------- entities
 
     /// Candidate entities for a mention (exact normalized label, then fuzzy).
-    /// The fuzzy scan goes through the lexical index unless the escape-hatch
-    /// flag is off; either way the query is normalized (hence lowercased)
-    /// once and scored with a shared DP scratch.
+    /// The fuzzy scan reads the label rows the KB's lexical index keeps
+    /// (every row that can reach the threshold), normalizes (hence
+    /// lowercases) the query once and scores with a shared DP scratch.
     pub fn entity_pool(&self, text: &str) -> Vec<TermId> {
         let exact = self.kb.entities_with_label(text);
         if !exact.is_empty() {
@@ -316,20 +308,11 @@ impl Mapper<'_> {
         let threshold = self.config.entity_sim_threshold;
         let mut scratch = LcsScratch::default();
         let mut scored: Vec<(f64, TermId)> = Vec::new();
-        let mut score = |label: &str, ids: &[TermId]| {
+        for row in self.kb.lexical().entity_rows(&norm, threshold) {
+            let (label, ids) = self.kb.labels().row(row as usize);
             let s = lcs_score_pre(&norm, label, &mut scratch);
             if s >= threshold {
                 scored.extend(ids.iter().map(|&id| (s, id)));
-            }
-        };
-        if self.config.use_lexical_index {
-            for row in self.kb.lexical().entity_rows(&norm, threshold) {
-                let (label, ids) = self.kb.labels().row(row as usize);
-                score(label, ids);
-            }
-        } else {
-            for (label, ids) in self.kb.labels_iter() {
-                score(label, ids);
             }
         }
         // Equal-score ties break on the IRI so the top-5 truncation is
@@ -484,31 +467,17 @@ impl Mapper<'_> {
                 });
             }
         };
+        let (lexical, ontology) = (self.kb.lexical(), &self.kb.ontology);
+        let words = [lemma_l.as_str(), text_l.as_str()];
         if is_data {
-            let props = &self.kb.ontology.data_properties;
-            if self.config.use_lexical_index {
-                let hits =
-                    self.kb.lexical().data_property_candidates(&[&lemma_l, &text_l], threshold);
-                for i in hits {
-                    score_and_push(props[i].name, props[i].label);
-                }
-            } else {
-                for p in props {
-                    score_and_push(p.name, p.label);
-                }
+            for i in lexical.data_property_candidates(&words, threshold) {
+                let p = &ontology.data_properties[i];
+                score_and_push(p.name, p.label);
             }
         } else {
-            let props = &self.kb.ontology.object_properties;
-            if self.config.use_lexical_index {
-                let hits =
-                    self.kb.lexical().object_property_candidates(&[&lemma_l, &text_l], threshold);
-                for i in hits {
-                    score_and_push(props[i].name, props[i].label);
-                }
-            } else {
-                for p in props {
-                    score_and_push(p.name, p.label);
-                }
+            for i in lexical.object_property_candidates(&words, threshold) {
+                let p = &ontology.object_properties[i];
+                score_and_push(p.name, p.label);
             }
         }
     }
@@ -523,25 +492,16 @@ impl Mapper<'_> {
     ) {
         let noun_l = noun.to_lowercase();
         let mut scratch = LcsScratch::default();
-        let props = &self.kb.ontology.data_properties;
-        let mut check_and_push = |name: &str, label: &str| {
-            if property_name_score_pre(&noun_l, name, label, &mut scratch) >= 0.9 {
+        for i in self.kb.lexical().data_property_candidates(&[&noun_l], 0.9) {
+            let p = &self.kb.ontology.data_properties[i];
+            if property_name_score_pre(&noun_l, p.name, p.label, &mut scratch) >= 0.9 {
                 out.push(PropertyCandidate {
-                    property: name.to_string(),
+                    property: p.name.to_string(),
                     is_data: true,
                     preferred_inverse: None,
                     weight,
                     source,
                 });
-            }
-        };
-        if self.config.use_lexical_index {
-            for i in self.kb.lexical().data_property_candidates(&[&noun_l], 0.9) {
-                check_and_push(props[i].name, props[i].label);
-            }
-        } else {
-            for p in props {
-                check_and_push(p.name, p.label);
             }
         }
     }

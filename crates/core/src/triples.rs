@@ -363,9 +363,8 @@ fn extract_verbal(
     let subj = subj?;
     let subj_slot = np_slot(graph, subj, &mut triples);
     let dobj = graph.child_with(root, &DepRel::Dobj);
-    let wh_adv = graph
-        .child_where(root, |r| r == &DepRel::Advmod)
-        .filter(|&a| graph.token(a).pos == PosTag::Wrb);
+    let wh_adv =
+        graph.child_with(root, &DepRel::Advmod).filter(|&a| graph.token(a).pos == PosTag::Wrb);
 
     match (subj_slot.clone(), dobj) {
         // "Who directed Titanic?" — variable subject.
@@ -432,13 +431,9 @@ fn extract_verbal(
 
 /// First collapsed-preposition child of a head, with the preposition word.
 fn prep_object(graph: &DepGraph, head: usize) -> Option<(usize, String)> {
-    graph.edges.iter().find_map(|e| {
-        if e.head == head {
-            if let DepRel::Prep(p) = &e.rel {
-                return Some((e.dependent, p.clone()));
-            }
-        }
-        None
+    graph.children(head).find_map(|(d, rel)| match rel {
+        DepRel::Prep(p) => Some((d, p.clone())),
+        _ => None,
     })
 }
 

@@ -1,23 +1,31 @@
-//! Equivalence gate for the lexical candidate index (CI-enforced): with
-//! `use_lexical_index` on and off, `entity_pool`, `resolve_entity` and
-//! `property_candidates` must return *bit-identical* results — the index
-//! only skips entries whose similarity provably cannot reach the threshold.
+//! Completeness gate for the lexical candidate index (CI-enforced): the
+//! mapper reads entity and property candidates only through the KB's
+//! [`relpat_kb::LexicalIndex`], which may skip an entry only when its
+//! similarity provably cannot reach the threshold. For every swept query,
+//! each label row and property whose brute-force score reaches the
+//! threshold must be among the index's candidates; everything after
+//! candidate selection is the mapper's one code path.
 //!
 //! The sweep covers every ontology property name, label, label word and
 //! camel constituent, every entity label in the tiny KB (exact and with one
 //! character dropped), every word of the QALD questions, threshold-boundary
 //! scores (exactly at `string_sim_threshold` / `entity_sim_threshold`),
-//! empty/unicode queries, and a seeded random-string sweep across the
+//! empty/unicode queries, a seeded random-string sweep across the
 //! threshold regimes (including 0.5, below the bigram-recall guarantee,
-//! which exercises the index's full-scan fallback) — same structure that
-//! gated PR 3's early-termination change.
+//! which exercises the index's full-scan fallback) and the mentions and
+//! predicate words of extracted questions.
 
-use relpat_kb::{generate, qald_questions, split_camel_case, KbConfig, KnowledgeBase};
+use relpat_kb::{
+    generate, normalize_label, qald_questions, split_camel_case, KbConfig, KnowledgeBase,
+};
 use relpat_obs::fx::FxHashMap;
 use relpat_obs::Rng;
 use relpat_patterns::{mine, CorpusConfig, PatternStore};
-use relpat_qa::{similar_property_pairs, Mapper, MappingConfig, PredKind};
-use relpat_wordnet::embedded;
+use relpat_qa::{
+    lcs_score_pre, property_name_score_pre, similar_property_pairs, LcsScratch, Mapper,
+    MappingConfig, PredKind, PredicateSlot, SlotTerm,
+};
+use relpat_wordnet::{derived_noun, embedded};
 use std::sync::OnceLock;
 
 struct Fixture {
@@ -39,14 +47,6 @@ fn fixture() -> &'static Fixture {
 fn mapper_with(config: MappingConfig) -> Mapper<'static> {
     let f = fixture();
     Mapper { kb: &f.kb, wordnet: embedded(), patterns: &f.patterns, similar_pairs: &f.pairs, config }
-}
-
-/// Index-on and index-off mappers sharing every other knob.
-fn mapper_pair(config: MappingConfig) -> (Mapper<'static>, Mapper<'static>) {
-    (
-        mapper_with(MappingConfig { use_lexical_index: true, ..config.clone() }),
-        mapper_with(MappingConfig { use_lexical_index: false, ..config }),
-    )
 }
 
 /// Every lexical form the ontology itself can produce (property names,
@@ -75,107 +75,133 @@ fn vocabulary(kb: &KnowledgeBase) -> Vec<String> {
     words
 }
 
-fn assert_equivalent_for_word(on: &Mapper<'_>, off: &Mapper<'_>, word: &str, context: &str) {
-    for kind in [PredKind::Verb, PredKind::Noun, PredKind::Adjective] {
-        let a = on.property_candidates(word, word, kind);
-        let b = off.property_candidates(word, word, kind);
-        assert_eq!(a, b, "property candidates diverged for {word:?} ({kind:?}, {context})");
-    }
-    let a = on.entity_pool(word);
-    let b = off.entity_pool(word);
-    assert_eq!(a, b, "entity pool diverged for {word:?} ({context})");
-    let a = on.resolve_entity(word, &[]);
-    let b = off.resolve_entity(word, &[]);
-    assert_eq!(a, b, "resolved entity diverged for {word:?} ({context})");
-}
+/// Asserts that the index keeps every entry the brute-force scan scores at
+/// or above `config`'s thresholds: label rows against `word` as a mention,
+/// and both property families against `word` as a predicate — at the
+/// string-similarity threshold, and at the 0.9 near-exact match the mapper
+/// also runs for the word's attribute and derived nouns.
+fn assert_complete_for_word(config: &MappingConfig, word: &str, context: &str) {
+    let kb = &fixture().kb;
+    let lexical = kb.lexical();
+    let mut scratch = LcsScratch::default();
 
-#[test]
-fn all_vocabulary_words_map_identically() {
-    let (on, off) = mapper_pair(MappingConfig::default());
-    for word in vocabulary(&fixture().kb) {
-        assert_equivalent_for_word(&on, &off, &word, "default config");
+    let norm = normalize_label(word);
+    let threshold = config.entity_sim_threshold;
+    let mut rows = lexical.entity_rows(&norm, threshold);
+    rows.sort_unstable();
+    for (row, (label, _)) in kb.labels_iter().enumerate() {
+        if lcs_score_pre(&norm, label, &mut scratch) >= threshold {
+            assert!(
+                rows.binary_search(&(row as u32)).is_ok(),
+                "label {label:?} missing for mention {word:?} ({context})"
+            );
+        }
     }
-}
 
-#[test]
-fn all_entity_labels_map_identically() {
-    let (on, off) = mapper_pair(MappingConfig::default());
-    let labels: Vec<String> =
-        fixture().kb.labels_iter().map(|(l, _)| l.to_string()).collect();
-    let mut rng = Rng::seed_from_u64(0x10CA1);
-    for label in labels {
-        // The exact label short-circuits the fuzzy path; mutated copies
-        // (drop the middle character, drop a seeded random one) force it.
-        assert_eq!(on.entity_pool(&label), off.entity_pool(&label), "exact {label:?}");
-        let chars: Vec<char> = label.chars().collect();
-        if chars.len() > 2 {
-            for drop in [chars.len() / 2, rng.gen_range(0usize..chars.len())] {
-                let fuzzed: String = chars[..drop].iter().chain(&chars[drop + 1..]).collect();
-                assert_eq!(
-                    on.entity_pool(&fuzzed),
-                    off.entity_pool(&fuzzed),
-                    "fuzzed {fuzzed:?} (from {label:?})"
-                );
+    let mut queries = vec![(word.to_lowercase(), config.string_sim_threshold)];
+    let nouns = [embedded().attribute_noun(word), derived_noun(word)];
+    queries.extend(nouns.into_iter().flatten().map(|n| (n.to_lowercase(), 0.9)));
+    let ontology = &kb.ontology;
+    let object: Vec<(&str, &str)> =
+        ontology.object_properties.iter().map(|p| (p.name, p.label)).collect();
+    let data: Vec<(&str, &str)> =
+        ontology.data_properties.iter().map(|p| (p.name, p.label)).collect();
+    for (query, threshold) in &queries {
+        let families = [
+            (&object, lexical.object_property_candidates(&[query], *threshold)),
+            (&data, lexical.data_property_candidates(&[query], *threshold)),
+        ];
+        for (props, hits) in families {
+            for (i, (name, label)) in props.iter().enumerate() {
+                if property_name_score_pre(query, name, label, &mut scratch) >= *threshold {
+                    assert!(
+                        hits.contains(&i),
+                        "property {name} missing for {query:?} at {threshold} ({context})"
+                    );
+                }
             }
         }
     }
 }
 
 #[test]
-fn threshold_boundary_scores_agree() {
-    // lcs_score("write", "writer") = 5/6 and ("written","writer") = 5/7:
-    // pin the thresholds exactly there so `s >= threshold` sits on the
-    // boundary, the regime where a sloppy pruning bound would diverge.
-    for threshold in [5.0 / 6.0, 5.0 / 7.0, 0.95, 0.9, 1.0] {
-        let (on, off) = mapper_pair(MappingConfig {
-            string_sim_threshold: threshold,
-            entity_sim_threshold: threshold,
-            ..MappingConfig::default()
-        });
-        for word in ["write", "written", "writer", "height", "population", "orhan pamuk"] {
-            assert_equivalent_for_word(&on, &off, word, &format!("threshold {threshold}"));
+fn index_keeps_every_vocabulary_match() {
+    let config = MappingConfig::default();
+    for word in vocabulary(&fixture().kb) {
+        assert_complete_for_word(&config, &word, "default config");
+    }
+}
+
+#[test]
+fn index_keeps_every_entity_label_match() {
+    let config = MappingConfig::default();
+    let labels: Vec<String> =
+        fixture().kb.labels_iter().map(|(l, _)| l.to_string()).collect();
+    let mut rng = Rng::seed_from_u64(0x10CA1);
+    for label in labels {
+        // The exact label; mutated copies (drop the middle character, drop
+        // a seeded random one) score below 1 against it.
+        assert_complete_for_word(&config, &label, "exact label");
+        let chars: Vec<char> = label.chars().collect();
+        if chars.len() > 2 {
+            for drop in [chars.len() / 2, rng.gen_range(0usize..chars.len())] {
+                let fuzzed: String = chars[..drop].iter().chain(&chars[drop + 1..]).collect();
+                assert_complete_for_word(&config, &fuzzed, &format!("fuzzed from {label:?}"));
+            }
         }
     }
 }
 
 #[test]
-fn empty_and_unicode_queries_agree() {
-    let (on, off) = mapper_pair(MappingConfig::default());
-    for word in ["", " ", "é", "naïveté", "höhe", "北京", "a", "-", "🦀"] {
-        assert_equivalent_for_word(&on, &off, word, "edge-case query");
+fn index_keeps_threshold_boundary_matches() {
+    // lcs_score("write", "writer") = 5/6 and ("written","writer") = 5/7:
+    // pin the thresholds exactly there so `s >= threshold` sits on the
+    // boundary, the regime where a sloppy pruning bound would drop entries.
+    for threshold in [5.0 / 6.0, 5.0 / 7.0, 0.95, 0.9, 1.0] {
+        let config = MappingConfig {
+            string_sim_threshold: threshold,
+            entity_sim_threshold: threshold,
+            ..MappingConfig::default()
+        };
+        for word in ["write", "written", "writer", "height", "population", "orhan pamuk"] {
+            assert_complete_for_word(&config, word, &format!("threshold {threshold}"));
+        }
     }
 }
 
 #[test]
-fn random_sweep_agrees_across_threshold_regimes() {
+fn index_keeps_matches_of_empty_and_unicode_queries() {
+    let config = MappingConfig::default();
+    for word in ["", " ", "é", "naïveté", "höhe", "北京", "a", "-", "🦀"] {
+        assert_complete_for_word(&config, word, "edge-case query");
+    }
+}
+
+#[test]
+fn index_keeps_random_matches_across_threshold_regimes() {
     // Random ASCII-ish strings at thresholds covering all three index
     // regimes: 0.5 (below 2/3 → full-scan fallback), 0.7 (default, bigram
     // guarantee active), 0.9/0.95 (short bound, heavy pruning).
     let alphabet: Vec<char> = "abcdefghilmnoprstuwé ".chars().collect();
     for threshold in [0.5, 0.7, 0.9, 0.95] {
-        let (on, off) = mapper_pair(MappingConfig {
+        let config = MappingConfig {
             string_sim_threshold: threshold,
             entity_sim_threshold: threshold,
             ..MappingConfig::default()
-        });
+        };
         let mut rng = Rng::seed_from_u64(0x1E81CA1 ^ threshold.to_bits());
         for case in 0..150 {
             let len = rng.gen_range(0usize..16);
             let word: String =
                 (0..len).map(|_| alphabet[rng.gen_range(0usize..alphabet.len())]).collect();
-            assert_equivalent_for_word(
-                &on,
-                &off,
-                &word,
-                &format!("random case {case} @ {threshold}"),
-            );
+            assert_complete_for_word(&config, &word, &format!("random case {case} @ {threshold}"));
         }
     }
 }
 
 #[test]
-fn full_question_mapping_is_identical() {
-    let (on, off) = mapper_pair(MappingConfig::default());
+fn index_keeps_every_match_of_extracted_questions() {
+    let config = MappingConfig::default();
     for question in [
         "Which book is written by Orhan Pamuk?",
         "Who is the wife of Barack Obama?",
@@ -186,7 +212,17 @@ fn full_question_mapping_is_identical() {
         let Some(analysis) = relpat_qa::extract(&relpat_nlp::parse_sentence(question)) else {
             continue;
         };
-        assert_eq!(on.map(&analysis), off.map(&analysis), "mapping diverged for {question:?}");
+        for triple in &analysis.triples {
+            for slot in [&triple.subject, &triple.object] {
+                if let SlotTerm::Mention { text } = slot {
+                    assert_complete_for_word(&config, text, question);
+                }
+            }
+            if let PredicateSlot::Word { text, lemma, .. } = &triple.predicate {
+                assert_complete_for_word(&config, text, question);
+                assert_complete_for_word(&config, lemma, question);
+            }
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 //! those, which is exactly the paper's "question not attempted" bucket and
 //! the source of its low recall.
 
-use crate::graph::{DepGraph, DepRel, Edge};
+use crate::graph::{DepGraph, DepRel};
 use crate::lexicon;
 use crate::tokens::{PosTag, Token};
 
@@ -40,13 +40,28 @@ struct Chunk {
 
 struct Parser {
     tokens: Vec<Token>,
-    edges: Vec<Edge>,
+    /// Per token, its head and relation once attached.
+    heads: Vec<Option<(usize, DepRel)>>,
+    /// The attached tokens, in attachment order.
+    attached: Vec<usize>,
     chunks: Vec<Chunk>,
+    /// Per token, the index of the chunk that contains it.
+    chunk_of: Vec<Option<usize>>,
+    /// The clause root once chosen; it never gets a head.
+    root: Option<usize>,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, edges: Vec::new(), chunks: Vec::new() }
+        let n = tokens.len();
+        Parser {
+            tokens,
+            heads: vec![None; n],
+            attached: Vec::new(),
+            chunks: Vec::new(),
+            chunk_of: vec![None; n],
+            root: None,
+        }
     }
 
     fn pos(&self, i: usize) -> PosTag {
@@ -58,15 +73,20 @@ impl Parser {
     }
 
     fn attach(&mut self, head: usize, dependent: usize, rel: DepRel) {
-        // One head per dependent: first attachment wins.
-        if self.edges.iter().any(|e| e.dependent == dependent) || head == dependent {
+        // One head per dependent: first attachment wins. The root stays
+        // headless, so no attachment closes a cycle through it.
+        if self.heads[dependent].is_some() || head == dependent || self.root == Some(dependent) {
             return;
         }
-        self.edges.push(Edge { head, dependent, rel });
+        self.heads[dependent] = Some((head, rel));
+        self.attached.push(dependent);
     }
 
     fn run(mut self) -> DepGraph {
         self.chunks = self.chunk_nps();
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            self.chunk_of[chunk.start..=chunk.end].fill(Some(c));
+        }
         self.build_np_internal_edges();
 
         let verbs = self.verb_analysis();
@@ -78,6 +98,7 @@ impl Parser {
             None => self.attach_copular_clause(&verbs),
         };
 
+        self.root = root;
         if let Some(root) = root {
             self.attach_partmods(&verbs);
             self.attach_preps(root, &verbs);
@@ -85,7 +106,7 @@ impl Parser {
             self.attach_leftovers(root);
         }
 
-        DepGraph { tokens: self.tokens, edges: self.edges, root }
+        DepGraph::new(self.tokens, self.heads, &self.attached, root)
     }
 
     /// Maximal noun-phrase chunks. A chunk is
@@ -182,8 +203,9 @@ impl Parser {
         }
     }
 
-    fn chunk_containing(&self, i: usize) -> Option<&Chunk> {
-        self.chunks.iter().find(|c| c.start <= i && i <= c.end)
+    /// The chunk that contains token `i`, if any.
+    fn chunk_at(&self, i: usize) -> Option<&Chunk> {
+        self.chunk_of.get(i).copied().flatten().map(|c| &self.chunks[c])
     }
 
     fn chunk_heads(&self) -> Vec<usize> {
@@ -196,7 +218,7 @@ impl Parser {
         let mut modals = Vec::new();
         let mut content = Vec::new();
         for i in 0..self.tokens.len() {
-            if self.chunk_containing(i).is_some() {
+            if self.chunk_at(i).is_some() {
                 continue;
             }
             let tag = self.pos(i);
@@ -219,11 +241,8 @@ impl Parser {
         for &v in &content {
             let is_partmod = self.pos(v) == PosTag::Vbn
                 && v > 0
-                && self
-                    .chunk_containing(v - 1)
-                    .map(|c| c.end == v - 1)
-                    .unwrap_or(false)
-                && !be.iter().any(|&b| b < v);
+                && self.chunk_at(v - 1).is_some_and(|c| c.end == v - 1)
+                && be.first().is_none_or(|&b| b >= v);
             if is_partmod {
                 partmods.push(v);
             } else {
@@ -236,8 +255,7 @@ impl Parser {
 
     /// Clause with a content verb: attach auxiliaries, subject, objects.
     fn attach_verbal_clause(&mut self, main: usize, verbs: &VerbAnalysis) {
-        let passive = self.pos(main) == PosTag::Vbn
-            && verbs.be.iter().any(|&b| b < main);
+        let passive = self.pos(main) == PosTag::Vbn && verbs.be.first().is_some_and(|&b| b < main);
 
         for &b in &verbs.be {
             if b < main {
@@ -280,12 +298,12 @@ impl Parser {
 
         // Direct object: first NP after the verb not introduced by a
         // preposition and not owned by a partmod participle.
+        let partmod_after_main = verbs.partmods.iter().copied().find(|&p| p > main);
         for &obj in &after {
-            let chunk_start = self.chunk_containing(obj).map(|c| c.start).unwrap_or(obj);
+            let chunk_start = self.chunk_at(obj).map_or(obj, |c| c.start);
             let preceded_by_prep = chunk_start > 0
                 && matches!(self.pos(chunk_start - 1), PosTag::In | PosTag::To);
-            let preceded_by_partmod =
-                verbs.partmods.iter().any(|&p| p > main && p < chunk_start);
+            let preceded_by_partmod = partmod_after_main.is_some_and(|p| p < chunk_start);
             if !preceded_by_prep && !preceded_by_partmod {
                 // "Give me all books": pronoun right after the verb is iobj
                 // when another NP follows.
@@ -295,9 +313,6 @@ impl Parser {
                 }
                 self.attach(main, obj, DepRel::Dobj);
                 break;
-            }
-            if preceded_by_prep || preceded_by_partmod {
-                continue;
             }
         }
     }
@@ -309,9 +324,8 @@ impl Parser {
         let heads = self.chunk_heads();
 
         // "How tall is E?" — fronted predicate adjective.
-        let fronted_adj = (0..be).find(|&i| {
-            self.pos(i).is_adjective() && self.chunk_containing(i).is_none()
-        });
+        let fronted_adj =
+            (0..be).find(|&i| self.pos(i).is_adjective() && self.chunk_at(i).is_none());
         if let Some(adj) = fronted_adj {
             let subj = heads.iter().copied().find(|&h| h > be)?;
             self.attach(adj, be, DepRel::Cop);
@@ -327,9 +341,8 @@ impl Parser {
             // "Is Ankara the capital of Turkey?"
             let subj = *after.first()?;
             // Predicate: trailing adjective or a second NP.
-            let pred_adj = ((be + 1)..self.tokens.len()).find(|&i| {
-                self.pos(i).is_adjective() && self.chunk_containing(i).is_none()
-            });
+            let pred_adj = ((be + 1)..self.tokens.len())
+                .find(|&i| self.pos(i).is_adjective() && self.chunk_at(i).is_none());
             if let Some(adj) = pred_adj {
                 self.attach(adj, be, DepRel::Cop);
                 self.attach(adj, subj, DepRel::Nsubj);
@@ -360,71 +373,56 @@ impl Parser {
     /// Reduced relatives: `partmod(books, written)`.
     fn attach_partmods(&mut self, verbs: &VerbAnalysis) {
         for &p in &verbs.partmods {
-            if let Some(c) = self.chunk_containing(p - 1) {
+            if let Some(c) = self.chunk_at(p - 1) {
                 let head = c.head;
                 self.attach(head, p, DepRel::Partmod);
             }
         }
     }
 
-    /// Collapses prepositions into `prep_X` / `agent` edges.
+    /// Collapses prepositions into `prep_X` / `agent` edges. One pass left
+    /// to right carries what each preposition needs from its left: the
+    /// nearest content verb, whether a content verb so far is a participle,
+    /// and the nearest participle outside any chunk.
     fn attach_preps(&mut self, root: usize, verbs: &VerbAnalysis) {
-        let n = self.tokens.len();
-        for i in 0..n {
-            if !matches!(self.pos(i), PosTag::In | PosTag::To)
-                || self.chunk_containing(i).is_some()
-            {
+        let mut content = verbs.content.iter().copied().peekable();
+        let mut verb_left = None;
+        let mut participle_verb_left = false;
+        let mut participle_left = None;
+        for i in 0..self.tokens.len() {
+            while let Some(v) = content.next_if(|&v| v < i) {
+                verb_left = Some(v);
+                participle_verb_left |= self.pos(v) == PosTag::Vbn;
+            }
+            if i > 0 && self.pos(i - 1) == PosTag::Vbn && self.chunk_at(i - 1).is_none() {
+                participle_left = Some(i - 1);
+            }
+            if !matches!(self.pos(i), PosTag::In | PosTag::To) || self.chunk_at(i).is_some() {
                 continue;
             }
             let word = self.lower(i);
-            // Object of the preposition: head of the chunk starting right after.
-            let Some(pobj) = self
-                .chunks
-                .iter()
-                .find(|c| c.start == i + 1 || (c.start == i + 2 && self.pos(i + 1) == PosTag::Dt))
+            // Object of the preposition: head of the chunk starting right
+            // after it, or after a determiner outside any chunk.
+            let starts_at = |j: usize| self.chunk_at(j).filter(|c| c.start == j);
+            let Some(pobj) = starts_at(i + 1)
+                .or_else(|| starts_at(i + 2).filter(|_| self.pos(i + 1) == PosTag::Dt))
                 .map(|c| c.head)
             else {
                 continue;
             };
-            // Governor: the closest participle/verb/noun to the left.
-            let governor = self.prep_governor(i, verbs, root);
-            let is_passive_by = word == "by"
-                && verbs
-                    .content
-                    .iter()
-                    .chain(verbs.partmods.iter())
-                    .any(|&v| v < i && self.pos(v) == PosTag::Vbn);
-            if is_passive_by {
+            if word == "by" && participle_verb_left {
                 // agent() attaches to the participle.
-                let participle = (0..i)
-                    .rev()
-                    .find(|&v| self.pos(v) == PosTag::Vbn && self.chunk_containing(v).is_none());
-                if let Some(part) = participle {
+                if let Some(part) = participle_left {
                     self.attach(part, pobj, DepRel::Agent);
                     continue;
                 }
             }
+            // Governor: `of` attaches to the immediately preceding noun;
+            // others to the nearest verb on the left, else the clause root.
+            let noun_left = if word == "of" && i > 0 { self.chunk_at(i - 1) } else { None };
+            let governor = noun_left.map(|c| c.head).or(verb_left).unwrap_or(root);
             self.attach(governor, pobj, DepRel::Prep(word));
         }
-    }
-
-    /// Where a preposition attaches: `of` to the immediately preceding noun;
-    /// others to the nearest verb on the left, else the clause root.
-    fn prep_governor(&self, prep: usize, verbs: &VerbAnalysis, root: usize) -> usize {
-        let word = self.lower(prep);
-        if word == "of" && prep > 0 {
-            if let Some(c) = self.chunk_containing(prep - 1) {
-                return c.head;
-            }
-        }
-        let verb_left = verbs
-            .content
-            .iter()
-            .chain(verbs.partmods.iter())
-            .copied()
-            .filter(|&v| v < prep)
-            .max();
-        verb_left.unwrap_or(root)
     }
 
     /// Adverbs and wh-adverbs attach to the clause root (`advmod`), except
@@ -453,15 +451,10 @@ impl Parser {
     /// Any token still unattached (and not the root / punctuation) hangs off
     /// the root with a `dep` edge so the graph stays connected.
     fn attach_leftovers(&mut self, root: usize) {
-        let n = self.tokens.len();
-        for i in 0..n {
-            if i == root || self.pos(i) == PosTag::Punct {
-                continue;
+        for i in 0..self.tokens.len() {
+            if self.pos(i) != PosTag::Punct {
+                self.attach(root, i, DepRel::Dep);
             }
-            if self.edges.iter().any(|e| e.dependent == i) {
-                continue;
-            }
-            self.attach(root, i, DepRel::Dep);
         }
     }
 }
@@ -482,7 +475,7 @@ mod tests {
     fn rel(g: &DepGraph, head: &str, dep: &str) -> Option<DepRel> {
         let h = g.tokens.iter().position(|t| t.text == head)?;
         let d = g.tokens.iter().position(|t| t.text == dep)?;
-        g.edges.iter().find(|e| e.head == h && e.dependent == d).map(|e| e.rel.clone())
+        g.head_of(d).filter(|&(head, _)| head == h).map(|(_, rel)| rel.clone())
     }
 
     fn root_text(g: &DepGraph) -> &str {
@@ -652,11 +645,12 @@ mod tests {
     }
 
     #[test]
-    fn every_token_has_at_most_one_head() {
-        let g = parse_sentence("Give me all books written by Orhan Pamuk.");
-        for i in 0..g.tokens.len() {
-            let heads = g.edges.iter().filter(|e| e.dependent == i).count();
-            assert!(heads <= 1, "token {} has {} heads", g.tokens[i].text, heads);
-        }
+    fn the_root_never_gets_a_head() {
+        // `of` would attach the root "wife" under "capital", its subject,
+        // and close a cycle.
+        let g = parse_sentence("are in by capital of alive wife ?");
+        assert_eq!(root_text(&g), "wife");
+        assert_eq!(g.head_of(g.root.unwrap()), None);
+        assert!(g.to_tree_string().starts_with("wife/NN (root)"));
     }
 }

@@ -70,74 +70,96 @@ impl fmt::Display for DepRel {
     }
 }
 
-/// One typed dependency edge (head → dependent).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Edge {
-    pub head: usize,
-    pub dependent: usize,
-    pub rel: DepRel,
-}
-
-/// A dependency parse of one sentence.
+/// A dependency parse of one sentence. Every token has one head slot, so it
+/// has at most one governor by construction; the root's slot stays empty.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepGraph {
     pub tokens: Vec<Token>,
-    pub edges: Vec<Edge>,
     /// Index of the root token, if the parser committed to a structure.
     pub root: Option<usize>,
+    /// Per token, its head and relation; `None` for the root and for tokens
+    /// left unattached.
+    heads: Vec<Option<(usize, DepRel)>>,
+    /// Attached tokens grouped by head: head `h`'s children are
+    /// `children[starts[h]..starts[h + 1]]`, in attachment order.
+    children: Vec<usize>,
+    starts: Vec<usize>,
 }
 
 impl DepGraph {
+    /// Builds a graph from its head slots. `attached` lists the attached
+    /// tokens in attachment order, which each head's children keep.
+    pub(crate) fn new(
+        tokens: Vec<Token>,
+        heads: Vec<Option<(usize, DepRel)>>,
+        attached: &[usize],
+        root: Option<usize>,
+    ) -> DepGraph {
+        let mut starts = vec![0; tokens.len() + 1];
+        for (head, _) in heads.iter().flatten() {
+            starts[head + 1] += 1;
+        }
+        for h in 0..tokens.len() {
+            starts[h + 1] += starts[h];
+        }
+        let mut next = starts.clone();
+        let mut children = vec![0; starts[tokens.len()]];
+        for &d in attached {
+            let Some((head, _)) = heads[d] else { continue };
+            children[next[head]] = d;
+            next[head] += 1;
+        }
+        DepGraph { tokens, root, heads, children, starts }
+    }
+
     /// The token at `index`.
     pub fn token(&self, index: usize) -> &Token {
         &self.tokens[index]
     }
 
-    /// Children of a head with their relations, in token order.
-    pub fn children(&self, head: usize) -> Vec<(usize, &DepRel)> {
-        let mut out: Vec<(usize, &DepRel)> = self
-            .edges
+    /// Children of a head with their relations, in attachment order.
+    pub fn children(&self, head: usize) -> impl Iterator<Item = (usize, &DepRel)> + '_ {
+        self.children[self.starts[head]..self.starts[head + 1]]
             .iter()
-            .filter(|e| e.head == head)
-            .map(|e| (e.dependent, &e.rel))
-            .collect();
-        out.sort_by_key(|(i, _)| *i);
-        out
+            .filter_map(|&d| Some((d, &self.heads[d].as_ref()?.1)))
     }
 
-    /// First child of `head` with relation `rel`.
+    /// First attached child of `head` with relation `rel`.
     pub fn child_with(&self, head: usize, rel: &DepRel) -> Option<usize> {
-        self.edges
-            .iter()
-            .find(|e| e.head == head && &e.rel == rel)
-            .map(|e| e.dependent)
-    }
-
-    /// First child matching a predicate on the relation.
-    pub fn child_where<F: Fn(&DepRel) -> bool>(&self, head: usize, pred: F) -> Option<usize> {
-        self.edges
-            .iter()
-            .find(|e| e.head == head && pred(&e.rel))
-            .map(|e| e.dependent)
+        self.children(head).find(|(_, r)| *r == rel).map(|(d, _)| d)
     }
 
     /// The head and relation of a dependent, if attached.
     pub fn head_of(&self, dependent: usize) -> Option<(usize, &DepRel)> {
-        self.edges
+        self.heads[dependent].as_ref().map(|(head, rel)| (*head, rel))
+    }
+
+    /// Every edge as `(head, dependent, relation)`, in dependent order.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, &DepRel)> + '_ {
+        self.heads
             .iter()
-            .find(|e| e.dependent == dependent)
-            .map(|e| (e.head, &e.rel))
+            .enumerate()
+            .filter_map(|(d, slot)| slot.as_ref().map(|(head, rel)| (*head, d, rel)))
     }
 
     /// All token indices in the subtree rooted at `head` (inclusive), sorted.
     pub fn subtree(&self, head: usize) -> Vec<usize> {
+        self.reach(head, |_| true)
+    }
+
+    /// `head` and every token below it through relations `follow` accepts,
+    /// sorted.
+    fn reach(&self, head: usize, follow: impl Fn(&DepRel) -> bool) -> Vec<usize> {
+        let mut seen = vec![false; self.tokens.len()];
+        seen[head] = true;
         let mut out = vec![head];
         let mut stack = vec![head];
         while let Some(h) = stack.pop() {
-            for e in self.edges.iter().filter(|e| e.head == h) {
-                if !out.contains(&e.dependent) {
-                    out.push(e.dependent);
-                    stack.push(e.dependent);
+            for (d, rel) in self.children(h) {
+                if follow(rel) && !seen[d] {
+                    seen[d] = true;
+                    out.push(d);
+                    stack.push(d);
                 }
             }
         }
@@ -145,35 +167,14 @@ impl DepGraph {
         out
     }
 
-    /// Surface text of a subtree, in token order — used to reconstruct
-    /// multi-word entity mentions ("The Museum of Innocence").
-    pub fn subtree_text(&self, head: usize) -> String {
-        self.subtree(head)
-            .into_iter()
-            .map(|i| self.tokens[i].text.as_str())
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
     /// Surface text of a subtree restricted to name-forming relations
     /// (`nn`, `det`, `prep_of` chains) — drops modifiers like relative
     /// clauses so "books written by X" yields "books".
     pub fn phrase_text(&self, head: usize) -> String {
-        let mut keep = vec![head];
-        let mut stack = vec![head];
-        while let Some(h) = stack.pop() {
-            for e in self.edges.iter().filter(|e| e.head == h) {
-                let name_forming = matches!(
-                    e.rel,
-                    DepRel::Nn | DepRel::Num | DepRel::Poss
-                ) || matches!(&e.rel, DepRel::Prep(p) if p == "of");
-                if name_forming && !keep.contains(&e.dependent) {
-                    keep.push(e.dependent);
-                    stack.push(e.dependent);
-                }
-            }
-        }
-        keep.sort_unstable();
+        let keep = self.reach(head, |rel| {
+            matches!(rel, DepRel::Nn | DepRel::Num | DepRel::Poss)
+                || matches!(rel, DepRel::Prep(p) if p == "of")
+        });
         // Re-insert the connecting "of" tokens that sit between kept spans.
         let mut words: Vec<&str> = Vec::new();
         for (pos, &i) in keep.iter().enumerate() {
@@ -189,39 +190,36 @@ impl DepGraph {
     }
 
     /// Renders the parse as an indented tree (the shape of the paper's
-    /// Figure 1).
+    /// Figure 1), children in token order. The root has no head, so every
+    /// token the walk reaches leads back to it and the walk ends.
     pub fn to_tree_string(&self) -> String {
-        let mut out = String::new();
-        match self.root {
-            Some(root) => {
-                out.push_str(&format!("{} (root)\n", self.tokens[root]));
-                self.render_children(root, 1, &mut out);
+        let Some(root) = self.root else { return "(no parse)\n".to_string() };
+        let mut out = format!("{} (root)\n", self.tokens[root]);
+        let mut stack = vec![(root, 0)];
+        while let Some((node, depth)) = stack.pop() {
+            if let Some((_, rel)) = self.head_of(node) {
+                out.push_str(&"  ".repeat(depth));
+                out.push_str(&format!("└─ {rel} ─ {}\n", self.tokens[node]));
             }
-            None => out.push_str("(no parse)\n"),
+            let mut kids: Vec<usize> = self.children(node).map(|(d, _)| d).collect();
+            kids.sort_unstable_by(|a, b| b.cmp(a));
+            stack.extend(kids.into_iter().map(|d| (d, depth + 1)));
         }
         out
-    }
-
-    fn render_children(&self, head: usize, depth: usize, out: &mut String) {
-        for (child, rel) in self.children(head) {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!("└─ {rel} ─ {}\n", self.tokens[child]));
-            self.render_children(child, depth + 1, out);
-        }
     }
 
     /// Lists the edges in `rel(head, dependent)` notation, one per line —
     /// the textual form Stanford tools print.
     pub fn to_relations_string(&self) -> String {
         let mut out = String::new();
-        for e in &self.edges {
+        for (head, dependent, rel) in self.edges() {
             out.push_str(&format!(
                 "{}({}-{}, {}-{})\n",
-                e.rel,
-                self.tokens[e.head].text,
-                e.head + 1,
-                self.tokens[e.dependent].text,
-                e.dependent + 1
+                rel,
+                self.tokens[head].text,
+                head + 1,
+                self.tokens[dependent].text,
+                dependent + 1
             ));
         }
         out
@@ -248,21 +246,26 @@ mod tests {
             tok("Orhan", PosTag::Nnp, 5),
             tok("Pamuk", PosTag::Nnp, 6),
         ];
-        let edges = vec![
-            Edge { head: 1, dependent: 0, rel: DepRel::Det },
-            Edge { head: 3, dependent: 1, rel: DepRel::Nsubjpass },
-            Edge { head: 3, dependent: 2, rel: DepRel::Auxpass },
-            Edge { head: 3, dependent: 6, rel: DepRel::Agent },
-            Edge { head: 6, dependent: 5, rel: DepRel::Nn },
+        let heads = vec![
+            Some((1, DepRel::Det)),
+            Some((3, DepRel::Nsubjpass)),
+            Some((3, DepRel::Auxpass)),
+            None,
+            None,
+            Some((6, DepRel::Nn)),
+            Some((3, DepRel::Agent)),
         ];
-        DepGraph { tokens, edges, root: Some(3) }
+        // The parser's order: the noun phrases' inner edges, then the clause.
+        DepGraph::new(tokens, heads, &[0, 5, 2, 1, 6], Some(3))
     }
 
     #[test]
-    fn children_sorted_by_index() {
+    fn children_keep_attachment_order() {
         let g = figure1_graph();
-        let kids: Vec<usize> = g.children(3).into_iter().map(|(i, _)| i).collect();
-        assert_eq!(kids, vec![1, 2, 6]);
+        let kids: Vec<usize> = g.children(3).map(|(i, _)| i).collect();
+        assert_eq!(kids, vec![2, 1, 6]);
+        assert_eq!(g.children(6).collect::<Vec<_>>(), vec![(5, &DepRel::Nn)]);
+        assert_eq!(g.children(0).count(), 0);
     }
 
     #[test]
@@ -276,10 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn subtree_and_text() {
+    fn subtree_is_sorted_and_inclusive() {
         let g = figure1_graph();
         assert_eq!(g.subtree(6), vec![5, 6]);
-        assert_eq!(g.subtree_text(6), "Orhan Pamuk");
         // root + nsubjpass(book) + its det(Which) + auxpass(is) + agent(Pamuk) + nn(Orhan)
         assert_eq!(g.subtree(3).len(), 6);
     }
@@ -300,6 +302,9 @@ mod tests {
         assert!(tree.contains("nsubjpass"));
         assert!(tree.contains("agent"));
         assert!(tree.contains("nn"));
+        // Children render in token order: book before is before Pamuk.
+        let book = tree.find("book").unwrap();
+        assert!(book < tree.find("is/").unwrap() && book < tree.find("Pamuk").unwrap());
     }
 
     #[test]
@@ -307,7 +312,8 @@ mod tests {
         let g = figure1_graph();
         let rels = g.to_relations_string();
         assert!(rels.contains("nsubjpass(written-4, book-2)"));
-        assert_eq!(rels.lines().count(), g.edges.len());
+        assert_eq!(rels.lines().count(), g.edges().count());
+        assert_eq!(g.edges().count(), 5);
     }
 
     #[test]

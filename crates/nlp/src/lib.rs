@@ -28,7 +28,7 @@ mod tokenize;
 mod tokens;
 
 pub use depparse::{parse, parse_sentence};
-pub use graph::{DepGraph, DepRel, Edge};
+pub use graph::{DepGraph, DepRel};
 pub use lemma::lemmatize;
 pub use lexicon::{is_be_form, is_do_form, is_have_form, lookup as lexicon_lookup};
 pub use tagger::{tag, tag_sentence};

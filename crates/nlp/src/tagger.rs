@@ -97,6 +97,12 @@ fn morphological_guess(lower: &str, index: usize) -> PosTag {
 fn apply_context_rules(words: &[String], tags: &mut [PosTag]) {
     let lower: Vec<String> = words.iter().map(|w| w.to_lowercase()).collect();
     let n = tags.len();
+    // Carried left to right: the last token that is neither an adverb nor
+    // punctuation, whether a be/have form has been seen, and whether a do
+    // form has. A token's tag is final once its own step is done.
+    let mut prev_content: Option<usize> = None;
+    let mut aux_seen = false;
+    let mut do_seen = false;
 
     for i in 0..n {
         // Rule 1: "which"/"what" directly before a noun phrase is WDT;
@@ -109,36 +115,26 @@ fn apply_context_rules(words: &[String], tags: &mut [PosTag]) {
         }
         // Rule 2: a VBD directly or one-adverb after a be-form is a passive
         // participle (VBN): "is written", "was originally built".
-        if tags[i] == PosTag::Vbd {
-            let prev = previous_content(i, tags);
-            if let Some(p) = prev {
-                if lexicon::is_be_form(&lower[p]) || lower[p] == "been" {
-                    tags[i] = PosTag::Vbn;
-                }
-            }
+        if tags[i] == PosTag::Vbd && prev_content.is_some_and(|p| lexicon::is_be_form(&lower[p])) {
+            tags[i] = PosTag::Vbn;
         }
         // Rule 3: a VBN with no be/have auxiliary anywhere before it in the
         // clause acts as a simple past (VBD): "Orhan Pamuk wrote ..." is
         // already VBD, but "Who directed Titanic?" needs directed→VBD.
         if tags[i] == PosTag::Vbn {
-            let has_aux = (0..i).any(|j| {
-                lexicon::is_be_form(&lower[j])
-                    || lexicon::is_have_form(&lower[j])
-                    || lower[j] == "been"
-            });
             // Participles directly after a noun form reduced relatives
             // ("books written by X") and stay VBN.
             let after_noun = i > 0 && tags[i - 1].is_noun();
-            if !has_aux && !after_noun {
+            if !aux_seen && !after_noun {
                 tags[i] = PosTag::Vbd;
             }
         }
         // Rule 4: base verb after do-aux or "to": "did ... die", "to write".
-        if i > 0 && (tags[i] == PosTag::Nn || tags[i] == PosTag::Vbz) {
-            let prior_do = (0..i).any(|j| lexicon::is_do_form(&lower[j]));
-            if prior_do && lexicon::lookup(&lower[i]) == Some(PosTag::Vb) {
-                tags[i] = PosTag::Vb;
-            }
+        if do_seen
+            && (tags[i] == PosTag::Nn || tags[i] == PosTag::Vbz)
+            && lexicon::lookup(&lower[i]) == Some(PosTag::Vb)
+        {
+            tags[i] = PosTag::Vb;
         }
         // Rule 5: "how" + adjective/adverb stays WRB but flags the adjective
         // reading of the next token ("How tall", "How many").
@@ -157,11 +153,13 @@ fn apply_context_rules(words: &[String], tags: &mut [PosTag]) {
         {
             tags[i] = PosTag::Nn;
         }
-    }
-}
 
-fn previous_content(i: usize, tags: &[PosTag]) -> Option<usize> {
-    (0..i).rev().find(|&j| tags[j] != PosTag::Rb && tags[j] != PosTag::Punct)
+        if !matches!(tags[i], PosTag::Rb | PosTag::Punct) {
+            prev_content = Some(i);
+        }
+        aux_seen |= lexicon::is_be_form(&lower[i]) || lexicon::is_have_form(&lower[i]);
+        do_seen |= lexicon::is_do_form(&lower[i]);
+    }
 }
 
 #[cfg(test)]

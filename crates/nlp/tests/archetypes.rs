@@ -23,7 +23,7 @@ fn relation(question: &str, head: &str, dep: &str) -> Option<DepRel> {
     let g = parse_sentence(question);
     let h = g.tokens.iter().position(|t| t.text == head)?;
     let d = g.tokens.iter().position(|t| t.text == dep)?;
-    g.edges.iter().find(|e| e.head == h && e.dependent == d).map(|e| e.rel.clone())
+    g.head_of(d).filter(|&(head, _)| head == h).map(|(_, rel)| rel.clone())
 }
 
 #[test]
@@ -64,10 +64,7 @@ fn adverbial_wh_family() {
         let g = parse_sentence(q);
         assert!(g.root.is_some(), "{q}");
         let root = g.root.unwrap();
-        assert!(
-            g.children(root).iter().any(|(_, r)| **r == DepRel::Advmod),
-            "{q}: no advmod"
-        );
+        assert!(g.children(root).any(|(_, r)| *r == DepRel::Advmod), "{q}: no advmod");
     }
 }
 
@@ -120,9 +117,9 @@ fn out_of_coverage_degrades_without_root_or_with_flat_parse() {
     ] {
         let g = parse_sentence(q);
         // Connectivity invariant: every edge references valid tokens.
-        for e in &g.edges {
-            assert!(e.head < g.tokens.len());
-            assert!(e.dependent < g.tokens.len());
+        for (head, dependent, _) in g.edges() {
+            assert!(head < g.tokens.len());
+            assert!(dependent < g.tokens.len());
         }
     }
 }
@@ -138,13 +135,9 @@ fn every_token_single_headed_across_archetypes() {
         "In which city was Ludwig van Beethoven born?",
     ] {
         let g = parse_sentence(q);
-        for i in 0..g.tokens.len() {
-            let heads = g.edges.iter().filter(|e| e.dependent == i).count();
-            assert!(heads <= 1, "{q}: token {} has {heads} heads", g.tokens[i].text);
-        }
-        // No self-loops, no cycles reachable from root.
-        for e in &g.edges {
-            assert_ne!(e.head, e.dependent, "{q}: self loop");
+        // No self-loops; one head per token holds by construction.
+        for (head, dependent, _) in g.edges() {
+            assert_ne!(head, dependent, "{q}: self loop");
         }
         if let Some(root) = g.root {
             // Root must not have a head.
@@ -166,14 +159,10 @@ fn parser_total_on_arbitrary_input() {
             80,
         );
         let g = parse_sentence(&s);
-        for e in &g.edges {
-            assert!(e.head < g.tokens.len());
-            assert!(e.dependent < g.tokens.len());
-            assert_ne!(e.head, e.dependent);
-        }
-        for i in 0..g.tokens.len() {
-            let heads = g.edges.iter().filter(|e| e.dependent == i).count();
-            assert!(heads <= 1);
+        for (head, dependent, _) in g.edges() {
+            assert!(head < g.tokens.len());
+            assert!(dependent < g.tokens.len());
+            assert_ne!(head, dependent);
         }
         if let Some(root) = g.root {
             assert!(root < g.tokens.len());
@@ -215,5 +204,46 @@ fn unknown_capitalized_is_nnp() {
         let tokens = relpat_nlp::tag_sentence(&s);
         let t = tokens.iter().find(|t| t.text == w).unwrap();
         assert_eq!(t.pos, PosTag::Nnp);
+    }
+}
+
+/// Words of QALD-style questions, mixed by the vocabulary sweep below.
+const VOCABULARY: [&str; 48] = [
+    "Which", "What", "Who", "Where", "When", "How", "many", "is", "are", "was", "did", "does",
+    "has", "been", "of", "by", "in", "to", "with", "the", "a", "all", "capital", "wife", "written",
+    "directed", "born", "married", "book", "city", "people", "films", "alive", "still", "tall",
+    "largest", "Orhan", "Pamuk", "Turkey", "Obama", "'s", "Give", "me", "write", "live", "and",
+    "?", ".",
+];
+
+/// Seeded questions of 2–11 vocabulary words: every parse has single heads,
+/// a headless root and no cycle, and renders as a tree.
+#[test]
+fn parser_keeps_its_invariants_on_vocabulary_questions() {
+    let mut rng = Rng::seed_from_u64(0x5EED);
+    for case in 0..20_000 {
+        let len = rng.gen_range(2usize..=11);
+        let words: Vec<&str> =
+            (0..len).map(|_| VOCABULARY[rng.gen_range(0..VOCABULARY.len())]).collect();
+        let q = words.join(" ");
+        let g = parse_sentence(&q);
+        let n = g.tokens.len();
+        for (head, dependent, _) in g.edges() {
+            let listed = g.children(head).filter(|&(d, _)| d == dependent).count();
+            assert_eq!(listed, 1, "case {case} {q:?}: token {dependent} listed {listed} times");
+        }
+        if let Some(root) = g.root {
+            assert!(g.head_of(root).is_none(), "case {case} {q:?}: root has a head");
+        }
+        for start in 0..n {
+            let mut node = start;
+            let mut steps = 0;
+            while let Some((head, _)) = g.head_of(node) {
+                node = head;
+                steps += 1;
+                assert!(steps <= n, "case {case} {q:?}: cycle through token {start}");
+            }
+        }
+        assert!(!g.to_tree_string().is_empty());
     }
 }
