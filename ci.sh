@@ -32,6 +32,13 @@ echo "=== cargo test --release -q -p relpat-nlp (linear-time front end) ==="
 # debug-build timings are not a verdict, so it runs only here.
 cargo test --release -q -p relpat-nlp
 
+echo "=== cargo test --release -q -p relpat-qa --test question_alloc (allocation gate) ==="
+# The `#[cfg(not(debug_assertions))]` gate bounds the allocations of §2.2
+# mapping per relation slot and of §2.3 planning per emitted candidate;
+# debug builds re-parse every candidate in the planner's `debug_assert`, so
+# it runs only here.
+cargo test --release -q -p relpat-qa --test question_alloc
+
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets --workspace -- -D warnings
 

@@ -323,7 +323,8 @@ fn count_by_class(
         &root_tok.lemma,
         crate::triples::PredKind::Verb,
     );
-    for c in candidates.iter().filter(|c| !c.is_data) {
+    let ontology = &mapper.kb.ontology;
+    for c in candidates.iter().filter(|c| !ontology.property(c.property).is_data) {
         for inverse in [c.preferred_inverse.unwrap_or(false), true] {
             let (s, o) = if inverse {
                 ("?x".to_string(), format!("<{}>", entity.iri.as_str()))
@@ -334,7 +335,7 @@ fn count_by_class(
                 "SELECT (COUNT(DISTINCT ?x) AS ?c) WHERE {{ ?x <{}> <{}> . {s} <{}> {o} }}",
                 rdf::TYPE,
                 dbont::iri(class),
-                dbont::iri(&c.property)
+                dbont::iri(ontology.property(c.property).name)
             );
             if let Some(terms) = run_select(mapper, &sparql) {
                 let positive = terms

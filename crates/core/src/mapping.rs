@@ -13,13 +13,13 @@
 //! Every candidate records its provenance so ablations can switch sources
 //! off and the ranking step can weight them.
 
-use relpat_kb::{normalize_label, KnowledgeBase};
+use relpat_kb::{normalize_label, KnowledgeBase, PropertyId};
 use relpat_patterns::PatternStore;
 use relpat_rdf::{Iri, TermId};
 use relpat_wordnet::{derived_noun, WnPos, WordNet};
 use relpat_obs::fx::FxHashMap;
 
-use crate::similarity::{lcs_score, lcs_score_pre, property_name_score_pre, LcsScratch};
+use crate::similarity::{lcs_score, lcs_score_pre, lowercase, property_keys_score, LcsScratch};
 use crate::triples::{PatternTriple, PredKind, PredicateSlot, QuestionAnalysis, SlotTerm};
 
 /// Where a property candidate came from (drives weights and ablations).
@@ -38,12 +38,11 @@ pub enum CandidateSource {
 }
 
 /// One property candidate for a predicate slot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PropertyCandidate {
-    /// Property local name (`deathPlace`).
-    pub property: String,
-    /// True for data properties.
-    pub is_data: bool,
+    /// The ontology property (`dbont:deathPlace`); its name, kind, domain,
+    /// range and term are `kb.ontology.property(id)`.
+    pub property: PropertyId,
     /// Direction hint from pattern evidence: `Some(true)` means the
     /// textual subject/object order is inverted relative to the RDF fact.
     pub preferred_inverse: Option<bool>,
@@ -390,95 +389,79 @@ impl Mapper<'_> {
         kind: PredKind,
     ) -> Vec<PropertyCandidate> {
         let mut out: Vec<PropertyCandidate> = Vec::new();
+        let mut scratch = LcsScratch::default();
         match kind {
             PredKind::Verb => {
-                self.string_sim_object_properties(text, lemma, &mut out);
+                self.string_sim_properties(text, lemma, false, &mut scratch, &mut out);
                 self.wordnet_expansion(&mut out);
-                self.derived_noun_data_properties(lemma, &mut out);
+                if let Some(noun) = derived_noun(lemma) {
+                    // WordNet derivational link: verb → event noun → data
+                    // property (`born` → `birth` → `birthDate`), for the
+                    // date questions the pattern store cannot answer (it
+                    // holds object properties only, paper §5).
+                    let source = CandidateSource::DerivedNoun;
+                    self.data_properties_matching(noun, 8.0, source, &mut scratch, &mut out);
+                }
                 self.pattern_candidates(lemma, &mut out);
             }
             PredKind::Noun => {
-                self.string_sim_data_properties(text, lemma, &mut out);
-                self.string_sim_object_properties(text, lemma, &mut out);
+                self.string_sim_properties(text, lemma, true, &mut scratch, &mut out);
+                self.string_sim_properties(text, lemma, false, &mut scratch, &mut out);
                 self.wordnet_expansion(&mut out);
                 self.wordnet_noun_properties(lemma, &mut out);
                 self.pattern_candidates(lemma, &mut out);
             }
             PredKind::Adjective => {
                 if let Some(attr) = self.wordnet.attribute_noun(lemma) {
-                    self.data_properties_matching(attr, 10.0, CandidateSource::AdjectiveAttribute, &mut out);
+                    let source = CandidateSource::AdjectiveAttribute;
+                    self.data_properties_matching(attr, 10.0, source, &mut scratch, &mut out);
                 }
-                self.string_sim_data_properties(text, lemma, &mut out);
+                self.string_sim_properties(text, lemma, true, &mut scratch, &mut out);
                 // Mined data patterns ("$v meter tall" → height) cover
                 // adjectives the curated attribute list misses.
                 self.pattern_candidates(lemma, &mut out);
             }
         }
-        let out = dedup_candidates(out);
+        dedup_candidates(&mut out);
         relpat_obs::counter!("qa.map.slots");
         relpat_obs::counter!("qa.map.candidates", out.len() as u64);
         out
     }
 
-    /// §2.2.1: verbs against object properties by LCS score.
-    fn string_sim_object_properties(
-        &self,
-        text: &str,
-        lemma: &str,
-        out: &mut Vec<PropertyCandidate>,
-    ) {
-        self.string_sim_properties(text, lemma, false, out);
-    }
-
-    /// §2.2.2: nouns against data properties by LCS score.
-    fn string_sim_data_properties(
-        &self,
-        text: &str,
-        lemma: &str,
-        out: &mut Vec<PropertyCandidate>,
-    ) {
-        self.string_sim_properties(text, lemma, true, out);
-    }
-
-    /// Shared §2.2.1/§2.2.2 scan: both the word and its lemma against one
-    /// property family. The word pair is lowercased once; the lexical index
-    /// narrows the family to entries that can clear the threshold, and
-    /// survivors are rescored exactly (in ontology order either way).
+    /// §2.2.1 (verbs against object properties) and §2.2.2 (nouns against
+    /// data properties) by LCS score: both the word and its lemma against
+    /// one property family. The word pair is lowercased once; the lexical
+    /// index narrows the family to entries that can clear the threshold,
+    /// and survivors are rescored exactly from their keys, in ontology
+    /// order.
     fn string_sim_properties(
         &self,
         text: &str,
         lemma: &str,
         is_data: bool,
+        scratch: &mut LcsScratch,
         out: &mut Vec<PropertyCandidate>,
     ) {
         let threshold = self.config.string_sim_threshold;
-        let (text_l, lemma_l) = (text.to_lowercase(), lemma.to_lowercase());
-        let mut scratch = LcsScratch::default();
-        let mut score_and_push = |name: &str, label: &str| {
-            let s = property_name_score_pre(&lemma_l, name, label, &mut scratch)
-                .max(property_name_score_pre(&text_l, name, label, &mut scratch));
+        let (text_l, lemma_l) = (lowercase(text), lowercase(lemma));
+        let mut score_and_push = |id: PropertyId| {
+            let p = self.kb.ontology.property(id);
+            let s = property_keys_score(&lemma_l, p, scratch)
+                .max(property_keys_score(&text_l, p, scratch));
             if s >= threshold {
                 out.push(PropertyCandidate {
-                    property: name.to_string(),
-                    is_data,
+                    property: id,
                     preferred_inverse: None,
                     weight: s * 10.0,
                     source: CandidateSource::StringSimilarity,
                 });
             }
         };
-        let (lexical, ontology) = (self.kb.lexical(), &self.kb.ontology);
-        let words = [lemma_l.as_str(), text_l.as_str()];
+        let (lexical, words) = (self.kb.lexical(), [lemma_l.as_ref(), text_l.as_ref()]);
         if is_data {
-            for i in lexical.data_property_candidates(&words, threshold) {
-                let p = &ontology.data_properties[i];
-                score_and_push(p.name, p.label);
-            }
+            lexical.data_property_candidates(&words, threshold).for_each(&mut score_and_push);
         } else {
-            for i in lexical.object_property_candidates(&words, threshold) {
-                let p = &ontology.object_properties[i];
-                score_and_push(p.name, p.label);
-            }
+            lexical.object_property_candidates(&words, threshold).for_each(&mut score_and_push);
         }
     }
 
@@ -488,55 +471,41 @@ impl Mapper<'_> {
         noun: &str,
         weight: f64,
         source: CandidateSource,
+        scratch: &mut LcsScratch,
         out: &mut Vec<PropertyCandidate>,
     ) {
-        let noun_l = noun.to_lowercase();
-        let mut scratch = LcsScratch::default();
-        for i in self.kb.lexical().data_property_candidates(&[&noun_l], 0.9) {
-            let p = &self.kb.ontology.data_properties[i];
-            if property_name_score_pre(&noun_l, p.name, p.label, &mut scratch) >= 0.9 {
-                out.push(PropertyCandidate {
-                    property: p.name.to_string(),
-                    is_data: true,
-                    preferred_inverse: None,
-                    weight,
-                    source,
-                });
+        let noun_l = lowercase(noun);
+        for id in self.kb.lexical().data_property_candidates(&[&noun_l], 0.9) {
+            if property_keys_score(&noun_l, self.kb.ontology.property(id), scratch) >= 0.9 {
+                let preferred_inverse = None;
+                out.push(PropertyCandidate { property: id, preferred_inverse, weight, source });
             }
         }
     }
 
-    /// WordNet derivational link: verb → event noun → data property
-    /// (`born` → `birth` → `birthDate`). Covers the date questions the
-    /// pattern store cannot (it holds object properties only, paper §5).
-    fn derived_noun_data_properties(&self, lemma: &str, out: &mut Vec<PropertyCandidate>) {
-        if let Some(noun) = derived_noun(lemma) {
-            self.data_properties_matching(noun, 8.0, CandidateSource::DerivedNoun, out);
-        }
-    }
-
     /// §2.2.1: expand string-similarity seeds with the precomputed
-    /// similar-meaning property pairs (writer → author).
+    /// similar-meaning property pairs (writer → author). The pairs are keyed
+    /// by name and resolve through the ontology's name index.
     fn wordnet_expansion(&self, out: &mut Vec<PropertyCandidate>) {
         if !self.config.use_wordnet_expansion {
             return;
         }
-        let seeds: Vec<(String, f64)> = out
-            .iter()
-            .filter(|c| !c.is_data && c.source == CandidateSource::StringSimilarity)
-            .map(|c| (c.property.clone(), c.weight))
-            .collect();
-        for (seed, weight) in seeds {
-            if let Some(similar) = self.similar_pairs.get(&seed) {
-                for (other, score) in similar {
-                    out.push(PropertyCandidate {
-                        property: other.clone(),
-                        is_data: false,
-                        preferred_inverse: None,
-                        weight: weight * score * 0.8,
-                        source: CandidateSource::WordNetPair,
-                    });
-                }
+        let ontology = &self.kb.ontology;
+        for i in 0..out.len() {
+            let seed = out[i];
+            let property = ontology.property(seed.property);
+            if property.is_data || seed.source != CandidateSource::StringSimilarity {
+                continue;
+            }
+            let Some(similar) = self.similar_pairs.get(property.name) else { continue };
+            for (other, score) in similar {
+                let Some(id) = ontology.property_id(other) else { continue };
+                out.push(PropertyCandidate {
+                    property: id,
+                    preferred_inverse: None,
+                    weight: seed.weight * score * 0.8,
+                    source: CandidateSource::WordNetPair,
+                });
             }
         }
     }
@@ -547,7 +516,8 @@ impl Mapper<'_> {
         if !self.config.use_wordnet_expansion {
             return;
         }
-        for p in &self.kb.ontology.object_properties {
+        let ontology = &self.kb.ontology;
+        for (i, p) in ontology.object_properties.iter().enumerate() {
             let head = p.label.split_whitespace().last().unwrap_or(p.label);
             if head == lemma {
                 continue; // string similarity already found it
@@ -557,8 +527,7 @@ impl Mapper<'_> {
             };
             if lin >= 0.75 && wup >= 0.85 {
                 out.push(PropertyCandidate {
-                    property: p.name.to_string(),
-                    is_data: false,
+                    property: ontology.object_property_id(i),
                     preferred_inverse: None,
                     weight: lin * 8.0,
                     source: CandidateSource::WordNetPair,
@@ -567,7 +536,8 @@ impl Mapper<'_> {
         }
     }
 
-    /// §2.2.3: relational-pattern candidates, frequency-weighted.
+    /// §2.2.3: relational-pattern candidates, frequency-weighted. The store
+    /// names each property; names resolve through the ontology's name index.
     fn pattern_candidates(&self, lemma: &str, out: &mut Vec<PropertyCandidate>) {
         if !self.config.use_relational_patterns {
             return;
@@ -581,9 +551,9 @@ impl Mapper<'_> {
                 break;
             }
             taken += 1;
+            let Some(id) = self.kb.ontology.property_id(&c.property) else { continue };
             out.push(PropertyCandidate {
-                property: c.property.clone(),
-                is_data: c.is_data,
+                property: id,
                 // Data patterns have a forced orientation (entity → literal);
                 // object patterns carry their observed direction.
                 preferred_inverse: if c.is_data { None } else { Some(c.inverse) },
@@ -594,27 +564,31 @@ impl Mapper<'_> {
     }
 }
 
-/// Merges duplicate `(property, is_data, preferred_inverse)` candidates,
-/// keeping the maximum weight, and sorts by weight descending.
-fn dedup_candidates(candidates: Vec<PropertyCandidate>) -> Vec<PropertyCandidate> {
-    let mut merged: Vec<PropertyCandidate> = Vec::new();
-    for c in candidates {
-        match merged.iter_mut().find(|m| {
-            m.property == c.property
-                && m.is_data == c.is_data
-                && m.preferred_inverse == c.preferred_inverse
-        }) {
+/// Merges duplicate `(property, preferred_inverse)` candidates in place,
+/// keeping the first one's position and the maximum weight, and sorts by
+/// weight descending.
+fn dedup_candidates(candidates: &mut Vec<PropertyCandidate>) {
+    let mut kept = 0;
+    for i in 0..candidates.len() {
+        let c = candidates[i];
+        match candidates[..kept]
+            .iter_mut()
+            .find(|m| m.property == c.property && m.preferred_inverse == c.preferred_inverse)
+        {
             Some(existing) => {
                 if c.weight > existing.weight {
                     existing.weight = c.weight;
                     existing.source = c.source;
                 }
             }
-            None => merged.push(c),
+            None => {
+                candidates[kept] = c;
+                kept += 1;
+            }
         }
     }
-    merged.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-    merged
+    candidates.truncate(kept);
+    candidates.sort_by(|a, b| b.weight.total_cmp(&a.weight));
 }
 
 #[cfg(test)]
@@ -639,6 +613,15 @@ mod tests {
             let pairs = similar_property_pairs(&kb, embedded());
             Fixture { kb, patterns: mined.store, pairs }
         })
+    }
+
+    /// The ontology name of a candidate's property.
+    fn name(c: &PropertyCandidate) -> &'static str {
+        fixture().kb.ontology.property(c.property).name
+    }
+
+    fn is_data(c: &PropertyCandidate) -> bool {
+        fixture().kb.ontology.property(c.property).is_data
     }
 
     fn mapper() -> Mapper<'static> {
@@ -690,7 +673,7 @@ mod tests {
         // Paper §2.2.1: Pt("written") = {dbont:writer, dbont:author}.
         let m = mapper();
         let cands = m.property_candidates("written", "write", PredKind::Verb);
-        let props: Vec<&str> = cands.iter().map(|c| c.property.as_str()).collect();
+        let props: Vec<&str> = cands.iter().map(name).collect();
         assert!(props.contains(&"writer"), "{props:?}");
         assert!(props.contains(&"author"), "{props:?}");
     }
@@ -706,7 +689,7 @@ mod tests {
             .filter(|c| c.source == CandidateSource::RelationalPattern)
             .max_by(|a, b| a.weight.total_cmp(&b.weight))
             .unwrap();
-        assert_eq!(top_pattern.property, "deathPlace");
+        assert_eq!(name(top_pattern), "deathPlace");
     }
 
     #[test]
@@ -714,8 +697,8 @@ mod tests {
         // Paper §2.2.2: "tall" → dbont:height.
         let m = mapper();
         let cands = m.property_candidates("tall", "tall", PredKind::Adjective);
-        assert_eq!(cands[0].property, "height");
-        assert!(cands[0].is_data);
+        assert_eq!(name(&cands[0]), "height");
+        assert!(is_data(&cands[0]));
         assert_eq!(cands[0].source, CandidateSource::AdjectiveAttribute);
     }
 
@@ -723,15 +706,15 @@ mod tests {
     fn height_noun_maps_to_height_data_property() {
         let m = mapper();
         let cands = m.property_candidates("height", "height", PredKind::Noun);
-        assert_eq!(cands[0].property, "height");
-        assert!(cands[0].is_data);
+        assert_eq!(name(&cands[0]), "height");
+        assert!(is_data(&cands[0]));
     }
 
     #[test]
     fn population_maps_to_population_total() {
         let m = mapper();
         let cands = m.property_candidates("population", "population", PredKind::Noun);
-        assert!(cands.iter().any(|c| c.property == "populationTotal" && c.is_data));
+        assert!(cands.iter().any(|c| name(c) == "populationTotal" && is_data(c)));
     }
 
     #[test]
@@ -741,7 +724,7 @@ mod tests {
         assert!(
             cands
                 .iter()
-                .any(|c| c.property == "spouse" && c.source == CandidateSource::WordNetPair),
+                .any(|c| name(c) == "spouse" && c.source == CandidateSource::WordNetPair),
             "{cands:?}"
         );
     }
@@ -753,11 +736,11 @@ mod tests {
         assert!(
             cands
                 .iter()
-                .any(|c| c.property == "birthDate" && c.source == CandidateSource::DerivedNoun),
+                .any(|c| name(c) == "birthDate" && c.source == CandidateSource::DerivedNoun),
             "{cands:?}"
         );
         // And birthPlace via patterns.
-        assert!(cands.iter().any(|c| c.property == "birthPlace"));
+        assert!(cands.iter().any(|c| name(c) == "birthPlace"));
     }
 
     #[test]
@@ -827,7 +810,7 @@ mod tests {
             MappedTriple::Relation { subject, object, candidates } => {
                 assert_eq!(subject, &MappedSlot::Var);
                 assert!(matches!(object, MappedSlot::Entity(e) if e.label == "Orhan Pamuk"));
-                assert!(candidates.iter().any(|c| c.property == "author"));
+                assert!(candidates.iter().any(|c| name(c) == "author"));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -864,17 +847,16 @@ mod tests {
 
     #[test]
     fn dedup_keeps_max_weight() {
+        let author = fixture().kb.ontology.property_id("author").unwrap();
         let c = |w: f64, src| PropertyCandidate {
-            property: "author".into(),
-            is_data: false,
+            property: author,
             preferred_inverse: None,
             weight: w,
             source: src,
         };
-        let merged = dedup_candidates(vec![
-            c(3.0, CandidateSource::StringSimilarity),
-            c(9.0, CandidateSource::WordNetPair),
-        ]);
+        let mut merged =
+            vec![c(3.0, CandidateSource::StringSimilarity), c(9.0, CandidateSource::WordNetPair)];
+        dedup_candidates(&mut merged);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].weight, 9.0);
         assert_eq!(merged[0].source, CandidateSource::WordNetPair);

@@ -161,7 +161,7 @@ pub(crate) fn trace_for(
                         candidates: candidates
                             .iter()
                             .map(|c| TraceCandidate {
-                                property: c.property.clone(),
+                                property: kb.ontology.property(c.property).name.to_string(),
                                 weight: c.weight,
                                 source: format!("{:?}", c.source),
                             })

@@ -27,9 +27,9 @@ use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use relpat_kb::{ClassId, ClassSet, KnowledgeBase};
+use relpat_kb::{ClassSet, KnowledgeBase, PropertyId};
 use relpat_rdf::vocab::{dbont, rdf};
-use relpat_rdf::Term;
+use relpat_rdf::{Iri, Term};
 use relpat_sparql::ast::{AskQuery, GraphPattern, Projection, Query, SelectQuery, TriplePattern};
 
 use crate::mapping::{MappedQuestion, MappedSlot, MappedTriple, PropertyCandidate};
@@ -76,10 +76,12 @@ impl PlannerStrategy {
 /// Semantics per strategy — `Beam`: `expanded` counts frontier states
 /// popped and branched, `pruned` counts states generated but still in the
 /// frontier when the search proved the top-`max` (never explored),
-/// `emitted` counts complete assignments surfaced. `CartesianExhaustive`:
+/// `emitted` counts the queries returned. `CartesianExhaustive`:
 /// `expanded` counts partial and complete combinations materialized by the
 /// fold, `pruned` counts full combinations discarded by the final
-/// truncation, `emitted` counts combinations kept.
+/// truncation, `emitted` counts the queries returned. Either way `emitted`
+/// is counted after adjacent duplicate assignments are dropped, so it is
+/// the length of the returned list.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     pub expanded: u64,
@@ -99,10 +101,12 @@ struct TripleParts {
 /// are built when the first emitted assignment selects it and shared by
 /// every later one; an option no emitted assignment selects builds none.
 #[derive(Debug)]
-struct TripleOption<'m> {
-    subject: &'m MappedSlot,
-    property: &'m str,
-    object: &'m MappedSlot,
+struct TripleOption<'a> {
+    subject: &'a MappedSlot,
+    property: PropertyId,
+    /// The property's term, built once by the ontology.
+    predicate: &'a Term,
+    object: &'a MappedSlot,
     weight: f64,
     parts: OnceCell<TripleParts>,
 }
@@ -110,9 +114,19 @@ struct TripleOption<'m> {
 impl TripleOption<'_> {
     fn parts(&self) -> &TripleParts {
         self.parts.get_or_init(|| {
-            let predicate = Term::iri(dbont::iri(self.property));
-            TripleParts::new(slot_term(self.subject), predicate, slot_term(self.object))
+            TripleParts::new(
+                slot_term(self.subject),
+                self.predicate.clone(),
+                slot_term(self.object),
+            )
         })
+    }
+
+    /// True if both options write the same triple, hence the same line.
+    fn same_triple(&self, other: &TripleOption<'_>) -> bool {
+        self.property == other.property
+            && slot_iri(self.subject) == slot_iri(other.subject)
+            && slot_iri(self.object) == slot_iri(other.object)
     }
 }
 
@@ -165,11 +179,8 @@ pub fn build_queries_planned(
                 let classes = (slot_classes(subject), slot_classes(object));
                 let mut options = Vec::new();
                 for c in candidates {
-                    let Some(declared) = declared_classes(kb, c) else { continue };
                     for inverse in [false, true] {
-                        if let Some(opt) =
-                            triple_option(kb, subject, object, classes, declared, c, inverse)
-                        {
+                        if let Some(opt) = triple_option(kb, subject, object, classes, c, inverse) {
                             options.push(opt);
                         }
                     }
@@ -373,38 +384,41 @@ fn cartesian_topk(
     (combos, stats)
 }
 
-/// Assembles ranked assignments into queries and their SPARQL text. The
-/// fixed-line prefix is rendered once and shared; each option's line and
-/// pattern are built once, by the first assignment that selects it.
-/// Adjacent duplicates (same SPARQL text) collapse to the highest-ranked
-/// occurrence.
+/// Assembles ranked assignments into queries and their SPARQL text. An
+/// assignment whose triples equal the previous emitted one's is dropped
+/// before any text is written (equal triples write equal text), so
+/// adjacent duplicates collapse to the highest-ranked occurrence. The
+/// fixed lines and each option's line are written once; each query's text
+/// is written into one buffer of its exact length.
 fn render_combos(
     analysis: &QuestionAnalysis,
     fixed: &[TripleParts],
     option_sets: &[Vec<TripleOption>],
     combos: &[(Vec<u32>, f64)],
 ) -> Vec<BuiltQuery> {
-    let prefix = fixed.iter().map(|p| p.line.as_str()).collect::<Vec<_>>().join(" ");
+    let (head, tail) =
+        if analysis.ask { ("ASK { ", " }") } else { ("SELECT DISTINCT ?x WHERE { ", " }") };
+    let chosen = |indices| selected(option_sets, indices);
     let mut out: Vec<BuiltQuery> = Vec::with_capacity(combos.len());
+    let mut previous: Option<&[u32]> = None;
     for (indices, score) in combos {
-        let chosen = || option_sets.iter().zip(indices).map(|(set, &i)| set[i as usize].parts());
-        let mut body = prefix.clone();
-        for parts in chosen() {
-            if !body.is_empty() {
-                body.push(' ');
-            }
-            body.push_str(&parts.line);
-        }
-        let sparql = if analysis.ask {
-            format!("ASK {{ {body} }}")
-        } else {
-            format!("SELECT DISTINCT ?x WHERE {{ {body} }}")
-        };
-        if out.last().is_some_and(|prev| prev.sparql == sparql) {
+        if previous.is_some_and(|p| chosen(p).zip(chosen(indices)).all(|(a, b)| a.same_triple(b))) {
             continue;
         }
+        previous = Some(indices);
+        let parts = || fixed.iter().chain(chosen(indices).map(TripleOption::parts));
+        let body: usize = parts().map(|p| p.line.len() + 1).sum();
+        let mut sparql = String::with_capacity(head.len() + body.saturating_sub(1) + tail.len());
+        sparql.push_str(head);
+        for (i, p) in parts().enumerate() {
+            if i > 0 {
+                sparql.push(' ');
+            }
+            sparql.push_str(&p.line);
+        }
+        sparql.push_str(tail);
         let pattern = GraphPattern {
-            triples: fixed.iter().chain(chosen()).map(|p| p.pattern.clone()).collect(),
+            triples: parts().map(|p| p.pattern.clone()).collect(),
             ..GraphPattern::default()
         };
         let query = if analysis.ask {
@@ -425,36 +439,26 @@ fn render_combos(
     out
 }
 
-/// The candidate property's declared domain, and its range for an object
-/// property; `None` when the ontology does not define the property.
-fn declared_classes(
-    kb: &KnowledgeBase,
-    candidate: &PropertyCandidate,
-) -> Option<(ClassId, Option<ClassId>)> {
-    let o = &kb.ontology;
-    if candidate.is_data {
-        let i = o.data_properties.iter().position(|p| p.name == candidate.property)?;
-        Some((o.data_property_domain(i), None))
-    } else {
-        let i = o.object_properties.iter().position(|p| p.name == candidate.property)?;
-        let (domain, range) = o.object_property_classes(i);
-        Some((domain, Some(range)))
-    }
+/// The options an assignment selects, one per option set.
+fn selected<'s, 'a>(
+    option_sets: &'s [Vec<TripleOption<'a>>],
+    indices: &'s [u32],
+) -> impl Iterator<Item = &'s TripleOption<'a>> {
+    option_sets.iter().zip(indices).map(|(set, &i)| &set[i as usize])
 }
 
 /// Resolves one (candidate, orientation) pair into a triple option, or
 /// `None` when the ontology's domain/range rules it out. `classes` are the
-/// subject's and the object's classes (see [`ClassSet::admits`]),
-/// `declared` the candidate's [`declared_classes`].
-fn triple_option<'m>(
-    kb: &KnowledgeBase,
-    subject: &'m MappedSlot,
-    object: &'m MappedSlot,
+/// subject's and the object's classes (see [`ClassSet::admits`]).
+fn triple_option<'a>(
+    kb: &'a KnowledgeBase,
+    subject: &'a MappedSlot,
+    object: &'a MappedSlot,
     classes: (ClassSet, ClassSet),
-    (domain, range): (ClassId, Option<ClassId>),
-    candidate: &'m PropertyCandidate,
+    candidate: &PropertyCandidate,
     inverse: bool,
-) -> Option<TripleOption<'m>> {
+) -> Option<TripleOption<'a>> {
+    let property = kb.ontology.property(candidate.property);
     let (eff_subject, eff_object) =
         if inverse { (object, subject) } else { (subject, object) };
     let (subject_classes, object_classes) =
@@ -480,17 +484,18 @@ fn triple_option<'m>(
 
     // Data property: the literal side must be the variable, the subject
     // side an entity (or typed variable within the domain).
-    if candidate.is_data && !matches!(eff_object, MappedSlot::Var) {
+    if property.is_data && !matches!(eff_object, MappedSlot::Var) {
         return None;
     }
-    if !subject_classes.admits(&kb.ontology, domain)
-        || range.is_some_and(|range| !object_classes.admits(&kb.ontology, range))
+    if !subject_classes.admits(&kb.ontology, property.domain)
+        || property.range.is_some_and(|range| !object_classes.admits(&kb.ontology, range))
     {
         return None;
     }
     Some(TripleOption {
         subject: eff_subject,
-        property: &candidate.property,
+        property: candidate.property,
+        predicate: &property.term,
         object: eff_object,
         weight,
         parts: OnceCell::new(),
@@ -504,11 +509,37 @@ fn slot_term(slot: &MappedSlot) -> Term {
     }
 }
 
+/// The IRI a slot writes; `None` for the variable.
+fn slot_iri(slot: &MappedSlot) -> Option<&Iri> {
+    match slot {
+        MappedSlot::Var => None,
+        MappedSlot::Entity(e) => Some(&e.iri),
+    }
+}
+
+/// `term` as `Term`'s `Display` writes it, in pieces: an IRI or a
+/// variable, the only terms the planner writes.
+fn pieces(term: &Term) -> [&str; 3] {
+    match term {
+        Term::Iri(iri) => ["<", iri.as_str(), ">"],
+        Term::Variable(v) => ["?", v, ""],
+        other => unreachable!("the planner writes no {other:?}"),
+    }
+}
+
 impl TripleParts {
-    /// The pattern and its line, every IRI written out in full (`Term`'s
-    /// own `Display`, not the query `Display`'s prefixed form).
+    /// The pattern and its line `subject predicate object .`, every IRI
+    /// written out in full (`Term`'s own `Display`, not the query
+    /// `Display`'s prefixed form) into one buffer of its exact length.
     fn new(subject: Term, predicate: Term, object: Term) -> Self {
-        let line = format!("{subject} {predicate} {object} .");
+        let words = [pieces(&subject), pieces(&predicate), pieces(&object)];
+        let len: usize = words.iter().flatten().map(|p| p.len()).sum();
+        let mut line = String::with_capacity(len + 4);
+        for word in words {
+            word.iter().for_each(|p| line.push_str(p));
+            line.push(' ');
+        }
+        line.push('.');
         TripleParts { line, pattern: TriplePattern::new(subject, predicate, object) }
     }
 }
@@ -538,6 +569,11 @@ mod tests {
             let pairs = similar_property_pairs(&kb, embedded());
             Fixture { kb, patterns: mined.store, pairs }
         })
+    }
+
+    /// The id of an ontology property by name.
+    fn property(name: &str) -> PropertyId {
+        fixture().kb.ontology.property_id(name).unwrap()
     }
 
     /// The resolved entity `res:<name>`, labelled `name`.
@@ -653,8 +689,7 @@ mod tests {
         let f = fixture();
         let pamuk = entity(&f.kb, "Orhan Pamuk");
         let cand = |prop: &str, w: f64| PropertyCandidate {
-            property: prop.into(),
-            is_data: false,
+            property: property(prop),
             preferred_inverse: Some(false),
             weight: w,
             source: CandidateSource::RelationalPattern,
@@ -731,8 +766,7 @@ mod tests {
         let f = fixture();
         let pamuk = entity(&f.kb, "Orhan Pamuk");
         let cand = |prop: &str, w: f64| PropertyCandidate {
-            property: prop.into(),
-            is_data: false,
+            property: property(prop),
             preferred_inverse: Some(false),
             weight: w,
             source: CandidateSource::RelationalPattern,
@@ -787,8 +821,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, p)| PropertyCandidate {
-                    property: (*p).into(),
-                    is_data: false,
+                    property: property(p),
                     preferred_inverse: Some(false),
                     weight: base / (i + 1) as f64,
                     source: CandidateSource::RelationalPattern,
@@ -831,8 +864,7 @@ mod tests {
         let f = fixture();
         let pamuk = entity(&f.kb, "Orhan Pamuk");
         let cand = |prop: &str, w: f64| PropertyCandidate {
-            property: prop.into(),
-            is_data: false,
+            property: property(prop),
             preferred_inverse: Some(false),
             weight: w,
             source: CandidateSource::RelationalPattern,
@@ -870,8 +902,7 @@ mod tests {
                 object: MappedSlot::Entity(turkey),
                 // crosses: Bridge → River; Turkey is a Country on both sides.
                 candidates: vec![PropertyCandidate {
-                    property: "crosses".into(),
-                    is_data: false,
+                    property: property("crosses"),
                     preferred_inverse: None,
                     weight: 5.0,
                     source: CandidateSource::StringSimilarity,

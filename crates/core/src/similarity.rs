@@ -13,6 +13,10 @@
 //! lookup instead of once per comparison — `to_lowercase()` is idempotent,
 //! so they score identically to the plain entry points.
 
+use std::borrow::Cow;
+
+use relpat_kb::Property;
+
 pub use relpat_kb::split_camel_case;
 
 /// Reusable DP scratch for [`lcs_len_with`]: two `u32` rows plus a char
@@ -116,6 +120,39 @@ pub fn property_name_score_pre(
     best
 }
 
+/// [`property_name_score_pre`] over the property's precomputed scoring keys
+/// (lowercased name, camel-case words, lowercased label words): the form
+/// the mapper's candidate scans use, which allocates nothing.
+pub(crate) fn property_keys_score(
+    word_lower: &str,
+    property: &Property,
+    scratch: &mut LcsScratch,
+) -> f64 {
+    let mut best = lcs_score_pre(word_lower, &property.name_lower, scratch);
+    for w in &property.name_words {
+        if w == word_lower {
+            best = best.max(0.95);
+        }
+    }
+    for w in &property.label_words {
+        if w == word_lower {
+            best = best.max(0.95);
+        } else {
+            best = best.max(lcs_score_pre(word_lower, w, scratch) * 0.9);
+        }
+    }
+    best
+}
+
+/// `s` lowercased, borrowed when it is ASCII without an uppercase letter.
+pub(crate) fn lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+        Cow::Borrowed(s)
+    } else {
+        Cow::Owned(s.to_lowercase())
+    }
+}
+
 /// Similarity between a question word and a property (local name + label):
 /// the best of (a) whole-name LCS, (b) exact match against any constituent
 /// word of the name/label (scored 0.95 — near-exact, since property names
@@ -201,6 +238,28 @@ mod tests {
         ];
         for (a, b) in pairs {
             assert_eq!(lcs_len_with(a, b, &mut scratch), lcs_len(a, b), "{a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn keyed_score_matches_the_name_and_label_score() {
+        let ontology = relpat_kb::Ontology::dbpedia();
+        let mut scratch = LcsScratch::default();
+        let n = ontology.object_properties.len() + ontology.data_properties.len();
+        for id in (0..n as u8).map(relpat_kb::PropertyId) {
+            let p = ontology.property(id);
+            for word in ["written", "population", "place", "birth", "of", "höhe", "", p.name] {
+                let word = word.to_lowercase();
+                assert_eq!(
+                    property_keys_score(&word, p, &mut scratch).to_bits(),
+                    property_name_score_pre(&word, p.name, p.label, &mut scratch).to_bits(),
+                    "{word:?} vs {}",
+                    p.name
+                );
+            }
+        }
+        for word in ["written", "Written", "WRITE", "höhe", "Höhe", ""] {
+            assert_eq!(lowercase(word), word.to_lowercase());
         }
     }
 

@@ -14,15 +14,23 @@
 //! threshold regimes (including 0.5, below the bigram-recall guarantee,
 //! which exercises the index's full-scan fallback) and the mentions and
 //! predicate words of extracted questions.
+//!
+//! The index's work is pinned too: the per-question probed, pruned and
+//! scored counts of `Mapper::map` over the QALD evaluated subset and the
+//! seeded template traffic at ×1, so a rewrite of the lookup cannot change
+//! what the index examines or prunes.
+
+mod common;
 
 use relpat_kb::{
-    generate, normalize_label, qald_questions, split_camel_case, KbConfig, KnowledgeBase,
+    evaluated_subset, generate, normalize_label, qald_questions, split_camel_case, KbConfig,
+    KnowledgeBase, PropertyId,
 };
 use relpat_obs::fx::FxHashMap;
 use relpat_obs::Rng;
 use relpat_patterns::{mine, CorpusConfig, PatternStore};
 use relpat_qa::{
-    lcs_score_pre, property_name_score_pre, similar_property_pairs, LcsScratch, Mapper,
+    extract, lcs_score_pre, property_name_score_pre, similar_property_pairs, LcsScratch, Mapper,
     MappingConfig, PredKind, PredicateSlot, SlotTerm,
 };
 use relpat_wordnet::{derived_noun, embedded};
@@ -102,23 +110,18 @@ fn assert_complete_for_word(config: &MappingConfig, word: &str, context: &str) {
     let nouns = [embedded().attribute_noun(word), derived_noun(word)];
     queries.extend(nouns.into_iter().flatten().map(|n| (n.to_lowercase(), 0.9)));
     let ontology = &kb.ontology;
-    let object: Vec<(&str, &str)> =
-        ontology.object_properties.iter().map(|p| (p.name, p.label)).collect();
-    let data: Vec<(&str, &str)> =
-        ontology.data_properties.iter().map(|p| (p.name, p.label)).collect();
     for (query, threshold) in &queries {
-        let families = [
-            (&object, lexical.object_property_candidates(&[query], *threshold)),
-            (&data, lexical.data_property_candidates(&[query], *threshold)),
-        ];
-        for (props, hits) in families {
-            for (i, (name, label)) in props.iter().enumerate() {
-                if property_name_score_pre(query, name, label, &mut scratch) >= *threshold {
-                    assert!(
-                        hits.contains(&i),
-                        "property {name} missing for {query:?} at {threshold} ({context})"
-                    );
-                }
+        let mut hits: Vec<PropertyId> =
+            lexical.object_property_candidates(&[query], *threshold).collect();
+        hits.extend(lexical.data_property_candidates(&[query], *threshold));
+        let object = ontology.object_properties.iter().map(|p| (p.name, p.label));
+        let data = ontology.data_properties.iter().map(|p| (p.name, p.label));
+        for (name, label) in object.chain(data) {
+            if property_name_score_pre(query, name, label, &mut scratch) >= *threshold {
+                assert!(
+                    ontology.property_id(name).is_some_and(|id| hits.contains(&id)),
+                    "property {name} missing for {query:?} at {threshold} ({context})"
+                );
             }
         }
     }
@@ -239,4 +242,49 @@ fn index_prunes_but_scores_everything_it_keeps() {
     assert!(delta.probed > 0, "{delta:?}");
     assert!(delta.scored > 0, "{delta:?}");
     assert!(delta.probed >= delta.pruned, "{delta:?}");
+}
+
+/// Pinned FNV-1a fingerprint of the per-question index work (see
+/// [`index_work_on_question_traffic_is_pinned`]).
+const INDEX_WORK_FINGERPRINT: u64 = 0xc08c_41da_b0d3_835d;
+
+#[test]
+fn index_work_on_question_traffic_is_pinned() {
+    // A knowledge base of its own: lookup totals are kept per knowledge
+    // base, and the shared fixture's lookups from other tests would leak
+    // into the deltas.
+    let kb = generate(&KbConfig::scaled(1));
+    let patterns = mine(&kb, &CorpusConfig::default()).store;
+    let pairs = similar_property_pairs(&kb, embedded());
+    let m = Mapper {
+        kb: &kb,
+        wordnet: embedded(),
+        patterns: &patterns,
+        similar_pairs: &pairs,
+        config: MappingConfig::default(),
+    };
+    let qald = qald_questions(&kb);
+    let mut questions: Vec<String> =
+        evaluated_subset(&qald).into_iter().map(|q| q.text.clone()).collect();
+    questions.extend(common::template_questions(&kb, 23));
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut probed = 0;
+    for q in &questions {
+        let line = match extract(&relpat_nlp::parse_sentence(q)) {
+            Some(analysis) => {
+                let before = kb.lexical().lookup_stats();
+                m.map(&analysis);
+                let d = kb.lexical().lookup_stats().delta_since(&before);
+                probed += d.probed;
+                format!("{q} {} {} {}", d.probed, d.pruned, d.scored)
+            }
+            None => format!("{q} not attempted"),
+        };
+        for &b in line.as_bytes().iter().chain(&[0xff]) {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert!(questions.len() > 200 && probed > 0, "{} questions, {probed} probed", questions.len());
+    assert_eq!(hash, INDEX_WORK_FINGERPRINT, "index work changed: {hash:#x}");
 }

@@ -24,7 +24,7 @@
 
 mod common;
 
-use relpat_kb::{generate, qald_questions, KbConfig};
+use relpat_kb::{generate, qald_questions, KbConfig, KnowledgeBase};
 use relpat_patterns::{mine, CorpusConfig};
 use relpat_qa::{extract, MappedSlot, MappedTriple, Pipeline, PipelineConfig, PlannerStrategy};
 use relpat_sparql::parse_query;
@@ -139,8 +139,8 @@ fn emitted_queries_parse_to_their_ast_and_keep_their_text() {
 
 /// One line per emitted text, mapped triple and candidate: the class of a
 /// type triple, the subject and object of a relation (an entity's IRI or
-/// `?x`), and each candidate's property, weight bits and source.
-fn mapped_lines(response: &relpat_qa::Response) -> Vec<String> {
+/// `?x`), and each candidate's property name, weight bits and source.
+fn mapped_lines(kb: &KnowledgeBase, response: &relpat_qa::Response) -> Vec<String> {
     let mut lines: Vec<String> = response.queries.iter().map(|q| q.sparql.clone()).collect();
     let slot = |s: &MappedSlot| match s {
         MappedSlot::Var => "?x".to_string(),
@@ -152,7 +152,8 @@ fn mapped_lines(response: &relpat_qa::Response) -> Vec<String> {
             MappedTriple::Relation { subject, object, candidates } => {
                 lines.push(format!("relation {} {}", slot(subject), slot(object)));
                 for c in candidates {
-                    lines.push(format!("{} {:#x} {:?}", c.property, c.weight.to_bits(), c.source));
+                    let name = kb.ontology.property(c.property).name;
+                    lines.push(format!("{name} {:#x} {:?}", c.weight.to_bits(), c.source));
                 }
             }
         }
@@ -175,7 +176,7 @@ fn template_traffic_keeps_its_mapping_and_queries() {
             let response = pipeline.answer(q);
             answered += usize::from(response.is_answered());
             lines.push(q.clone());
-            lines.extend(mapped_lines(&response));
+            lines.extend(mapped_lines(&kb, &response));
         }
         assert!(answered * 5 >= questions.len() * 4, "x{scale}: {answered} answered");
         got.push(fnv(lines.iter()));

@@ -13,7 +13,7 @@
 //!    candidate lists with no more planner work, and ≤ 51 built and ≤ 31
 //!    executed queries (the paper's §2.3 run built 51 and executed 31).
 
-use relpat_kb::{generate, qald_questions, KbConfig, KnowledgeBase};
+use relpat_kb::{generate, qald_questions, KbConfig, KnowledgeBase, PropertyId};
 use relpat_obs::Rng;
 use relpat_patterns::{mine, CorpusConfig};
 use relpat_qa::{
@@ -41,9 +41,14 @@ fn analyses() -> &'static (QuestionAnalysis, QuestionAnalysis) {
     })
 }
 
-/// Object properties of the tiny ontology the sweep draws candidates from.
+/// Object properties of the ontology the sweep draws candidates from.
 const PROPERTY_POOL: [&str; 8] =
     ["author", "publisher", "director", "starring", "capital", "spouse", "writer", "deathPlace"];
+
+/// The id of an ontology property by name.
+fn property(name: &str) -> PropertyId {
+    kb().ontology.property_id(name).unwrap_or_else(|| panic!("{name} is no ontology property"))
+}
 
 /// A randomized weight: small integers (to force ties), negatives (the
 /// truncation-bug class), occasionally NaN (0/0 pattern normalizations).
@@ -57,8 +62,7 @@ fn arb_weight(rng: &mut Rng) -> f64 {
 
 fn arb_candidate(rng: &mut Rng) -> PropertyCandidate {
     PropertyCandidate {
-        property: PROPERTY_POOL[rng.gen_range(0usize..PROPERTY_POOL.len())].to_string(),
-        is_data: false,
+        property: property(PROPERTY_POOL[rng.gen_range(0usize..PROPERTY_POOL.len())]),
         preferred_inverse: match rng.gen_range(0u32..3) {
             0 => None,
             1 => Some(false),
@@ -129,7 +133,7 @@ fn seeded_sweep_beam_equals_exact_topk_of_full_product() {
         for w in beam.windows(2) {
             assert_ne!(w[0].score.total_cmp(&w[1].score), Ordering::Less, "{context}");
         }
-        // Emission accounting agrees between the strategies (pre-dedup).
+        // Emission accounting agrees between the strategies (post-dedup).
         assert_eq!(beam_stats.emitted, cart_stats.emitted, "{context}");
         if !beam.is_empty() {
             nonempty += 1;
@@ -151,7 +155,9 @@ fn wide_lattices_over_every_object_property_agree() {
     // mix negatives and ties.
     let kb = kb();
     let (select, _) = analyses();
-    let props: Vec<&str> = kb.ontology.object_properties.iter().map(|p| p.name).collect();
+    let props: Vec<PropertyId> = (0..kb.ontology.object_properties.len())
+        .map(|i| kb.ontology.object_property_id(i))
+        .collect();
     let (label, ids) = kb.labels_iter().next().expect("a labeled entity");
     let iri = kb.graph.term(ids[0]).as_iri().expect("entities are IRIs").clone();
     let entity = ResolvedEntity { id: ids[0], iri, label: label.to_string() };
@@ -165,8 +171,7 @@ fn wide_lattices_over_every_object_property_agree() {
                 object: MappedSlot::Entity(entity.clone()),
                 candidates: (0..width)
                     .map(|_| PropertyCandidate {
-                        property: props[rng.gen_range(0usize..props.len())].to_string(),
-                        is_data: false,
+                        property: props[rng.gen_range(0usize..props.len())],
                         preferred_inverse: match rng.gen_range(0u32..3) {
                             0 => None,
                             1 => Some(false),
@@ -198,8 +203,7 @@ fn ties_preserve_generation_order_tie_break() {
     let (select, _) = analyses();
     let pamuk = pamuk();
     let cand = |prop: &str| PropertyCandidate {
-        property: prop.to_string(),
-        is_data: false,
+        property: property(prop),
         preferred_inverse: Some(false),
         weight: 2.0,
         source: CandidateSource::RelationalPattern,

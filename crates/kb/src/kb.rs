@@ -21,7 +21,14 @@ pub fn normalize_label(label: &str) -> String {
         .or_else(|| lower.strip_prefix("a "))
         .or_else(|| lower.strip_prefix("an "))
         .unwrap_or(&lower);
-    trimmed.split_whitespace().collect::<Vec<_>>().join(" ")
+    let mut out = String::with_capacity(trimmed.len());
+    for word in trimmed.split_whitespace() {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+    out
 }
 
 /// An entity the knowledge base can look up: a [`TermId`] as is, or an

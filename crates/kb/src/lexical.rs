@@ -52,30 +52,13 @@
 //! reach the threshold. Exact-word hits skip the bounds entirely.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use relpat_obs::fx::{FxHashMap, FxHashSet};
+use relpat_obs::fx::FxHashMap;
 
 use crate::labels::LabelTable;
-use crate::ontology::Ontology;
-
-/// Splits a camelCase property local name into lower-cased words
-/// (`populationTotal` → `["population", "total"]`). Canonical home of the
-/// splitter used both here (index build) and by the core scorer.
-pub fn split_camel_case(name: &str) -> Vec<String> {
-    let mut words = Vec::new();
-    let mut cur = String::new();
-    for c in name.chars() {
-        if c.is_uppercase() && !cur.is_empty() {
-            words.push(std::mem::take(&mut cur));
-        }
-        cur.extend(c.to_lowercase());
-    }
-    if !cur.is_empty() {
-        words.push(cur);
-    }
-    words
-}
+use crate::ontology::{Ontology, PropertyId};
 
 /// Character-frequency multiset of a (lowercased) string: ASCII counts in a
 /// dense array, anything else in a sorted spill vector. Built once per
@@ -157,6 +140,51 @@ fn bigram_key(a: char, b: char) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
+/// The buffers a lookup works in, kept per thread and reused, so a lookup
+/// allocates nothing once they have grown to the largest index. Units and
+/// entries are marked with the lookup's stamp, so no buffer is cleared
+/// between lookups.
+#[derive(Debug, Default)]
+struct Scratch {
+    stamp: u32,
+    /// Per unit: the stamp of the last lookup that queued it.
+    seen: Vec<u32>,
+    /// Per entry: the stamp of the last lookup it survived.
+    survivor: Vec<u32>,
+    /// Units the lookup examines, in the order they were queued.
+    examine: Vec<u32>,
+    /// The query's bigram keys probed so far, sorted.
+    keys: Vec<u64>,
+    /// Surviving entry ids.
+    out: Vec<u32>,
+}
+
+impl Scratch {
+    /// Starts a lookup over `units` units and `entries` entries: returns
+    /// its stamp, which no slot holds yet.
+    fn begin(&mut self, units: usize, entries: usize) -> u32 {
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.survivor.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        if self.seen.len() < units {
+            self.seen.resize(units, 0);
+        }
+        if self.survivor.len() < entries {
+            self.survivor.resize(entries, 0);
+        }
+        self.examine.clear();
+        self.keys.clear();
+        self.stamp
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// Inverted index over one family of entries (entity labels, object
 /// properties or data properties). Entry ids are positions in the caller's
 /// backing list, so survivors come back in the caller's iteration order.
@@ -222,24 +250,35 @@ impl SimIndex {
         SimIndex { units, runs, runs_at, entry_count, bigrams, groups, words }
     }
 
-    /// Entry ids (ascending) whose true score against `query` *may* reach
-    /// `threshold` — a provable superset, see the module docs. `query` must
-    /// already be lowercased (entity queries: `normalize_label`ed).
-    fn candidates(&self, query: &str, threshold: f64, stats: &LookupCells) -> Vec<u32> {
+    /// Appends to `s.out` the entry ids (ascending) whose true score
+    /// against `query` *may* reach `threshold` — a provable superset, see
+    /// the module docs. `query` must already be lowercased (entity queries:
+    /// `normalize_label`ed).
+    fn candidates(&self, query: &str, threshold: f64, stats: &LookupCells, s: &mut Scratch) {
         let qlen = query.chars().count();
         let qbag = CharBag::of(query);
-        let mut survivor = vec![false; self.entry_count];
+        let stamp = s.begin(self.units.len(), self.entry_count);
+        let Scratch { seen, survivor, examine, keys, out, .. } = s;
+        let first = out.len();
+        let survive = |e: u32, survivor: &mut [u32], out: &mut Vec<u32>| {
+            survivor[e as usize] = stamp;
+            out.push(e);
+        };
 
         // Exact-word fast path: 0.95-rule hits survive unconditionally (the
         // exact scorer re-derives the actual score).
         if let Some(posting) = self.words.get(query) {
             for &e in posting {
-                survivor[e as usize] = true;
+                survive(e, survivor, out);
             }
         }
 
-        let mut seen = vec![false; self.units.len()];
-        let mut examine: Vec<u32> = Vec::new();
+        let mut mark = |u: u32, examine: &mut Vec<u32>| {
+            if seen[u as usize] != stamp {
+                seen[u as usize] = stamp;
+                examine.push(u);
+            }
+        };
         let mut probe_bigrams = false;
         let mut full_scan_groups = 0u64;
         for group in &self.groups {
@@ -251,10 +290,7 @@ impl SimIndex {
                 // Below the bigram-recall guarantee: bounded full scan.
                 full_scan_groups += 1;
                 for &u in &group.by_len {
-                    if !seen[u as usize] {
-                        seen[u as usize] = true;
-                        examine.push(u);
-                    }
+                    mark(u, examine);
                 }
             } else {
                 probe_bigrams = true;
@@ -265,10 +301,7 @@ impl SimIndex {
                         if self.units[u as usize].len as usize >= bound {
                             break;
                         }
-                        if !seen[u as usize] {
-                            seen[u as usize] = true;
-                            examine.push(u);
-                        }
+                        mark(u, examine);
                     }
                 }
             }
@@ -283,27 +316,26 @@ impl SimIndex {
             );
         }
         if probe_bigrams && qlen >= 2 {
-            let mut probed_keys: FxHashSet<u64> = FxHashSet::default();
             for (a, b) in query.chars().zip(query.chars().skip(1)) {
                 let key = bigram_key(a, b);
-                if !probed_keys.insert(key) {
-                    continue;
+                // Each distinct bigram's posting is walked once, in query
+                // order (a repeat would mark nothing new).
+                match keys.binary_search(&key) {
+                    Ok(_) => continue,
+                    Err(at) => keys.insert(at, key),
                 }
                 if let Some(posting) = self.bigrams.get(&key) {
                     for &u in posting {
-                        if !seen[u as usize] {
-                            seen[u as usize] = true;
-                            examine.push(u);
-                        }
+                        mark(u, examine);
                     }
                 }
             }
         }
 
         let mut pruned: u64 = 0;
-        for &u in &examine {
+        for &u in examine.iter() {
             let unit = &self.units[u as usize];
-            if survivor[unit.entry as usize] {
+            if survivor[unit.entry as usize] == stamp {
                 continue;
             }
             if unit.scale < threshold {
@@ -317,7 +349,7 @@ impl SimIndex {
                     pruned += 1;
                     continue;
                 }
-                survivor[unit.entry as usize] = true;
+                survive(unit.entry, survivor, out);
                 continue;
             }
             let band = unit.scale * (len.min(qlen) as f64 / max as f64);
@@ -330,14 +362,11 @@ impl SimIndex {
                 pruned += 1;
                 continue;
             }
-            survivor[unit.entry as usize] = true;
+            survive(unit.entry, survivor, out);
         }
 
-        let out: Vec<u32> = (0..self.entry_count as u32)
-            .filter(|&e| survivor[e as usize])
-            .collect();
-        stats.record(examine.len() as u64, pruned, out.len() as u64);
-        out
+        out[first..].sort_unstable();
+        stats.record(examine.len() as u64, pruned, (out.len() - first) as u64);
     }
 
     /// Unit `u`'s character bag.
@@ -396,6 +425,17 @@ impl IndexLookupStats {
     }
 }
 
+/// The ids of a mask's bits, ascending.
+fn property_ids(mut mask: u64) -> impl Iterator<Item = PropertyId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            PropertyId(bit as u8)
+        })
+    })
+}
+
 #[derive(Debug, Default)]
 struct LookupCells {
     probed: AtomicU64,
@@ -452,22 +492,23 @@ impl LexicalIndex {
             units: vec![(Cow::Borrowed(label), 1.0)],
             words: Vec::new(),
         });
-        let property_specs = |name: &str, label: &str| {
-            let mut units = vec![(Cow::Owned(name.to_lowercase()), 1.0)];
-            let mut words = split_camel_case(name);
-            for w in label.to_lowercase().split_whitespace() {
-                units.push((Cow::Owned(w.to_string()), 0.9));
-                words.push(w.to_string());
-            }
+        let property_specs = |id: PropertyId| {
+            let p = ontology.property(id);
+            let mut units = vec![(Cow::Borrowed(p.name_lower.as_str()), 1.0)];
+            units.extend(p.label_words.iter().map(|w| (Cow::Borrowed(w.as_str()), 0.9)));
+            let mut words: Vec<String> =
+                p.name_words.iter().chain(&p.label_words).cloned().collect();
             words.sort_unstable();
             words.dedup();
             EntrySpec { units, words }
         };
         let object_props = SimIndex::build(
-            ontology.object_properties.iter().map(|p| property_specs(p.name, p.label)),
+            (0..ontology.object_properties.len())
+                .map(|i| property_specs(ontology.object_property_id(i))),
         );
         let data_props = SimIndex::build(
-            ontology.data_properties.iter().map(|p| property_specs(p.name, p.label)),
+            (0..ontology.data_properties.len())
+                .map(|i| property_specs(ontology.data_property_id(i))),
         );
         LexicalIndex {
             entities: SimIndex::build(entity_specs),
@@ -481,32 +522,47 @@ impl LexicalIndex {
     /// the (already `normalize_label`ed) query. A superset of the true
     /// matches; callers re-score with the exact LCS and filter.
     pub fn entity_rows(&self, norm_query: &str, threshold: f64) -> Vec<u32> {
-        self.entities.candidates(norm_query, threshold, &self.lookups)
+        SCRATCH.with_borrow_mut(|s| {
+            s.out.clear();
+            self.entities.candidates(norm_query, threshold, &self.lookups, s);
+            s.out.to_vec()
+        })
     }
 
-    /// Indices into `ontology.object_properties` (ascending) that may score
-    /// ≥ `threshold` against *any* of the lowercased query words.
-    pub fn object_property_candidates(&self, words: &[&str], threshold: f64) -> Vec<usize> {
-        self.multi_word(&self.object_props, words, threshold)
+    /// Object property ids (ascending) that may score ≥ `threshold`
+    /// against *any* of the lowercased query words.
+    pub fn object_property_candidates(
+        &self,
+        words: &[&str],
+        threshold: f64,
+    ) -> impl Iterator<Item = PropertyId> {
+        property_ids(self.multi_word(&self.object_props, words, threshold))
     }
 
-    /// Indices into `ontology.data_properties` (ascending) that may score
-    /// ≥ `threshold` against *any* of the lowercased query words.
-    pub fn data_property_candidates(&self, words: &[&str], threshold: f64) -> Vec<usize> {
-        self.multi_word(&self.data_props, words, threshold)
+    /// Data property ids (ascending) that may score ≥ `threshold` against
+    /// *any* of the lowercased query words.
+    pub fn data_property_candidates(
+        &self,
+        words: &[&str],
+        threshold: f64,
+    ) -> impl Iterator<Item = PropertyId> {
+        let mask = self.multi_word(&self.data_props, words, threshold);
+        property_ids(mask << self.object_props.entry_count)
     }
 
-    fn multi_word(&self, index: &SimIndex, words: &[&str], threshold: f64) -> Vec<usize> {
-        let mut out: Vec<u32> = Vec::new();
-        for (i, word) in words.iter().enumerate() {
-            if words[..i].contains(word) {
-                continue; // identical word (text == lemma): same survivors
+    /// The union of every distinct word's survivors as a mask over the
+    /// family's entries.
+    fn multi_word(&self, index: &SimIndex, words: &[&str], threshold: f64) -> u64 {
+        SCRATCH.with_borrow_mut(|s| {
+            s.out.clear();
+            for (i, word) in words.iter().enumerate() {
+                if words[..i].contains(word) {
+                    continue; // identical word (text == lemma): same survivors
+                }
+                index.candidates(word, threshold, &self.lookups, s);
             }
-            out.extend(index.candidates(word, threshold, &self.lookups));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out.into_iter().map(|e| e as usize).collect()
+            s.out.iter().fold(0, |mask, &e| mask | 1 << e)
+        })
     }
 
     /// Cumulative probe/prune/score totals across all lookups on this index
@@ -539,6 +595,7 @@ impl LexicalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ontology::split_camel_case;
     use relpat_rdf::vocab::{rdfs, res};
     use relpat_rdf::{GraphBuilder, Term};
 
@@ -636,17 +693,20 @@ mod tests {
         let ontology = Ontology::dbpedia();
         for t in [0.5, 0.7, 0.9, 0.95] {
             for word in ["population", "written", "height", "of", "crosses", "zzz", ""] {
-                let obj = ix.object_property_candidates(&[word], t);
+                let obj: Vec<PropertyId> = ix.object_property_candidates(&[word], t).collect();
                 assert!(obj.windows(2).all(|w| w[0] < w[1]), "unsorted {obj:?}");
                 for (i, p) in ontology.object_properties.iter().enumerate() {
                     if property_score(word, p.name, p.label) >= t {
-                        assert!(obj.contains(&i), "missing {} for {word:?} @ {t}", p.name);
+                        let id = ontology.object_property_id(i);
+                        assert!(obj.contains(&id), "missing {} for {word:?} @ {t}", p.name);
                     }
                 }
-                let data = ix.data_property_candidates(&[word], t);
+                let data: Vec<PropertyId> = ix.data_property_candidates(&[word], t).collect();
+                assert!(data.iter().all(|&id| ontology.property(id).is_data), "{data:?}");
                 for (i, p) in ontology.data_properties.iter().enumerate() {
                     if property_score(word, p.name, p.label) >= t {
-                        assert!(data.contains(&i), "missing {} for {word:?} @ {t}", p.name);
+                        let id = ontology.data_property_id(i);
+                        assert!(data.contains(&id), "missing {} for {word:?} @ {t}", p.name);
                     }
                 }
             }
@@ -657,19 +717,19 @@ mod tests {
     fn multi_word_union_covers_both_words() {
         let ix = toy_index();
         let ontology = Ontology::dbpedia();
-        let both = ix.object_property_candidates(&["written", "crosses"], 0.7);
+        let both: Vec<PropertyId> =
+            ix.object_property_candidates(&["written", "crosses"], 0.7).collect();
         for word in ["written", "crosses"] {
             for (i, p) in ontology.object_properties.iter().enumerate() {
                 if property_score(word, p.name, p.label) >= 0.7 {
-                    assert!(both.contains(&i), "missing {}", p.name);
+                    assert!(both.contains(&ontology.object_property_id(i)), "missing {}", p.name);
                 }
             }
         }
         // Duplicate words collapse to one lookup's worth of survivors.
-        assert_eq!(
-            ix.object_property_candidates(&["written", "written"], 0.7),
-            ix.object_property_candidates(&["written"], 0.7)
-        );
+        assert!(ix
+            .object_property_candidates(&["written", "written"], 0.7)
+            .eq(ix.object_property_candidates(&["written"], 0.7)));
     }
 
     #[test]
@@ -689,14 +749,30 @@ mod tests {
                         assert!(got.contains(&label.to_string()), "lost {label:?} for {query:?} @ {t}");
                     }
                 }
-                let obj = ix.object_property_candidates(&[&query], t);
+                let obj: Vec<PropertyId> = ix.object_property_candidates(&[&query], t).collect();
                 for (i, p) in ontology.object_properties.iter().enumerate() {
                     if property_score(&query, p.name, p.label) >= t {
-                        assert!(obj.contains(&i), "lost {} for {query:?} @ {t}", p.name);
+                        let id = ontology.object_property_id(i);
+                        assert!(obj.contains(&id), "lost {} for {query:?} @ {t}", p.name);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn lookups_survive_the_stamp_wrapping() {
+        let ix = toy_index();
+        let entities = entity_survivors(&ix, "orhan pamuk", 0.85);
+        let written = |ix: &LexicalIndex| ix.object_property_candidates(&["written"], 0.7);
+        let properties: Vec<PropertyId> = written(&ix).collect();
+        assert!(!entities.is_empty() && !properties.is_empty());
+        SCRATCH.with_borrow_mut(|s| s.stamp = u32::MAX - 1);
+        for _ in 0..3 {
+            assert_eq!(entity_survivors(&ix, "orhan pamuk", 0.85), entities);
+            assert!(written(&ix).eq(properties.iter().copied()));
+        }
+        assert!(SCRATCH.with_borrow(|s| s.stamp) < 10, "the stamp wrapped to a small value");
     }
 
     #[test]

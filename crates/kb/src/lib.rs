@@ -27,10 +27,11 @@ mod stats;
 pub use generate::{generate, KbConfig, DEFAULT_KB_FINGERPRINT};
 pub use kb::{normalize_label, EntityRef, KbBytes, KnowledgeBase};
 pub use labels::LabelTable;
-pub use lexical::{split_camel_case, IndexLookupStats, LexStats, LexicalIndex};
+pub use lexical::{IndexLookupStats, LexStats, LexicalIndex};
 pub use names::AMBIGUOUS_CITY;
 pub use ontology::{
-    ClassDef, ClassId, ClassSet, DataPropertyDef, DataRange, ObjectPropertyDef, Ontology,
+    split_camel_case, ClassDef, ClassId, ClassSet, DataPropertyDef, DataRange, ObjectPropertyDef,
+    Ontology, Property, PropertyId,
 };
 pub use qald::{evaluated_subset, qald_questions, Exclusion, QaldQuestion};
 pub use stats::KbStats;

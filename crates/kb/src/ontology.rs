@@ -6,6 +6,7 @@
 //! materialized as RDF triples in the knowledge base so that label lookups,
 //! class queries and property enumeration all go through the same store.
 
+use relpat_obs::fx::FxHashMap;
 use relpat_rdf::vocab::{dbont, owl, rdfs, xsd};
 use relpat_rdf::{GraphBuilder, Iri, Literal, Term};
 
@@ -70,6 +71,68 @@ impl ClassId {
     }
 }
 
+/// Dense id of an ontology property: the object properties in declaration
+/// order, then the data properties.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PropertyId(pub u8);
+
+/// One ontology property under its [`PropertyId`], with what §2.2 scores
+/// and §2.3 writes built once by the ontology's constructor.
+#[derive(Debug, Clone)]
+pub struct Property {
+    pub name: &'static str,
+    pub label: &'static str,
+    pub is_data: bool,
+    pub domain: ClassId,
+    /// The range class of an object property; `None` for a data property.
+    pub range: Option<ClassId>,
+    /// The property's IRI as a term.
+    pub term: Term,
+    /// Scoring keys: the lowercased name, its camel-case words and the
+    /// lowercased label's words.
+    pub name_lower: String,
+    pub name_words: Vec<String>,
+    pub label_words: Vec<String>,
+}
+
+impl Property {
+    fn new(
+        name: &'static str,
+        label: &'static str,
+        domain: ClassId,
+        range: Option<ClassId>,
+    ) -> Self {
+        Property {
+            name,
+            label,
+            is_data: range.is_none(),
+            domain,
+            range,
+            term: Term::Iri(Ontology::property_iri(name)),
+            name_lower: name.to_lowercase(),
+            name_words: split_camel_case(name),
+            label_words: label.to_lowercase().split_whitespace().map(str::to_string).collect(),
+        }
+    }
+}
+
+/// Splits a camelCase property local name into lower-cased words
+/// (`populationTotal` → `["population", "total"]`).
+pub fn split_camel_case(name: &str) -> Vec<String> {
+    let mut words = Vec::new();
+    let mut cur = String::new();
+    for c in name.chars() {
+        if c.is_uppercase() && !cur.is_empty() {
+            words.push(std::mem::take(&mut cur));
+        }
+        cur.extend(c.to_lowercase());
+    }
+    if !cur.is_empty() {
+        words.push(cur);
+    }
+    words
+}
+
 /// Mask bit of a `dbont:` class the ontology does not define. It relates to
 /// no ontology class, so the ontology holds at most 63 classes.
 const UNDEFINED_CLASS_BIT: u64 = 1 << 63;
@@ -104,8 +167,9 @@ impl ClassSet {
     }
 }
 
-/// The full ontology definition, with the class taxonomy as dense ids and
-/// one ancestor-or-self mask per class, built once by the constructor.
+/// The full ontology definition, with the class taxonomy as dense ids, one
+/// ancestor-or-self mask per class and every property under its
+/// [`PropertyId`], built once by the constructor.
 #[derive(Debug, Clone)]
 pub struct Ontology {
     pub classes: Vec<ClassDef>,
@@ -113,10 +177,10 @@ pub struct Ontology {
     pub data_properties: Vec<DataPropertyDef>,
     /// Per class id: the class and all its ancestors.
     ancestor_masks: Vec<u64>,
-    /// Per object property: its domain and range class ids.
-    object_property_ids: Vec<(ClassId, ClassId)>,
-    /// Per data property: its domain class id.
-    data_property_domains: Vec<ClassId>,
+    /// Per property id.
+    properties: Vec<Property>,
+    /// Property local name → id.
+    property_ids: FxHashMap<&'static str, PropertyId>,
 }
 
 impl Ontology {
@@ -142,17 +206,44 @@ impl Ontology {
                 mask
             })
             .collect();
-        let object_property_ids =
-            OBJECT_PROPERTIES.iter().map(|p| (id(p.domain), id(p.range))).collect();
-        let data_property_domains = DATA_PROPERTIES.iter().map(|p| id(p.domain)).collect();
+        let object = OBJECT_PROPERTIES
+            .iter()
+            .map(|p| Property::new(p.name, p.label, id(p.domain), Some(id(p.range))));
+        let data =
+            DATA_PROPERTIES.iter().map(|p| Property::new(p.name, p.label, id(p.domain), None));
+        let properties: Vec<Property> = object.chain(data).collect();
+        // The lexical index returns property ids as a 64-bit mask.
+        assert!(properties.len() <= 64, "the ontology holds at most 64 properties");
+        let property_ids =
+            properties.iter().enumerate().map(|(i, p)| (p.name, PropertyId(i as u8))).collect();
         Ontology {
             classes,
             object_properties: OBJECT_PROPERTIES.to_vec(),
             data_properties: DATA_PROPERTIES.to_vec(),
             ancestor_masks,
-            object_property_ids,
-            data_property_domains,
+            properties,
+            property_ids,
         }
+    }
+
+    /// The property with id `id`.
+    pub fn property(&self, id: PropertyId) -> &Property {
+        &self.properties[id.0 as usize]
+    }
+
+    /// The id of a property by local name.
+    pub fn property_id(&self, name: &str) -> Option<PropertyId> {
+        self.property_ids.get(name).copied()
+    }
+
+    /// The id of `object_properties[i]`.
+    pub fn object_property_id(&self, i: usize) -> PropertyId {
+        PropertyId(i as u8)
+    }
+
+    /// The id of `data_properties[i]`.
+    pub fn data_property_id(&self, i: usize) -> PropertyId {
+        PropertyId((self.object_properties.len() + i) as u8)
     }
 
     /// The id of a class by local name.
@@ -181,12 +272,13 @@ impl Ontology {
 
     /// Domain and range class ids of `object_properties[i]`.
     pub fn object_property_classes(&self, i: usize) -> (ClassId, ClassId) {
-        self.object_property_ids[i]
+        let p = self.property(self.object_property_id(i));
+        (p.domain, p.range.expect("an object property has a range"))
     }
 
     /// Domain class id of `data_properties[i]`.
     pub fn data_property_domain(&self, i: usize) -> ClassId {
-        self.data_property_domains[i]
+        self.property(self.data_property_id(i)).domain
     }
 
     /// IRI of a class by local name.
@@ -469,6 +561,28 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len());
+    }
+
+    #[test]
+    fn property_ids_number_object_then_data_properties() {
+        let o = Ontology::dbpedia();
+        for (i, p) in o.object_properties.iter().enumerate() {
+            let id = o.object_property_id(i);
+            assert_eq!(o.property_id(p.name), Some(id));
+            let def = o.property(id);
+            assert!(!def.is_data && def.label == p.label);
+            assert_eq!(def.term, Term::Iri(Ontology::property_iri(p.name)));
+        }
+        for (i, p) in o.data_properties.iter().enumerate() {
+            let id = o.data_property_id(i);
+            assert_eq!(o.property_id(p.name), Some(id));
+            assert!(o.property(id).is_data && o.property(id).range.is_none());
+        }
+        assert_eq!(o.property_id("taxiDriver"), None);
+        let pages = o.property(o.property_id("numberOfPages").unwrap());
+        assert_eq!(pages.name_lower, "numberofpages");
+        assert_eq!(pages.name_words, ["number", "of", "pages"]);
+        assert_eq!(pages.label_words, ["number", "of", "pages"]);
     }
 
     #[test]

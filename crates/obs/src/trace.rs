@@ -111,7 +111,8 @@ pub struct QuestionTrace {
     /// Assignment states discarded without exploration (beam: frontier
     /// leftover once the top-k was proved; cartesian: final truncation).
     pub plan_pruned: u64,
-    /// Complete ranked assignments emitted as queries (pre-dedup).
+    /// Queries the planner returned: complete ranked assignments, counted
+    /// after adjacent duplicates are dropped (post-dedup).
     pub plan_emitted: u64,
     /// Queries actually sent to the SPARQL engine.
     pub queries_executed: u64,

@@ -178,8 +178,20 @@ fn facts_of<'kb>(kb: &'kb KnowledgeBase, property: &str) -> impl Iterator<Item =
 
 /// Synthesizes the corpus from every object-property fact in the KB.
 pub fn generate_corpus(kb: &KnowledgeBase, config: &CorpusConfig) -> Vec<Sentence> {
-    let mut rng = Rng::seed_from_u64(config.seed);
     let mut out = Vec::new();
+    for_each_sentence(kb, config, |sentence| out.push(sentence));
+    out
+}
+
+/// Synthesizes [`generate_corpus`]'s sentences in its order, handing each
+/// to `emit` instead of keeping it: mining extracts from each sentence as
+/// it is made, so the corpus is never held whole.
+pub(crate) fn for_each_sentence(
+    kb: &KnowledgeBase,
+    config: &CorpusConfig,
+    mut emit: impl FnMut(Sentence),
+) {
+    let mut rng = Rng::seed_from_u64(config.seed);
     for prop_def in &kb.ontology.object_properties {
         let templates = templates_for(prop_def.name);
         if templates.is_empty() {
@@ -208,7 +220,7 @@ pub fn generate_corpus(kb: &KnowledgeBase, config: &CorpusConfig) -> Vec<Sentenc
                 };
                 let template = source_templates[rng.gen_range(0..source_templates.len())];
                 let text = template.replace("{S}", s_label).replace("{O}", o_label);
-                out.push(Sentence { text: format!("{text}.") });
+                emit(Sentence { text: format!("{text}.") });
             }
         }
     }
@@ -226,12 +238,11 @@ pub fn generate_corpus(kb: &KnowledgeBase, config: &CorpusConfig) -> Vec<Sentenc
                     let template = templates[rng.gen_range(0..templates.len())];
                     let text =
                         template.replace("{S}", s_label).replace("{V}", lit.lexical_form());
-                    out.push(Sentence { text: format!("{text}.") });
+                    emit(Sentence { text: format!("{text}.") });
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

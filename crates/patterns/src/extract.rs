@@ -353,14 +353,35 @@ impl<'kb> Supervisor<'kb> {
 
 /// Extracts supervised pattern occurrences from a corpus.
 pub fn extract_occurrences(kb: &KnowledgeBase, corpus: &[Sentence]) -> Occurrences {
-    let detector = MentionDetector::new(kb);
-    let mut supervisor = Supervisor::new(kb);
-    let mut memo = PatternMemo::default();
-    let mut out = Occurrences::default();
+    let mut extractor = Extractor::new(kb);
+    corpus.iter().for_each(|sentence| extractor.add(sentence));
+    extractor.finish()
+}
 
-    for sentence in corpus {
+/// Extraction over a stream of sentences: each sentence's occurrences are
+/// recorded as it is added, so a caller that synthesizes the corpus one
+/// sentence at a time never holds it whole.
+pub(crate) struct Extractor<'kb> {
+    detector: MentionDetector<'kb>,
+    supervisor: Supervisor<'kb>,
+    memo: PatternMemo,
+    out: Occurrences,
+}
+
+impl<'kb> Extractor<'kb> {
+    pub(crate) fn new(kb: &'kb KnowledgeBase) -> Self {
+        Extractor {
+            detector: MentionDetector::new(kb),
+            supervisor: Supervisor::new(kb),
+            memo: PatternMemo::default(),
+            out: Occurrences::default(),
+        }
+    }
+
+    /// Records the occurrences of one sentence.
+    pub(crate) fn add(&mut self, sentence: &Sentence) {
         let tokens = tokenize(&sentence.text);
-        let mentions = detector.detect(&tokens);
+        let mentions = self.detector.detect(&tokens);
         // Consider consecutive mention pairs only (PATTY's shortest-path
         // restriction; our sentences have exactly two mentions anyway).
         for window in mentions.windows(2) {
@@ -372,23 +393,33 @@ pub fn extract_occurrences(kb: &KnowledgeBase, corpus: &[Sentence]) -> Occurrenc
             if between.is_empty() || between.len() > 6 {
                 continue;
             }
-            let pattern = memo.get(between);
+            let pattern = self.memo.get(between);
             if pattern.is_empty() {
                 continue;
             }
             for &e1 in m1.entities {
                 for &e2 in m2.entities {
-                    supervisor.object_facts((e1, e2), |property, inverse| {
-                        out.push(&pattern, property, inverse, false, (e1, e2));
+                    self.supervisor.object_facts((e1, e2), |property, inverse| {
+                        self.out.push(&pattern, property, inverse, false, (e1, e2));
                     });
                 }
             }
         }
 
         // Data patterns: one entity mention + one literal-looking token.
-        extract_data_occurrences(&mut supervisor, &tokens, &mentions, &mut memo, &mut out);
+        extract_data_occurrences(
+            &mut self.supervisor,
+            &tokens,
+            &mentions,
+            &mut self.memo,
+            &mut self.out,
+        );
     }
-    out
+
+    /// The occurrences of every sentence added, in order.
+    pub(crate) fn finish(self) -> Occurrences {
+        self.out
+    }
 }
 
 /// A token that could be a literal value: a decimal number (`42`, `-3`,

@@ -57,16 +57,19 @@ pub struct Mined {
 
 /// Runs the full mining pipeline: synthesize corpus → detect mentions →
 /// lift + normalize patterns → distant supervision → indexes + taxonomy.
-/// The three phases time into the `patterns.corpus`, `patterns.extract` and
-/// `patterns.index` spans.
+/// Each sentence is extracted as soon as it is synthesized and then
+/// dropped, so the corpus is never held whole. The two phases time into the
+/// `patterns.extract` (synthesis and extraction) and `patterns.index`
+/// spans.
 pub fn mine(kb: &KnowledgeBase, config: &CorpusConfig) -> Mined {
-    let sentences = {
-        let _timer = relpat_obs::span!("patterns.corpus");
-        generate_corpus(kb, config)
-    };
-    let occurrences = {
+    let (sentences, occurrences) = {
         let _timer = relpat_obs::span!("patterns.extract");
-        extract_occurrences(kb, &sentences)
+        let (mut sentences, mut extractor) = (0, extract::Extractor::new(kb));
+        corpus::for_each_sentence(kb, config, |sentence| {
+            sentences += 1;
+            extractor.add(&sentence);
+        });
+        (sentences, extractor.finish())
     };
     let _timer = relpat_obs::span!("patterns.index");
     let store = PatternStore::from_occurrences(&occurrences);
@@ -83,7 +86,7 @@ pub fn mine(kb: &KnowledgeBase, config: &CorpusConfig) -> Mined {
     }
     let iri = |id| kb.graph.term(id).as_iri().expect("mentions name IRIs").clone();
     let pairs = interner.pairs().iter().map(|&(a, b)| (iri(a), iri(b))).collect();
-    Mined { store, tree, pairs, sentences: sentences.len(), occurrences: occurrences.len() }
+    Mined { store, tree, pairs, sentences, occurrences: occurrences.len() }
 }
 
 impl Mined {
